@@ -209,25 +209,10 @@ def _cmd_analyze_avoid(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- bounds
 
 
-def _report_record(rep: bounds_mod.BoundReport) -> dict[str, Any]:
-    x, y, z = rep.integral_class.coords()
-    return {
-        "n": rep.n,
-        "p": rep.p,
-        "q": rep.q,
-        "xyz": [x, y, z],
-        "norm": rep.norm,
-        "punctures": rep.punctures,
-        "genus": rep.genus,
-        "regime": rep.regime,
-        "mixing_r": rep.mixing_r,
-        "lower_lC": _fraction_pair(rep.lower_lC),
-        "lower_lC_weak": _fraction_pair(rep.lower_lC_weak),
-        "avoid_m": rep.avoidance_m,
-        "upper_lAC": _fraction_pair(rep.upper_lAC),
-        "upper_lC": _fraction_pair(rep.upper_lC),
-        "error": rep.error,
-    }
+def _refuse(record: dict[str, Any], message: str) -> int:
+    record["error"] = message
+    _emit(record)
+    return 2
 
 
 def _cmd_bounds_class(args: argparse.Namespace) -> int:
@@ -242,14 +227,20 @@ def _cmd_bounds_class(args: argparse.Namespace) -> int:
         "genus": inv.genus,
     }
     if i != 1:
-        record["error"] = "digraph analysis covers classes (1, j, k)+ only"
-        _emit(record)
-        return 2
+        return _refuse(record, "digraph analysis covers classes (1, j, k)+ only")
     g = ttd.magic_digraph(j, k)
     r = digraph_analysis.primitivity_exponent(g)
     lower, weak = bounds_mod.gadre_tsai_lower(r, inv.norm, inv.boundary_count)
     witness = digraph_analysis.last_avoidance(g, f"b_{k}", "r_1")
-    upper_lac, upper_lc = bounds_mod.avoidance_upper(max(witness.steps, 1))
+    if witness.steps < 1:
+        return _refuse(
+            record, f"no positive-step avoidance of r_1 from b_{k}: no upper bound"
+        )
+    upper_lac, upper_lc = bounds_mod.avoidance_upper(witness.steps)
+    if lower > upper_lc:
+        return _refuse(
+            record, f"sandwich violation: lower {lower} > upper {upper_lc}"
+        )
     record.update(
         mixing_r=r,
         lower_lC=_fraction_pair(lower),

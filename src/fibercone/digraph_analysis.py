@@ -11,25 +11,41 @@ collapsed), the m-step image of a vertex set S is
                               starting in S }
                       = support of A^m . indicator(S).
 
-Two independent evaluation routes are kept: frontier stepping over int
-bitmasks (one OR of out-neighbor masks per step), and boolean matrix powers
-computed by repeated squaring.  Squarings run as numpy float32 matmuls clipped
-back to 0/1; this is exact, since every entry is 0 or 1 and inner products are
-integers bounded by V, far below the 2**24 float32 integer range.
+Every production path runs one stepper on int bitmasks.  Edges are grouped by
+their label-index offset d = target - source, and one step of a set is
 
-primitivity_exponent finds the least m with A^m strictly positive.  Once every
-vertex has in-degree >= 1, all-positivity is monotone in m (append any last
-step to each walk), so the least such m is located by a doubling ladder
-A, A^2, A^4, ... followed by a binary walk back down the ladder.  The search
-is cut off at the Wielandt bound (V-1)^2 + 1: a primitive matrix must become
-positive by then, so a cutoff verdict of "not primitive" is a proof, not a
-timeout.  Vertices of in- or out-degree zero kill positivity outright and
-short-circuit to the same verdict.
+    OR over offsets d of shift(mask & group_mask[d], d),
 
-covering_time refines the exponent per source vertex, and last_avoidance /
-avoidance_at certify powers m whose image still misses a target: each witness
-m converts into an upper bound 4/m on the curve-complex translation length
-downstream.
+a handful of big-int operations per step on the chain-shaped train-track
+digraphs, which have about seven distinct offsets.  The transposed groups
+step pre-images the same way, and give every certificate a second route:
+
+  * primitivity_exponent finds the least m with A^m strictly positive.  Once
+    every in- and out-degree is >= 1, coverage from a source is monotone in m,
+    so the exponent is the largest covering time over all sources.  A vertex
+    v of out-degree 1 has cov(v) = 1 + cov(succ v), so frontier stepping runs
+    only from the vertices of out-degree != 1 and the chains add their
+    lengths (the per-source view of Dulmage and Mendelsohn).  The same
+    computation on the transposed groups, from the vertices of in-degree
+    != 1, must give the same exponent, since (A^T)^m = (A^m)^T; a mismatch
+    raises.  Stepping stops at the Wielandt bound (V-1)^2 + 1: a primitive
+    matrix is positive by then, so a cutoff verdict of "not primitive" is a
+    proof, not a timeout.  Stepping also stops when the image sequence
+    repeats without covering, which proves it never covers.  Vertices of in-
+    or out-degree zero kill positivity outright and short-circuit to the
+    same verdict.
+  * covering_time is the per-source version; last_avoidance finds the last m
+    below it whose image misses a target and re-verifies the witness by
+    stepping the target's pre-image back m steps, which must miss the
+    source.  avoidance_at checks a given m; each witness m converts into an
+    upper bound 4/m on the curve-complex translation length downstream.
+
+Boolean matrix powers by repeated squaring survive only as the reference
+route image_after(..., method="powers"), which tests compare the stepper
+against.  Squarings run as numpy float32 matmuls clipped back to 0/1; this is
+exact, since every entry is 0 or 1 and inner products are integers bounded by
+V, far below the 2**24 float32 integer range.  Nothing else builds a V x V
+structure.
 """
 
 from __future__ import annotations
@@ -52,9 +68,6 @@ __all__ = [
     "avoidance_at",
     "wielandt_cutoff",
 ]
-
-# Beyond this many steps, frontier stepping loses to matrix squaring.
-_STEP_HORIZON_FACTOR = 4
 
 
 class NotPrimitiveError(ValueError):
@@ -79,52 +92,89 @@ class AvoidanceWitness:
     steps: int
 
 
+def _shift(mask: int, d: int) -> int:
+    return mask << d if d >= 0 else mask >> -d
+
+
+class _Stepper:
+    """The one-step set map of one edge orientation, on int bitmasks.
+
+    groups[d] has bit v set iff v -> v + d is an edge.  unique[v] is the
+    only out-neighbour of v, or None when v has out-degree != 1.
+    """
+
+    def __init__(self, groups: dict[int, int], unique: list[int | None]):
+        self.unique = unique
+        self._stay = groups.get(0, 0)
+        self._up = [(m, d) for d, m in sorted(groups.items()) if d > 0]
+        self._down = [(m, -d) for d, m in sorted(groups.items()) if d < 0]
+
+    def __call__(self, mask: int) -> int:
+        out = mask & self._stay
+        for group, d in self._up:
+            out |= (mask & group) << d
+        for group, d in self._down:
+            out |= (mask & group) >> d
+        return out
+
+    def iterate(self, mask: int, m: int) -> int:
+        """The m-step image of mask.
+
+        The image sequence is eventually periodic.  Each image is compared
+        with the one at the last power of two; on a repeat the remaining
+        steps are reduced modulo the period, so the cost is bounded by about
+        twice the sequence's onset plus period, however large m is.
+        """
+        saved, saved_at = mask, 0
+        for i in range(1, m + 1):
+            mask = self(mask)
+            if mask == saved:
+                for _ in range((m - i) % (i - saved_at)):
+                    mask = self(mask)
+                return mask
+            if i & (i - 1) == 0:
+                saved, saved_at = mask, i
+        return mask
+
+
 class _Engine:
-    """Per-digraph reachability state: bitmask rows and the power ladder."""
+    """Per-digraph reachability state: forward and transposed steppers."""
 
     def __init__(self, g: Digraph):
         self.g = g
-        self.n = g.vertex_count
-        # out_masks[v] has bit w set iff there is an edge v -> w.
-        self.out_masks = [0] * self.n
-        for i, row in enumerate(g.adjacency):
-            for j, mult in enumerate(row):
-                if mult:
-                    self.out_masks[j] |= 1 << i
-        self.full_mask = (1 << self.n) - 1
-        self.has_zero_out = any(m == 0 for m in self.out_masks)
-        in_mask = 0
-        for m in self.out_masks:
-            in_mask |= m
-        self.has_zero_in = in_mask != self.full_mask
-        # A[i, j] = 1 iff edge j -> i; powers act on indicator columns.
-        base = np.zeros((self.n, self.n), dtype=np.float32)
-        for i, row in enumerate(g.adjacency):
-            for j, mult in enumerate(row):
-                if mult:
-                    base[i, j] = 1.0
-        self._ladder = [base]                # _ladder[t] = A^(2^t), entries 0/1
+        self.n = n = g.vertex_count
+        self.full_mask = (1 << n) - 1
+        groups: dict[int, int] = {}
+        out_degree, in_degree = [0] * n, [0] * n
+        succ: list[int | None] = [None] * n
+        pred: list[int | None] = [None] * n
+        for source, target, _ in g.edges:
+            d = target - source
+            groups[d] = groups.get(d, 0) | 1 << source
+            out_degree[source] += 1
+            in_degree[target] += 1
+            succ[source], pred[target] = target, source
+        self.has_zero_out = 0 in out_degree
+        self.has_zero_in = 0 in in_degree
+        self.forward = _Stepper(
+            groups, [s if k == 1 else None for s, k in zip(succ, out_degree)]
+        )
+        self.backward = _Stepper(
+            {-d: _shift(m, d) for d, m in groups.items()},
+            [p if k == 1 else None for p, k in zip(pred, in_degree)],
+        )
+        self._ladder: list[np.ndarray] | None = None
 
-    # -- frontier stepping ------------------------------------------------
-
-    def step(self, mask: int) -> int:
-        out = 0
-        masks = self.out_masks
-        while mask:
-            low = mask & -mask
-            out |= masks[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    def image_by_steps(self, mask: int, m: int) -> int:
-        for _ in range(m):
-            mask = self.step(mask)
-        return mask
-
-    # -- matrix powers ----------------------------------------------------
+    # -- the reference route: boolean matrix powers ------------------------
 
     def power(self, t: int) -> np.ndarray:
         """A^(2^t) as a 0/1 float32 matrix (ladder entries are never mutated)."""
+        if self._ladder is None:
+            # A[i, j] = 1 iff edge j -> i; powers act on indicator columns.
+            base = np.zeros((self.n, self.n), dtype=np.float32)
+            for source, target, _ in self.g.edges:
+                base[target, source] = 1.0
+            self._ladder = [base]
         while len(self._ladder) <= t:
             top = self._ladder[-1]
             sq = top @ top
@@ -132,23 +182,10 @@ class _Engine:
             self._ladder.append(sq)
         return self._ladder[t]
 
-    def vec_of(self, mask: int) -> np.ndarray:
-        vec = np.zeros(self.n, dtype=np.float32)
-        for i in range(self.n):
-            if mask >> i & 1:
-                vec[i] = 1.0
-        return vec
-
-    def mask_of_vec(self, vec: np.ndarray) -> int:
-        out = 0
-        for i in np.nonzero(vec)[0]:
-            out |= 1 << int(i)
-        return out
-
     def image_by_powers(self, mask: int, m: int) -> int:
         if m == 0:
             return mask
-        vec = self.vec_of(mask)
+        vec = np.array([mask >> i & 1 for i in range(self.n)], dtype=np.float32)
         t = 0
         while m:
             if m & 1:
@@ -156,12 +193,10 @@ class _Engine:
                 np.minimum(vec, 1.0, out=vec)
             m >>= 1
             t += 1
-        return self.mask_of_vec(vec)
-
-    def image(self, mask: int, m: int) -> int:
-        if m <= _STEP_HORIZON_FACTOR * self.n:
-            return self.image_by_steps(mask, m)
-        return self.image_by_powers(mask, m)
+        out = 0
+        for i in np.nonzero(vec)[0]:
+            out |= 1 << int(i)
+        return out
 
     # -- masks <-> labels -------------------------------------------------
 
@@ -179,7 +214,7 @@ class _Engine:
 
 def _engine(g: Digraph) -> _Engine:
     # Stashed on the digraph instance (immutable, so the engine stays valid)
-    # to avoid rehashing large adjacency tuples on every call.
+    # to avoid regrouping the edges on every call.
     eng = g.__dict__.get("_analysis_engine")
     if eng is None:
         eng = _Engine(g)
@@ -193,27 +228,81 @@ def _source_mask(eng: _Engine, sources: str | Iterable[str]) -> int:
     return eng.mask_of(sources)
 
 
+def _cover(
+    step: _Stepper, mask: int, full: int, cutoff: int, watch: int = 0
+) -> tuple[int, int | None]:
+    """(m, last): the least m whose m-step image of mask is full, and the
+    largest m' < m whose image misses every bit of watch (None if none).
+
+    Needs every in-degree >= 1 along step, so that coverage is monotone.
+    Raises NeverCoversError past the cutoff, or as soon as the image sequence
+    repeats without covering (tested against the image at the last power of
+    two, which finds any repetition within twice its onset plus period).
+    """
+    m, last, saved = 0, None, mask
+    while mask != full:
+        if not mask & watch:
+            last = m
+        if m >= cutoff:
+            raise NeverCoversError(f"never covers within the cutoff {cutoff}")
+        mask = step(mask)
+        m += 1
+        if mask == saved:
+            raise NeverCoversError(
+                f"the image sequence repeats at step {m} without covering"
+            )
+        if m & (m - 1) == 0:
+            saved = mask
+    return m, last
+
+
+def _chain_exponent(step: _Stepper, n: int) -> int:
+    """max over v of cov(v) along step, frontier stepping only where
+    unique[v] is None and adding chain lengths, cov(v) = 1 + cov(unique[v]),
+    elsewhere.  Needs n >= 2 and every in- and out-degree >= 1.
+    """
+    full, cutoff = (1 << n) - 1, wielandt_cutoff(n)
+    cov: list[int | None] = [None] * n
+    for v in range(n):
+        if step.unique[v] is None:
+            cov[v] = _cover(step, 1 << v, full, cutoff)[0]
+    for start in range(n):
+        path, v = [], start
+        while cov[v] is None:
+            cov[v] = -1  # on the current chain
+            path.append(v)
+            v = step.unique[v]
+        if cov[v] == -1:
+            raise NeverCoversError(
+                "a cycle of out-degree-1 vertices maps each of its vertices "
+                "to a single vertex forever"
+            )
+        c = cov[v]
+        for u in reversed(path):
+            c += 1
+            cov[u] = c
+    return max(cov)
+
+
 def image_after(
     g: Digraph,
     sources: str | Iterable[str],
     m: int,
-    method: str = "auto",
+    method: str = "steps",
 ) -> frozenset[str]:
     """Vertices reachable from sources by directed walks of length exactly m.
 
-    method selects the evaluation route: "steps" (frontier bitmask stepping),
-    "powers" (boolean matrix powers with doubling), or "auto" (stepping for
-    small m, powers beyond 4V steps).  The two routes agree; exposing both
-    keeps that checkable.
+    method selects the evaluation route: "steps" (the offset-group stepper
+    every other function uses) or "powers" (boolean matrix powers with
+    doubling, the dense reference route, which allocates V x V matrices).
+    The two routes agree; exposing both keeps that checkable.
     """
     if m < 0:
         raise ValueError("step count must be nonnegative")
     eng = _engine(g)
     mask = _source_mask(eng, sources)
-    if method == "auto":
-        result = eng.image(mask, m)
-    elif method == "steps":
-        result = eng.image_by_steps(mask, m)
+    if method == "steps":
+        result = eng.forward.iterate(mask, m)
     elif method == "powers":
         result = eng.image_by_powers(mask, m)
     else:
@@ -226,14 +315,16 @@ def primitivity_exponent(g: Digraph) -> int:
 
     Equivalently the least m with A^m entrywise positive.  Raises
     NotPrimitiveError when no such power exists; the cutoff argument makes
-    that verdict exact, never a timeout.
+    that verdict exact, never a timeout.  The exponent is computed on the
+    forward and on the transposed edge groups, and RuntimeError is raised if
+    the two disagree.
     """
     if g.vertex_count == 0:
         raise ValueError("digraph is empty")
     eng = _engine(g)
     n = eng.n
     if n == 1:
-        if eng.out_masks[0]:
+        if g.edges:
             return 1
         raise NotPrimitiveError("not primitive: single vertex without a loop")
     if eng.has_zero_out or eng.has_zero_in:
@@ -241,32 +332,30 @@ def primitivity_exponent(g: Digraph) -> int:
             "not primitive: a vertex of in- or out-degree zero keeps every "
             "power from being positive"
         )
-    cutoff = wielandt_cutoff(n)
-    # Climb the ladder until A^(2^t) is positive; monotonicity (all in-degrees
-    # are >= 1 here) makes passing the cutoff a proof of imprimitivity.
-    t = 0
-    while not bool((eng.power(t) > 0).all()):
-        if 2**t >= cutoff:
-            raise NotPrimitiveError(
-                f"not primitive: no positive power up to the cutoff {cutoff}"
-            )
-        t += 1
-    if t == 0:
-        return 1
-    # Walk back down the ladder, growing m0 = the largest power with A^m0 not
-    # all-positive; the least positive power is then m0 + 1.
-    acc: np.ndarray | None = None  # A^m0; None encodes m0 = 0 (the identity)
-    m0 = 0
-    for i in range(t - 1, -1, -1):
-        if acc is None:
-            cand = eng.power(i)  # already 0/1; never mutated below
-        else:
-            cand = acc @ eng.power(i)
-            np.minimum(cand, 1.0, out=cand)
-        if not bool((cand > 0).all()):
-            acc = cand
-            m0 += 2**i
-    return m0 + 1
+    try:
+        r = _chain_exponent(eng.forward, n)
+    except NeverCoversError as exc:
+        raise NotPrimitiveError(f"not primitive: {exc}") from None
+    try:
+        check = _chain_exponent(eng.backward, n)
+    except NeverCoversError:
+        check = None
+    if check != r:
+        raise RuntimeError(
+            f"mixing exponent {r} failed re-verification: the transposed "
+            f"digraph gives {check}"
+        )
+    return r
+
+
+def _covering(eng: _Engine, source: str, watch: int = 0) -> tuple[int, int | None]:
+    if eng.has_zero_in:
+        raise ValueError(
+            "covering time needs every in-degree >= 1, otherwise coverage "
+            "is not monotone"
+        )
+    src = eng.mask_of([source])
+    return _cover(eng.forward, src, eng.full_mask, wielandt_cutoff(eng.n), watch)
 
 
 def covering_time(g: Digraph, source: str) -> int:
@@ -274,81 +363,27 @@ def covering_time(g: Digraph, source: str) -> int:
 
     Requires every in-degree >= 1, which makes coverage monotone: once the
     image is everything it stays everything.  Reports "never covers" when the
-    Wielandt cutoff passes without coverage.
+    Wielandt cutoff passes, or the image sequence repeats, without coverage.
     """
-    eng = _engine(g)
-    if eng.has_zero_in:
-        raise ValueError(
-            "covering time needs every in-degree >= 1, otherwise coverage "
-            "is not monotone"
-        )
-    src = eng.mask_of([source])
-    if src == eng.full_mask:
-        return 0
-    cutoff = wielandt_cutoff(eng.n)
-    if eng.n <= 256:
-        # Plain stepping: exact and fast at this size.
-        mask, m = src, 0
-        while mask != eng.full_mask:
-            if m >= cutoff:
-                raise NeverCoversError(f"never covers within the cutoff {cutoff}")
-            mask = eng.step(mask)
-            m += 1
-        return m
-    # Ladder + binary walk on the indicator column, by the same monotonicity
-    # as the exponent search.
-    t = 0
-    while eng.image_by_powers(src, 2**t) != eng.full_mask:
-        if 2**t >= cutoff:
-            raise NeverCoversError(f"never covers within the cutoff {cutoff}")
-        t += 1
-    if t == 0:
-        return 1
-    m0, mask = 0, src  # mask = image at m0, never full during the walk
-    for i in range(t - 1, -1, -1):
-        vec = eng.power(i) @ eng.vec_of(mask)
-        cand = eng.mask_of_vec(vec)
-        if cand != eng.full_mask:
-            mask = cand
-            m0 += 2**i
-    return m0 + 1
+    return _covering(_engine(g), source)[0]
 
 
 def last_avoidance(g: Digraph, source: str, avoided: str) -> AvoidanceWitness:
     """The largest m below the covering time whose image misses `avoided`.
 
-    m = 0 always qualifies when avoided != source, so the witness exists; it
-    is re-verified through the other evaluation route before being returned.
+    m = 0 always qualifies when avoided != source, so the witness exists.  It
+    is re-verified before being returned by stepping back instead: the
+    m-step pre-image of `avoided` must miss `source`.
     """
     eng = _engine(g)
-    cover = covering_time(g, source)
-    avoided_bit = 1 << g.index(avoided)
-    src = eng.mask_of([source])
-    best = None
-    scanned_by_steps = eng.n <= 256 or cover <= _STEP_HORIZON_FACTOR * eng.n
-    if scanned_by_steps:
-        mask = src
-        for m in range(cover):
-            if not mask & avoided_bit:
-                best = m
-            mask = eng.step(mask)
-    else:
-        for m in range(cover - 1, -1, -1):
-            if not eng.image_by_powers(src, m) & avoided_bit:
-                best = m
-                break
+    avoided_bit = eng.mask_of([avoided])
+    _, best = _covering(eng, source, avoided_bit)
     if best is None:
         raise ValueError(
             f"every image below the covering time contains {avoided!r} "
             f"(source {source!r})"
         )
-    if scanned_by_steps:
-        check = eng.image_by_powers(src, best)
-    elif best <= _STEP_HORIZON_FACTOR * eng.n:
-        check = eng.image_by_steps(src, best)
-    else:
-        check = eng.image_by_powers(src, best)
-    if check & avoided_bit:
+    if eng.backward.iterate(avoided_bit, best) & eng.mask_of([source]):
         raise RuntimeError("avoidance witness failed re-verification")
     return AvoidanceWitness(source, avoided, best)
 
@@ -361,4 +396,4 @@ def avoidance_at(
         raise ValueError("step count must be positive")
     eng = _engine(g)
     target_mask = eng.mask_of(targets)
-    return not eng.image(eng.mask_of([source]), m) & target_mask
+    return not eng.forward.iterate(eng.mask_of([source]), m) & target_mask

@@ -422,12 +422,3 @@ def report_emit(
         written.append(path)
     return written
 
-
-def sweep_and_verify(
-    cfg: SweepConfig, which: str = "upper", tolerance: float | None = None
-) -> tuple[list[BoundReport], FitVerdict]:
-    """run_sweep + verify_exponent_law + emission per the config paths."""
-    reports = run_sweep(cfg)
-    verdict = verify_exponent_law(reports, which=which, tolerance=tolerance)
-    report_emit(reports, cfg.csv_path, cfg.json_path)
-    return reports, verdict

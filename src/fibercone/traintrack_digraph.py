@@ -37,16 +37,20 @@ the four walks every downstream bound relies on executable checks:
     (c) a cycle at a_k of length j + k + 1    (through r_1..r_j and s)
     (d) a spanning path from r_1 to s of length j + 2k visiting every vertex.
 
-Adjacency matrices follow the convention adjacency[i][j] = number of directed
-edges from vertex j to vertex i, so matrix powers act on indicator columns.
+A Digraph stores its edges sparsely, as sorted (source, target, multiplicity)
+index triples, so building Gamma costs one pass over its j + 2k + 5 edges.
+The dense view, derived only on request, follows the convention
+adjacency[i][j] = number of directed edges from vertex j to vertex i, so
+matrix powers act on indicator columns; the JSON document uses that view.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 __all__ = [
     "Digraph",
@@ -61,29 +65,72 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Digraph:
     """A finite directed multigraph with labeled vertices.
 
-    adjacency[i][j] holds the number of directed edges from vertex j to
-    vertex i (column index = source, row index = target).
+    The store is sparse: edges is the sorted tuple of (source, target,
+    multiplicity) vertex-index triples, one per ordered pair that carries an
+    edge, each with multiplicity >= 1.  Equality compares labels and edges.
+
+    Digraph(labels, adjacency) reads a dense matrix in which adjacency[i][j]
+    holds the number of directed edges from vertex j to vertex i (column
+    index = source, row index = target); Digraph.from_edges reads the edge
+    multiset directly.  The dense adjacency tuple is derived on first access.
     """
 
     labels: tuple[str, ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise ValueError("vertex labels must be unique")
-        if len(self.adjacency) != n:
+    def __init__(self, labels: Sequence[str], adjacency: Sequence[Sequence[int]]):
+        labels = _checked_labels(labels)
+        n = len(labels)
+        if len(adjacency) != n:
             raise ValueError("adjacency matrix must be square of size = #labels")
-        for row in self.adjacency:
+        edges = []
+        for target, row in enumerate(adjacency):
             if len(row) != n:
                 raise ValueError("adjacency matrix must be square")
-            for m in row:
-                if not isinstance(m, int) or m < 0:
-                    raise ValueError("edge multiplicities must be nonnegative integers")
+            for source, mult in enumerate(row):
+                _check_count(mult, "edge multiplicities")
+                if mult:
+                    edges.append((source, target, mult))
+        edges.sort()
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "edges", tuple(edges))
+
+    @classmethod
+    def from_edges(
+        cls, labels: Sequence[str], pairs: Iterable[tuple[int, int]]
+    ) -> Digraph:
+        """The digraph with one edge per (source, target) index pair listed.
+
+        A pair listed t times is an edge of multiplicity t.
+        """
+        labels = _checked_labels(labels)
+        n = len(labels)
+        counts: dict[tuple[int, int], int] = {}
+        for source, target in pairs:
+            for v in (source, target):
+                _check_count(v, "vertex indices")
+                if v >= n:
+                    raise ValueError(f"vertex index {v} out of range for {n} labels")
+            counts[source, target] = counts.get((source, target), 0) + 1
+        g = cls.__new__(cls)
+        object.__setattr__(g, "labels", labels)
+        object.__setattr__(
+            g, "edges", tuple(sorted((s, t, m) for (s, t), m in counts.items()))
+        )
+        return g
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The dense matrix: adjacency[i][j] = #edges from vertex j to vertex i."""
+        n = len(self.labels)
+        rows = [[0] * n for _ in range(n)]
+        for source, target, mult in self.edges:
+            rows[target][source] = mult
+        return tuple(tuple(row) for row in rows)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -102,19 +149,37 @@ class Digraph:
     @property
     def edge_count(self) -> int:
         """Total multiplicity over all ordered pairs."""
-        return sum(sum(row) for row in self.adjacency)
+        return sum(mult for _, _, mult in self.edges)
 
     def multiplicity(self, source: str, target: str) -> int:
-        return self.adjacency[self.index(target)][self.index(source)]
+        key = (self.index(source), self.index(target))
+        pos = bisect_left(self.edges, key)
+        if pos < len(self.edges) and self.edges[pos][:2] == key:
+            return self.edges[pos][2]
+        return 0
 
     def has_edge(self, source: str, target: str) -> bool:
         return self.multiplicity(source, target) > 0
 
     def out_labels(self, source: str) -> tuple[str, ...]:
         j = self.index(source)
-        return tuple(
-            self.labels[i] for i in range(len(self.labels)) if self.adjacency[i][j] > 0
-        )
+        lo, hi = bisect_left(self.edges, (j,)), bisect_left(self.edges, (j + 1,))
+        return tuple(self.labels[target] for _, target, _ in self.edges[lo:hi])
+
+
+def _checked_labels(labels: Sequence[str]) -> tuple[str, ...]:
+    labels = tuple(labels)
+    if not all(isinstance(lbl, str) for lbl in labels):
+        raise ValueError("labels must be strings")
+    if len(set(labels)) != len(labels):
+        raise ValueError("vertex labels must be unique")
+    return labels
+
+
+def _check_count(value: object, what: str) -> None:
+    # bool is an int subclass; True must not pass as a count of one.
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{what} must be nonnegative integers")
 
 
 @dataclass(frozen=True)
@@ -159,11 +224,9 @@ def build_magic_digraph(spec: MagicDigraphSpec) -> Digraph:
     j, k = spec.j, spec.k
     labels = _magic_labels(j, k)
     index = {lbl: i for i, lbl in enumerate(labels)}
-    n = len(labels)
-    matrix = [[0] * n for _ in range(n)]
-    for src, dst in _magic_edges(j, k):
-        matrix[index[dst]][index[src]] += 1
-    return Digraph(labels, tuple(tuple(row) for row in matrix))
+    return Digraph.from_edges(
+        labels, ((index[src], index[dst]) for src, dst in _magic_edges(j, k))
+    )
 
 
 def magic_digraph(j: int, k: int) -> Digraph:
@@ -245,7 +308,9 @@ def import_digraph(document: str | dict[str, Any]) -> Digraph:
     """Read a digraph from a JSON document {"labels": [...], "adjacency": [[...]]}.
 
     adjacency[i][j] is the multiplicity of the edge from vertex j to vertex i.
-    Accepts either the JSON text or the already-parsed dict.
+    Accepts either the JSON text or the already-parsed dict.  Parsing is
+    strict: labels must be a list of unique strings, adjacency a list of
+    lists, and every multiplicity a nonnegative integer (not a boolean).
     """
     if isinstance(document, str):
         document = json.loads(document)
@@ -256,9 +321,13 @@ def import_digraph(document: str | dict[str, Any]) -> Digraph:
         adjacency = document["adjacency"]
     except KeyError as exc:
         raise ValueError(f"digraph document is missing key {exc}") from None
-    if not all(isinstance(l, str) for l in labels):
-        raise ValueError("labels must be strings")
-    return Digraph(tuple(labels), tuple(tuple(row) for row in adjacency))
+    if not isinstance(labels, list):
+        raise ValueError("labels must be a list of strings")
+    if not isinstance(adjacency, list) or not all(
+        isinstance(row, list) for row in adjacency
+    ):
+        raise ValueError("adjacency must be a list of rows, each a list")
+    return Digraph(labels, adjacency)
 
 
 def export_json(g: Digraph) -> str:
@@ -274,8 +343,8 @@ def export_dot(g: Digraph) -> str:
     lines = ["digraph {"]
     for lbl in g.labels:
         lines.append(f'  "{lbl}";')
-    for i, row in enumerate(g.adjacency):
-        for j, mult in enumerate(row):
-            lines.extend(f'  "{g.labels[j]}" -> "{g.labels[i]}";' for _ in range(mult))
+    for source, target, mult in sorted(g.edges, key=lambda e: (e[1], e[0])):
+        line = f'  "{g.labels[source]}" -> "{g.labels[target]}";'
+        lines.extend(line for _ in range(mult))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,10 +1,18 @@
 """Command-line interface, exercised in process through main(argv)."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from fibercone import export_cochain_json, import_digraph, CochainGraph
+from fibercone import (
+    AvoidanceWitness,
+    CochainGraph,
+    bounds,
+    digraph_analysis,
+    export_cochain_json,
+    import_digraph,
+)
 from fibercone.cli import main
 
 GOLDEN_12_CSV = (
@@ -175,6 +183,29 @@ def test_bounds_class(capsys):
     assert doc["lower_lC_weak"] == [1, 541]
     assert doc["avoid_m"] == 16
     assert doc["upper_lC"] == [1, 4]
+
+
+@pytest.mark.parametrize(
+    ("module", "name", "fake"),
+    [
+        # a witness of zero steps certifies no upper bound
+        (
+            digraph_analysis,
+            "last_avoidance",
+            lambda g, source, avoided: AvoidanceWitness(source, avoided, 0),
+        ),
+        # an upper bound below the lower bound is a broken certificate
+        (bounds, "avoidance_upper", lambda m: (Fraction(1, 10**6),) * 2),
+    ],
+)
+def test_bounds_class_refuses_unverified_upper_bound(
+    capsys, monkeypatch, module, name, fake
+):
+    monkeypatch.setattr(module, name, fake)
+    rc, doc, _ = _run_json(capsys, "bounds", "class", "--plus", "1,8,4")
+    assert rc == 2
+    assert "error" in doc
+    assert "upper_lC" not in doc and "avoid_m" not in doc
 
 
 def test_bounds_class_refuses_general_first_coordinate(capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from fibercone import (
+    Digraph,
     MagicDigraphSpec,
     certify_canonical_walks,
     export_digraph_json,
@@ -113,11 +114,42 @@ def test_json_roundtrip():
     assert import_digraph(doc) == g
 
 
+def test_sparse_and_dense_constructors_agree():
+    g = magic_digraph(3, 2)
+    assert Digraph(g.labels, g.adjacency) == g
+    # a pair listed twice is one edge of multiplicity two
+    h = Digraph.from_edges(("u", "v"), [(0, 1), (1, 0), (0, 1)])
+    assert h == Digraph(("u", "v"), ((0, 1), (2, 0)))
+    assert h.edges == ((0, 1, 2), (1, 0, 1))
+    assert h.multiplicity("u", "v") == 2 and h.edge_count == 3
+    assert h.out_labels("v") == ("u",)
+    with pytest.raises(ValueError):
+        Digraph.from_edges(("u", "v"), [(0, 2)])
+    with pytest.raises(ValueError):
+        Digraph.from_edges(("u", "v"), [(False, 1)])
+
+
 def test_import_validates_document():
     with pytest.raises(ValueError):
         import_digraph({"labels": ["a"], "adjacency": [[0, 1]]})
     with pytest.raises(ValueError):
         import_digraph({"labels": ["a", "a"], "adjacency": [[0, 0], [0, 0]]})
+    # a string is not a list of labels, even when its characters are unique
+    with pytest.raises(ValueError):
+        import_digraph({"labels": "ab", "adjacency": [[0, 1], [1, 0]]})
+    # a boolean is not a multiplicity, although bool subclasses int
+    with pytest.raises(ValueError):
+        import_digraph({"labels": ["a", "b"], "adjacency": [[0, True], [1, 0]]})
+    with pytest.raises(ValueError):
+        import_digraph('{"labels": ["a", "b"], "adjacency": [[0, true], [1, 0]]}')
+    with pytest.raises(ValueError):
+        import_digraph({"labels": ["a", "b"], "adjacency": [[0, 1], "10"]})
+    with pytest.raises(ValueError):
+        import_digraph({"labels": ["a", "b"], "adjacency": [[0, -1], [1, 0]]})
+    with pytest.raises(ValueError):
+        import_digraph({"labels": ["a", "b"], "adjacency": [[0, 1.0], [1, 0]]})
+    with pytest.raises(ValueError):
+        import_digraph({"labels": ["a", 2], "adjacency": [[0, 1], [1, 0]]})
 
 
 def test_adjacency_convention_is_target_row_source_column():
