@@ -74,12 +74,6 @@ def _out_path(args: argparse.Namespace, path: str | None) -> str | None:
     return path
 
 
-def _fraction_pair(value: Fraction | None) -> list[int] | None:
-    if value is None:
-        return None
-    return [value.numerator, value.denominator]
-
-
 # ---------------------------------------------------------------- class
 
 
@@ -105,7 +99,7 @@ def _cmd_class_info(args: argparse.Namespace) -> int:
     if in_cone:
         record["norm"] = magic_classes.thurston_norm(cls)
         proj = magic_classes.projectivize(cls)
-        record["projective"] = [_fraction_pair(c) for c in proj.coords()]
+        record["projective"] = list(proj.coords())
     if in_cone and record["primitive"]:
         inv = magic_classes.fiber_invariants(cls)
         record.update(
@@ -199,8 +193,8 @@ def _cmd_analyze_avoid(args: argparse.Namespace) -> int:
             "source": witness.source,
             "avoided": witness.avoided,
             "steps": witness.steps,
-            "upper_lAC": _fraction_pair(upper_lac),
-            "upper_lC": _fraction_pair(upper_lc),
+            "upper_lAC": upper_lac,
+            "upper_lC": upper_lc,
         }
     )
     return 0
@@ -243,11 +237,11 @@ def _cmd_bounds_class(args: argparse.Namespace) -> int:
         )
     record.update(
         mixing_r=r,
-        lower_lC=_fraction_pair(lower),
-        lower_lC_weak=_fraction_pair(weak),
+        lower_lC=lower,
+        lower_lC_weak=weak,
         avoid_m=witness.steps,
-        upper_lAC=_fraction_pair(upper_lac),
-        upper_lC=_fraction_pair(upper_lc),
+        upper_lAC=upper_lac,
+        upper_lC=upper_lc,
     )
     _emit(record)
     return 0

@@ -19,7 +19,8 @@ any bound is emitted:
 Covered (p, q) regimes additionally check the mixing exponent against its
 closed-form cap k_pq + 2 n^p + 3 n^q; a violation marks the instance as
 failed rather than shipping a wrong certificate.  Per-instance failures of
-any kind are recorded in the report's error field and never abort the sweep.
+any kind are recorded in the report's error field and never abort the sweep;
+a pool worker that dies costs only the instance it was running.
 
 Instances are independent, so a sweep may fan out over a process pool;
 results are keyed and sorted by n, making the output byte-identical for any
@@ -37,6 +38,7 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -156,22 +158,27 @@ class FitVerdict:
     reason: str = "ok"
 
 
-def _instance_report(p: int, q: int, n: int) -> BoundReport:
-    """Full pipeline for one class; failures land in the error field."""
-    j, k = n**p, n**q
-    cls = plus_to_xyz(PlusClass(1, j, k))
+def _class_fields(p: int, q: int, n: int) -> dict:
+    """The report fields that describe the class itself, outside the pipeline."""
+    cls = plus_to_xyz(PlusClass(1, n**p, n**q))
     inv = fiber_invariants(cls)
-    regime = regime_of(p, q)
-    base = dict(
+    return dict(
         integral_class=cls,
         norm=inv.norm,
         punctures=inv.boundary_count,
         genus=inv.genus,
-        regime=regime,
+        regime=regime_of(p, q),
         n=n,
         p=p,
         q=q,
     )
+
+
+def _instance_report(p: int, q: int, n: int) -> BoundReport:
+    """Full pipeline for one class; failures land in the error field."""
+    j, k = n**p, n**q
+    base = _class_fields(p, q, n)
+    regime = base["regime"]
     try:
         g = magic_digraph(j, k)
         r = primitivity_exponent(g)
@@ -180,7 +187,7 @@ def _instance_report(p: int, q: int, n: int) -> BoundReport:
                 f"mixing exponent {r} exceeds its cap "
                 f"{mixing_exponent_cap(p, q, n)} for (n,p,q)=({n},{p},{q})"
             )
-        lower, weak = gadre_tsai_lower(r, inv.norm, inv.boundary_count)
+        lower, weak = gadre_tsai_lower(r, base["norm"], base["punctures"])
         source, targets, m = _avoidance_witness(g, p, q, n)
         if not avoidance_at(g, source, targets, m):
             raise RuntimeError(
@@ -224,6 +231,37 @@ def _instance_worker(args: tuple[int, int, int]) -> BoundReport:
     return _instance_report(*args)
 
 
+def _pooled_reports(
+    jobs: list[tuple[int, int, int]], worker_count: int
+) -> list[BoundReport]:
+    """Reports for jobs from a process pool, in job order.
+
+    One future per job keeps every report that finished.  A worker that
+    dies breaks the pool and fails every unfinished future, so each
+    unfinished job is rerun alone in a fresh one-worker pool; a job that
+    breaks even that pool is reported failed with the BrokenProcessPool.
+    """
+    reports: dict[int, BoundReport] = {}
+    with ProcessPoolExecutor(max_workers=worker_count) as pool:
+        futures = [pool.submit(_instance_worker, job) for job in jobs]
+        for i, future in enumerate(futures):
+            try:
+                reports[i] = future.result()
+            except BrokenProcessPool:
+                pass
+    for i, job in enumerate(jobs):
+        if i in reports:
+            continue
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            try:
+                reports[i] = pool.submit(_instance_worker, job).result()
+            except BrokenProcessPool as exc:
+                reports[i] = BoundReport(
+                    error=f"BrokenProcessPool: {exc}", **_class_fields(*job)
+                )
+    return [reports[i] for i in range(len(jobs))]
+
+
 def run_sweep(cfg: SweepConfig) -> list[BoundReport]:
     """Reports for every n in the range, in increasing n order.
 
@@ -241,8 +279,7 @@ def run_sweep(cfg: SweepConfig) -> list[BoundReport]:
     if cfg.worker_count == 1 or len(jobs) == 1:
         reports = [_instance_worker(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.worker_count) as pool:
-            reports = list(pool.map(_instance_worker, jobs))
+        reports = _pooled_reports(jobs, cfg.worker_count)
     reports.sort(key=lambda rep: rep.n if rep.n is not None else -1)
     return reports
 

@@ -249,8 +249,7 @@ def find_short_loop(g: CochainGraph) -> CoverLoop:
     it (or finding nothing) means the premises are violated: a hard error.
     """
     r = lemma_R(g.cochain_bound, g.edge_count)
-    radius = r * g.cochain_bound + 1
-    nodes, _, adj = _window_adjacency(g, radius)
+    nodes, _, adj = _window_adjacency(g, window_radius(g))
     best: CoverLoop | None = None
 
     # any loop of length <= 2R translates to levels [0, Rk], so it passes
@@ -379,7 +378,12 @@ def random_cubic_cochain(
 
 
 def import_cochain_graph(data: str | dict[str, Any]) -> CochainGraph:
-    """Build a graph from JSON text or an already-parsed mapping."""
+    """Build a graph from JSON text or an already-parsed mapping.
+
+    Parsing is strict: "vertices" and every edge's "u", "v" and "d" must be
+    integers (not booleans, strings or floats), and "edges" a list of
+    objects; anything else raises ValueError.
+    """
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
@@ -389,11 +393,25 @@ def import_cochain_graph(data: str | dict[str, Any]) -> CochainGraph:
         raw = data["edges"]
     except KeyError as exc:
         raise ValueError(f"missing field {exc}") from exc
-    try:
-        edges = tuple((int(e["u"]), int(e["v"]), int(e["d"])) for e in raw)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed edge object: {exc}") from exc
-    return CochainGraph(int(n), edges)
+    _check_int(n, "vertices")
+    if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
+        raise ValueError("edges must be a list of objects")
+    edges = []
+    for e in raw:
+        try:
+            edge = (e["u"], e["v"], e["d"])
+        except KeyError as exc:
+            raise ValueError(f"malformed edge object: missing {exc}") from exc
+        for name, value in zip("uvd", edge):
+            _check_int(value, f"edge field {name!r}")
+        edges.append(edge)
+    return CochainGraph(n, tuple(edges))
+
+
+def _check_int(value: object, what: str) -> None:
+    # bool is an int subclass; true must not pass as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def export_json(g: CochainGraph) -> str:

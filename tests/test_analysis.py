@@ -1,5 +1,7 @@
 """Reachability analysis: primitivity, step images, covering, avoidance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,10 +38,13 @@ EXPONENT_TABLE = {
     (3, 27): 248,
     (4, 64): 967,
 }
-# Two observed laws, checked at the dense-ladder implementation before the
-# stepper replaced it: r(1,n,n^2) = n^3 + n^2 + 2n - 1 and r(1,n,1) = 2n + 2.
-EXPONENT_TABLE.update({(n, n * n): n**3 + n**2 + 2 * n - 1 for n in range(2, 31)})
-EXPONENT_TABLE.update({(n, 1): 2 * n + 2 for n in range(2, 60)})
+# Two observed laws, r(1,n,n^2) = n^3 + n^2 + 2n - 1 and r(1,n,1) = 2n + 2,
+# checked with the dense ladder for n <= 30 and n <= 59, and with the
+# offset-group stepper for the larger n (n = 100 took the stepper 39 s).
+EXPONENT_TABLE.update(
+    {(n, n * n): n**3 + n**2 + 2 * n - 1 for n in (*range(2, 31), 40, 64, 100)}
+)
+EXPONENT_TABLE.update({(n, 1): 2 * n + 2 for n in range(2, 401)})
 
 
 @pytest.mark.parametrize(("j", "k"), sorted(EXPONENT_TABLE))
@@ -325,27 +330,85 @@ def test_image_routes_match_brute_force(g, data):
         assert avoidance_at(g, g.labels[source], labels, m) == (not hit)
 
 
+def test_residue_route_agrees_with_stepping():
+    # r is full from every branching vertex, and the vertex that covers
+    # last is not full at r - 1, both by the stepper
+    for j in range(1, 31):
+        for k in range(1, 31):
+            g = magic_digraph(j, k)
+            r = primitivity_exponent(g)
+            full = frozenset(g.labels)
+            for v in g.labels:
+                if len(g.out_labels(v)) != 1:
+                    assert image_after(g, v, r, method="steps") == full
+            worst = max(g.labels, key=lambda v: covering_time(g, v))
+            assert covering_time(g, worst) == r
+            assert image_after(g, worst, r - 1, method="steps") != full
+
+
+_RESIDUE_TABLE = digraph_analysis._residue_table
+
+
+def _corrupted_tables(monkeypatch, corrupt):
+    def corrupted(sk, u):
+        table = _RESIDUE_TABLE(sk, u)
+        return None if table is None else corrupt(table)
+
+    monkeypatch.setattr(digraph_analysis, "_residue_table", corrupted)
+
+
+def _entry_up(table):
+    table.rows[-1][0] += 1
+    return table
+
+
+def _entry_down(table):
+    table.rows[-1][0] -= 1
+    return table
+
+
+def _cycle_longer(table):
+    return dataclasses.replace(table, c=table.c + 1)
+
+
+TABLE_CORRUPTIONS = (_entry_up, _entry_down, _cycle_longer)
+
+
 def test_exponent_mismatch_between_routes_raises(monkeypatch):
-    real = digraph_analysis._chain_exponent
-    calls = []
+    # every table is certified before the exponent is read off it
+    for corrupt in TABLE_CORRUPTIONS:
+        _corrupted_tables(monkeypatch, corrupt)
+        with pytest.raises(RuntimeError, match="re-verification"):
+            primitivity_exponent(magic_digraph(8, 4))
 
-    def corrupted(step, n):
-        calls.append(step)
-        r = real(step, n)
-        return r + 1 if len(calls) == 1 else r  # corrupt the forward route only
 
-    monkeypatch.setattr(digraph_analysis, "_chain_exponent", corrupted)
+def test_avoidance_witness_failing_backward_check_raises(monkeypatch):
+    # the table behind a witness is certified before the witness is returned
+    for corrupt in TABLE_CORRUPTIONS:
+        _corrupted_tables(monkeypatch, corrupt)
+        with pytest.raises(RuntimeError, match="re-verification"):
+            last_avoidance(magic_digraph(8, 4), "b_4", "r_1")
+
+
+def test_corrupted_skeleton_fails_re_verification(monkeypatch):
+    real = digraph_analysis._Skeleton
+
+    def skipping(out_nbrs, in_degree):
+        sk = real(out_nbrs, in_degree)
+        out = next(out for out in sk.chains if any(len(c.path) > 2 for c in out))
+        i = next(i for i, c in enumerate(out) if len(c.path) > 2)
+        out[i] = out[i]._replace(path=out[i].path[:1] + out[i].path[2:])
+        return sk
+
+    monkeypatch.setattr(digraph_analysis, "_Skeleton", skipping)
     with pytest.raises(RuntimeError, match="re-verification"):
         primitivity_exponent(magic_digraph(8, 4))
 
 
-def test_avoidance_witness_failing_backward_check_raises(monkeypatch):
-    real = digraph_analysis._cover
-
-    def corrupted(step, mask, full, cutoff, watch=0):
-        cover, last = real(step, mask, full, cutoff, watch)
-        return cover, last + 1  # r_1 is in the image one step after the last miss
-
-    monkeypatch.setattr(digraph_analysis, "_cover", corrupted)
+def test_negative_verdict_that_stepping_refutes_raises(monkeypatch):
+    monkeypatch.setattr(digraph_analysis, "_cover", lambda *args: 7)
+    cyc = Digraph(("u", "v", "w"), ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
     with pytest.raises(RuntimeError, match="re-verification"):
-        last_avoidance(magic_digraph(8, 4), "b_4", "r_1")
+        primitivity_exponent(cyc)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        covering_time(cyc, "u")

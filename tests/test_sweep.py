@@ -1,6 +1,8 @@
 """Family sweeps: reports, flat-file emission, and power-law verdicts."""
 
+import dataclasses
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -133,6 +135,28 @@ def test_instance_failures_are_captured_not_raised(monkeypatch):
     assert bad.mixing_r is None and bad.upper_lC is None
     # invariants outside the pipeline survive the failure
     assert bad.norm == 22 and bad.regime == "PltQle2P"
+
+
+def test_dead_worker_loses_only_its_instance(monkeypatch):
+    cfg = SweepConfig(family="pq", p=1, q=2, n_start=2, n_stop=5)
+    serial = run_sweep(cfg)
+    real = sweep_mod._instance_report
+
+    def dying(p, q, n):
+        if n == 3:
+            os._exit(1)
+        return real(p, q, n)
+
+    monkeypatch.setattr(sweep_mod, "_instance_report", dying)
+    reports = run_sweep(dataclasses.replace(cfg, worker_count=2))
+    assert [rep.n for rep in reports] == [2, 3, 4, 5]
+    dead = reports[1]
+    assert "BrokenProcessPool" in dead.error
+    assert dead.mixing_r is None and dead.upper_lC is None
+    assert dead.norm == serial[1].norm and dead.regime == serial[1].regime
+    assert [rep for rep in reports if rep.n != 3] == [
+        rep for rep in serial if rep.n != 3
+    ]
 
 
 def test_uncovered_pq_family_still_sweeps():

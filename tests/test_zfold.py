@@ -194,6 +194,49 @@ def test_json_roundtrip_uses_edge_objects():
     assert import_cochain_graph(doc) == THETA
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"vertices": "2", "edges": []},
+        {"vertices": True, "edges": []},
+        {"vertices": 2.0, "edges": []},
+        {"vertices": 2, "edges": {"u": 0, "v": 1, "d": 1}},
+        {"vertices": 2, "edges": [[0, 1, 1]]},
+        {"vertices": 2, "edges": [{"u": "0", "v": 1, "d": 1}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": True, "d": 1}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "d": "3"}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "d": 1.9}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "d": True}]},
+    ],
+    ids=[
+        "vertices-string",
+        "vertices-bool",
+        "vertices-float",
+        "edges-object",
+        "edge-list",
+        "u-string",
+        "v-bool",
+        "d-string",
+        "d-float",
+        "d-bool",
+    ],
+)
+def test_import_rejects_non_integer_fields(document):
+    with pytest.raises(ValueError):
+        import_cochain_graph(document)
+    with pytest.raises(ValueError):
+        import_cochain_graph(json.dumps(document))
+
+
+def test_valid_documents_round_trip_unchanged():
+    for seed in range(20):
+        g = random_cubic_cochain(10, 3, seed)
+        doc = export_cochain_json(g)
+        back = import_cochain_graph(doc)
+        assert back == g
+        assert export_cochain_json(back) == doc
+
+
 def test_import_validates_document():
     with pytest.raises(ValueError):
         import_cochain_graph('{"vertices": 2}')
