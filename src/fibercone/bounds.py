@@ -230,17 +230,17 @@ class BoundReport:
     """End-to-end record of the bounds attached to one fibered class.
 
     n, p, q carry the family coordinates when the class comes from a sweep
-    ((1, n^p, n^q)+; the (1, n, 1)+ family is recorded as p = 1, q = 0) and
-    are None for standalone classes.  All bound fields are exact rationals;
-    fields are None when a per-instance failure left them uncomputed, with
-    the failure itself in `error`.
+    ((1, n^p, n^q)+; the (1, n, 1)+ family is recorded as p = 1, q = 0);
+    they and the regime are None for standalone classes.  All bound fields
+    are exact rationals; fields are None when a per-instance failure left
+    them uncomputed, with the failure itself in `error`.
     """
 
     integral_class: IntegralClass
     norm: int
     punctures: int
     genus: int
-    regime: str
+    regime: str | None
     mixing_r: int | None = None
     lower_lC: Fraction | None = None
     lower_lC_weak: Fraction | None = None
@@ -253,7 +253,7 @@ class BoundReport:
     error: str | None = None
 
     def __post_init__(self) -> None:
-        if self.regime not in REGIMES:
+        if self.regime is not None and self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if (
             self.lower_lC is not None

@@ -21,11 +21,9 @@ JSON with sorted keys; rationals appear as [numerator, denominator].
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 from typing import Any, Sequence
 
 from . import bounds as bounds_mod
@@ -36,15 +34,7 @@ __all__ = ["main", "build_parser"]
 
 
 def _emit(obj: Any) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2, default=_json_default))
-
-
-def _json_default(value: Any):
-    if isinstance(value, Fraction):
-        return [value.numerator, value.denominator]
-    if isinstance(value, frozenset):
-        return sorted(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    print(sweep.json_text(obj))
 
 
 def _parse_ints(text: str, expect: int | None = None) -> tuple[int, ...]:
@@ -203,48 +193,12 @@ def _cmd_analyze_avoid(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- bounds
 
 
-def _refuse(record: dict[str, Any], message: str) -> int:
-    record["error"] = message
-    _emit(record)
-    return 2
-
-
 def _cmd_bounds_class(args: argparse.Namespace) -> int:
     i, j, k = _parse_ints(args.plus, 3)
-    cls = magic_classes.plus_to_xyz(magic_classes.PlusClass(i, j, k))
-    inv = magic_classes.fiber_invariants(cls)
-    record = {
-        "plus": [i, j, k],
-        "xyz": list(cls.coords()),
-        "norm": inv.norm,
-        "punctures": inv.boundary_count,
-        "genus": inv.genus,
-    }
-    if i != 1:
-        return _refuse(record, "digraph analysis covers classes (1, j, k)+ only")
-    g = ttd.magic_digraph(j, k)
-    r = digraph_analysis.primitivity_exponent(g)
-    lower, weak = bounds_mod.gadre_tsai_lower(r, inv.norm, inv.boundary_count)
-    witness = digraph_analysis.last_avoidance(g, f"b_{k}", "r_1")
-    if witness.steps < 1:
-        return _refuse(
-            record, f"no positive-step avoidance of r_1 from b_{k}: no upper bound"
-        )
-    upper_lac, upper_lc = bounds_mod.avoidance_upper(witness.steps)
-    if lower > upper_lc:
-        return _refuse(
-            record, f"sandwich violation: lower {lower} > upper {upper_lc}"
-        )
-    record.update(
-        mixing_r=r,
-        lower_lC=lower,
-        lower_lC_weak=weak,
-        avoid_m=witness.steps,
-        upper_lAC=upper_lac,
-        upper_lC=upper_lc,
-    )
-    _emit(record)
-    return 0
+    report = sweep.class_report(magic_classes.PlusClass(i, j, k))
+    fields = sweep.report_record(report).items()
+    _emit({"plus": [i, j, k], **{f: v for f, v in fields if v is not None}})
+    return 2 if report.error is not None else 0
 
 
 def _sweep_config(args: argparse.Namespace) -> sweep.SweepConfig:

@@ -1,12 +1,13 @@
 r"""
 Family sweeps: end-to-end bound reports for (1, n^p, n^q)+ and (1, n, 1)+.
 
-For each n the pipeline builds the integral class, its fiber invariants, and
-its transition digraph, then computes the mixing exponent r (giving the
-curve-complex lower bound 1/(r + 30|chi| - 10 punctures)) and an avoidance
-witness m (giving the upper bounds 2/m and 4/m).  The witness step count is
-chosen per regime and always re-verified against the digraph itself before
-any bound is emitted:
+class_report is the one class-to-bounds pipeline, shared by every sweep
+instance and by `fibercone bounds class`.  It builds the integral class, its
+fiber invariants, and its transition digraph, then computes the mixing
+exponent r (giving the curve-complex lower bound
+1/(r + 30|chi| - 10 punctures)) and an avoidance witness m (giving the upper
+bounds 2/m and 4/m).  The witness step count is chosen per regime and always
+re-verified against the digraph itself before any bound is emitted:
 
   * q < p < 2q              source b_k, avoided {r_1},        m = n^{2q};
   * p < q (both subcases)   source b_k, avoided {r_1..r_j},   m = D n^q
@@ -14,7 +15,8 @@ any bound is emitted:
   * the (1, n, 1)+ family   source b_1, avoided {r_1},        m = n
                             (recorded as p = 1, q = 0), so the upper bound
                             is exactly 4/n;
-  * uncovered regimes       exhaustive last-avoidance scan from b_k.
+  * uncovered regimes and   last avoidance of r_1 from b_k, read off
+    standalone classes      the residue tables.
 
 Covered (p, q) regimes additionally check the mixing exponent against its
 closed-form cap k_pq + 2 n^p + 3 n^q; a violation marks the instance as
@@ -24,8 +26,10 @@ a pool worker that dies costs only the instance it was running.
 
 Instances are independent, so a sweep may fan out over a process pool;
 results are keyed and sorted by n, making the output byte-identical for any
-worker count.  CSV rows carry exact rationals as numerator/denominator
-integer columns; JSON mirrors the full reports with sorted keys.
+worker count.  report_record flattens a report once; CSV rows carry its
+exact rationals as numerator/denominator integer columns, and json_text,
+the one JSON encoder (also behind the CLI), writes them as [num, den] with
+sorted keys.
 verify_exponent_law fits log10(bound) against log10(norm) and compares the
 slope with the predicted decay exponent: r = 2q/p when q < p < 2q,
 r = 2 - p/q when 2p <= q, and r = 1 for the (1, n, 1)+ family; other
@@ -47,7 +51,6 @@ from .bounds import (
     avoidance_upper,
     fit_exponent,
     gadre_tsai_lower,
-    k_pq,
     mixing_exponent_cap,
     regime_of,
 )
@@ -58,12 +61,15 @@ from .traintrack_digraph import magic_digraph
 __all__ = [
     "SweepConfig",
     "FitVerdict",
+    "class_report",
     "run_sweep",
     "verify_exponent_law",
+    "report_record",
     "report_rows",
     "report_csv",
     "report_json",
     "report_emit",
+    "json_text",
     "CSV_COLUMNS",
 ]
 
@@ -158,41 +164,51 @@ class FitVerdict:
     reason: str = "ok"
 
 
-def _class_fields(p: int, q: int, n: int) -> dict:
+def _class_fields(plus: PlusClass, family: tuple[int, int, int] | None) -> dict:
     """The report fields that describe the class itself, outside the pipeline."""
-    cls = plus_to_xyz(PlusClass(1, n**p, n**q))
+    cls = plus_to_xyz(plus)
     inv = fiber_invariants(cls)
+    p, q, n = family if family is not None else (None, None, None)
     return dict(
         integral_class=cls,
         norm=inv.norm,
         punctures=inv.boundary_count,
         genus=inv.genus,
-        regime=regime_of(p, q),
+        regime=None if family is None else regime_of(p, q),
         n=n,
         p=p,
         q=q,
     )
 
 
-def _instance_report(p: int, q: int, n: int) -> BoundReport:
-    """Full pipeline for one class; failures land in the error field."""
-    j, k = n**p, n**q
-    base = _class_fields(p, q, n)
-    regime = base["regime"]
+def class_report(
+    plus: PlusClass, family: tuple[int, int, int] | None = None
+) -> BoundReport:
+    """Bounds on ell_C for one class; failures land in the error field.
+
+    family = (p, q, n) marks plus as the sweep instance (1, n^p, n^q)+ (with
+    (1, n, 1)+ as p = 1, q = 0): the witness is then the regime's closed
+    form and covered regimes check r against its cap.  A standalone class
+    (family None, regime None) takes the last avoidance of r_1 from b_k.
+    Every witness is re-verified against the digraph before it is used.
+    """
+    if family is not None and plus != _family_class(*family):
+        raise ValueError(f"{plus} is not the (p, q, n) = {family} instance")
+    base = _class_fields(plus, family)
     try:
-        g = magic_digraph(j, k)
+        if plus.i != 1:
+            raise ValueError("digraph analysis covers classes (1, j, k)+ only")
+        g = magic_digraph(plus.j, plus.k)
         r = primitivity_exponent(g)
-        if regime != "uncovered" and r > mixing_exponent_cap(p, q, n):
-            raise RuntimeError(
-                f"mixing exponent {r} exceeds its cap "
-                f"{mixing_exponent_cap(p, q, n)} for (n,p,q)=({n},{p},{q})"
-            )
+        if base["regime"] not in (None, "uncovered"):
+            cap = mixing_exponent_cap(*family)
+            if r > cap:
+                raise RuntimeError(f"mixing exponent {r} exceeds its cap {cap}")
         lower, weak = gadre_tsai_lower(r, base["norm"], base["punctures"])
-        source, targets, m = _avoidance_witness(g, p, q, n)
+        source, targets, m = _avoidance_witness(g, plus.k, family)
         if not avoidance_at(g, source, targets, m):
             raise RuntimeError(
-                f"avoidance witness m={m} from {source} failed verification "
-                f"for (n,p,q)=({n},{p},{q})"
+                f"avoidance witness m={m} from {source} failed verification"
             )
         upper_lac, upper_lc = avoidance_upper(m)
         return BoundReport(
@@ -208,23 +224,34 @@ def _instance_report(p: int, q: int, n: int) -> BoundReport:
         return BoundReport(error=f"{type(exc).__name__}: {exc}", **base)
 
 
-def _avoidance_witness(g, p: int, q: int, n: int) -> tuple[str, list[str], int]:
-    """(source, avoided targets, step count) for the family's regime."""
-    j, k = n**p, n**q
-    if (p, q) == (1, 0):
-        return ("b_1", ["r_1"], n)
-    regime = regime_of(p, q)
-    if regime == "QltPlt2Q":
-        return (f"b_{k}", ["r_1"], n ** (2 * q))
-    if regime in ("PltQle2P", "TwoPleQ"):
-        d = (k - 1) // (j + 1)
-        return (f"b_{k}", [f"r_{i}" for i in range(1, j + 1)], d * k)
+def _family_class(p: int, q: int, n: int) -> PlusClass:
+    return PlusClass(1, n**p, n**q)
+
+
+def _avoidance_witness(
+    g, k: int, family: tuple[int, int, int] | None
+) -> tuple[str, list[str], int]:
+    """(source, avoided targets, step count): closed form where one is known."""
+    if family is not None:
+        p, q, n = family
+        if (p, q) == (1, 0):
+            return ("b_1", ["r_1"], n)
+        regime = regime_of(p, q)
+        if regime == "QltPlt2Q":
+            return (f"b_{k}", ["r_1"], n ** (2 * q))
+        if regime in ("PltQle2P", "TwoPleQ"):
+            j = n**p
+            d = (k - 1) // (j + 1)
+            return (f"b_{k}", [f"r_{i}" for i in range(1, j + 1)], d * k)
     witness = last_avoidance(g, f"b_{k}", "r_1")
     if witness.steps < 1:
-        raise RuntimeError(
-            f"no positive-step avoidance exists for (n,p,q)=({n},{p},{q})"
-        )
+        raise RuntimeError(f"no positive-step avoidance of r_1 from b_{k}")
     return (f"b_{k}", ["r_1"], witness.steps)
+
+
+def _instance_report(p: int, q: int, n: int) -> BoundReport:
+    """The sweep instance (1, n^p, n^q)+; pool workers reach it by name."""
+    return class_report(_family_class(p, q, n), (p, q, n))
 
 
 def _instance_worker(args: tuple[int, int, int]) -> BoundReport:
@@ -257,7 +284,8 @@ def _pooled_reports(
                 reports[i] = pool.submit(_instance_worker, job).result()
             except BrokenProcessPool as exc:
                 reports[i] = BoundReport(
-                    error=f"BrokenProcessPool: {exc}", **_class_fields(*job)
+                    error=f"BrokenProcessPool: {exc}",
+                    **_class_fields(_family_class(*job), job),
                 )
     return [reports[i] for i in range(len(jobs))]
 
@@ -350,36 +378,47 @@ def _predicted_exponent(p: int, q: int) -> Fraction | None:
     return None
 
 
+def report_record(rep: BoundReport) -> dict:
+    """The report as one flat record, keyed as in the JSON output.
+
+    Rationals stay Fractions here; json_text writes them as [num, den].
+    """
+    return {
+        "n": rep.n,
+        "p": rep.p,
+        "q": rep.q,
+        "xyz": list(rep.integral_class.coords()),
+        "norm": rep.norm,
+        "punctures": rep.punctures,
+        "genus": rep.genus,
+        "regime": rep.regime,
+        "mixing_r": rep.mixing_r,
+        "lower_lC": rep.lower_lC,
+        "lower_lC_weak": rep.lower_lC_weak,
+        "avoid_m": rep.avoidance_m,
+        "upper_lAC": rep.upper_lAC,
+        "upper_lC": rep.upper_lC,
+        "error": rep.error,
+    }
+
+
+def _csv_cell(record: dict, column: str) -> str:
+    """A CSV column is a record key, one of x/y/z, or a rational's _num/_den."""
+    if column in ("x", "y", "z"):
+        value = record["xyz"]["xyz".index(column)]
+    elif column.endswith(("_num", "_den")):
+        value = record[column[:-4]]
+        if value is not None:
+            value = value.numerator if column.endswith("_num") else value.denominator
+    else:
+        value = record[column]
+    return "" if value is None else str(value)
+
+
 def report_rows(reports: list[BoundReport]) -> list[list[str]]:
     """CSV cell values (strings; empty for unavailable fields)."""
-
-    def cell(value) -> str:
-        return "" if value is None else str(value)
-
-    rows = []
-    for rep in reports:
-        x, y, z = rep.integral_class.coords()
-        rows.append(
-            [
-                cell(rep.n),
-                cell(rep.p),
-                cell(rep.q),
-                str(x),
-                str(y),
-                str(z),
-                str(rep.norm),
-                str(rep.punctures),
-                str(rep.genus),
-                cell(rep.mixing_r),
-                cell(rep.lower_lC.numerator if rep.lower_lC is not None else None),
-                cell(rep.lower_lC.denominator if rep.lower_lC is not None else None),
-                cell(rep.avoidance_m),
-                cell(rep.upper_lC.numerator if rep.upper_lC is not None else None),
-                cell(rep.upper_lC.denominator if rep.upper_lC is not None else None),
-                rep.regime,
-            ]
-        )
-    return rows
+    records = [report_record(rep) for rep in reports]
+    return [[_csv_cell(rec, column) for column in CSV_COLUMNS] for rec in records]
 
 
 def report_csv(reports: list[BoundReport]) -> str:
@@ -391,37 +430,20 @@ def report_csv(reports: list[BoundReport]) -> str:
     return buf.getvalue()
 
 
-def _fraction_pair(value: Fraction | None) -> list[int] | None:
-    if value is None:
-        return None
-    return [value.numerator, value.denominator]
+def _encode_fraction(value: object) -> list[int]:
+    if isinstance(value, Fraction):
+        return [value.numerator, value.denominator]
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def json_text(obj: object) -> str:
+    """obj as JSON text: sorted keys, two-space indent, rationals as [num, den]."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_encode_fraction)
 
 
 def report_json(reports: list[BoundReport]) -> str:
-    """The sweep as JSON text: sorted keys, rationals as [num, den]."""
-    records = []
-    for rep in reports:
-        x, y, z = rep.integral_class.coords()
-        records.append(
-            {
-                "n": rep.n,
-                "p": rep.p,
-                "q": rep.q,
-                "xyz": [x, y, z],
-                "norm": rep.norm,
-                "punctures": rep.punctures,
-                "genus": rep.genus,
-                "regime": rep.regime,
-                "mixing_r": rep.mixing_r,
-                "lower_lC": _fraction_pair(rep.lower_lC),
-                "lower_lC_weak": _fraction_pair(rep.lower_lC_weak),
-                "avoid_m": rep.avoidance_m,
-                "upper_lAC": _fraction_pair(rep.upper_lAC),
-                "upper_lC": _fraction_pair(rep.upper_lC),
-                "error": rep.error,
-            }
-        )
-    return json.dumps(records, sort_keys=True, indent=2) + "\n"
+    """The sweep as JSON text: one report_record per report."""
+    return json_text([report_record(rep) for rep in reports]) + "\n"
 
 
 def report_emit(

@@ -53,25 +53,31 @@ class CochainGraph:
     """A 3-regular multigraph with an integer value on each oriented edge.
 
     edges[e] = (u, v, d): the edge traversed u -> v has value d, and v -> u
-    has value -d.  Self-loops count twice toward the degree.
+    has value -d.  Self-loops count twice toward the degree.  The vertex
+    count and every u, v, d must be of type int (so not bool or float);
+    anything else raises ValueError.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 1:
+        # exact type tests: bool is an int subclass, and True must not pass as 1
+        n = self.vertex_count
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an integer, got {n!r}")
+        if n < 1:
             raise ValueError("need at least one vertex")
-        degree = [0] * self.vertex_count
+        degree = [0] * n
         for e in self.edges:
             if len(e) != 3:
                 raise ValueError("each edge must be (tail, head, value)")
             u, v, d = e
+            if not type(u) is type(v) is type(d) is int:
+                raise ValueError(f"each edge field must be an integer, got {e!r}")
             for w in (u, v):
-                if not 0 <= w < self.vertex_count:
+                if not 0 <= w < n:
                     raise ValueError(f"edge endpoint {w} out of range")
-            if not isinstance(d, int):
-                raise ValueError("edge values must be integers")
             degree[u] += 1
             degree[v] += 1
         bad = [v for v, deg in enumerate(degree) if deg != 3]
@@ -380,9 +386,9 @@ def random_cubic_cochain(
 def import_cochain_graph(data: str | dict[str, Any]) -> CochainGraph:
     """Build a graph from JSON text or an already-parsed mapping.
 
-    Parsing is strict: "vertices" and every edge's "u", "v" and "d" must be
-    integers (not booleans, strings or floats), and "edges" a list of
-    objects; anything else raises ValueError.
+    Parsing is strict: "edges" must be a list of objects with "u", "v" and
+    "d", and CochainGraph refuses any value that is not an integer (a
+    boolean, string or float); either failure raises ValueError.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -393,25 +399,13 @@ def import_cochain_graph(data: str | dict[str, Any]) -> CochainGraph:
         raw = data["edges"]
     except KeyError as exc:
         raise ValueError(f"missing field {exc}") from exc
-    _check_int(n, "vertices")
     if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
         raise ValueError("edges must be a list of objects")
-    edges = []
-    for e in raw:
-        try:
-            edge = (e["u"], e["v"], e["d"])
-        except KeyError as exc:
-            raise ValueError(f"malformed edge object: missing {exc}") from exc
-        for name, value in zip("uvd", edge):
-            _check_int(value, f"edge field {name!r}")
-        edges.append(edge)
-    return CochainGraph(n, tuple(edges))
-
-
-def _check_int(value: object, what: str) -> None:
-    # bool is an int subclass; true must not pass as 1
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+    try:
+        edges = tuple((e["u"], e["v"], e["d"]) for e in raw)
+    except KeyError as exc:
+        raise ValueError(f"malformed edge object: missing {exc}") from exc
+    return CochainGraph(n, edges)
 
 
 def export_json(g: CochainGraph) -> str:

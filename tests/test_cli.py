@@ -2,18 +2,20 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fibercone import (
     AvoidanceWitness,
     CochainGraph,
-    bounds,
-    digraph_analysis,
     export_cochain_json,
     import_digraph,
+    sweep,
 )
 from fibercone.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 GOLDEN_12_CSV = (
     "n,p,q,x,y,z,norm,punctures,genus,mixing_r,"
@@ -185,23 +187,31 @@ def test_bounds_class(capsys):
     assert doc["upper_lC"] == [1, 4]
 
 
+@pytest.mark.parametrize("plus", ["1,8,4", "1,4,8", "1,3,9"])
+def test_bounds_class_stdout_matches_golden(capsys, plus):
+    # recorded from the CLI before it shared the sweep's pipeline
+    rc, out, _ = _run(capsys, "bounds", "class", "--plus", plus)
+    assert rc == 0
+    golden = GOLDEN / f"bounds_class_{plus.replace(',', '_')}.txt"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
-    ("module", "name", "fake"),
+    ("name", "fake"),
     [
         # a witness of zero steps certifies no upper bound
         (
-            digraph_analysis,
             "last_avoidance",
             lambda g, source, avoided: AvoidanceWitness(source, avoided, 0),
         ),
         # an upper bound below the lower bound is a broken certificate
-        (bounds, "avoidance_upper", lambda m: (Fraction(1, 10**6),) * 2),
+        ("avoidance_upper", lambda m: (Fraction(1, 10**6),) * 2),
+        # a witness that the digraph refutes is no witness
+        ("avoidance_at", lambda g, source, targets, steps: False),
     ],
 )
-def test_bounds_class_refuses_unverified_upper_bound(
-    capsys, monkeypatch, module, name, fake
-):
-    monkeypatch.setattr(module, name, fake)
+def test_bounds_class_refuses_unverified_upper_bound(capsys, monkeypatch, name, fake):
+    monkeypatch.setattr(sweep, name, fake)
     rc, doc, _ = _run_json(capsys, "bounds", "class", "--plus", "1,8,4")
     assert rc == 2
     assert "error" in doc

@@ -3,23 +3,29 @@
 import dataclasses
 import json
 import os
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fibercone
 import fibercone.sweep as sweep_mod
 from fibercone import (
     CSV_COLUMNS,
     BoundReport,
     FitVerdict,
     IntegralClass,
+    PlusClass,
     SweepConfig,
     UncoveredRegimeError,
+    class_report,
     k_pq,
     regime_of,
     report_csv,
     report_emit,
     report_json,
+    report_record,
     run_sweep,
     verify_exponent_law,
 )
@@ -117,6 +123,25 @@ def test_avoidance_witness_pins_in_the_large_regime():
     reports = run_sweep(SweepConfig(family="pq", p=3, q=2, n_start=2, n_stop=3))
     assert [rep.avoidance_m for rep in reports] == [16, 81]  # n^(2q)
     assert [rep.error for rep in reports] == [None, None]
+
+
+def test_witness_policy_follows_the_family():
+    # (1, 4, 8)+ is the (p, q, n) = (2, 3, 2) instance: closed-form m = D n^q
+    (swept,) = run_sweep(SweepConfig(family="pq", p=2, q=3, n_start=2, n_stop=2))
+    assert class_report(PlusClass(1, 4, 8), (2, 3, 2)) == swept
+    assert swept.avoidance_m == 8 and swept.regime == "PltQle2P"
+    # standalone, the same class takes the last avoidance of r_1 from b_8
+    alone = class_report(PlusClass(1, 4, 8))
+    assert alone.avoidance_m == 28 and alone.error is None
+    assert alone.regime is None and (alone.n, alone.p, alone.q) == (None,) * 3
+    assert alone.mixing_r == swept.mixing_r
+    assert report_record(alone)["regime"] is None
+    assert report_csv([alone]).splitlines()[1] == ",,,9,13,1,21,3,10,47,1,647,28,1,7,"
+
+
+def test_class_report_refuses_a_family_that_is_not_the_class():
+    with pytest.raises(ValueError):
+        class_report(PlusClass(1, 4, 8), (1, 2, 2))
 
 
 def test_instance_failures_are_captured_not_raised(monkeypatch):
@@ -267,3 +292,12 @@ def test_report_emit_rechecks_the_sandwich(tmp_path):
     object.__setattr__(rep, "lower_lC", Fraction(1))
     with pytest.raises(RuntimeError, match="sandwich"):
         report_emit([rep], str(tmp_path / "out.csv"), None)
+
+
+def test_readme_tour_and_sweep_exports_are_package_exports():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"from fibercone import \((.*?)\)", readme, re.S).group(1)
+    tour = {name.strip() for name in block.split(",") if name.strip()}
+    assert {"class_report", "report_record"} <= tour
+    assert tour <= set(fibercone.__all__)
+    assert set(sweep_mod.__all__) <= set(fibercone.__all__)

@@ -44,6 +44,20 @@ def test_graph_validation():
         CochainGraph(0, ())
 
 
+@pytest.mark.parametrize(
+    ("vertex_count", "edges"),
+    [
+        (2, ((0, 1, True), (0, 1, 0), (0, 1, 1))),
+        (2, ((0.0, 1, 2), (0, 1, 0), (0, 1, 1))),
+        (True, ((0, 0, 0), (0, 0, 1))),
+    ],
+    ids=["value-true", "endpoint-float", "vertex-count-true"],
+)
+def test_graph_rejects_non_integer_fields(vertex_count, edges):
+    with pytest.raises(ValueError, match="must be an integer"):
+        CochainGraph(vertex_count, edges)
+
+
 def test_self_loops_count_twice_toward_degree():
     g = CochainGraph(2, ((0, 0, 0), (0, 1, 0), (1, 1, 0)))
     assert g.edge_count == 3
