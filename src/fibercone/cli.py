@@ -211,8 +211,6 @@ def _sweep_config(args: argparse.Namespace) -> sweep.SweepConfig:
         n_stop=args.n_to,
         p=args.p if family == "pq" else None,
         q=args.q if family == "pq" else None,
-        csv_path=_out_path(args, args.csv),
-        json_path=_out_path(args, getattr(args, "json", None)),
         worker_count=args.workers,
         allow_large=args.allow_large,
     )
@@ -221,7 +219,8 @@ def _sweep_config(args: argparse.Namespace) -> sweep.SweepConfig:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _sweep_config(args)
     reports = sweep.run_sweep(cfg)
-    written = sweep.report_emit(reports, cfg.csv_path, cfg.json_path)
+    json_path = _out_path(args, getattr(args, "json", None))
+    written = sweep.report_emit(reports, _out_path(args, args.csv), json_path)
     failures = [rep.n for rep in reports if rep.error is not None]
     if not written:
         print(sweep.report_csv(reports), end="")
@@ -239,7 +238,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _sweep_config(args)
     reports = sweep.run_sweep(cfg)
-    sweep.report_emit(reports, cfg.csv_path, cfg.json_path)
+    sweep.report_emit(reports, _out_path(args, args.csv), _out_path(args, args.json))
     verdict = sweep.verify_exponent_law(
         reports, which=args.which, tolerance=args.tolerance
     )

@@ -31,10 +31,13 @@ verifiability over generality:
 Only pointed cones are accepted (a cone containing a line has units in its
 monoid and no irreducible generating set); pointedness gives the strictly
 positive integer functional c = sum of the rows of A, whose level decreases
-along every monoid decomposition and bounds all searches.  Facets are the
-inequality rows whose tight locus inside the scanned box spans dimension
-m - 1; redundant rows are dropped by that test, and duplicate rows cutting
-the same facet are merged.  All arithmetic is exact (integers and fractions).
+along every monoid decomposition and bounds all searches.  Facets are read
+off the generators: a row cuts a facet when the generators it vanishes on
+span dimension m - 1 (a monoid point on a face decomposes over the
+generators on that face), redundant rows fail that test, and rows vanishing
+on the same generators cut the same facet and are merged.  A pointed cone
+with nonempty interior has at least m facets, so hilbert_data refuses a box
+whose basis bounds fewer.  All arithmetic is exact (integers and fractions).
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ class ConeSpec:
             if len(row) != m:
                 raise ValueError("inequality rows must have equal length")
             for r in row:
-                if not isinstance(r, int):
+                if type(r) is not int:
                     raise ValueError("inequality entries must be integers")
         object.__setattr__(self, "_interior_witness", self._find_interior())
 
@@ -258,30 +261,6 @@ def _rational_rank(vectors: Sequence[Point]) -> int:
     return rank
 
 
-def _facet_row_indices(spec: ConeSpec, search_bound: int) -> tuple[int, ...]:
-    """Rows whose tight locus in the box spans dimension m - 1.
-
-    Redundant rows (tight nowhere, or only on lower-dimensional faces) are
-    dropped; rows cutting the same facet are merged to the first occurrence.
-    """
-    box = [
-        x
-        for x in product(range(-search_bound, search_bound + 1), repeat=spec.dim)
-        if spec.contains(x)
-    ]
-    facet_rows: list[int] = []
-    seen_tight: list[frozenset[Point]] = []
-    for ridx, row in enumerate(spec.rows):
-        tight = frozenset(x for x in box if _dot(row, x) == 0)
-        if _rational_rank(list(tight)) != spec.dim - 1:
-            continue
-        if tight in seen_tight:
-            continue
-        seen_tight.append(tight)
-        facet_rows.append(ridx)
-    return tuple(facet_rows)
-
-
 @dataclass(frozen=True)
 class HilbertData:
     """Generators and interior seeds of a cone's lattice monoid.
@@ -303,42 +282,38 @@ class HilbertData:
         return all(_dot(self.cone.rows[r], x) > 0 for r in self.facet_row_indices)
 
 
-def omega0(
-    omega: Sequence[Point], spec: ConeSpec, search_bound: int | None = None
-) -> tuple[Point, ...]:
+def omega0(omega: Sequence[Point], spec: ConeSpec) -> tuple[Point, ...]:
     """Sums of subsets of omega not contained in any single facet.
 
     A subset W lies in a facet exactly when some facet row annihilates all of
     W; the sums of the remaining subsets pair strictly positively with every
     facet row, hence are interior.  The result is deduplicated and sorted.
     """
-    return hilbert_data_from_omega(omega, spec, search_bound).omega0
+    return hilbert_data_from_omega(omega, spec).omega0
 
 
-def hilbert_data_from_omega(
-    omega: Sequence[Point], spec: ConeSpec, search_bound: int | None = None
-) -> HilbertData:
+def hilbert_data_from_omega(omega: Sequence[Point], spec: ConeSpec) -> HilbertData:
     """Assemble HilbertData around a caller-supplied generating set.
 
     omega need not be the minimal Hilbert basis, but every interior seed is
     built from it, so decompose_interior against the result only ever uses
-    these generators.  The default search_bound for the facet scan covers a
-    box twice as wide as the largest omega coordinate.
+    these generators.  The facets are the distinct sets of generators a row
+    vanishes on that span dimension m - 1, each with the first such row.
     """
     omega = tuple(sorted(tuple(p) for p in omega))
     if not omega:
         raise ValueError("omega must be nonempty")
     if len(omega) > 20:
         raise ValueError("subset enumeration over more than 20 generators refused")
-    if search_bound is None:
-        search_bound = max(8, 2 * max(abs(c) for p in omega for c in p))
-    facet_rows = _facet_row_indices(spec, search_bound)
-    facets = tuple(
-        frozenset(
-            i for i, b in enumerate(omega) if _dot(spec.rows[r], b) == 0
-        )
-        for r in facet_rows
-    )
+    facets: list[frozenset[int]] = []
+    facet_rows: list[int] = []
+    for ridx, row in enumerate(spec.rows):
+        on_row = frozenset(i for i, b in enumerate(omega) if _dot(row, b) == 0)
+        if on_row in facets:
+            continue
+        if _rational_rank([omega[i] for i in on_row]) == spec.dim - 1:
+            facets.append(on_row)
+            facet_rows.append(ridx)
     sums: set[Point] = set()
     for mask in range(1, 1 << len(omega)):
         members = frozenset(i for i in range(len(omega)) if mask >> i & 1)
@@ -348,7 +323,9 @@ def hilbert_data_from_omega(
             sum(omega[i][c] for i in members) for c in range(spec.dim)
         )
         sums.add(total)
-    data = HilbertData(spec, omega, tuple(sorted(sums)), facets, facet_rows)
+    data = HilbertData(
+        spec, omega, tuple(sorted(sums)), tuple(facets), tuple(facet_rows)
+    )
     for a in data.omega0:
         if not data.is_interior(a):
             raise RuntimeError(f"seed {a} is not interior; facet analysis is wrong")
@@ -356,9 +333,19 @@ def hilbert_data_from_omega(
 
 
 def hilbert_data(spec: ConeSpec, search_bound: int) -> HilbertData:
-    """hilbert_basis and omega0 packaged with the facet bookkeeping."""
-    omega = hilbert_basis(spec, search_bound)
-    return hilbert_data_from_omega(omega, spec, search_bound)
+    """hilbert_basis and omega0 packaged with the facet bookkeeping.
+
+    Raises BoundTooSmallError when the basis found bounds fewer than m
+    facets: the box has not seen the generators of some facet.
+    """
+    data = hilbert_data_from_omega(hilbert_basis(spec, search_bound), spec)
+    if len(data.facet_row_indices) < spec.dim:
+        raise BoundTooSmallError(
+            f"the {len(data.omega)} generators found bound "
+            f"{len(data.facet_row_indices)} facet(s) of a {spec.dim}-dimensional "
+            f"cone, which has at least {spec.dim}; bound too small"
+        )
+    return data
 
 
 @dataclass(frozen=True)

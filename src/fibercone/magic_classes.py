@@ -61,7 +61,7 @@ class IntegralClass:
 
     def __post_init__(self) -> None:
         for c in (self.x, self.y, self.z):
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise TypeError(f"coordinates must be integers, got {c!r}")
 
     def scaled(self, m: int) -> "IntegralClass":
@@ -81,7 +81,7 @@ class PlusClass:
 
     def __post_init__(self) -> None:
         for c in (self.i, self.j, self.k):
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise TypeError(f"coordinates must be integers, got {c!r}")
         if self.i < 0 or self.j < 0 or self.k < 0:
             raise ValueError(f"(i,j,k)+ coordinates must be nonnegative, got {self}")

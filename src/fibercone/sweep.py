@@ -99,7 +99,7 @@ N11_TOLERANCE = 0.1
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One family, an inclusive n range, and execution/output settings.
+    """One family, an inclusive n range, and execution settings.
 
     family is "pq" (needs p, q >= 1) or "n11" (the (1, n, 1)+ classes).  The
     vertex cap rejects configurations whose largest digraph would exceed
@@ -111,8 +111,6 @@ class SweepConfig:
     n_stop: int
     p: int | None = None
     q: int | None = None
-    csv_path: str | None = None
-    json_path: str | None = None
     worker_count: int = 1
     vertex_cap: int = DEFAULT_VERTEX_CAP
     allow_large: bool = False

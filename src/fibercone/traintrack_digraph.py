@@ -190,6 +190,10 @@ class MagicDigraphSpec:
     k: int
 
     def __post_init__(self) -> None:
+        if not type(self.j) is type(self.k) is int:
+            raise ValueError(
+                f"j and k must be integers, got (j,k)=({self.j!r},{self.k!r})"
+            )
         if self.j < 1 or self.k < 1:
             raise ValueError(
                 f"need j >= 1 and k >= 1, got (j,k)=({self.j},{self.k}); "

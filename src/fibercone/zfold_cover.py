@@ -53,9 +53,9 @@ class CochainGraph:
     """A 3-regular multigraph with an integer value on each oriented edge.
 
     edges[e] = (u, v, d): the edge traversed u -> v has value d, and v -> u
-    has value -d.  Self-loops count twice toward the degree.  The vertex
-    count and every u, v, d must be of type int (so not bool or float);
-    anything else raises ValueError.
+    has value -d.  Self-loops count twice toward the degree.  edges must be
+    a sequence of (u, v, d) triples, and the vertex count and every u, v, d
+    of type int (so not bool or float); anything else raises ValueError.
     """
 
     vertex_count: int
@@ -68,10 +68,13 @@ class CochainGraph:
             raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("need at least one vertex")
+        edges = self.edges
+        if not isinstance(edges, Sequence) or not all(
+            isinstance(e, Sequence) and len(e) == 3 for e in edges
+        ):
+            raise ValueError("each edge must be (tail, head, value)")
         degree = [0] * n
-        for e in self.edges:
-            if len(e) != 3:
-                raise ValueError("each edge must be (tail, head, value)")
+        for e in edges:
             u, v, d = e
             if not type(u) is type(v) is type(d) is int:
                 raise ValueError(f"each edge field must be an integer, got {e!r}")
@@ -197,52 +200,51 @@ def verify_loop(g: CochainGraph, loop: CoverLoop) -> tuple[bool, str]:
 
 def _window_adjacency(
     g: CochainGraph, radius: int
-) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int], list[list[tuple[int, int, int, bool]]]]:
+) -> tuple[list[tuple[int, int]], list[list[tuple[int, int, int, bool]]]]:
     """Cover restricted to levels |t| <= radius.
 
-    Returns (nodes, node index map, adjacency) where adjacency[i] lists
-    (neighbor index, edge index, tail level, forward flag), sorted for
-    deterministic traversal.  Lifted edges leaving the window are omitted.
+    Returns (nodes, adjacency) where adjacency[i] lists (neighbor index,
+    edge index, tail level, forward flag), sorted for deterministic
+    traversal.  Lifted edges leaving the window are omitted.
     """
-    nodes = [
-        (v, t)
-        for v in range(g.vertex_count)
-        for t in range(-radius, radius + 1)
-    ]
-    index = {node: i for i, node in enumerate(nodes)}
+    width = 2 * radius + 1
+    nodes = [(v, t) for v in range(g.vertex_count) for t in range(-radius, radius + 1)]
     adj: list[list[tuple[int, int, int, bool]]] = [[] for _ in nodes]
     for eidx, (u, v, d) in enumerate(g.edges):
         for t in range(-radius, radius + 1):
             if not -radius <= t + d <= radius:
                 continue
-            a = index[(u, t)]
-            b = index[(v, t + d)]
+            a = u * width + t + radius
+            b = v * width + t + d + radius
             adj[a].append((b, eidx, t, True))
             adj[b].append((a, eidx, t, False))
     for lst in adj:
         lst.sort()
-    return nodes, index, adj
+    return nodes, adj
 
 
-def _extract_simple(
-    walk_nodes: list[int], walk_steps: list[tuple[int, int, int, bool]]
-) -> tuple[list[int], list[tuple[int, int, int, bool]]]:
-    """Cut a closed walk down to the first simple cycle it contains.
+def _fundamental_cycle(
+    nodes: list[tuple[int, int]],
+    parent: dict[int, tuple[int, tuple[int, int, int, bool]]],
+    x: int,
+    closing: tuple[int, int, int, bool],
+) -> CoverLoop:
+    """The cycle of the closing step x -> y in the BFS tree.
 
-    Scans the walk keeping a stack of visited nodes; a revisit pops the
-    detour, leaving a vertex-simple closed subwalk.
+    It starts at the lowest common ancestor z of x and y, runs down the tree
+    to x, takes the closing step, and climbs the tree from y back to z.
     """
-    stack_nodes = [walk_nodes[0]]
-    stack_steps: list[tuple[int, int, int, bool]] = []
-    position = {walk_nodes[0]: 0}
-    for node, step in zip(walk_nodes[1:], walk_steps):
-        if node in position:
-            cut = position[node]
-            return stack_nodes[cut:] + [node], stack_steps[cut:] + [step]
-        stack_steps.append(step)
-        stack_nodes.append(node)
-        position[node] = len(stack_nodes) - 1
-    raise RuntimeError("walk did not close; window search produced a non-loop")
+    path_x = [x]
+    while path_x[-1] in parent:
+        path_x.append(parent[path_x[-1]][0])
+    z = closing[0]
+    climb = []
+    while z not in path_x:
+        z, (_, eidx, _, forward) = parent[z]
+        climb.append((eidx, not forward))
+    descent = [parent[w][1] for w in reversed(path_x[: path_x.index(z)])]
+    steps = [(eidx, forward) for _, eidx, _, forward in descent + [closing]]
+    return CoverLoop(nodes[z], tuple(steps + climb))
 
 
 def find_short_loop(g: CochainGraph) -> CoverLoop:
@@ -250,12 +252,13 @@ def find_short_loop(g: CochainGraph) -> CoverLoop:
 
     Runs a depth-limited breadth-first search from every level-zero window
     vertex in canonical order; an off-tree lifted edge between reached
-    vertices closes a candidate walk, which is cut to a simple cycle and
-    kept if shorter.  The counting bound guarantees length <= 2R; exceeding
-    it (or finding nothing) means the premises are violated: a hard error.
+    vertices closes a candidate, its fundamental cycle in the search tree,
+    which is kept if shorter.  The counting bound guarantees length <= 2R;
+    exceeding it (or finding nothing) means the premises are violated: a
+    hard error.
     """
     r = lemma_R(g.cochain_bound, g.edge_count)
-    nodes, _, adj = _window_adjacency(g, window_radius(g))
+    nodes, adj = _window_adjacency(g, window_radius(g))
     best: CoverLoop | None = None
 
     # any loop of length <= 2R translates to levels [0, Rk], so it passes
@@ -284,7 +287,7 @@ def find_short_loop(g: CochainGraph) -> CoverLoop:
                     parent[y] = (x, step)
                     order.append(y)
                     queue.append(y)
-        # off-tree lifted edges between reached vertices close candidate walks
+        # off-tree lifted edges between reached vertices close candidate loops
         seen_tree = {(step[1], step[2]) for _, step in parent.values()}
         for x in order:
             for step in adj[x]:
@@ -294,9 +297,7 @@ def find_short_loop(g: CochainGraph) -> CoverLoop:
                 bound = dist[x] + dist[y] + 1
                 if best is not None and bound >= best.length:
                     continue
-                walk_nodes, walk_steps = _close_walk(s, x, y, step, parent)
-                simple_nodes, simple_steps = _extract_simple(walk_nodes, walk_steps)
-                loop = _loop_from_steps(nodes, simple_nodes, simple_steps)
+                loop = _fundamental_cycle(nodes, parent, x, step)
                 ok, reason = _structural_check(g, loop)
                 if not ok:
                     raise RuntimeError(f"search produced an invalid loop: {reason}")
@@ -310,53 +311,6 @@ def find_short_loop(g: CochainGraph) -> CoverLoop:
     if not ok:
         raise RuntimeError(f"shortest loop found fails verification: {reason}")
     return best
-
-
-def _close_walk(
-    s: int,
-    x: int,
-    y: int,
-    closing: tuple[int, int, int, bool],
-    parent: dict[int, tuple[int, tuple[int, int, int, bool]]],
-) -> tuple[list[int], list[tuple[int, int, int, bool]]]:
-    """Closed walk s -> x -> y -> s from tree paths plus the closing step."""
-
-    def path_to(t: int) -> tuple[list[int], list[tuple[int, int, int, bool]]]:
-        rev_nodes = [t]
-        rev_steps = []
-        while t != s:
-            t, step = parent[t]
-            rev_steps.append(step)
-            rev_nodes.append(t)
-        return rev_nodes[::-1], rev_steps[::-1]
-
-    nodes_sx, steps_sx = path_to(x)
-    nodes_sy, steps_sy = path_to(y)
-    walk_nodes = nodes_sx + nodes_sy[::-1]
-    walk_steps = (
-        steps_sx
-        + [closing]
-        + [_reverse_step(nodes_sy[i], st) for i, st in enumerate(steps_sy)][::-1]
-    )
-    return walk_nodes, walk_steps
-
-
-def _reverse_step(
-    tail: int, step: tuple[int, int, int, bool]
-) -> tuple[int, int, int, bool]:
-    """The same lifted edge traversed the other way, now heading to tail."""
-    _, eidx, tail_level, forward = step
-    return (tail, eidx, tail_level, not forward)
-
-
-def _loop_from_steps(
-    nodes: list[tuple[int, int]],
-    simple_nodes: list[int],
-    simple_steps: list[tuple[int, int, int, bool]],
-) -> CoverLoop:
-    start = nodes[simple_nodes[0]]
-    steps = tuple((eidx, forward) for _, eidx, _, forward in simple_steps)
-    return CoverLoop(start, steps)
 
 
 def random_cubic_cochain(

@@ -1,8 +1,12 @@
 """Lattice monoid machinery: Hilbert bases, interior seeds, splits."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from fibercone import (
+    BoundTooSmallError,
     ConeSpec,
     EmptyInteriorError,
     NoDecompositionError,
@@ -21,6 +25,11 @@ from fibercone import (
 SLICE_ROWS = ((0, 1), (3, -2))
 # the fibered cone of the magic manifold: x, y > 0 and x, y > z on the interior
 MAGIC_ROWS = ((1, 0, 0), (0, 1, 0), (1, 0, -1), (0, 1, -1))
+# hilbert_data of the two cones above and of 40 small seeded cones at bounds
+# 3..6, each with at least dim facet rows
+HILBERT_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "hilbert_data.json").read_text()
+)
 
 
 def test_norms():
@@ -39,6 +48,21 @@ def test_cone_spec_validation():
         ConeSpec(((1, 0), (1, 0, 0)))
     with pytest.raises(ValueError):
         ConeSpec(((1, 0, 0, 0),))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((True, 0), (0, 1)),
+        ((1, 0), (0, 1.0)),
+        ((1, 0), ("0", 1)),
+        ((1, 0), (None, 1)),
+    ],
+    ids=["bool", "float", "string", "none"],
+)
+def test_cone_spec_rejects_non_integer_entries(rows):
+    with pytest.raises(ValueError, match="must be integers"):
+        ConeSpec(rows)
 
 
 def test_cone_spec_membership():
@@ -117,6 +141,39 @@ def test_magic_cone_hilbert_data():
         (2, 2, 1),
     )
     assert h.facet_row_indices == (0, 1, 2, 3)
+
+
+def _cone_id(case):
+    rows = ";".join(",".join(map(str, r)) for r in case["rows"])
+    return f"{rows}@{case['bound']}"
+
+
+@pytest.mark.parametrize("case", HILBERT_GOLDEN, ids=_cone_id)
+def test_hilbert_data_matches_golden(case):
+    h = hilbert_data(ConeSpec(tuple(map(tuple, case["rows"]))), case["bound"])
+    assert [list(p) for p in h.omega] == case["omega"]
+    assert [list(p) for p in h.omega0] == case["omega0"]
+    assert [sorted(f) for f in h.facets] == case["facets"]
+    assert list(h.facet_row_indices) == case["facet_row_indices"]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((-1, 1, -2), (1, 1, 2), (1, 2, 0), (-1, -1, 0)),
+        ((0, -1, 2), (2, -2, 1), (2, 1, 1), (1, 1, -2), (1, 1, -2)),
+        ((-2, -2, 0), (2, -1, -1), (-1, 2, 0), (-2, 2, 1)),
+    ],
+)
+def test_hilbert_data_refuses_a_basis_bounding_too_few_facets(rows):
+    # at bound 3 the box misses generators, and the basis it certifies
+    # bounds fewer than 3 facets of these 3-dimensional cones
+    spec = ConeSpec(rows)
+    with pytest.raises(BoundTooSmallError, match="facet"):
+        hilbert_data(spec, 3)
+    h = hilbert_data(spec, 4)
+    assert len(h.facet_row_indices) >= 3
+    assert omega0(h.omega, spec) == h.omega0
 
 
 def test_omega0_function_matches_hilbert_data():

@@ -69,6 +69,18 @@ def test_magic_digraph_rejects_nonpositive_parameters():
         magic_digraph(2, 0)
 
 
+@pytest.mark.parametrize(
+    ("j", "k"),
+    [(True, 3), (2, True), (2.0, 3), (2, 3.0), ("2", 3)],
+    ids=["j-bool", "k-bool", "j-float", "k-float", "j-string"],
+)
+def test_magic_digraph_rejects_non_integer_parameters(j, k):
+    with pytest.raises(ValueError, match="must be integers"):
+        MagicDigraphSpec(j, k)
+    with pytest.raises(ValueError, match="must be integers"):
+        magic_digraph(j, k)
+
+
 def test_certify_lengths_small():
     certs = certify_canonical_walks(MagicDigraphSpec(1, 2))
     assert certs.lengths == (2, 3, 4, 5)

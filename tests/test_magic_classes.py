@@ -39,6 +39,18 @@ def test_plus_class_rejects_negative_parameters():
         PlusClass(1, -2, 3)
 
 
+@pytest.mark.parametrize(
+    "coords",
+    [(True, 2, 3), (1, False, 3), (1, 2, 3.0), (1, "2", 3), (None, 2, 3)],
+    ids=["i-bool", "j-bool", "k-float", "j-string", "i-none"],
+)
+def test_class_types_reject_non_integer_coordinates(coords):
+    with pytest.raises(TypeError, match="must be integers"):
+        PlusClass(*coords)
+    with pytest.raises(TypeError, match="must be integers"):
+        IntegralClass(*coords)
+
+
 def test_cone_membership_pins():
     assert in_fibered_cone(IntegralClass(1, 1, 0))
     assert in_fibered_cone(IntegralClass(5, 13, 1))

@@ -1,8 +1,11 @@
 """Short essential loops in Z-fold covers of cubic graphs."""
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibercone import (
     CochainGraph,
@@ -17,6 +20,11 @@ from fibercone import (
 )
 
 THETA = CochainGraph(2, ((0, 1, -1), (0, 1, 0), (0, 1, 1)))
+# find_short_loop on random_cubic_cochain(v, k, seed) for even v in 2..20,
+# k in 0..4 and seeds 0..5
+LOOP_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "zfold_loops.json").read_text()
+)
 
 
 def _k4():
@@ -56,6 +64,16 @@ def test_graph_validation():
 def test_graph_rejects_non_integer_fields(vertex_count, edges):
     with pytest.raises(ValueError, match="must be an integer"):
         CochainGraph(vertex_count, edges)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [(5,), 5, ((0, 1),), ((0, 1, 0, 0),), "011", None],
+    ids=["int-edge", "int-edges", "pair", "quadruple", "string", "none"],
+)
+def test_graph_rejects_malformed_edges(edges):
+    with pytest.raises(ValueError, match="each edge must be"):
+        CochainGraph(2, edges)
 
 
 def test_self_loops_count_twice_toward_degree():
@@ -174,6 +192,65 @@ def test_found_loops_meet_the_certified_bound():
         ok, why = verify_loop(g, loop)
         assert ok, why
         assert loop.length <= 2 * lemma_R(g.cochain_bound, g.edge_count)
+
+
+@pytest.mark.parametrize("vertices", range(2, 21, 2))
+def test_find_short_loop_matches_golden(vertices):
+    cases = [c for c in LOOP_GOLDEN if c["vertices"] == vertices]
+    assert len(cases) == 30
+    for c in cases:
+        g = random_cubic_cochain(vertices, c["cochain_bound"], c["seed"])
+        loop = find_short_loop(g)
+        assert [list(loop.start), [list(s) for s in loop.steps]] == [
+            c["start"],
+            c["steps"],
+        ], c
+
+
+def _brute_force_girth(g):
+    """Least length of a closed walk from a level-0 cover vertex that repeats
+    no cover vertex and no lifted edge, by exhaustive depth-first search."""
+    moves = [[] for _ in range(g.vertex_count)]
+    for e, (u, v, d) in enumerate(g.edges):
+        # (head, level change, tail level offset of the lifted edge)
+        moves[u].append((e, v, d, 0))
+        moves[v].append((e, u, -d, -d))
+    best = 2 * lemma_R(g.cochain_bound, g.edge_count) + 1
+
+    def walk(start, node, visited, used, length):
+        nonlocal best
+        vertex, level = node
+        for e, head, dt, offset in moves[vertex]:
+            lifted = (e, level + offset)
+            nxt = (head, level + dt)
+            if lifted in used:
+                continue
+            if nxt == start:
+                best = min(best, length + 1)
+            elif nxt not in visited and length + 2 < best:
+                walk(start, nxt, visited | {nxt}, used | {lifted}, length + 1)
+
+    for v in range(g.vertex_count):
+        walk((v, 0), (v, 0), {(v, 0)}, frozenset(), 0)
+    return best
+
+
+@st.composite
+def small_cubic_cochains(draw):
+    n = draw(st.sampled_from([2, 4, 6]))
+    halves = draw(st.permutations(range(3 * n)))
+    m = 3 * n // 2
+    values = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    edges = tuple(
+        (halves[2 * i] // 3, halves[2 * i + 1] // 3, d) for i, d in enumerate(values)
+    )
+    return CochainGraph(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=small_cubic_cochains())
+def test_find_short_loop_is_shortest(g):
+    assert find_short_loop(g).length == _brute_force_girth(g)
 
 
 def test_random_model_is_deterministic_and_cubic():
