@@ -17,9 +17,10 @@ verifiability over generality:
 
         int(P) cap Z^m = { a + sum_b k_b b : a in Omega_0, k_b >= 0 };
 
-  * decompose_interior -- an exhaustive depth-first search realizing that
-    equality for a given interior point, with the identity re-verified on
-    every returned decomposition;
+  * decompose_interior -- that equality realized for a given interior
+    point: the first seed (in sorted order) for which the residual point - a
+    is a nonnegative integer combination of Omega, with the lexicographically
+    greatest coefficient vector, re-verified by recomposition;
   * arithmetic_split -- delta = alpha + n beta with beta the generator of
     largest coefficient; any valid decomposition forces
 
@@ -31,21 +32,32 @@ verifiability over generality:
 Only pointed cones are accepted (a cone containing a line has units in its
 monoid and no irreducible generating set); pointedness gives the strictly
 positive integer functional c = sum of the rows of A, whose level decreases
-along every monoid decomposition and bounds all searches.  Facets are read
+along every monoid decomposition and orders the box scan.  Facets are read
 off the generators: a row cuts a facet when the generators it vanishes on
 span dimension m - 1 (a monoid point on a face decomposes over the
 generators on that face), redundant rows fail that test, and rows vanishing
 on the same generators cut the same facet and are merged.  A pointed cone
 with nonempty interior has at least m facets, so hilbert_data refuses a box
 whose basis bounds fewer.  All arithmetic is exact (integers and fractions).
+
+The completeness check and decompose_interior share one coefficient search,
+which returns the lexicographically greatest nonnegative coefficient vector.
+It goes depth-first over the generators, largest coefficient first, and
+never leaves the cone: residual and generator both lie in it, so the k with
+row . (res - k b) >= 0 on every row form the interval from 0 to the least
+row . res // row . b over the rows with row . b > 0, read off the residual's
+row values.  The longest linearly independent suffix of Omega is not
+searched: an invertible square minor of it, kept as integer adjugate and
+determinant, gives its unique coefficients by one exact division each, and
+recomposing the residual in integers confirms them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Iterable, Sequence
+from itertools import combinations, product
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bounds import cone_constant
 
@@ -98,6 +110,17 @@ def _dot(row: Sequence[int], x: Point) -> int:
     return sum(r * c for r, c in zip(row, x))
 
 
+def _lattice_point(x: Sequence[int], dim: int, what: str) -> Point:
+    """x as a tuple of dim exact ints (no bools, no floats), else ValueError."""
+    try:
+        point = tuple(x)
+    except TypeError:
+        point = None
+    if point is None or len(point) != dim or any(type(c) is not int for c in point):
+        raise ValueError(f"{what} {x!r} is not a sequence of {dim} integers")
+    return point
+
+
 @dataclass(frozen=True)
 class ConeSpec:
     """An integer inequality matrix A defining P = {x : A x >= 0}.
@@ -110,12 +133,17 @@ class ConeSpec:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.rows:
+        try:
+            rows = tuple(tuple(row) for row in self.rows)
+        except TypeError:
+            raise ValueError("inequality rows must be sequences of integers") from None
+        if not rows:
             raise ValueError("need at least one inequality row")
-        m = len(self.rows[0])
+        object.__setattr__(self, "rows", rows)
+        m = len(rows[0])
         if not 1 <= m <= 3:
             raise ValueError("only ambient dimensions 1..3 are supported")
-        for row in self.rows:
+        for row in rows:
             if len(row) != m:
                 raise ValueError("inequality rows must have equal length")
             for r in row:
@@ -171,40 +199,130 @@ def _check_pointed(spec: ConeSpec, pts: Iterable[Point]) -> None:
             )
 
 
-def _solve_coefficients(
-    residual: Point,
-    omega: Sequence[Point],
-    spec: ConeSpec,
-    memo: set[tuple[Point, int]],
-) -> list[int] | None:
-    """Nonnegative k with residual = sum k_b b, by exhaustive DFS, or None."""
-    c = spec.level_form()
-    zero = (0,) * spec.dim
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """Integer determinant by cofactor expansion (square, at most 3 x 3)."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
 
-    def rec(res: Point, idx: int) -> list[int] | None:
-        if res == zero:
-            return [0] * (len(omega) - idx)
-        if idx == len(omega):
+
+class _CoefficientPlan(NamedTuple):
+    """What the coefficient search needs of a generator sequence.
+
+    pairings[i][r] is rows[r] . omega[i].  omega[tail:] is the longest
+    linearly independent suffix; on the coordinates minor_coords it has an
+    invertible square minor S, stored as adj(S) and det(S).
+    """
+
+    omega: tuple[Point, ...]
+    rows: tuple[tuple[int, ...], ...]
+    pairings: tuple[tuple[int, ...], ...]
+    tail: int
+    minor_coords: tuple[int, ...]
+    adjugate: tuple[tuple[int, ...], ...]
+    det: int
+
+
+def _coefficient_plan(omega: Sequence[Point], spec: ConeSpec) -> _CoefficientPlan:
+    """The plan for omega, whose generators must be nonzero points of the cone."""
+    omega = tuple(omega)
+    tail = len(omega)
+    while tail > 0 and _rational_rank(omega[tail - 1:]) == len(omega) - tail + 1:
+        tail -= 1
+    cols = omega[tail:]
+    for coords in combinations(range(spec.dim), len(cols)):
+        minor = [[b[c] for b in cols] for c in coords]
+        det = _det(minor)
+        if det:
+            break
+    # adj(S)[j][a] is the (a, j) cofactor of S
+    adjugate = tuple(
+        tuple(
+            (-1) ** (a + j)
+            * _det([row[:j] + row[j + 1:] for i, row in enumerate(minor) if i != a])
+            for a in range(len(cols))
+        )
+        for j in range(len(cols))
+    )
+    return _CoefficientPlan(
+        omega,
+        spec.rows,
+        tuple(tuple(_dot(row, b) for row in spec.rows) for b in omega),
+        tail,
+        coords,
+        adjugate,
+        det,
+    )
+
+
+def _solve_tail(plan: _CoefficientPlan, res: Point) -> list[int] | None:
+    """The k >= 0 with res = sum_j k_j omega[tail + j], or None.
+
+    The suffix is independent, so k is unique: Cramer's rule on the minor
+    gives it, and recomposing res in integers confirms it on every
+    coordinate.
+    """
+    ks = []
+    for adj_row in plan.adjugate:
+        q, r = divmod(
+            sum(a * res[c] for a, c in zip(adj_row, plan.minor_coords)), plan.det
+        )
+        if r or q < 0:
             return None
+        ks.append(q)
+    cols = plan.omega[plan.tail:]
+    for c, x in enumerate(res):
+        if sum(k * b[c] for k, b in zip(ks, cols)) != x:
+            return None
+    return ks
+
+
+def _solve_coefficients(
+    residual: Point, plan: _CoefficientPlan, memo: set[tuple[Point, int]]
+) -> list[int] | None:
+    """The lexicographically greatest k >= 0 with residual = sum k_b b, or None.
+
+    Depth-first over omega[:tail], largest coefficient first.  The residual
+    and each generator lie in the cone, so row . (res - k b) >= 0 bounds k
+    only from above, by row . res // row . b over the rows pairing
+    positively with b (0 if there is none): every k from that bound down to
+    0 keeps the residual in the cone.  At depth tail the independent suffix
+    is solved exactly.  Failed (residual, depth) pairs are memoized.
+    """
+    omega, pairings, tail = plan.omega, plan.pairings, plan.tail
+
+    def rec(res: Point, vals: tuple[int, ...], idx: int) -> list[int] | None:
+        if not any(res):
+            return [0] * (len(omega) - idx)
         key = (res, idx)
         if key in memo:
             return None
-        b = omega[idx]
-        cb = _dot(c, b)
-        kmax = _dot(c, res) // cb if cb > 0 else 0
-        for k in range(kmax, -1, -1):
-            nxt = tuple(r - k * bc for r, bc in zip(res, b))
-            if not spec.contains(nxt):
-                continue
-            sub = rec(nxt, idx + 1)
-            if sub is not None:
-                return [k] + sub
-        memo.add(key)
-        return None
+        found = None
+        if idx == tail:
+            found = _solve_tail(plan, res)
+        else:
+            b, bvals = omega[idx], pairings[idx]
+            kmax = min((v // p for v, p in zip(vals, bvals) if p > 0), default=0)
+            for k in range(kmax, -1, -1):
+                sub = rec(
+                    tuple(r - k * x for r, x in zip(res, b)),
+                    tuple(v - k * p for v, p in zip(vals, bvals)),
+                    idx + 1,
+                )
+                if sub is not None:
+                    found = [k] + sub
+                    break
+        if found is None:
+            memo.add(key)
+        return found
 
-    if not spec.contains(residual):
+    vals = tuple(_dot(row, residual) for row in plan.rows)
+    if min(vals) < 0:
         return None
-    return rec(residual, 0)
+    return rec(residual, vals, 0)
 
 
 def hilbert_basis(spec: ConeSpec, search_bound: int) -> tuple[Point, ...]:
@@ -232,9 +350,10 @@ def hilbert_basis(spec: ConeSpec, search_bound: int) -> tuple[Point, ...]:
         if not reducible:
             irreducible.append(x)
     omega = tuple(sorted(irreducible))
+    plan = _coefficient_plan(omega, spec)
     memo: set[tuple[Point, int]] = set()
     for x in pts:
-        if _solve_coefficients(x, omega, spec, memo) is None:
+        if _solve_coefficients(x, plan, memo) is None:
             raise BoundTooSmallError(
                 f"box point {x} does not decompose over the {len(omega)} "
                 f"generators found; bound too small"
@@ -274,6 +393,10 @@ class HilbertData:
     omega0: tuple[Point, ...]
     facets: tuple[frozenset[int], ...]
     facet_row_indices: tuple[int, ...]
+    plan: _CoefficientPlan = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "plan", _coefficient_plan(self.omega, self.cone))
 
     def is_interior(self, x: Point) -> bool:
         """x in int(P): nonnegative on all rows, strict on every facet row."""
@@ -299,10 +422,17 @@ def hilbert_data_from_omega(omega: Sequence[Point], spec: ConeSpec) -> HilbertDa
     built from it, so decompose_interior against the result only ever uses
     these generators.  The facets are the distinct sets of generators a row
     vanishes on that span dimension m - 1, each with the first such row.
+    The cone must be pointed, and every generator a nonzero point of it
+    with spec.dim integer entries, else ValueError.
     """
-    omega = tuple(sorted(tuple(p) for p in omega))
+    if _rational_rank(spec.rows) < spec.dim:
+        raise ValueError("the rows have rank below m, so the cone contains a line")
+    omega = tuple(sorted(_lattice_point(p, spec.dim, "generator") for p in omega))
     if not omega:
         raise ValueError("omega must be nonempty")
+    for b in omega:
+        if not any(b) or not spec.contains(b):
+            raise ValueError(f"generator {b} is not a nonzero point of the cone")
     if len(omega) > 20:
         raise ValueError("subset enumeration over more than 20 generators refused")
     facets: list[frozenset[int]] = []
@@ -359,18 +489,18 @@ class InteriorDecomposition:
 def decompose_interior(point: Point, h: HilbertData) -> InteriorDecomposition:
     """Express an interior lattice point as a seed plus generators.
 
-    Seeds are tried in canonical order, coefficients by exhaustive
-    depth-first search in canonical generator order (largest count first),
-    and the first solution is returned after re-verification.  Failure means
-    the generator set cannot be complete.
+    Seeds are tried in sorted order; for the first that admits one, the
+    lexicographically greatest coefficient vector over omega is returned
+    after re-verification.  Failure means the generator set cannot be
+    complete.  point must have cone.dim integer entries, else ValueError.
     """
-    point = tuple(point)
+    point = _lattice_point(point, h.cone.dim, "point")
     if not h.is_interior(point):
         raise ValueError(f"{point} is not an interior lattice point of the cone")
     memo: set[tuple[Point, int]] = set()
     for a in h.omega0:
         residual = tuple(p - s for p, s in zip(point, a))
-        coeffs = _solve_coefficients(residual, h.omega, h.cone, memo)
+        coeffs = _solve_coefficients(residual, h.plan, memo)
         if coeffs is None:
             continue
         recomposed = tuple(
@@ -412,7 +542,7 @@ def arithmetic_split(
     When norm(point) exceeds D = cone_constant of the generator norms, the
     returned n is guaranteed (and re-checked) to satisfy n >= norm(point)/D.
     """
-    point = tuple(point)
+    point = _lattice_point(point, h.cone.dim, "point")
     decomp = decompose_interior(point, h)
     coeffs = decomp.coefficients
     idx = coeffs.index(max(coeffs))

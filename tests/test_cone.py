@@ -4,7 +4,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fibercone import cone_monoid
 from fibercone import (
     BoundTooSmallError,
     ConeSpec,
@@ -62,6 +65,12 @@ def test_cone_spec_validation():
 )
 def test_cone_spec_rejects_non_integer_entries(rows):
     with pytest.raises(ValueError, match="must be integers"):
+        ConeSpec(rows)
+
+
+@pytest.mark.parametrize("rows", [((1, 0), 5), 5], ids=["row", "matrix"])
+def test_cone_spec_rejects_rows_that_are_not_sequences(rows):
+    with pytest.raises(ValueError, match="sequences of integers"):
         ConeSpec(rows)
 
 
@@ -280,3 +289,164 @@ def test_decompose_is_exhaustive_on_small_interior_box():
                 assert rebuilt == point
                 count += 1
     assert count > 40  # the box is genuinely populated
+
+
+QUADRANT = ConeSpec(((1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(1, 1, 5), (1,), (True, 1), (1.0, 1), (1, "1"), 5, "11"],
+    ids=["long", "short", "bool", "float", "string", "int", "text"],
+)
+def test_decompose_and_split_reject_malformed_points(point):
+    h = hilbert_data(QUADRANT, 4)
+    with pytest.raises(ValueError, match="not a sequence of 2 integers"):
+        decompose_interior(point, h)
+    with pytest.raises(ValueError, match="not a sequence of 2 integers"):
+        arithmetic_split(point, h, l1_norm)
+
+
+@pytest.mark.parametrize(
+    "omega, match",
+    [
+        (((1, 0, 7), (0, 1)), "not a sequence of 2 integers"),
+        (((True, 0), (0, 1)), "not a sequence of 2 integers"),
+        (((1.0, 0), (0, 1)), "not a sequence of 2 integers"),
+        ((5, (0, 1)), "not a sequence of 2 integers"),
+        (((-1, 0), (0, 1)), "not a nonzero point of the cone"),
+        (((0, 0), (1, 0), (0, 1)), "not a nonzero point of the cone"),
+    ],
+    ids=["long", "bool", "float", "int", "outside", "zero"],
+)
+def test_hilbert_data_from_omega_rejects_malformed_generators(omega, match):
+    with pytest.raises(ValueError, match=match):
+        hilbert_data_from_omega(omega, QUADRANT)
+
+
+def test_hilbert_data_from_omega_refuses_a_cone_containing_a_line():
+    # (0, -1), (0, 1), (1, 0) generate the half-plane's monoid, which has units
+    with pytest.raises(ValueError, match="contains a line"):
+        hilbert_data_from_omega(((0, -1), (0, 1), (1, 0)), ConeSpec(((1, 0),)))
+
+
+def test_coefficient_plan_and_tail_solve():
+    h = hilbert_data(ConeSpec(MAGIC_ROWS), 6)
+    assert h == hilbert_data(ConeSpec(MAGIC_ROWS), 6)
+    assert "plan" not in repr(h)
+    # (0, 1, 0), (1, 0, 0), (1, 1, 1) are independent: one searched level
+    assert h.plan.tail == 1
+    # (0, 0, 1) = (1, 1, 1) - (0, 1, 0) - (1, 0, 0) needs a negative coefficient
+    assert cone_monoid._solve_tail(h.plan, (0, 0, 1)) is None
+    assert cone_monoid._solve_tail(h.plan, (1, 2, 1)) == [1, 0, 1]
+    # a parallel pair ends the independent suffix early, at (2, 0) alone
+    plan = hilbert_data_from_omega(((0, 1), (1, 0), (2, 0)), QUADRANT).plan
+    assert plan.tail == 2
+    assert cone_monoid._solve_tail(plan, (4, 0)) == [2]
+    assert cone_monoid._solve_tail(plan, (3, 0)) is None
+    assert cone_monoid._solve_tail(plan, (4, 1)) is None
+
+
+def test_corrupted_tail_solve_fails_re_verification(monkeypatch):
+    h = hilbert_data(ConeSpec(MAGIC_ROWS), 6)
+    solve_tail = cone_monoid._solve_tail
+
+    def off_by_one(plan, res):
+        ks = solve_tail(plan, res)
+        return None if ks is None else [k + 1 for k in ks]
+
+    monkeypatch.setattr(cone_monoid, "_solve_tail", off_by_one)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        decompose_interior((7, 9, 2), h)
+
+
+def test_completeness_pass_runs_the_tail_solve(monkeypatch):
+    monkeypatch.setattr(cone_monoid, "_solve_tail", lambda plan, res: None)
+    with pytest.raises(BoundTooSmallError, match="does not decompose"):
+        hilbert_basis(ConeSpec(MAGIC_ROWS), 6)
+
+
+def _level(c, x):
+    return sum(a * b for a, b in zip(c, x))
+
+
+def _coefficient_vectors(levels, budget):
+    """Every k >= 0 with sum k_i levels[i] <= budget, in lexicographic order."""
+    if not levels:
+        yield ()
+        return
+    for k in range(budget // levels[0] + 1):
+        for rest in _coefficient_vectors(levels[1:], budget - k * levels[0]):
+            yield (k,) + rest
+
+
+def _brute_force_coefficients(residual, h):
+    """The lexicographically greatest k >= 0 with residual = sum k_b b, or None."""
+    c = h.cone.level_form()
+    budget = _level(c, residual)
+    if budget < 0:
+        return None
+    found = [
+        ks
+        for ks in _coefficient_vectors([_level(c, b) for b in h.omega], budget)
+        if all(
+            sum(k * b[i] for k, b in zip(ks, h.omega)) == r
+            for i, r in enumerate(residual)
+        )
+    ]
+    return max(found, default=None)
+
+
+@st.composite
+def pointed_cones(draw):
+    """hilbert_data of a random pointed cone of dimension 1..3 with interior."""
+    dim = draw(st.integers(1, 3))
+    inner = draw(st.tuples(*[st.integers(-2, 2)] * dim).filter(any))
+    rows = []
+    for _ in range(draw(st.integers(dim, dim + 2))):
+        row = draw(st.tuples(*[st.integers(-2, 2)] * dim))
+        side = _level(row, inner)
+        assume(side != 0)
+        rows.append(row if side > 0 else tuple(-r for r in row))
+    assume(cone_monoid._rational_rank(rows) == dim)  # pointed
+    spec = ConeSpec(tuple(rows))
+    try:
+        assume(len(hilbert_basis(spec, 4)) <= 5)
+        return hilbert_data(spec, 4)
+    except BoundTooSmallError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=pointed_cones(), data=st.data())
+def test_decompose_interior_matches_brute_force(h, data):
+    # any interior point is a seed plus generators; draw one that way
+    point = data.draw(st.sampled_from(h.omega0))
+    for b in h.omega:
+        k = data.draw(st.integers(0, 2))
+        point = tuple(p + k * x for p, x in zip(point, b))
+    # a non-minimal omega with a parallel generator, which can end the
+    # independent suffix before it has dim members, or one with a generator
+    # b replaced by 2b, which need not generate every interior point
+    b = data.draw(st.sampled_from(h.omega))
+    twice = tuple(2 * x for x in b)
+    if data.draw(st.booleans()):
+        omega = h.omega + (twice,)
+    else:
+        omega = tuple(twice if g == b else g for g in h.omega)
+    hv = hilbert_data_from_omega(omega, h.cone)
+    # every seed's residual, including those the search must refuse
+    expected = None
+    for seed in hv.omega0:
+        residual = tuple(p - s for p, s in zip(point, seed))
+        ks = _brute_force_coefficients(residual, hv)
+        found = cone_monoid._solve_coefficients(residual, hv.plan, set())
+        assert found == (None if ks is None else list(ks))
+        if expected is None and ks is not None:
+            expected = (seed, ks)
+    if expected is None:
+        with pytest.raises(NoDecompositionError):
+            decompose_interior(point, hv)
+    else:
+        d = decompose_interior(point, hv)
+        assert (d.seed, d.coefficients) == expected
