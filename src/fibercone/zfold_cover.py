@@ -12,11 +12,16 @@ graph has 3 (2^R - 1) edges, so once
     3 (2^R - 1)  >  (2 R k + 1) |E|
 
 two tree paths must collide and a vertex-simple loop of length at most 2R
-exists.  lemma_R returns the least such R; find_short_loop performs the
-search on a finite window of the cover (levels within R k + 1, enough to
-contain a translate of any such loop) and returns a shortest loop found,
-failing loudly if its length exceeds 2R.  verify_loop replays a claimed loop
-step by step against the graph, independently of the search.
+exists.  lemma_R returns the least such R; find_short_loop runs a
+breadth-first search of depth at most R from each level-zero cover vertex
+(every loop of length at most 2R has a translate through one).  It never
+builds the cover: each base vertex's half-edges are sorted once and lifted
+on demand to the level being expanded, so the search reaches only levels
+below window_radius = R k + 1.  Candidate loops are closed during the
+search, and a start's search stops once 2 dist >= the best length found.
+It returns a shortest loop, failing loudly if its length exceeds 2R.
+verify_loop replays a claimed loop step by step against the graph,
+independently of the search.
 
 Loops are recorded as a start vertex in the cover plus steps (edge index,
 forward flag); a step traverses a single lifted edge, and a valid loop
@@ -56,6 +61,7 @@ class CochainGraph:
     has value -d.  Self-loops count twice toward the degree.  edges must be
     a sequence of (u, v, d) triples, and the vertex count and every u, v, d
     of type int (so not bool or float); anything else raises ValueError.
+    The edges are stored as a tuple of tuples.
     """
 
     vertex_count: int
@@ -88,6 +94,8 @@ class CochainGraph:
             raise ValueError(
                 f"graph is not 3-regular: vertices {bad} have degree != 3"
             )
+        # store tuples, so that graphs hash and compare equal however built
+        object.__setattr__(self, "edges", tuple(tuple(e) for e in edges))
 
     @property
     def edge_count(self) -> int:
@@ -129,7 +137,11 @@ def lemma_R(cochain_bound: int, edge_count: int) -> int:
 
 
 def window_radius(g: CochainGraph) -> int:
-    """Level window R k + 1 containing a translate of any length-2R loop."""
+    """R k + 1: levels |t| < R k + 1 hold a translate of any length-2R loop.
+
+    find_short_loop's search, of depth at most R from level zero, reaches
+    only levels within R k, so it stays strictly inside this window.
+    """
     r = lemma_R(g.cochain_bound, g.edge_count)
     return r * g.cochain_bound + 1
 
@@ -181,14 +193,42 @@ def _structural_check(g: CochainGraph, loop: CoverLoop) -> tuple[bool, str]:
     return True, "ok"
 
 
+def _shape_error(loop: CoverLoop) -> str | None:
+    """Why the loop is not a pair of int coordinates plus (int, bool) steps."""
+    start = loop.start
+    if not (
+        isinstance(start, Sequence)
+        and len(start) == 2
+        and all(type(c) is int for c in start)
+    ):
+        return f"start {start!r} is not a (vertex, level) pair of integers"
+    if not isinstance(loop.steps, Sequence):
+        return f"steps {loop.steps!r} are not a sequence"
+    for i, step in enumerate(loop.steps):
+        if not (
+            isinstance(step, Sequence)
+            and len(step) == 2
+            and type(step[0]) is int
+            and type(step[1]) is bool
+        ):
+            return f"step {i}: {step!r} is not an (edge index, forward flag) pair"
+    return None
+
+
 def verify_loop(g: CochainGraph, loop: CoverLoop) -> tuple[bool, str]:
     """Replay a loop against the graph; (True, "ok") or (False, why not).
 
-    Checks each step traverses an actual lifted edge, the path closes up
-    (same cover vertex, so the values along the loop sum to zero), no cover
-    vertex repeats apart from the endpoints, no lifted edge is used twice
-    (in either direction), and the length is within the counting bound 2R.
+    Checks the start is a pair of ints and each step an (int edge index,
+    bool forward flag) pair (a bool index, int flag or float coordinate is
+    refused, not coerced), each step traverses an actual lifted edge, the
+    path closes up (same cover vertex, so the values along the loop sum to
+    zero), no cover vertex repeats apart from the endpoints, no lifted edge
+    is used twice (in either direction), and the length is within the
+    counting bound 2R.  It never raises on a malformed loop.
     """
+    shape = _shape_error(loop)
+    if shape is not None:
+        return False, shape
     ok, reason = _structural_check(g, loop)
     if not ok:
         return ok, reason
@@ -198,36 +238,34 @@ def verify_loop(g: CochainGraph, loop: CoverLoop) -> tuple[bool, str]:
     return True, "ok"
 
 
-def _window_adjacency(
-    g: CochainGraph, radius: int
-) -> tuple[list[tuple[int, int]], list[list[tuple[int, int, int, bool]]]]:
-    """Cover restricted to levels |t| <= radius.
+def _half_edges(g: CochainGraph) -> list[list[tuple[int, int, int, int, bool]]]:
+    """Each base vertex's incident half-edges, in canonical traversal order.
 
-    Returns (nodes, adjacency) where adjacency[i] lists (neighbor index,
-    edge index, tail level, forward flag), sorted for deterministic
-    traversal.  Lifted edges leaving the window are omitted.
+    half[w] lists (head, level change, edge index, tail level offset,
+    forward flag), sorted.  Lifted to level t, an entry is the step from
+    (w, t) to (head, t + level change) along the lifted edge whose tail sits
+    at level t + offset; at every level this sorted order is the order of
+    (head vertex, head level, edge index, tail level, forward flag).
     """
-    width = 2 * radius + 1
-    nodes = [(v, t) for v in range(g.vertex_count) for t in range(-radius, radius + 1)]
-    adj: list[list[tuple[int, int, int, bool]]] = [[] for _ in nodes]
+    half: list[list[tuple[int, int, int, int, bool]]] = [
+        [] for _ in range(g.vertex_count)
+    ]
     for eidx, (u, v, d) in enumerate(g.edges):
-        for t in range(-radius, radius + 1):
-            if not -radius <= t + d <= radius:
-                continue
-            a = u * width + t + radius
-            b = v * width + t + d + radius
-            adj[a].append((b, eidx, t, True))
-            adj[b].append((a, eidx, t, False))
-    for lst in adj:
+        half[u].append((v, d, eidx, 0, True))
+        half[v].append((u, -d, eidx, -d, False))
+    for lst in half:
         lst.sort()
-    return nodes, adj
+    return half
+
+
+# a BFS step: (head node, edge index, tail level of the lifted edge, forward
+# flag); the tree step into a node is stored as (parent node, edge index, tail
+# level, forward flag), read from the parent
+_Step = tuple[tuple[int, int], int, int, bool]
 
 
 def _fundamental_cycle(
-    nodes: list[tuple[int, int]],
-    parent: dict[int, tuple[int, tuple[int, int, int, bool]]],
-    x: int,
-    closing: tuple[int, int, int, bool],
+    parent: dict[tuple[int, int], _Step], x: tuple[int, int], closing: _Step
 ) -> CoverLoop:
     """The cycle of the closing step x -> y in the BFS tree.
 
@@ -240,64 +278,79 @@ def _fundamental_cycle(
     z = closing[0]
     climb = []
     while z not in path_x:
-        z, (_, eidx, _, forward) = parent[z]
+        z, eidx, _, forward = parent[z]
         climb.append((eidx, not forward))
-    descent = [parent[w][1] for w in reversed(path_x[: path_x.index(z)])]
+    descent = [parent[w] for w in reversed(path_x[: path_x.index(z)])]
     steps = [(eidx, forward) for _, eidx, _, forward in descent + [closing]]
-    return CoverLoop(nodes[z], tuple(steps + climb))
+    return CoverLoop(z, tuple(steps + climb))
 
 
 def find_short_loop(g: CochainGraph) -> CoverLoop:
-    """A shortest vertex-simple loop in the level window of the cover.
+    """A shortest vertex-simple loop through level zero of the cover.
 
-    Runs a depth-limited breadth-first search from every level-zero window
-    vertex in canonical order; an off-tree lifted edge between reached
-    vertices closes a candidate, its fundamental cycle in the search tree,
-    which is kept if shorter.  The counting bound guarantees length <= 2R;
+    Runs a depth-limited breadth-first search from every level-zero cover
+    vertex in canonical order, lifting each base vertex's sorted half-edges
+    to the level being expanded rather than building the cover.  Right after
+    a vertex x is expanded, in pop order, each off-tree lifted edge from x
+    to a reached vertex closes a candidate, its fundamental cycle in the
+    search tree, which is kept if shorter.  A start's search stops once
+    2 dist(x) >= the best length, since every later candidate is at least
+    that long.  Depth at most R from level zero reaches only levels within
+    R k < window_radius(g).  The counting bound guarantees length <= 2R;
     exceeding it (or finding nothing) means the premises are violated: a
     hard error.
     """
     r = lemma_R(g.cochain_bound, g.edge_count)
-    nodes, adj = _window_adjacency(g, window_radius(g))
+    half = _half_edges(g)
     best: CoverLoop | None = None
 
     # any loop of length <= 2R translates to levels [0, Rk], so it passes
-    # through a level-zero vertex and stays inside the window: starting the
-    # search at level zero loses nothing
-    starts = [i for i, (_, t) in enumerate(nodes) if t == 0]
-    for s in starts:
+    # through a level-zero vertex: starting the search at level zero loses
+    # nothing
+    for start in range(g.vertex_count):
         if best is not None and best.length == 1:
             break
         # a cycle shorter than the current best needs both endpoints of its
         # closing edge within half its length of the start, so cap the depth
         cap = r if best is None else min(r, max(1, best.length // 2))
-        # depth-limited BFS recording the tree step into each vertex
+        s = (start, 0)
         dist = {s: 0}
-        parent: dict[int, tuple[int, tuple[int, int, int, bool]]] = {}
-        order = [s]
+        parent: dict[tuple[int, int], _Step] = {}
         queue = deque([s])
         while queue:
             x = queue.popleft()
-            if dist[x] >= cap:
-                continue
-            for step in adj[x]:
-                y = step[0]
+            dx = dist[x]
+            # every candidate closed from here on is at least 2 dist(x) long
+            if best is not None and 2 * dx >= best.length:
+                break
+            w, t = x
+            steps = [
+                ((head, t + dt), eidx, t + offset, forward)
+                for head, dt, eidx, offset, forward in half[w]
+            ]
+            if dx < cap:
+                for step in steps:
+                    y = step[0]
+                    if y not in dist:
+                        dist[y] = dx + 1
+                        parent[y] = (x, *step[1:])
+                        queue.append(y)
+            # off-tree lifted edges from x to reached vertices close candidates;
+            # the lifted edge (eidx, tail) is a tree edge only as the tree step
+            # into x or into y
+            into_x = parent.get(x)
+            for step in steps:
+                y, eidx, tail, _ = step
                 if y not in dist:
-                    dist[y] = dist[x] + 1
-                    parent[y] = (x, step)
-                    order.append(y)
-                    queue.append(y)
-        # off-tree lifted edges between reached vertices close candidate loops
-        seen_tree = {(step[1], step[2]) for _, step in parent.values()}
-        for x in order:
-            for step in adj[x]:
-                y, eidx, tail_level, _ = step
-                if y not in dist or (eidx, tail_level) in seen_tree:
                     continue
-                bound = dist[x] + dist[y] + 1
-                if best is not None and bound >= best.length:
+                if into_x is not None and into_x[1] == eidx and into_x[2] == tail:
                     continue
-                loop = _fundamental_cycle(nodes, parent, x, step)
+                into_y = parent.get(y)
+                if into_y is not None and into_y[1] == eidx and into_y[2] == tail:
+                    continue
+                if best is not None and dx + dist[y] + 1 >= best.length:
+                    continue
+                loop = _fundamental_cycle(parent, x, step)
                 ok, reason = _structural_check(g, loop)
                 if not ok:
                     raise RuntimeError(f"search produced an invalid loop: {reason}")

@@ -1,6 +1,7 @@
 """Short essential loops in Z-fold covers of cubic graphs."""
 
 import json
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from fibercone import (
     random_cubic_cochain,
     verify_loop,
     window_radius,
+    zfold_cover,
 )
 
 THETA = CochainGraph(2, ((0, 1, -1), (0, 1, 0), (0, 1, 1)))
@@ -74,6 +76,16 @@ def test_graph_rejects_non_integer_fields(vertex_count, edges):
 def test_graph_rejects_malformed_edges(edges):
     with pytest.raises(ValueError, match="each edge must be"):
         CochainGraph(2, edges)
+
+
+def test_graph_stores_edges_as_tuples():
+    built = CochainGraph(2, [(0, 1, -1), [0, 1, 0], (0, 1, 1)])
+    assert built.edges == THETA.edges
+    assert all(type(e) is tuple for e in built.edges)
+    assert type(built.edges) is tuple
+    assert built == THETA
+    assert hash(built) == hash(THETA)
+    assert len({built, THETA}) == 1
 
 
 def test_self_loops_count_twice_toward_degree():
@@ -160,6 +172,39 @@ def test_verify_rejects_bad_indices_and_empty_loops():
     assert not verify_loop(THETA, CoverLoop((0, 0), ((7, True),)))[0]
     assert not verify_loop(THETA, CoverLoop((0, 0), ()))[0]
     assert not verify_loop(THETA, CoverLoop((1, 0), ((1, True), (0, False))))[0]
+
+
+@pytest.mark.parametrize(
+    "loop",
+    [
+        CoverLoop((0, 0), ((True, True), (2, False), (1, True), (0, False))),
+        CoverLoop((0, 0), ((1, 1), (2, 0), (1, 1), (0, 0))),
+        CoverLoop((0, 0.0), ((1, True), (2, False), (1, True), (0, False))),
+        CoverLoop((False, 0), ((1, True), (2, False), (1, True), (0, False))),
+        CoverLoop((0, 0), ((1.0, True), (2, False), (1, True), (0, False))),
+        CoverLoop((0, 0, 0), ((1, True), (2, False), (1, True), (0, False))),
+        CoverLoop((0, 0), ((1, True, 0), (2, False), (1, True), (0, False))),
+        CoverLoop(0, ((1, True),)),
+        CoverLoop((0, 0), 5),
+        CoverLoop((0, 0), (None,)),
+    ],
+    ids=[
+        "bool-edge-index",
+        "int-flags",
+        "float-level",
+        "bool-vertex",
+        "float-edge-index",
+        "start-triple",
+        "step-triple",
+        "start-int",
+        "steps-int",
+        "step-none",
+    ],
+)
+def test_verify_refuses_malformed_loops_without_raising(loop):
+    ok, why = verify_loop(THETA, loop)
+    assert not ok
+    assert "start" in why or "step" in why
 
 
 def test_verify_enforces_the_counting_bound():
@@ -251,6 +296,96 @@ def small_cubic_cochains(draw):
 @given(g=small_cubic_cochains())
 def test_find_short_loop_is_shortest(g):
     assert find_short_loop(g).length == _brute_force_girth(g)
+
+
+def _reference_short_loop(g):
+    """find_short_loop on a materialized window of the cover.
+
+    Every lifted edge within the levels |t| <= window_radius(g) is built,
+    adjacency lists are sorted, and after each start's depth-limited BFS the
+    reached vertices are scanned in BFS order for off-tree closing edges.
+    """
+    r = lemma_R(g.cochain_bound, g.edge_count)
+    radius = window_radius(g)
+    width = 2 * radius + 1
+    nodes = [(v, t) for v in range(g.vertex_count) for t in range(-radius, radius + 1)]
+    adj = [[] for _ in nodes]
+    for e, (u, v, d) in enumerate(g.edges):
+        for t in range(-radius, radius + 1):
+            if -radius <= t + d <= radius:
+                a = u * width + t + radius
+                b = v * width + t + d + radius
+                adj[a].append((b, e, t, True))
+                adj[b].append((a, e, t, False))
+    for lst in adj:
+        lst.sort()
+
+    def cycle(parent, x, closing):
+        path_x = [x]
+        while path_x[-1] in parent:
+            path_x.append(parent[path_x[-1]][0])
+        z = closing[0]
+        climb = []
+        while z not in path_x:
+            z, (_, e, _, forward) = parent[z]
+            climb.append((e, not forward))
+        descent = [parent[w][1] for w in reversed(path_x[: path_x.index(z)])]
+        steps = [(e, forward) for _, e, _, forward in descent + [closing]]
+        return CoverLoop(nodes[z], tuple(steps + climb))
+
+    best = None
+    for s in (i for i, (_, t) in enumerate(nodes) if t == 0):
+        if best is not None and best.length == 1:
+            break
+        cap = r if best is None else min(r, max(1, best.length // 2))
+        dist, parent, order, queue = {s: 0}, {}, [s], deque([s])
+        while queue:
+            x = queue.popleft()
+            if dist[x] >= cap:
+                continue
+            for step in adj[x]:
+                if step[0] not in dist:
+                    dist[step[0]] = dist[x] + 1
+                    parent[step[0]] = (x, step)
+                    order.append(step[0])
+                    queue.append(step[0])
+        tree = {(step[1], step[2]) for _, step in parent.values()}
+        for x in order:
+            for step in adj[x]:
+                y, e, tail, _ = step
+                if y not in dist or (e, tail) in tree:
+                    continue
+                if best is not None and dist[x] + dist[y] + 1 >= best.length:
+                    continue
+                loop = cycle(parent, x, step)
+                if best is None or loop.length < best.length:
+                    best = loop
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 20).map(lambda h: 2 * h),
+    k=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_find_short_loop_matches_the_materialized_window(n, k, seed):
+    g = random_cubic_cochain(n, k, seed)
+    assert find_short_loop(g) == _reference_short_loop(g)
+
+
+def test_find_short_loop_checks_each_candidate(monkeypatch):
+    monkeypatch.setattr(
+        zfold_cover, "_structural_check", lambda g, loop: (False, "rejected")
+    )
+    with pytest.raises(RuntimeError, match="invalid loop"):
+        find_short_loop(THETA)
+
+
+def test_find_short_loop_replays_its_result(monkeypatch):
+    monkeypatch.setattr(zfold_cover, "verify_loop", lambda g, loop: (False, "rejected"))
+    with pytest.raises(RuntimeError, match="fails verification"):
+        find_short_loop(THETA)
 
 
 def test_random_model_is_deterministic_and_cubic():
