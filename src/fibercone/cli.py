@@ -156,6 +156,15 @@ def _load_digraph(args: argparse.Namespace):
     return ttd.magic_digraph(args.j, args.k)
 
 
+def _check_labels(g: ttd.Digraph, *labels: str) -> None:
+    """Refuse, as a ValueError, a label that names no vertex of g."""
+    try:
+        for label in labels:
+            g.index(label)
+    except KeyError as exc:
+        raise ValueError(*exc.args) from None
+
+
 def _cmd_analyze_exponent(args: argparse.Namespace) -> int:
     g = _load_digraph(args)
     r = digraph_analysis.primitivity_exponent(g)
@@ -165,6 +174,7 @@ def _cmd_analyze_exponent(args: argparse.Namespace) -> int:
 
 def _cmd_analyze_image(args: argparse.Namespace) -> int:
     g = _load_digraph(args)
+    _check_labels(g, args.source)
     image = digraph_analysis.image_after(g, args.source, args.steps)
     _emit({"source": args.source, "steps": args.steps, "image": sorted(image)})
     return 0
@@ -172,6 +182,7 @@ def _cmd_analyze_image(args: argparse.Namespace) -> int:
 
 def _cmd_analyze_avoid(args: argparse.Namespace) -> int:
     g = _load_digraph(args)
+    _check_labels(g, args.source, args.avoided)
     witness = digraph_analysis.last_avoidance(g, args.source, args.avoided)
     upper_lac, upper_lc = (
         bounds_mod.avoidance_upper(witness.steps)

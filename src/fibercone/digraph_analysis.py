@@ -43,10 +43,10 @@ branch skeleton instead of by stepping sets:
 Every answer is then arithmetic on the tables.  The covering time from u is
 one more than the largest length missing from any W(u, v); the mixing
 exponent is the largest covering time; last_avoidance is the largest length
-missing from W(source, avoided); avoidance_at tests membership.  A table
-costs O(|skeleton| c log(|skeleton| c)), against O(r V / 64) for stepping a
-set r times: (1,100,10000)+, with V = 20101 and r = 1010199, takes well
-under a second.
+missing from W(source, avoided); avoidance_at and image_after test
+membership.  A table costs O(|skeleton| c log(|skeleton| c)), against
+O(r V / 64) for stepping a bitmask r times: (1,100,10000)+, with V = 20101
+and r = 1010199, takes well under a second.
 
 A separate checker, which only checks and never searches, certifies the
 skeleton and each table before any answer built on them leaves this module,
@@ -67,23 +67,23 @@ and raises RuntimeError mentioning "re-verification" on any failure:
 The last two are Bellman's equations, whose only solution with positive
 weights is the exact table of least walk lengths.
 
-Negative verdicts (a vertex of in- or out-degree zero, a forced walk that
-cycles through vertices of out-degree 1, no closed walk through u, or an
-unreached residue) are confirmed by stepping from the offending source
-until the Wielandt bound (V-1)^2 + 1 passes, by which a primitive matrix is
-positive, or until the image sequence repeats; so "not primitive" or "never
-covers" is a proof, not a timeout.  If stepping covers instead, RuntimeError
-is raised.
+A negative verdict ("not primitive", "never covers") is a certificate that
+no image of a source v is every vertex (V >= 2), which the checker reads
+against the edge list.  It starts with the forced walk from v, through
+vertices of out-degree 1 up to its last vertex u, so each image along it is
+a single vertex; then one of:
 
-The offset-group stepper survives only for image_after(method="steps") and
-for those confirmations: edges are grouped by their label-index offset
-d = target - source, and one step of a set is
-
-    OR over offsets d of shift(mask & group_mask[d], d).
+  * cycle: u occurs earlier on the walk, so every image is a single vertex;
+  * closed set: a set closed under successors holding u's out-neighbours
+    but not u, so no later image contains u (the vertices reachable from
+    them, when no closed walk passes through u, as at a degree-zero u);
+  * unreached residue: an entry of u's table, certified again, that no walk
+    reaches; with every in-degree >= 1, also checked, coverage is monotone,
+    so infinitely many missing lengths mean that it never happens.
 
 Boolean matrix powers by repeated squaring survive only as the reference
-route image_after(..., method="powers"), which tests compare the other
-routes against.  Squarings run as numpy float32 matmuls clipped back to 0/1;
+route image_after(..., method="powers"), which tests compare the tables
+against.  Squarings run as numpy float32 matmuls clipped back to 0/1;
 this is exact, since every entry is 0 or 1 and inner products are integers
 bounded by V, far below the 2**24 float32 integer range.  Nothing else
 builds a V x V structure.
@@ -138,70 +138,6 @@ class AvoidanceWitness:
     source: str
     avoided: str
     steps: int
-
-
-# -- the stepper: image_after(method="steps") and negative verdicts ------------
-
-
-class _Stepper:
-    """The one-step set map on int bitmasks.
-
-    groups[d] has bit v set iff v -> v + d is an edge.
-    """
-
-    def __init__(self, groups: dict[int, int]):
-        self._stay = groups.get(0, 0)
-        self._up = [(m, d) for d, m in sorted(groups.items()) if d > 0]
-        self._down = [(m, -d) for d, m in sorted(groups.items()) if d < 0]
-
-    def __call__(self, mask: int) -> int:
-        out = mask & self._stay
-        for group, d in self._up:
-            out |= (mask & group) << d
-        for group, d in self._down:
-            out |= (mask & group) >> d
-        return out
-
-    def iterate(self, mask: int, m: int) -> int:
-        """The m-step image of mask.
-
-        The image sequence is eventually periodic.  Each image is compared
-        with the one at the last power of two; on a repeat the remaining
-        steps are reduced modulo the period, so the cost is bounded by about
-        twice the sequence's onset plus period, however large m is.
-        """
-        saved, saved_at = mask, 0
-        for i in range(1, m + 1):
-            mask = self(mask)
-            if mask == saved:
-                for _ in range((m - i) % (i - saved_at)):
-                    mask = self(mask)
-                return mask
-            if i & (i - 1) == 0:
-                saved, saved_at = mask, i
-        return mask
-
-
-def _cover(step: _Stepper, mask: int, full: int, cutoff: int) -> int:
-    """The least m whose m-step image of mask is full.
-
-    Raises NeverCoversError past the cutoff, or as soon as the image sequence
-    repeats without covering (tested against the image at the last power of
-    two, which finds any repetition within twice its onset plus period).
-    """
-    m, saved = 0, mask
-    while mask != full:
-        if m >= cutoff:
-            raise NeverCoversError(f"never covers within the cutoff {cutoff}")
-        mask = step(mask)
-        m += 1
-        if mask == saved:
-            raise NeverCoversError(
-                f"the image sequence repeats at step {m} without covering"
-            )
-        if m & (m - 1) == 0:
-            saved = mask
-    return m
 
 
 # -- the branch skeleton and its residue tables --------------------------------
@@ -478,19 +414,59 @@ def _certify_table(
         )
 
 
+class _Refusal(NamedTuple):
+    """A certificate that no image of walk[0] is every vertex: the forced
+    walk, then the closed set, or the table with an unreached residue, or
+    neither when the walk cycles (see the module docstring)."""
+
+    why: str
+    walk: tuple[int, ...]
+    closed: frozenset[int] | None = None
+    table: _Table | None = None
+
+
+def _certify_refusal(
+    g: Digraph, sk: _Skeleton, edges: set[tuple[int, int]], v: int, ref: _Refusal
+) -> None:
+    walk, u = ref.walk, ref.walk[-1]
+
+    def fail(why: str) -> None:
+        raise RuntimeError(f"the verdict '{ref.why}' failed re-verification: {why}")
+
+    out_degree = Counter(map(itemgetter(0), g.edges))
+    if walk[0] != v or g.vertex_count < 2:
+        fail(f"it is not about {g.labels[v]!r} among two or more vertices")
+    if any(out_degree[v] != 1 for v in walk[:-1]):
+        fail("the forced walk passes a vertex of out-degree != 1")
+    if not all(map(edges.__contains__, zip(walk, walk[1:]))):
+        fail("the forced walk is not a walk of the digraph")
+    if ref.closed is not None:
+        if u in ref.closed:
+            fail(f"the closed set holds {g.labels[u]!r}")
+        if any(t not in ref.closed for s, t, _ in g.edges if s == u or s in ref.closed):
+            fail("the set is not closed under successors")
+    elif ref.table is not None:
+        _certify_table(g, sk, edges, u, ref.table)
+        if max(map(max, ref.table.rows)) < ref.table.unreached:
+            fail("every residue is reached")
+        if len(set(map(itemgetter(1), g.edges))) != g.vertex_count:
+            fail("some in-degree is zero, so coverage need not be monotone")
+    elif u not in walk[:-1]:
+        fail("the forced walk does not close on itself")
+
+
 # -- the per-digraph engine ----------------------------------------------------
 
 
 class _Engine:
     """Per-digraph state: degrees, the certified skeleton and tables, and the
-    lazily built stepper and matrix ladder."""
+    lazily built matrix ladder."""
 
     def __init__(self, g: Digraph):
         # g holds the engine, so a strong reference back would make a cycle
         # that outlives g until the next full garbage collection
         self._digraph = weakref.ref(g)
         self.n = n = g.vertex_count
-        self.full_mask = (1 << n) - 1
         self.out_nbrs: list[list[int]] = [[] for _ in range(n)]
         self.in_degree = [0] * n
         for source, target, _ in g.edges:
@@ -502,14 +478,6 @@ class _Engine:
     @property
     def g(self) -> Digraph:
         return self._digraph()
-
-    @cached_property
-    def forward(self) -> _Stepper:
-        groups: dict[int, int] = {}
-        for source, target, _ in self.g.edges:
-            d = target - source
-            groups[d] = groups.get(d, 0) | 1 << source
-        return _Stepper(groups)
 
     @cached_property
     def skeleton(self) -> _Skeleton:
@@ -527,16 +495,11 @@ class _Engine:
             self._tables[u] = table
         return self._tables[u]
 
-    def refuted(self, v: int, verdict: str) -> NeverCoversError:
-        """The verdict that nothing covers from v, once stepping confirms it."""
-        try:
-            m = _cover(self.forward, 1 << v, self.full_mask, wielandt_cutoff(self.n))
-        except NeverCoversError as exc:
-            return NeverCoversError(f"{verdict}; stepping confirms it: {exc}")
-        raise RuntimeError(
-            f"the verdict '{verdict}' failed re-verification: stepping from "
-            f"{self.g.labels[v]!r} covers at step {m}"
-        )
+    def refuse(self, v: int, refusal: _Refusal) -> NeverCoversError:
+        """The verdict that nothing covers from v, once its certificate is
+        checked."""
+        _certify_refusal(self.g, self.skeleton, self._edge_pairs, v, refusal)
+        return NeverCoversError(refusal.why)
 
     def forced(self, v: int) -> tuple[list[int], int | None, int]:
         """The forced walk from v through vertices of out-degree 1.
@@ -561,28 +524,38 @@ class _Engine:
             v = chain.end
         return path, v, 0
 
+    def beyond(self, u: int) -> frozenset[int]:
+        """The vertices at the ends of walks of length >= 1 from u."""
+        seen, todo = set(self.out_nbrs[u]), list(self.out_nbrs[u])
+        while todo:
+            for y in self.out_nbrs[todo.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return frozenset(seen)
+
     def cover_of(self, v: int) -> tuple[list[int], _Table]:
         """(forced path, table) for a source v that covers; raises
-        NeverCoversError, confirmed by stepping, when it never does."""
-        path, u, _ = self.forced(v)
-        name = self.g.labels[v]
+        NeverCoversError, with a checked certificate, when it never does."""
+        sk, labels = self.skeleton, self.g.labels
+        path, u, loop = self.forced(v)
         if u is None:
-            raise self.refuted(v, f"the forced walk from {name!r} cycles")
+            raise self.refuse(v, _Refusal(
+                f"the forced walk from {labels[v]!r} cycles, so every image of "
+                "it is a single vertex", (*path, path[loop])
+            ))
         table = self.table(u)
         if table is None:
-            raise self.refuted(
-                v, f"no closed walk passes through {self.g.labels[u]!r}, "
-                f"reached from {name!r}"
-            )
-        if table.cover(self.skeleton) is None:
-            raise self.refuted(v, f"some residue is unreached from {name!r}")
+            raise self.refuse(v, _Refusal(
+                f"no closed walk passes through {labels[u]!r}, the end of the "
+                f"forced walk from {labels[v]!r}", (*path, u), closed=self.beyond(u)
+            ))
+        if table.cover(sk) is None:
+            raise self.refuse(v, _Refusal(
+                f"some residue mod {table.c} of walk lengths from {labels[v]!r} "
+                "to some vertex is unreached", (*path, u), table=table
+            ))
         return path, table
-
-    def covering_time(self, v: int) -> int:
-        if self.n == 1:
-            return 0
-        path, table = self.cover_of(v)
-        return len(path) + table.cover(self.skeleton)
 
     def exponent(self) -> int:
         """max over v of cov(v); needs n >= 2 and every degree >= 1."""
@@ -599,11 +572,9 @@ class _Engine:
                 trail.append(x)
                 x, _ = sk.out_w[x][0]
             if cov[x] == -1:
-                raise self.refuted(
-                    sk.nodes[x],
-                    "a cycle of out-degree-1 vertices maps each of its "
-                    "vertices to a single vertex forever",
-                )
+                # x lies on a cycle of out-degree-1 vertices, whose forced
+                # walk cover_of refuses
+                self.cover_of(sk.nodes[x])
             for y in reversed(trail):
                 cov[y] = sk.out_w[y][0][1] + cov[sk.out_w[y][0][0]]
         interior = (
@@ -611,30 +582,31 @@ class _Engine:
         )
         return max(max(cov), max(interior, default=0))
 
-    def meets(self, v: int, targets: set[int], m: int, memo: dict) -> bool:
-        """Does some walk of length m from v end in targets?"""
+    def hits(self, v: int, targets: set[int], m: int, memo: dict) -> set[int]:
+        """The targets at which some walk of length m from v ends."""
         key = (v, m)
         if key not in memo:
+            sk = self.skeleton
             path, u, loop = self.forced(v)
             if m < len(path):
-                hit = path[m] in targets
+                hit = targets & {path[m]}
             elif u is None:
-                hit = path[loop + (m - loop) % (len(path) - loop)] in targets
+                hit = targets & {path[loop + (m - loop) % (len(path) - loop)]}
             else:
                 m -= len(path)
                 table = self.table(u)
                 if table is not None:
-                    hit = any(table.contains(self.skeleton, y, m) for y in targets)
+                    hit = {y for y in targets if table.contains(sk, y, m)}
                 elif m == 0:
-                    hit = u in targets
+                    hit = targets & {u}
                 else:
                     # a walk of length m >= 1 leaves u along one of its chains
-                    hit = any(
-                        chain.path[m] in targets
+                    hit = set().union(*(
+                        targets & {chain.path[m]}
                         if m < len(chain.path)
-                        else self.meets(chain.end, targets, m - len(chain.path), memo)
-                        for chain in self.skeleton.chains[self.skeleton.index[u]]
-                    )
+                        else self.hits(chain.end, targets, m - len(chain.path), memo)
+                        for chain in sk.chains[sk.index[u]]
+                    ))
             memo[key] = hit
         return memo[key]
 
@@ -655,10 +627,9 @@ class _Engine:
             self._ladder.append(sq)
         return self._ladder[t]
 
-    def image_by_powers(self, mask: int, m: int) -> int:
-        if m == 0:
-            return mask
-        vec = np.array([mask >> i & 1 for i in range(self.n)], dtype=np.float32)
+    def image_by_powers(self, sources: list[int], m: int) -> list[int]:
+        vec = np.zeros(self.n, dtype=np.float32)
+        vec[sources] = 1.0
         t = 0
         while m:
             if m & 1:
@@ -666,23 +637,7 @@ class _Engine:
                 np.minimum(vec, 1.0, out=vec)
             m >>= 1
             t += 1
-        out = 0
-        for i in np.nonzero(vec)[0]:
-            out |= 1 << int(i)
-        return out
-
-    # -- masks <-> labels -------------------------------------------------
-
-    def mask_of(self, labels: Iterable[str]) -> int:
-        mask = 0
-        for lbl in labels:
-            mask |= 1 << self.g.index(lbl)
-        return mask
-
-    def labels_of(self, mask: int) -> frozenset[str]:
-        return frozenset(
-            self.g.labels[i] for i in range(self.n) if mask >> i & 1
-        )
+        return np.flatnonzero(vec).tolist()
 
 
 def _engine(g: Digraph) -> _Engine:
@@ -695,45 +650,45 @@ def _engine(g: Digraph) -> _Engine:
     return eng
 
 
-def _source_mask(eng: _Engine, sources: str | Iterable[str]) -> int:
-    if isinstance(sources, str):
-        return eng.mask_of([sources])
-    return eng.mask_of(sources)
-
-
 def image_after(
     g: Digraph,
     sources: str | Iterable[str],
     m: int,
-    method: str = "steps",
+    method: str = "tables",
 ) -> frozenset[str]:
     """Vertices reachable from sources by directed walks of length exactly m.
 
-    method selects the evaluation route: "steps" (the offset-group stepper)
-    or "powers" (boolean matrix powers with doubling, the dense reference
-    route, which allocates V x V matrices).  The two routes agree; exposing
-    both keeps that checkable.
+    method selects the evaluation route: "tables" (membership in the
+    certified walk-length sets) or "powers" (boolean matrix powers with
+    doubling, the dense reference route, which allocates V x V matrices).
+    The two routes agree; exposing both keeps that checkable.
     """
-    if m < 0:
-        raise ValueError("step count must be nonnegative")
-    eng = _engine(g)
-    mask = _source_mask(eng, sources)
-    if method == "steps":
-        result = eng.forward.iterate(mask, m)
-    elif method == "powers":
-        result = eng.image_by_powers(mask, m)
-    else:
+    if type(m) is not int or m < 0:
+        raise ValueError(f"step count must be a nonnegative int, not {m!r}")
+    if method not in ("tables", "powers"):
         raise ValueError(f"unknown method {method!r}")
-    return eng.labels_of(result)
+    eng = _engine(g)
+    if isinstance(sources, str):
+        sources = [sources]
+    starts = [g.index(lbl) for lbl in sources]
+    if method == "powers":
+        image = eng.image_by_powers(starts, m)
+    else:
+        # each source tests only the vertices that no earlier source reaches
+        image, missed = set(), set(range(eng.n))
+        for v in starts:
+            hit = eng.hits(v, missed, m, {})
+            image |= hit
+            missed -= hit
+    return frozenset(map(g.labels.__getitem__, image))
 
 
 def primitivity_exponent(g: Digraph) -> int:
     """Least m >= 1 with every m-step image equal to the whole vertex set.
 
     Equivalently the least m with A^m entrywise positive.  Raises
-    NotPrimitiveError when no such power exists, after stepping has confirmed
-    the verdict; the cutoff argument makes that verdict exact, never a
-    timeout.
+    NotPrimitiveError when no such power exists, with a certificate that
+    the checker has read against the edge list, so the verdict is a proof.
     """
     if g.vertex_count == 0:
         raise ValueError("digraph is empty")
@@ -746,11 +701,10 @@ def primitivity_exponent(g: Digraph) -> int:
     try:
         for v in range(n):
             if not eng.in_degree[v] or not eng.out_nbrs[v]:
-                raise eng.refuted(
-                    v,
+                raise eng.refuse(v, _Refusal(
                     f"{g.labels[v]!r} has in- or out-degree zero, which keeps "
-                    "every power from being positive",
-                )
+                    "every power from being positive", (v,), eng.beyond(v)
+                ))
         return eng.exponent()
     except NeverCoversError as exc:
         raise NotPrimitiveError(f"not primitive: {exc}") from None
@@ -771,9 +725,14 @@ def covering_time(g: Digraph, source: str) -> int:
 
     Requires every in-degree >= 1, which makes coverage monotone: once the
     image is everything it stays everything.  Reports "never covers" when no
-    such m exists, after stepping has confirmed it.
+    such m exists, with a certificate that the checker has read against the
+    edge list.
     """
-    return _covering_engine(g).covering_time(g.index(source))
+    eng, v = _covering_engine(g), g.index(source)
+    if eng.n == 1:
+        return 0
+    path, table = eng.cover_of(v)
+    return len(path) + table.cover(eng.skeleton)
 
 
 def last_avoidance(g: Digraph, source: str, avoided: str) -> AvoidanceWitness:
@@ -806,8 +765,8 @@ def avoidance_at(
     g: Digraph, source: str, targets: Iterable[str], m: int
 ) -> bool:
     """True iff the m-step image of the source misses every target."""
-    if m < 1:
-        raise ValueError("step count must be positive")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"step count must be a positive int, not {m!r}")
     eng = _engine(g)
     target_set = {g.index(lbl) for lbl in targets}
-    return not eng.meets(g.index(source), target_set, m, {})
+    return not eng.hits(g.index(source), target_set, m, {})

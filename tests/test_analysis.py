@@ -124,7 +124,7 @@ def test_image_after_basics():
 
 
 def test_image_after_huge_step_counts():
-    # the stepper reduces long runs modulo the period of the image sequence
+    # the tables answer any step count through its residue mod a cycle length
     cyc = Digraph(("u", "v", "w"), ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
     g = magic_digraph(8, 4)
     for m in (10**12, 10**12 + 1, 10**12 + 2):
@@ -139,8 +139,21 @@ def test_image_after_validation():
         image_after(g, "s", -1)
     with pytest.raises(ValueError):
         image_after(g, "s", 3, method="magic")
+    with pytest.raises(ValueError):
+        image_after(g, "s", 3, method="steps")
     with pytest.raises(KeyError):
         image_after(g, "nope", 3)
+
+
+@pytest.mark.parametrize("m", [True, 2.0, 100.0, "3", None, np.int64(3)])
+@pytest.mark.parametrize("query", ["image_after", "avoidance_at"])
+def test_step_counts_must_be_ints(query, m):
+    g = magic_digraph(3, 2)
+    with pytest.raises(ValueError, match="step count"):
+        if query == "image_after":
+            image_after(g, "s", m)
+        else:
+            avoidance_at(g, "b_2", ["r_1"], m)
 
 
 @settings(max_examples=25, deadline=None)
@@ -150,9 +163,7 @@ def test_image_after_validation():
 )
 def test_stepping_and_powers_routes_agree(sources, m):
     g = magic_digraph(8, 4)
-    assert image_after(g, sources, m, method="steps") == image_after(
-        g, sources, m, method="powers"
-    )
+    assert image_after(g, sources, m) == image_after(g, sources, m, method="powers")
 
 
 def test_covering_time_pins():
@@ -221,7 +232,7 @@ def test_avoidance_at_multiple_targets():
         avoidance_at(g, "b_4", ["r_1"], 0)
 
 
-# -- the stepper against the dense route and a brute force, on random inputs
+# -- the tables against the dense route and a brute force, on random inputs
 
 
 def _brute_image(adj, sources, m):
@@ -322,7 +333,7 @@ def test_image_routes_match_brute_force(g, data):
     m = data.draw(st.integers(min_value=0, max_value=3 * wielandt_cutoff(10)))
     labels = [g.labels[i] for i in sources]
     expected = frozenset(g.labels[i] for i in _brute_image(g.adjacency, sources, m))
-    assert image_after(g, labels, m, method="steps") == expected
+    assert image_after(g, labels, m) == expected
     assert image_after(g, labels, m, method="powers") == expected
     if m >= 1:
         source = min(sources)
@@ -330,9 +341,17 @@ def test_image_routes_match_brute_force(g, data):
         assert avoidance_at(g, g.labels[source], labels, m) == (not hit)
 
 
+@settings(max_examples=150, deadline=None)
+@given(g=small_digraphs(), data=st.data())
+def test_image_routes_agree_on_huge_step_counts(g, data):
+    sources = data.draw(st.sets(st.sampled_from(g.labels), min_size=1))
+    m = data.draw(st.integers(min_value=0, max_value=10**12))
+    assert image_after(g, sources, m) == image_after(g, sources, m, method="powers")
+
+
 def test_residue_route_agrees_with_stepping():
     # r is full from every branching vertex, and the vertex that covers
-    # last is not full at r - 1, both by the stepper
+    # last is not full at r - 1, both by matrix powers
     for j in range(1, 31):
         for k in range(1, 31):
             g = magic_digraph(j, k)
@@ -340,10 +359,10 @@ def test_residue_route_agrees_with_stepping():
             full = frozenset(g.labels)
             for v in g.labels:
                 if len(g.out_labels(v)) != 1:
-                    assert image_after(g, v, r, method="steps") == full
+                    assert image_after(g, v, r, method="powers") == full
             worst = max(g.labels, key=lambda v: covering_time(g, v))
             assert covering_time(g, worst) == r
-            assert image_after(g, worst, r - 1, method="steps") != full
+            assert image_after(g, worst, r - 1, method="powers") != full
 
 
 _RESIDUE_TABLE = digraph_analysis._residue_table
@@ -405,10 +424,83 @@ def test_corrupted_skeleton_fails_re_verification(monkeypatch):
         primitivity_exponent(magic_digraph(8, 4))
 
 
-def test_negative_verdict_that_stepping_refutes_raises(monkeypatch):
-    monkeypatch.setattr(digraph_analysis, "_cover", lambda *args: 7)
-    cyc = Digraph(("u", "v", "w"), ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+def _period_two(n):
+    """An n-cycle plus the chord 0 -> 3: closed walks of lengths n and n - 2."""
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [(0, 3)]
+    return Digraph.from_edges([f"v{i}" for i in range(n)], pairs)
+
+
+def test_period_two_cycle_with_chord_is_not_primitive():
+    # the unreached odd residues refuse it at once, however long the cycle
+    with pytest.raises(NotPrimitiveError, match="unreached"):
+        primitivity_exponent(_period_two(4000))
+
+
+_CERTIFY_REFUSAL = digraph_analysis._certify_refusal
+
+
+def _cycle_broken(refusal):
+    return refusal._replace(walk=refusal.walk[:-1])
+
+
+def _closed_set_holds_u(refusal):
+    return refusal._replace(closed=refusal.closed | {refusal.walk[-1]})
+
+
+def _residues_filled(refusal):
+    top = refusal.table.unreached
+    rows = [[min(d, top - 1) for d in row] for row in refusal.table.rows]
+    return refusal._replace(table=dataclasses.replace(refusal.table, rows=rows))
+
+
+# (digraph, covering source or None, certificate kind, corruption); each
+# digraph's negative verdict carries a certificate of that kind
+NEGATIVE_VERDICTS = [
+    # a 3-cycle: the forced walk from u closes on itself
+    (lambda: Digraph(("u", "v", "w"), ((0, 0, 1), (1, 0, 0), (0, 1, 0))),
+     "u", "cycle", _cycle_broken),
+    # w -> w, w -> u, u -> x, u -> y, x -> x, y -> y: no closed walk through u
+    (lambda: Digraph.from_edges(
+        ("w", "u", "x", "y"), ((0, 0), (0, 1), (1, 2), (1, 3), (2, 2), (3, 3))),
+     "u", "closed set", _closed_set_holds_u),
+    # u -> v only: u has in-degree zero and v out-degree zero
+    (lambda: Digraph(("u", "v"), ((0, 0), (1, 0))), None, "degree zero",
+     _closed_set_holds_u),
+    # u -> u, u -> v: v has out-degree zero, so its closed set is empty
+    (lambda: Digraph.from_edges(("u", "v"), ((0, 0), (0, 1))), "v",
+     "degree zero", _closed_set_holds_u),
+    # walks 0 -> 0 have even lengths only
+    (lambda: _period_two(4), "v0", "unreached residue", _residues_filled),
+]
+
+
+@pytest.mark.parametrize(
+    ("build", "source", "kind", "corrupt"),
+    NEGATIVE_VERDICTS,
+    ids=[f"{kind}-{i}" for i, (_, _, kind, _) in enumerate(NEGATIVE_VERDICTS)],
+)
+def test_corrupted_negative_verdict_fails_re_verification(
+    monkeypatch, build, source, kind, corrupt
+):
+    checks = [primitivity_exponent]
+    if source is not None:
+        checks.append(lambda g: covering_time(g, source))
+    for check in checks:
+        with pytest.raises((NotPrimitiveError, NeverCoversError)):
+            check(build())
+    monkeypatch.setattr(
+        digraph_analysis,
+        "_certify_refusal",
+        lambda g, sk, edges, v, ref: _CERTIFY_REFUSAL(g, sk, edges, v, corrupt(ref)),
+    )
+    for check in checks:
+        with pytest.raises(RuntimeError, match="re-verification"):
+            check(build())
+
+
+def test_degree_zero_is_read_off_the_edges():
+    # an engine whose degree list claims a zero it does not have is refuted
+    g = magic_digraph(8, 4)
+    digraph_analysis._engine(g).in_degree[0] = 0
     with pytest.raises(RuntimeError, match="re-verification"):
-        primitivity_exponent(cyc)
-    with pytest.raises(RuntimeError, match="re-verification"):
-        covering_time(cyc, "u")
+        primitivity_exponent(g)

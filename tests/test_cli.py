@@ -177,6 +177,20 @@ def test_analyze_avoid(capsys):
     assert doc["upper_lC"] == [1, 4]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("image", "--source", "nope", "--steps", "3"),
+        ("avoid", "--source", "nope", "--avoided", "r_1"),
+        ("avoid", "--source", "b_2", "--avoided", "nope"),
+    ],
+)
+def test_analyze_refuses_unknown_labels(capsys, argv):
+    rc, out, err = _run(capsys, "analyze", argv[0], "--j", "3", "--k", "2", *argv[1:])
+    assert rc == 2 and out == ""
+    assert err == "error: no vertex labeled 'nope'\n"
+
+
 def test_bounds_class(capsys):
     rc, doc, _ = _run_json(capsys, "bounds", "class", "--plus", "1,8,4")
     assert rc == 0
