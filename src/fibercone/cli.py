@@ -345,6 +345,8 @@ def _cmd_zfold_loop(args: argparse.Namespace) -> int:
 
 
 def _cmd_zfold_random(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     records = []
     all_ok = True
     for i in range(args.count):

@@ -29,8 +29,11 @@ verifiability over generality:
     whenever norm(delta) exceeds that denominator, for any functional that is
     linear and nonnegative on the cone.
 
-Only pointed cones are accepted (a cone containing a line has units in its
-monoid and no irreducible generating set); pointedness gives the strictly
+ConeSpec certifies exactly that the cone has interior and is pointed (a cone
+containing a line has units in its monoid and no irreducible generating
+set): A x > 0 is solvable iff A x >= 1 is, which on r = rank A coordinates
+has a vertex adj(S) (1, ..., 1) / det S for an invertible r x r minor S of
+A, and the cone is then pointed iff r = m.  Pointedness gives the strictly
 positive integer functional c = sum of the rows of A, whose level decreases
 along every monoid decomposition and orders the box scan.  Facets are read
 off the generators: a row cuts a facet when the generators it vanishes on
@@ -38,9 +41,10 @@ span dimension m - 1 (a monoid point on a face decomposes over the
 generators on that face), redundant rows fail that test, and rows vanishing
 on the same generators cut the same facet and are merged.  A pointed cone
 with nonempty interior has at least m facets, so hilbert_data refuses a box
-whose basis bounds fewer.  All arithmetic is exact (integers and fractions).
+whose basis bounds fewer.  All arithmetic is in exact integers: _det and
+_adjugate give the vertex, ranks (largest nonzero minor) and the tail solve.
 
-The completeness check and decompose_interior share one coefficient search,
+hilbert_basis and decompose_interior share one coefficient search,
 which returns the lexicographically greatest nonnegative coefficient vector.
 It goes depth-first over the generators, largest coefficient first, and
 never leaves the cone: residual and generator both lie in it, so the k with
@@ -55,9 +59,8 @@ recomposing the residual in integers confirms them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .bounds import cone_constant
 
@@ -84,7 +87,7 @@ Point = tuple[int, ...]
 
 
 class EmptyInteriorError(ValueError):
-    """No strictly interior lattice point was found in the search box."""
+    """No x has A x > 0: the cone has empty interior."""
 
 
 class BoundTooSmallError(ValueError):
@@ -125,12 +128,13 @@ def _lattice_point(x: Sequence[int], dim: int, what: str) -> Point:
 class ConeSpec:
     """An integer inequality matrix A defining P = {x : A x >= 0}.
 
-    Construction certifies a nonempty interior by locating a lattice point
-    with A x > 0 strictly in a growing coordinate box (up to radius 64);
-    cones that fail are rejected.
+    Construction certifies that P has nonempty interior and contains no
+    line, else EmptyInteriorError or ValueError; interior_point is a lattice
+    point with A x > 0.
     """
 
     rows: tuple[tuple[int, ...], ...]
+    interior_point: Point = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
@@ -149,7 +153,12 @@ class ConeSpec:
             for r in row:
                 if type(r) is not int:
                     raise ValueError("inequality entries must be integers")
-        object.__setattr__(self, "_interior_witness", self._find_interior())
+        rank = _rank(rows)
+        object.__setattr__(self, "interior_point", self._vertex_with_interior(rank))
+        if rank < m:
+            raise ValueError(
+                f"the rows have rank {rank} < {m}, so the cone contains a line"
+            )
 
     @property
     def dim(self) -> int:
@@ -161,16 +170,23 @@ class ConeSpec:
     def strictly_positive_rows(self, x: Point) -> bool:
         return all(_dot(row, x) > 0 for row in self.rows)
 
-    def _find_interior(self) -> Point:
-        radius = 1
-        while radius <= 64:
-            for x in product(range(-radius, radius + 1), repeat=self.dim):
+    def _vertex_with_interior(self, rank: int) -> Point:
+        """det(S)^2 y for the first y = adj(S) (1, ..., 1) / det S (on the
+        coordinates of a rank x rank minor S of A, 0 elsewhere) with A y > 0.
+        """
+        for sub in combinations(self.rows, rank):
+            for coords in combinations(range(self.dim), rank):
+                minor = [[row[c] for c in coords] for row in sub]
+                det = _det(minor)
+                if not det:
+                    continue
+                x = [0] * self.dim
+                for c, adj_row in zip(coords, _adjugate(minor)):
+                    x[c] = det * sum(adj_row)
                 if self.strictly_positive_rows(x):
-                    return x
-            radius *= 2
+                    return tuple(x)
         raise EmptyInteriorError(
-            "no lattice point with A x > 0 found in the search box; "
-            "the cone has empty interior (or is too thin to certify)"
+            "no x has A x > 0 (A x >= 1 has no vertex): the cone has empty interior"
         )
 
     def level_form(self) -> tuple[int, ...]:
@@ -190,15 +206,6 @@ def _box_monoid_points(spec: ConeSpec, bound: int) -> list[Point]:
     return pts
 
 
-def _check_pointed(spec: ConeSpec, pts: Iterable[Point]) -> None:
-    for x in pts:
-        if spec.contains(tuple(-c for c in x)):
-            raise ValueError(
-                f"cone contains the line through {x}: its lattice monoid has "
-                "units and no irreducible generating set"
-            )
-
-
 def _det(m: Sequence[Sequence[int]]) -> int:
     """Integer determinant by cofactor expansion (square, at most 3 x 3)."""
     if not m:
@@ -207,6 +214,29 @@ def _det(m: Sequence[Sequence[int]]) -> int:
         (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
         for j in range(len(m))
     )
+
+
+def _adjugate(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """adj(M), so that M adj(M) = det(M) I; adj(M)[j][a] is the (a, j) cofactor."""
+    return tuple(
+        tuple(
+            (-1) ** (a + j)
+            * _det([row[:j] + row[j + 1:] for i, row in enumerate(m) if i != a])
+            for a in range(len(m))
+        )
+        for j in range(len(m))
+    )
+
+
+def _rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank of integer vectors: the size of their largest nonzero minor."""
+    dim = len(vectors[0]) if vectors else 0
+    for k in range(min(len(vectors), dim), 0, -1):
+        for sub in combinations(vectors, k):
+            for coords in combinations(range(dim), k):
+                if _det([[v[c] for c in coords] for v in sub]):
+                    return k
+    return 0
 
 
 class _CoefficientPlan(NamedTuple):
@@ -230,7 +260,7 @@ def _coefficient_plan(omega: Sequence[Point], spec: ConeSpec) -> _CoefficientPla
     """The plan for omega, whose generators must be nonzero points of the cone."""
     omega = tuple(omega)
     tail = len(omega)
-    while tail > 0 and _rational_rank(omega[tail - 1:]) == len(omega) - tail + 1:
+    while tail > 0 and _rank(omega[tail - 1:]) == len(omega) - tail + 1:
         tail -= 1
     cols = omega[tail:]
     for coords in combinations(range(spec.dim), len(cols)):
@@ -238,22 +268,13 @@ def _coefficient_plan(omega: Sequence[Point], spec: ConeSpec) -> _CoefficientPla
         det = _det(minor)
         if det:
             break
-    # adj(S)[j][a] is the (a, j) cofactor of S
-    adjugate = tuple(
-        tuple(
-            (-1) ** (a + j)
-            * _det([row[:j] + row[j + 1:] for i, row in enumerate(minor) if i != a])
-            for a in range(len(cols))
-        )
-        for j in range(len(cols))
-    )
     return _CoefficientPlan(
         omega,
         spec.rows,
         tuple(tuple(_dot(row, b) for row in spec.rows) for b in omega),
         tail,
         coords,
-        adjugate,
+        _adjugate(minor),
         det,
     )
 
@@ -328,56 +349,30 @@ def _solve_coefficients(
 def hilbert_basis(spec: ConeSpec, search_bound: int) -> tuple[Point, ...]:
     """Irreducible monoid elements within the box, certified complete.
 
-    A candidate is irreducible when it is not a previously found irreducible
-    plus another monoid point; processing candidates by increasing level of
-    the positive functional c makes that test exhaustive.  Afterwards every
-    box point must decompose over the returned set, else the box cannot have
-    seen all generators and BoundTooSmallError is raised.
+    One pass over the box points by increasing level of the positive
+    functional c: a point is reducible if it decomposes over the generators
+    found so far, proof of a generator outside the box (BoundTooSmallError)
+    if it is a found generator plus a monoid point, and new otherwise.  A
+    decomposition uses only generators of lower level, so none found later
+    could have decomposed an earlier point.
     """
-    if search_bound < 1:
-        raise ValueError("search bound must be positive")
-    pts = _box_monoid_points(spec, search_bound)
-    _check_pointed(spec, pts)
-    zero = (0,) * spec.dim
-    irreducible: list[Point] = []
-    for x in pts:
-        reducible = False
-        for v in irreducible:
-            u = tuple(a - b for a, b in zip(x, v))
-            if u != zero and spec.contains(u):
-                reducible = True
-                break
-        if not reducible:
-            irreducible.append(x)
-    omega = tuple(sorted(irreducible))
-    plan = _coefficient_plan(omega, spec)
-    memo: set[tuple[Point, int]] = set()
-    for x in pts:
-        if _solve_coefficients(x, plan, memo) is None:
-            raise BoundTooSmallError(
-                f"box point {x} does not decompose over the {len(omega)} "
-                f"generators found; bound too small"
-            )
-    return omega
-
-
-def _rational_rank(vectors: Sequence[Point]) -> int:
-    """Rank over Q of a set of integer vectors, by exact elimination."""
-    rows = [[Fraction(c) for c in v] for v in vectors if any(v)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
+    if type(search_bound) is not int or search_bound < 1:
+        raise ValueError(f"search bound {search_bound!r} is not a positive integer")
+    omega: list[Point] = []
+    plan, memo = _coefficient_plan(omega, spec), set()
+    for x in _box_monoid_points(spec, search_bound):
+        if _solve_coefficients(x, plan, memo) is not None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / prow[col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], prow)]
-        rank += 1
-    return rank
+        for v in omega:
+            if spec.contains(tuple(a - b for a, b in zip(x, v))):
+                raise BoundTooSmallError(
+                    f"box point {x} does not decompose over the {len(omega)} "
+                    f"generators found so far; bound too small"
+                )
+        omega.append(x)
+        omega.sort()
+        plan, memo = _coefficient_plan(omega, spec), set()
+    return tuple(omega)
 
 
 @dataclass(frozen=True)
@@ -422,11 +417,9 @@ def hilbert_data_from_omega(omega: Sequence[Point], spec: ConeSpec) -> HilbertDa
     built from it, so decompose_interior against the result only ever uses
     these generators.  The facets are the distinct sets of generators a row
     vanishes on that span dimension m - 1, each with the first such row.
-    The cone must be pointed, and every generator a nonzero point of it
-    with spec.dim integer entries, else ValueError.
+    Every generator must be a nonzero point of the cone with spec.dim
+    integer entries, else ValueError.
     """
-    if _rational_rank(spec.rows) < spec.dim:
-        raise ValueError("the rows have rank below m, so the cone contains a line")
     omega = tuple(sorted(_lattice_point(p, spec.dim, "generator") for p in omega))
     if not omega:
         raise ValueError("omega must be nonempty")
@@ -441,7 +434,7 @@ def hilbert_data_from_omega(omega: Sequence[Point], spec: ConeSpec) -> HilbertDa
         on_row = frozenset(i for i, b in enumerate(omega) if _dot(row, b) == 0)
         if on_row in facets:
             continue
-        if _rational_rank([omega[i] for i in on_row]) == spec.dim - 1:
+        if _rank([omega[i] for i in on_row]) == spec.dim - 1:
             facets.append(on_row)
             facet_rows.append(ridx)
     sums: set[Point] = set()

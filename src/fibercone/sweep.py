@@ -103,7 +103,8 @@ class SweepConfig:
 
     family is "pq" (needs p, q >= 1) or "n11" (the (1, n, 1)+ classes).  The
     vertex cap rejects configurations whose largest digraph would exceed
-    ~5000 vertices unless allow_large is set.
+    ~5000 vertices unless allow_large is set.  The integer settings must be
+    ints (not bools or floats) and allow_large a bool, else ValueError.
     """
 
     family: str
@@ -116,6 +117,12 @@ class SweepConfig:
     allow_large: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n_start", "n_stop", "p", "q", "worker_count", "vertex_cap"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name in ("p", "q") and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if type(self.allow_large) is not bool:
+            raise ValueError(f"allow_large must be a bool, got {self.allow_large!r}")
         if self.family not in ("pq", "n11"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "pq":

@@ -391,6 +391,16 @@ def test_zfold_random(capsys):
     assert all(d["verified"] for d in docs)
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_zfold_random_refuses_a_count_below_one(capsys, count):
+    rc, out, err = _run(
+        capsys, "zfold", "random", "--vertices", "8", "--cochain-bound", "2",
+        "--count", count,
+    )
+    assert rc == 2 and out == ""
+    assert err == f"error: --count must be at least 1, got {count}\n"
+
+
 def test_unknown_flag_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["class", "info", "--nonsense", "1"])

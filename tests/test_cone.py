@@ -1,6 +1,9 @@
 """Lattice monoid machinery: Hilbert bases, interior seeds, splits."""
 
 import json
+import time
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -88,10 +91,38 @@ def test_empty_interior_is_rejected():
         ConeSpec(((1, 0), (-1, 0)))
 
 
+def test_empty_interior_is_rejected_without_a_box_search():
+    # a plane in R^3: the rank-1 minors give only (1, 0, 0) and (-1, 0, 0)
+    start = time.perf_counter()
+    with pytest.raises(EmptyInteriorError, match="empty interior"):
+        ConeSpec(((1, 0, 0), (-1, 0, 0)))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_thin_cone_is_accepted():
+    # 100 y <= x <= 101 y has no interior lattice point with |x| <= 64
+    spec = ConeSpec(((1, -100), (-1, 101)))
+    assert spec.strictly_positive_rows(spec.interior_point)
+    h = hilbert_data(spec, 101)
+    assert h.omega == ((100, 1), (101, 1))
+    assert h.omega0 == ((201, 2),)
+
+
 def test_cone_containing_a_line_is_rejected():
     # a single halfplane contains the line x = 0, so its monoid has units
     with pytest.raises(ValueError):
         hilbert_basis(ConeSpec(((1, 0),)), 4)
+    with pytest.raises(ValueError, match="contains a line"):
+        ConeSpec(((3, -5),))
+
+
+@pytest.mark.parametrize("bound", [0, -1, True, 2.5, "3", None])
+def test_search_bound_must_be_a_positive_int(bound):
+    spec = ConeSpec(SLICE_ROWS)
+    with pytest.raises(ValueError, match="not a positive integer"):
+        hilbert_basis(spec, bound)
+    with pytest.raises(ValueError, match="not a positive integer"):
+        hilbert_data(spec, bound)
 
 
 def test_hilbert_basis_of_slice_cone():
@@ -325,7 +356,8 @@ def test_hilbert_data_from_omega_rejects_malformed_generators(omega, match):
 
 
 def test_hilbert_data_from_omega_refuses_a_cone_containing_a_line():
-    # (0, -1), (0, 1), (1, 0) generate the half-plane's monoid, which has units
+    # (0, -1), (0, 1), (1, 0) generate the half-plane's monoid, which has
+    # units; ConeSpec refuses the half-plane before any generator is read
     with pytest.raises(ValueError, match="contains a line"):
         hilbert_data_from_omega(((0, -1), (0, 1), (1, 0)), ConeSpec(((1, 0),)))
 
@@ -370,6 +402,61 @@ def _level(c, x):
     return sum(a * b for a, b in zip(c, x))
 
 
+def _reference_rank(vectors):
+    """Rank over Q of a set of integer vectors, by exact elimination."""
+    rows = [[Fraction(c) for c in v] for v in vectors if any(v)]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col] / prow[col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], prow)]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_rows(draw, max_rows):
+    """1..max_rows integer vectors of one dimension 1..3, entries in [-3, 3]."""
+    dim = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(-3, 3)] * dim)
+    return tuple(draw(st.lists(row, min_size=1, max_size=max_rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors=integer_rows(6))
+def test_rank_matches_elimination(vectors):
+    assert cone_monoid._rank(vectors) == _reference_rank(vectors)
+    assert cone_monoid._rank(()) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=integer_rows(4))
+def test_cone_spec_interior_certificate_matches_a_box_scan(rows):
+    dim = len(rows[0])
+    in_box = any(
+        all(_level(row, x) > 0 for row in rows)
+        for x in product(range(-4, 5), repeat=dim)
+    )
+    try:
+        spec = ConeSpec(rows)
+    except EmptyInteriorError:
+        assert not in_box
+        return
+    except ValueError as exc:
+        assert "contains a line" in str(exc)
+        assert _reference_rank(rows) < dim
+        return
+    assert spec.strictly_positive_rows(spec.interior_point)
+    assert _reference_rank(rows) == dim
+
+
 def _coefficient_vectors(levels, budget):
     """Every k >= 0 with sum k_i levels[i] <= budget, in lexicographic order."""
     if not levels:
@@ -408,7 +495,7 @@ def pointed_cones(draw):
         side = _level(row, inner)
         assume(side != 0)
         rows.append(row if side > 0 else tuple(-r for r in row))
-    assume(cone_monoid._rational_rank(rows) == dim)  # pointed
+    assume(_reference_rank(rows) == dim)  # pointed
     spec = ConeSpec(tuple(rows))
     try:
         assume(len(hilbert_basis(spec, 4)) <= 5)

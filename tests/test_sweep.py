@@ -55,6 +55,31 @@ def test_config_validation():
         SweepConfig(family="n11", n_start=2, n_stop=3, worker_count=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_start", 2.0),
+        ("n_stop", 5.0),
+        ("n_start", True),
+        ("p", 1.0),
+        ("q", "2"),
+        ("worker_count", True),
+        ("worker_count", 1.0),
+        ("vertex_cap", 100.0),
+        ("allow_large", 1),
+        ("allow_large", None),
+    ],
+)
+def test_config_refuses_values_of_the_wrong_type(field, value):
+    family = "pq" if field in ("p", "q") else "n11"
+    kwargs = dict(family=family, n_start=2, n_stop=5)
+    if family == "pq":
+        kwargs.update(p=1, q=2)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SweepConfig(**kwargs)
+
+
 def test_config_exponents_and_size():
     cfg = SweepConfig(family="pq", p=1, q=2, n_start=2, n_stop=3)
     assert cfg.exponents() == (1, 2)
