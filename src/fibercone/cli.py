@@ -480,7 +480,9 @@ def _add_cone_args(p_cmd: argparse.ArgumentParser) -> None:
     p_cmd.add_argument(
         "--rows", required=True, help='inequality rows, e.g. "0 1; 3 -2"'
     )
-    p_cmd.add_argument("--bound", type=int, default=10, help="box search radius")
+    p_cmd.add_argument(
+        "--bound", type=int, default=10, help="largest generator coordinate accepted"
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -3,14 +3,18 @@ Lattice-point monoids of low-dimensional rational cones.
 
 A rational cone P = { x in R^m : A x >= 0 } (A an integer inequality matrix,
 m <= 3) meets the lattice in a finitely generated monoid P cap Z^m.  This
-module computes, by bounded-box brute force chosen for independent
-verifiability over generality:
+module computes, in exact integers and from the cone's own rays:
 
-  * hilbert_basis -- the irreducible monoid elements Omega inside a scanned
-    coordinate box, with an exhaustive completeness check (every monoid point
-    of the box decomposes over Omega) that reports "bound too small" instead
-    of returning an unverified set;
-  * omega0 -- the interior seed set: sums of subsets W of Omega that are not
+  * hilbert_basis -- the irreducible monoid elements Omega.  The candidates
+    are the primitive extreme rays (signed maximal minors of m - 1 rows,
+    divided by their gcd) and the lattice points of the half-open
+    fundamental parallelepipeds of a triangulation that pulls from the
+    first ray (Bruns-Koch 2001; Bruns-Ichim 2010, as in Normaliz).  They
+    generate the monoid, so the irreducible candidates are the whole
+    Hilbert basis; every candidate is recomposed over the result before it
+    is returned.  A basis with a coordinate outside the search bound's box
+    is refused (BoundTooSmallError);
+  * the interior seed set Omega_0: sums of subsets W of Omega that are not
     contained in any single facet of P.  Such a sum has strictly positive
     pairing with every facet row, so it lies in int(P), and together the
     seeds reach every interior lattice point:
@@ -35,14 +39,13 @@ set): A x > 0 is solvable iff A x >= 1 is, which on r = rank A coordinates
 has a vertex adj(S) (1, ..., 1) / det S for an invertible r x r minor S of
 A, and the cone is then pointed iff r = m.  Pointedness gives the strictly
 positive integer functional c = sum of the rows of A, whose level decreases
-along every monoid decomposition and orders the box scan.  Facets are read
-off the generators: a row cuts a facet when the generators it vanishes on
-span dimension m - 1 (a monoid point on a face decomposes over the
-generators on that face), redundant rows fail that test, and rows vanishing
-on the same generators cut the same facet and are merged.  A pointed cone
-with nonempty interior has at least m facets, so hilbert_data refuses a box
-whose basis bounds fewer.  All arithmetic is in exact integers: _det and
-_adjugate give the vertex, ranks (largest nonzero minor) and the tail solve.
+along every monoid decomposition and orders the pass over the candidates.
+Facets are read off the generators: a row cuts a facet when the generators
+it vanishes on span dimension m - 1 (a monoid point on a face decomposes
+over the generators on that face), redundant rows fail that test, and rows
+vanishing on the same generators cut the same facet and are merged.  _det
+and _adjugate give the rays, the parallelepiped coordinates, the vertex,
+ranks (largest nonzero minor) and the tail solve.
 
 hilbert_basis and decompose_interior share one coefficient search,
 which returns the lexicographically greatest nonnegative coefficient vector.
@@ -60,6 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from math import gcd
 from typing import Callable, NamedTuple, Sequence
 
 from .bounds import cone_constant
@@ -74,7 +78,6 @@ __all__ = [
     "BoundTooSmallError",
     "NoDecompositionError",
     "hilbert_basis",
-    "omega0",
     "hilbert_data",
     "hilbert_data_from_omega",
     "decompose_interior",
@@ -91,7 +94,7 @@ class EmptyInteriorError(ValueError):
 
 
 class BoundTooSmallError(ValueError):
-    """The scanned box cannot certify completeness of the generator set."""
+    """The Hilbert basis has a coordinate outside the search bound's box."""
 
 
 class NoDecompositionError(ValueError):
@@ -192,18 +195,6 @@ class ConeSpec:
     def level_form(self) -> tuple[int, ...]:
         """c = sum of rows: c . x >= 0 on P, and > 0 off 0 when P is pointed."""
         return tuple(sum(col) for col in zip(*self.rows))
-
-
-def _box_monoid_points(spec: ConeSpec, bound: int) -> list[Point]:
-    """Nonzero monoid points in [-bound, bound]^m, sorted by (level, lex)."""
-    c = spec.level_form()
-    pts = [
-        x
-        for x in product(range(-bound, bound + 1), repeat=spec.dim)
-        if any(x) and spec.contains(x)
-    ]
-    pts.sort(key=lambda x: (_dot(c, x), x))
-    return pts
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
@@ -346,32 +337,117 @@ def _solve_coefficients(
     return rec(residual, vals, 0)
 
 
-def hilbert_basis(spec: ConeSpec, search_bound: int) -> tuple[Point, ...]:
-    """Irreducible monoid elements within the box, certified complete.
+def _extreme_rays(spec: ConeSpec) -> tuple[Point, ...]:
+    """The primitive vectors of the cone's extreme rays, sorted.
 
-    One pass over the box points by increasing level of the positive
-    functional c: a point is reducible if it decomposes over the generators
-    found so far, proof of a generator outside the box (BoundTooSmallError)
-    if it is a found generator plus a monoid point, and new otherwise.  A
-    decomposition uses only generators of lower level, so none found later
-    could have decomposed an earlier point.
+    The signed maximal minors of m - 1 rows give a vector those rows vanish
+    on.  Divided by its gcd, it or its negative lies in the cone exactly
+    when it spans a 1-dimensional face, and every extreme ray is cut out by
+    some m - 1 rows of rank m - 1.
+    """
+    m = spec.dim
+    rays: set[Point] = set()
+    for sub in combinations(spec.rows, m - 1):
+        v = tuple(
+            (-1) ** j * _det([row[:j] + row[j + 1:] for row in sub])
+            for j in range(m)
+        )
+        g = gcd(*v)
+        if g:
+            v = tuple(c // g for c in v)
+            rays.update(r for r in (v, tuple(-c for c in v)) if spec.contains(r))
+    return tuple(sorted(rays))
+
+
+def _parallelepiped_points(simplex: Sequence[Point]) -> list[Point]:
+    """The |det| lattice points sum_i l_i v_i, 0 <= l_i < 1, of the rays v_i.
+
+    A point x of the parallelepiped's bounding box is kept when the
+    coordinates l = adj(V) x / det V, V the rays as columns, lie in [0, 1).
+    """
+    matrix = [[v[c] for v in simplex] for c in range(len(simplex))]
+    det = _det(matrix)
+    adj = [tuple(a if det > 0 else -a for a in row) for row in _adjugate(matrix)]
+    det = abs(det)
+    box = [
+        range(sum(min(0, x) for x in row), 1 + sum(max(0, x) for x in row))
+        for row in matrix
+    ]
+    points = [x for x in product(*box) if all(0 <= _dot(a, x) < det for a in adj)]
+    if len(points) != det:
+        raise RuntimeError(
+            f"the parallelepiped of {tuple(simplex)} holds {len(points)} lattice "
+            f"points, not |det| = {det}"
+        )
+    return points
+
+
+def _check_within(points: Sequence[Point], bound: int, what: str) -> None:
+    """BoundTooSmallError unless every point lies in [-bound, bound]^m."""
+    for x in points:
+        if max(abs(c) for c in x) > bound:
+            raise BoundTooSmallError(
+                f"{what} {x} has a coordinate outside [-{bound}, {bound}]; "
+                "bound too small"
+            )
+
+
+def hilbert_basis(spec: ConeSpec, search_bound: int) -> tuple[Point, ...]:
+    """The Hilbert basis of the cone's lattice monoid, sorted.
+
+    The candidates are the primitive extreme rays and the lattice points of
+    the half-open fundamental parallelepipeds of a triangulation: pulling
+    from the first ray, which is joined to each facet not containing it
+    (a facet row is tight on exactly m - 1 rays).  By Caratheodory every
+    monoid point lies in one simplicial cone, where it is a parallelepiped
+    point plus a nonnegative integer combination of the rays, so the
+    candidates generate the monoid.  One pass by increasing level of the
+    positive functional c keeps the candidates that do not decompose over
+    the generators kept so far: a decomposition uses only points of lower
+    level, so the irreducible candidates are kept and no others.  Before
+    returning, every ray must be a generator and every candidate recompose
+    from its coefficients over the result, else RuntimeError.
+
+    A basis with a coordinate outside [-search_bound, search_bound] raises
+    BoundTooSmallError; the rays are checked first, which bounds the
+    parallelepipeds scanned.
     """
     if type(search_bound) is not int or search_bound < 1:
         raise ValueError(f"search bound {search_bound!r} is not a positive integer")
+    rays = _extreme_rays(spec)
+    _check_within(rays, search_bound, "extreme ray")
+    m = spec.dim
+    facets = set()
+    for row in spec.rows:
+        tight = tuple(r for r in rays if _dot(row, r) == 0)
+        if len(tight) == m - 1 and rays[0] not in tight:
+            facets.add(tight)
+    candidates = set(rays)
+    for tight in facets:
+        candidates.update(
+            x for x in _parallelepiped_points((rays[0],) + tight) if any(x)
+        )
+    c = spec.level_form()
     omega: list[Point] = []
     plan, memo = _coefficient_plan(omega, spec), set()
-    for x in _box_monoid_points(spec, search_bound):
-        if _solve_coefficients(x, plan, memo) is not None:
-            continue
-        for v in omega:
-            if spec.contains(tuple(a - b for a, b in zip(x, v))):
-                raise BoundTooSmallError(
-                    f"box point {x} does not decompose over the {len(omega)} "
-                    f"generators found so far; bound too small"
-                )
-        omega.append(x)
-        omega.sort()
-        plan, memo = _coefficient_plan(omega, spec), set()
+    for x in sorted(candidates, key=lambda x: (_dot(c, x), x)):
+        if _solve_coefficients(x, plan, memo) is None:
+            omega.append(x)
+            omega.sort()
+            plan, memo = _coefficient_plan(omega, spec), set()
+    for x in sorted(candidates):
+        ks = _solve_coefficients(x, plan, memo)
+        if (
+            ks is None
+            or any(k < 0 for k in ks)
+            or tuple(sum(k * b[i] for k, b in zip(ks, omega)) for i in range(m)) != x
+            or (x in rays and x not in omega)
+        ):
+            raise RuntimeError(
+                f"Hilbert basis candidate {x} failed re-verification over "
+                f"the {len(omega)} generators kept"
+            )
+    _check_within(omega, search_bound, "generator")
     return tuple(omega)
 
 
@@ -398,16 +474,6 @@ class HilbertData:
         if not self.cone.contains(x):
             return False
         return all(_dot(self.cone.rows[r], x) > 0 for r in self.facet_row_indices)
-
-
-def omega0(omega: Sequence[Point], spec: ConeSpec) -> tuple[Point, ...]:
-    """Sums of subsets of omega not contained in any single facet.
-
-    A subset W lies in a facet exactly when some facet row annihilates all of
-    W; the sums of the remaining subsets pair strictly positively with every
-    facet row, hence are interior.  The result is deduplicated and sorted.
-    """
-    return hilbert_data_from_omega(omega, spec).omega0
 
 
 def hilbert_data_from_omega(omega: Sequence[Point], spec: ConeSpec) -> HilbertData:
@@ -456,19 +522,11 @@ def hilbert_data_from_omega(omega: Sequence[Point], spec: ConeSpec) -> HilbertDa
 
 
 def hilbert_data(spec: ConeSpec, search_bound: int) -> HilbertData:
-    """hilbert_basis and omega0 packaged with the facet bookkeeping.
+    """hilbert_basis packaged with its interior seeds and facets.
 
-    Raises BoundTooSmallError when the basis found bounds fewer than m
-    facets: the box has not seen the generators of some facet.
+    Raises BoundTooSmallError as hilbert_basis does.
     """
-    data = hilbert_data_from_omega(hilbert_basis(spec, search_bound), spec)
-    if len(data.facet_row_indices) < spec.dim:
-        raise BoundTooSmallError(
-            f"the {len(data.omega)} generators found bound "
-            f"{len(data.facet_row_indices)} facet(s) of a {spec.dim}-dimensional "
-            f"cone, which has at least {spec.dim}; bound too small"
-        )
-    return data
+    return hilbert_data_from_omega(hilbert_basis(spec, search_bound), spec)
 
 
 @dataclass(frozen=True)

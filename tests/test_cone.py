@@ -23,7 +23,6 @@ from fibercone import (
     hilbert_data,
     hilbert_data_from_omega,
     l1_norm,
-    omega0,
     thurston_form,
 )
 
@@ -32,7 +31,8 @@ SLICE_ROWS = ((0, 1), (3, -2))
 # the fibered cone of the magic manifold: x, y > 0 and x, y > z on the interior
 MAGIC_ROWS = ((1, 0, 0), (0, 1, 0), (1, 0, -1), (0, 1, -1))
 # hilbert_data of the two cones above and of 40 small seeded cones at bounds
-# 3..6, each with at least dim facet rows
+# 3..6, each with at least dim facet rows; entries 7, 13, 24, 26 and 38 were
+# once pinned, incomplete, at the bounds in INCOMPLETE_AT_OLD_BOUND
 HILBERT_GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "hilbert_data.json").read_text()
 )
@@ -197,29 +197,60 @@ def test_hilbert_data_matches_golden(case):
     assert list(h.facet_row_indices) == case["facet_row_indices"]
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        ((-1, 1, -2), (1, 1, 2), (1, 2, 0), (-1, -1, 0)),
-        ((0, -1, 2), (2, -2, 1), (2, 1, 1), (1, 1, -2), (1, 1, -2)),
-        ((-2, -2, 0), (2, -1, -1), (-1, 2, 0), (-2, 2, 1)),
-    ],
-)
-def test_hilbert_data_refuses_a_basis_bounding_too_few_facets(rows):
-    # at bound 3 the box misses generators, and the basis it certifies
-    # bounds fewer than 3 facets of these 3-dimensional cones
+# rows and a bound too small for five golden entries above: each box misses
+# a primitive extreme ray, and a box scan certified a basis without it there
+INCOMPLETE_AT_OLD_BOUND = [
+    (((0, 1, -2), (1, 2, 1), (2, 1, 1)), 4),
+    (((-2, -2, 2), (2, 0, 0), (-1, -2, 1), (2, 1, 1), (2, -1, -1)), 4),
+    (((-2, -2, 0), (2, -2, -1), (0, 0, 2), (0, -1, 1), (-2, -2, -2)), 3),
+    (((1, 0, 2), (0, -1, 2), (-1, 2, -1), (1, 2, 2)), 4),
+    (((-2, -2, 2), (-1, 1, -1), (1, 2, -1), (0, 2, 2), (-2, 1, -2)), 3),
+]
+
+
+@pytest.mark.parametrize("rows, bound", INCOMPLETE_AT_OLD_BOUND)
+def test_golden_cones_are_refused_at_their_old_bound(rows, bound):
     spec = ConeSpec(rows)
-    with pytest.raises(BoundTooSmallError, match="facet"):
+    with pytest.raises(BoundTooSmallError, match="extreme ray"):
+        hilbert_data(spec, bound)
+    (case,) = [c for c in HILBERT_GOLDEN if c["rows"] == [list(r) for r in rows]]
+    assert case["bound"] > bound
+
+
+@pytest.mark.parametrize(
+    "rows, bound",
+    [
+        (((-1, 1, -2), (1, 1, 2), (1, 2, 0), (-1, -1, 0)), 4),
+        (((0, -1, 2), (2, -2, 1), (2, 1, 1), (1, 1, -2), (1, 1, -2)), 5),
+        (((-2, -2, 0), (2, -1, -1), (-1, 2, 0), (-2, 2, 1)), 4),
+    ],
+    ids=["rows0", "rows1", "rows2"],
+)
+def test_hilbert_data_refuses_a_basis_bounding_too_few_facets(rows, bound):
+    # each cone has an extreme ray outside the box of radius 3, without which
+    # a basis bounds fewer than 3 facets; the middle cone's rays (3, -5, -1)
+    # and (3, 5, 4) also lie outside radius 4
+    spec = ConeSpec(rows)
+    with pytest.raises(BoundTooSmallError, match="bound too small"):
         hilbert_data(spec, 3)
-    h = hilbert_data(spec, 4)
+    h = hilbert_data(spec, bound)
     assert len(h.facet_row_indices) >= 3
-    assert omega0(h.omega, spec) == h.omega0
+    assert hilbert_data_from_omega(h.omega, spec).omega0 == h.omega0
 
 
-def test_omega0_function_matches_hilbert_data():
-    spec = ConeSpec(MAGIC_ROWS)
-    h = hilbert_data(spec, 6)
-    assert omega0(h.omega, spec) == h.omega0
+def test_magic_cone_at_a_large_bound():
+    # the rays bound the work, not the (2 * 1000 + 1)^3 box
+    h = hilbert_data(ConeSpec(MAGIC_ROWS), 1000)
+    assert h.omega == ((0, 0, -1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
+
+
+def test_thin_cone_with_a_ray_beyond_the_bound_is_refused_quickly():
+    # 100 y <= x <= 101 y, z >= 0 has the extreme ray (101, 1, 0)
+    spec = ConeSpec(((1, -100, 0), (-1, 101, 0), (0, 0, 1)))
+    start = time.perf_counter()
+    with pytest.raises(BoundTooSmallError, match=r"\(101, 1, 0\)"):
+        hilbert_basis(spec, 100)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_every_seed_is_interior():
@@ -394,7 +425,7 @@ def test_corrupted_tail_solve_fails_re_verification(monkeypatch):
 
 def test_completeness_pass_runs_the_tail_solve(monkeypatch):
     monkeypatch.setattr(cone_monoid, "_solve_tail", lambda plan, res: None)
-    with pytest.raises(BoundTooSmallError, match="does not decompose"):
+    with pytest.raises(RuntimeError, match="re-verification"):
         hilbert_basis(ConeSpec(MAGIC_ROWS), 6)
 
 
@@ -485,8 +516,8 @@ def _brute_force_coefficients(residual, h):
 
 
 @st.composite
-def pointed_cones(draw):
-    """hilbert_data of a random pointed cone of dimension 1..3 with interior."""
+def pointed_cone_specs(draw):
+    """A random pointed cone of dimension 1..3 with interior."""
     dim = draw(st.integers(1, 3))
     inner = draw(st.tuples(*[st.integers(-2, 2)] * dim).filter(any))
     rows = []
@@ -496,12 +527,69 @@ def pointed_cones(draw):
         assume(side != 0)
         rows.append(row if side > 0 else tuple(-r for r in row))
     assume(_reference_rank(rows) == dim)  # pointed
-    spec = ConeSpec(tuple(rows))
+    return ConeSpec(tuple(rows))
+
+
+@st.composite
+def pointed_cones(draw):
+    """hilbert_data of a random pointed cone with at most 5 generators."""
+    spec = draw(pointed_cone_specs())
     try:
         assume(len(hilbert_basis(spec, 4)) <= 5)
         return hilbert_data(spec, 4)
     except BoundTooSmallError:
         assume(False)
+
+
+def _reference_hilbert_basis(spec, bound):
+    """The irreducible monoid points of the box [-bound, bound]^m.
+
+    One pass over the box by increasing level: a point that decomposes over
+    the generators found so far is reducible, a found generator plus a cone
+    point proves a generator outside the box, and any other point is new.
+    """
+    c = spec.level_form()
+    box = [
+        x
+        for x in product(range(-bound, bound + 1), repeat=spec.dim)
+        if any(x) and spec.contains(x)
+    ]
+    omega = []
+    plan = cone_monoid._coefficient_plan(omega, spec)
+    for x in sorted(box, key=lambda x: (_level(c, x), x)):
+        if cone_monoid._solve_coefficients(x, plan, set()) is not None:
+            continue
+        for v in omega:
+            if spec.contains(tuple(a - b for a, b in zip(x, v))):
+                raise BoundTooSmallError(f"{x} is {v} plus a cone point")
+        omega = sorted(omega + [x])
+        plan = cone_monoid._coefficient_plan(omega, spec)
+    return tuple(omega)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=pointed_cone_specs())
+def test_hilbert_basis_matches_a_box_scan(spec):
+    omega = hilbert_basis(spec, 10**6)
+    bound = max(abs(c) for b in omega for c in b)
+    assert hilbert_basis(spec, bound) == omega
+    assert _reference_hilbert_basis(spec, bound) == omega
+    if bound > 1:
+        with pytest.raises(BoundTooSmallError, match="bound too small"):
+            hilbert_basis(spec, bound - 1)
+    # a generator on an extreme ray is its primitive vector, and every
+    # extreme ray is cut by rows of rank m - 1
+    on_rays = {
+        b
+        for b in omega
+        if _reference_rank([r for r in spec.rows if _level(r, b) == 0])
+        == spec.dim - 1
+    }
+    assert set(cone_monoid._extreme_rays(spec)) == on_rays
+    # a pointed cone of dimension <= 3 has as many extreme rays as facets
+    on_rows = {frozenset(b for b in omega if _level(r, b) == 0) for r in spec.rows}
+    facets = [f for f in on_rows if _reference_rank(list(f)) == spec.dim - 1]
+    assert len(on_rays) == len(facets)
 
 
 @settings(max_examples=150, deadline=None)
