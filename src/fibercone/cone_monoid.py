@@ -19,7 +19,13 @@ module computes, in exact integers and from the cone's own rays:
     pairing with every facet row, so it lies in int(P), and together the
     seeds reach every interior lattice point:
 
-        int(P) cap Z^m = { a + sum_b k_b b : a in Omega_0, k_b >= 0 };
+        int(P) cap Z^m = { a + sum_b k_b b : a in Omega_0, k_b >= 0 }.
+
+    W lies in a facet exactly when its sum pairs to zero with that facet's
+    row, so Omega_0 is the set of distinct nonempty subset sums that are
+    strictly positive on every facet row.  The sums are built one generator
+    at a time, S <- S u (S + b) u {b}, never enumerating the 2^|Omega|
+    subsets themselves;
 
   * decompose_interior -- that equality realized for a given interior
     point: the first seed (in sorted order) for which the residual point - a
@@ -49,11 +55,16 @@ ranks (largest nonzero minor) and the tail solve.
 
 hilbert_basis and decompose_interior share one coefficient search,
 which returns the lexicographically greatest nonnegative coefficient vector.
-It goes depth-first over the generators, largest coefficient first, and
-never leaves the cone: residual and generator both lie in it, so the k with
-row . (res - k b) >= 0 on every row form the interval from 0 to the least
-row . res // row . b over the rows with row . b > 0, read off the residual's
-row values.  The longest linearly independent suffix of Omega is not
+It goes depth-first over the generators, largest coefficient first, on an
+explicit stack (one entry per searched generator, so no recursion limit),
+and never leaves the cone: residual and generator both lie in it, so the k
+with row . (res - k b) >= 0 on every row form the interval from 0 to the
+least row . res // row . b over the rows with row . b > 0, read off the
+residual's row values.  Those values come from the caller: decompose_interior
+computes the point's row values once, uses them for the interior test, and
+takes each seed's residual values as row . p - row . a from the seed row
+values HilbertData stores, so a seed with a negative value is skipped before
+any search.  The longest linearly independent suffix of Omega is not
 searched: an invertible square minor of it, kept as integer adjugate and
 determinant, gives its unique coefficients by one exact division each, and
 recomposing the residual in integers confirms them.
@@ -64,6 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import gcd
+from operator import add, mul
 from typing import Callable, NamedTuple, Sequence
 
 from .bounds import cone_constant
@@ -113,7 +125,12 @@ def thurston_form(point: Point) -> int:
 
 
 def _dot(row: Sequence[int], x: Point) -> int:
-    return sum(r * c for r, c in zip(row, x))
+    return sum(map(mul, row, x))
+
+
+def _row_values(rows: Sequence[Sequence[int]], x: Point) -> tuple[int, ...]:
+    """(row . x for each row): x lies in the cone iff none is negative."""
+    return tuple([_dot(row, x) for row in rows])
 
 
 def _lattice_point(x: Sequence[int], dim: int, what: str) -> Point:
@@ -233,15 +250,18 @@ def _rank(vectors: Sequence[Sequence[int]]) -> int:
 class _CoefficientPlan(NamedTuple):
     """What the coefficient search needs of a generator sequence.
 
-    pairings[i][r] is rows[r] . omega[i].  omega[tail:] is the longest
-    linearly independent suffix; on the coordinates minor_coords it has an
-    invertible square minor S, stored as adj(S) and det(S).
+    pairings[i][r] is rows[r] . omega[i], and columns[c][i] is omega[i][c].
+    omega[tail:] is the longest linearly independent suffix, with columns
+    tail_columns; on the coordinates minor_coords it has an invertible
+    square minor S, stored as adj(S) and det(S).
     """
 
     omega: tuple[Point, ...]
     rows: tuple[tuple[int, ...], ...]
     pairings: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
     tail: int
+    tail_columns: tuple[tuple[int, ...], ...]
     minor_coords: tuple[int, ...]
     adjugate: tuple[tuple[int, ...], ...]
     det: int
@@ -259,11 +279,14 @@ def _coefficient_plan(omega: Sequence[Point], spec: ConeSpec) -> _CoefficientPla
         det = _det(minor)
         if det:
             break
+    columns = tuple(tuple(b[c] for b in omega) for c in range(spec.dim))
     return _CoefficientPlan(
         omega,
         spec.rows,
-        tuple(tuple(_dot(row, b) for row in spec.rows) for b in omega),
+        tuple(_row_values(spec.rows, b) for b in omega),
+        columns,
         tail,
+        tuple(col[tail:] for col in columns),
         coords,
         _adjugate(minor),
         det,
@@ -277,64 +300,74 @@ def _solve_tail(plan: _CoefficientPlan, res: Point) -> list[int] | None:
     gives it, and recomposing res in integers confirms it on every
     coordinate.
     """
+    on_minor = [res[c] for c in plan.minor_coords]
+    det = plan.det
     ks = []
     for adj_row in plan.adjugate:
-        q, r = divmod(
-            sum(a * res[c] for a, c in zip(adj_row, plan.minor_coords)), plan.det
-        )
+        q, r = divmod(sum(map(mul, adj_row, on_minor)), det)
         if r or q < 0:
             return None
         ks.append(q)
-    cols = plan.omega[plan.tail:]
-    for c, x in enumerate(res):
-        if sum(k * b[c] for k, b in zip(ks, cols)) != x:
+    for x, col in zip(res, plan.tail_columns):
+        if sum(map(mul, ks, col)) != x:
             return None
     return ks
 
 
 def _solve_coefficients(
-    residual: Point, plan: _CoefficientPlan, memo: set[tuple[Point, int]]
+    residual: Point,
+    values: tuple[int, ...],
+    plan: _CoefficientPlan,
+    memo: set[tuple[Point, int]],
 ) -> list[int] | None:
     """The lexicographically greatest k >= 0 with residual = sum k_b b, or None.
 
-    Depth-first over omega[:tail], largest coefficient first.  The residual
-    and each generator lie in the cone, so row . (res - k b) >= 0 bounds k
-    only from above, by row . res // row . b over the rows pairing
-    positively with b (0 if there is none): every k from that bound down to
-    0 keeps the residual in the cone.  At depth tail the independent suffix
-    is solved exactly.  Failed (residual, depth) pairs are memoized.
+    values are the residual's row values, rows[r] . residual.  Depth-first
+    over omega[:tail], largest coefficient first, on an explicit stack.
+    The residual and each generator lie in the cone, so row . (res - k b)
+    >= 0 bounds k only from above, by row . res // row . b over the rows
+    pairing positively with b (0 if there is none): every k from that
+    bound down to 0 keeps the residual in the cone.  A residual outside the
+    cone has no such k and fails.  At depth tail the independent suffix is
+    solved exactly.  Failed (residual, depth) pairs are memoized.
     """
     omega, pairings, tail = plan.omega, plan.pairings, plan.tail
-
-    def rec(res: Point, vals: tuple[int, ...], idx: int) -> list[int] | None:
+    # stack[d] = (res - k b, its row values, k) for the residual res at
+    # depth d, b = omega[d] and the coefficient k tried there
+    stack: list[tuple[Point, tuple[int, ...], int]] = []
+    res, vals = residual, values
+    while True:
+        depth = len(stack)
         if not any(res):
-            return [0] * (len(omega) - idx)
-        key = (res, idx)
-        if key in memo:
-            return None
-        found = None
-        if idx == tail:
-            found = _solve_tail(plan, res)
-        else:
-            b, bvals = omega[idx], pairings[idx]
-            kmax = min((v // p for v, p in zip(vals, bvals) if p > 0), default=0)
-            for k in range(kmax, -1, -1):
-                sub = rec(
-                    tuple(r - k * x for r, x in zip(res, b)),
-                    tuple(v - k * p for v, p in zip(vals, bvals)),
-                    idx + 1,
-                )
-                if sub is not None:
-                    found = [k] + sub
-                    break
-        if found is None:
+            return [k for _, _, k in stack] + [0] * (len(omega) - depth)
+        key = (res, depth)
+        if key not in memo:
+            if depth == tail:
+                ks = _solve_tail(plan, res)
+                if ks is not None:
+                    return [k for _, _, k in stack] + ks
+            else:
+                b, bvals = omega[depth], pairings[depth]
+                k = min([v // p for v, p in zip(vals, bvals) if p > 0], default=0)
+                if k >= 0:
+                    if k:
+                        res = tuple([r - k * x for r, x in zip(res, b)])
+                        vals = tuple([v - k * p for v, p in zip(vals, bvals)])
+                    stack.append((res, vals, k))
+                    continue
             memo.add(key)
-        return found
-
-    vals = tuple(_dot(row, residual) for row in plan.rows)
-    if min(vals) < 0:
-        return None
-    return rec(residual, vals, 0)
+        # backtrack to the deepest residual with a smaller k left to try
+        while True:
+            if not stack:
+                return None
+            res, vals, k = stack.pop()
+            depth = len(stack)
+            if k:
+                res = tuple(map(add, res, omega[depth]))
+                vals = tuple(map(add, vals, pairings[depth]))
+                stack.append((res, vals, k - 1))
+                break
+            memo.add((res, depth))
 
 
 def _extreme_rays(spec: ConeSpec) -> tuple[Point, ...]:
@@ -431,16 +464,16 @@ def hilbert_basis(spec: ConeSpec, search_bound: int) -> tuple[Point, ...]:
     omega: list[Point] = []
     plan, memo = _coefficient_plan(omega, spec), set()
     for x in sorted(candidates, key=lambda x: (_dot(c, x), x)):
-        if _solve_coefficients(x, plan, memo) is None:
+        if _solve_coefficients(x, _row_values(spec.rows, x), plan, memo) is None:
             omega.append(x)
             omega.sort()
             plan, memo = _coefficient_plan(omega, spec), set()
     for x in sorted(candidates):
-        ks = _solve_coefficients(x, plan, memo)
+        ks = _solve_coefficients(x, _row_values(spec.rows, x), plan, memo)
         if (
             ks is None
             or any(k < 0 for k in ks)
-            or tuple(sum(k * b[i] for k, b in zip(ks, omega)) for i in range(m)) != x
+            or tuple(sum(map(mul, ks, col)) for col in plan.columns) != x
             or (x in rays and x not in omega)
         ):
             raise RuntimeError(
@@ -457,6 +490,7 @@ class HilbertData:
 
     facets[f] is the set of omega indices lying on the f-th facet, and
     facet_row_indices[f] the index into cone.rows of a row cutting it.
+    seed_values[j] are the row values of omega0[j].
     """
 
     cone: ConeSpec
@@ -465,15 +499,25 @@ class HilbertData:
     facets: tuple[frozenset[int], ...]
     facet_row_indices: tuple[int, ...]
     plan: _CoefficientPlan = field(init=False, compare=False, repr=False)
+    seed_values: tuple[tuple[int, ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "plan", _coefficient_plan(self.omega, self.cone))
+        object.__setattr__(
+            self,
+            "seed_values",
+            tuple(_row_values(self.cone.rows, a) for a in self.omega0),
+        )
 
     def is_interior(self, x: Point) -> bool:
         """x in int(P): nonnegative on all rows, strict on every facet row."""
-        if not self.cone.contains(x):
-            return False
-        return all(_dot(self.cone.rows[r], x) > 0 for r in self.facet_row_indices)
+        return self._interior_values(_row_values(self.cone.rows, x))
+
+    def _interior_values(self, values: tuple[int, ...]) -> bool:
+        """is_interior read off a point's row values."""
+        return min(values) >= 0 and all(values[r] > 0 for r in self.facet_row_indices)
 
 
 def hilbert_data_from_omega(omega: Sequence[Point], spec: ConeSpec) -> HilbertData:
@@ -492,8 +536,6 @@ def hilbert_data_from_omega(omega: Sequence[Point], spec: ConeSpec) -> HilbertDa
     for b in omega:
         if not any(b) or not spec.contains(b):
             raise ValueError(f"generator {b} is not a nonzero point of the cone")
-    if len(omega) > 20:
-        raise ValueError("subset enumeration over more than 20 generators refused")
     facets: list[frozenset[int]] = []
     facet_rows: list[int] = []
     for ridx, row in enumerate(spec.rows):
@@ -503,18 +545,15 @@ def hilbert_data_from_omega(omega: Sequence[Point], spec: ConeSpec) -> HilbertDa
         if _rank([omega[i] for i in on_row]) == spec.dim - 1:
             facets.append(on_row)
             facet_rows.append(ridx)
+    # W lies in the facet cut by row exactly when row . sum(W) = 0, so the
+    # seeds are read off the distinct subset sums, not the subsets
     sums: set[Point] = set()
-    for mask in range(1, 1 << len(omega)):
-        members = frozenset(i for i in range(len(omega)) if mask >> i & 1)
-        if any(members <= facet for facet in facets):
-            continue
-        total = tuple(
-            sum(omega[i][c] for i in members) for c in range(spec.dim)
-        )
-        sums.add(total)
-    data = HilbertData(
-        spec, omega, tuple(sorted(sums)), tuple(facets), tuple(facet_rows)
-    )
+    for b in omega:
+        sums |= {tuple(map(add, s, b)) for s in sums}
+        sums.add(b)
+    cuts = [spec.rows[r] for r in facet_rows]
+    seeds = sorted(s for s in sums if all(_dot(row, s) > 0 for row in cuts))
+    data = HilbertData(spec, omega, tuple(seeds), tuple(facets), tuple(facet_rows))
     for a in data.omega0:
         if not data.is_interior(a):
             raise RuntimeError(f"seed {a} is not interior; facet analysis is wrong")
@@ -546,17 +585,21 @@ def decompose_interior(point: Point, h: HilbertData) -> InteriorDecomposition:
     complete.  point must have cone.dim integer entries, else ValueError.
     """
     point = _lattice_point(point, h.cone.dim, "point")
-    if not h.is_interior(point):
+    values = _row_values(h.cone.rows, point)
+    if not h._interior_values(values):
         raise ValueError(f"{point} is not an interior lattice point of the cone")
+    plan = h.plan
     memo: set[tuple[Point, int]] = set()
-    for a in h.omega0:
-        residual = tuple(p - s for p, s in zip(point, a))
-        coeffs = _solve_coefficients(residual, h.plan, memo)
+    for a, seed_values in zip(h.omega0, h.seed_values):
+        residual_values = tuple([v - s for v, s in zip(values, seed_values)])
+        if min(residual_values) < 0:
+            continue
+        residual = tuple([p - s for p, s in zip(point, a)])
+        coeffs = _solve_coefficients(residual, residual_values, plan, memo)
         if coeffs is None:
             continue
         recomposed = tuple(
-            s + sum(k * b[c] for k, b in zip(coeffs, h.omega))
-            for c, s in enumerate(a)
+            [s + sum(map(mul, coeffs, col)) for s, col in zip(a, plan.columns)]
         )
         if recomposed != point or any(k < 0 for k in coeffs):
             raise RuntimeError(f"decomposition of {point} failed re-verification")

@@ -1,6 +1,7 @@
 """Lattice monoid machinery: Hilbert bases, interior seeds, splits."""
 
 import json
+import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -195,6 +196,7 @@ def test_hilbert_data_matches_golden(case):
     assert [list(p) for p in h.omega0] == case["omega0"]
     assert [sorted(f) for f in h.facets] == case["facets"]
     assert list(h.facet_row_indices) == case["facet_row_indices"]
+    assert h.seed_values == tuple(_row_values(h.cone.rows, a) for a in h.omega0)
 
 
 # rows and a bound too small for five golden entries above: each box misses
@@ -301,6 +303,20 @@ def test_incomplete_generator_set_raises():
         decompose_interior((1, 1), h)
 
 
+# a cone whose complete Hilbert basis has 25 generators and coordinates <= 6
+WIDE_ROWS = ((-1, -2, 2), (1, -2, 2), (0, -2, -1), (-1, -2, 1))
+
+
+def test_seeds_of_a_25_generator_cone():
+    h = hilbert_data(ConeSpec(WIDE_ROWS), 8)
+    assert len(h.omega) == 25
+    assert len(h.omega0) == 10208
+    d = decompose_interior((0, -7, 2), h)
+    assert d.seed == (-8, -3, 2)
+    assert h.omega[19] == (2, -1, 0)
+    assert d.coefficients == (0,) * 19 + (4,) + (0,) * 5
+
+
 def test_arithmetic_split_pin():
     h = hilbert_data(ConeSpec(MAGIC_ROWS), 6)
     s = arithmetic_split((7, 9, 2), h, thurston_form)
@@ -393,6 +409,16 @@ def test_hilbert_data_from_omega_refuses_a_cone_containing_a_line():
         hilbert_data_from_omega(((0, -1), (0, 1), (1, 0)), ConeSpec(((1, 0),)))
 
 
+def test_coefficient_search_goes_deeper_than_the_recursion_limit():
+    # (1, 1) takes none of the 1200 searched generators (2 + i, 1), each of
+    # which has the only feasible coefficient 0, and then (1, 0) + (0, 1)
+    omega = [(2 + i, 1) for i in range(1200)] + [(1, 0), (0, 1)]
+    plan = cone_monoid._coefficient_plan(omega, QUADRANT)
+    assert plan.tail == 1200 > sys.getrecursionlimit()
+    found = cone_monoid._solve_coefficients((1, 1), (1, 1), plan, set())
+    assert found == [0] * 1200 + [1, 1]
+
+
 def test_coefficient_plan_and_tail_solve():
     h = hilbert_data(ConeSpec(MAGIC_ROWS), 6)
     assert h == hilbert_data(ConeSpec(MAGIC_ROWS), 6)
@@ -431,6 +457,10 @@ def test_completeness_pass_runs_the_tail_solve(monkeypatch):
 
 def _level(c, x):
     return sum(a * b for a, b in zip(c, x))
+
+
+def _row_values(rows, x):
+    return tuple(_level(row, x) for row in rows)
 
 
 def _reference_rank(vectors):
@@ -557,7 +587,8 @@ def _reference_hilbert_basis(spec, bound):
     omega = []
     plan = cone_monoid._coefficient_plan(omega, spec)
     for x in sorted(box, key=lambda x: (_level(c, x), x)):
-        if cone_monoid._solve_coefficients(x, plan, set()) is not None:
+        values = _row_values(spec.rows, x)
+        if cone_monoid._solve_coefficients(x, values, plan, set()) is not None:
             continue
         for v in omega:
             if spec.contains(tuple(a - b for a, b in zip(x, v))):
@@ -615,7 +646,9 @@ def test_decompose_interior_matches_brute_force(h, data):
     for seed in hv.omega0:
         residual = tuple(p - s for p, s in zip(point, seed))
         ks = _brute_force_coefficients(residual, hv)
-        found = cone_monoid._solve_coefficients(residual, hv.plan, set())
+        found = cone_monoid._solve_coefficients(
+            residual, _row_values(hv.cone.rows, residual), hv.plan, set()
+        )
         assert found == (None if ks is None else list(ks))
         if expected is None and ks is not None:
             expected = (seed, ks)
@@ -625,3 +658,94 @@ def test_decompose_interior_matches_brute_force(h, data):
     else:
         d = decompose_interior(point, hv)
         assert (d.seed, d.coefficients) == expected
+
+
+def _recursive_solve_coefficients(residual, plan, memo):
+    """The coefficient search as recursion, one frame per searched generator.
+
+    The reference for the explicit-stack search: same order, same memo of
+    failed (residual, depth) pairs, same lexicographically greatest result.
+    """
+    omega, pairings, tail = plan.omega, plan.pairings, plan.tail
+
+    def rec(res, vals, idx):
+        if not any(res):
+            return [0] * (len(omega) - idx)
+        key = (res, idx)
+        if key in memo:
+            return None
+        found = None
+        if idx == tail:
+            found = cone_monoid._solve_tail(plan, res)
+        else:
+            b, bvals = omega[idx], pairings[idx]
+            kmax = min((v // p for v, p in zip(vals, bvals) if p > 0), default=0)
+            for k in range(kmax, -1, -1):
+                sub = rec(
+                    tuple(r - k * x for r, x in zip(res, b)),
+                    tuple(v - k * p for v, p in zip(vals, bvals)),
+                    idx + 1,
+                )
+                if sub is not None:
+                    found = [k] + sub
+                    break
+        if found is None:
+            memo.add(key)
+        return found
+
+    vals = _row_values(plan.rows, residual)
+    if min(vals) < 0:
+        return None
+    return rec(residual, vals, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=pointed_cones(), data=st.data())
+def test_stack_search_matches_the_recursive_search(h, data):
+    omega = h.omega
+    if data.draw(st.booleans()):
+        # a parallel generator, which can end the independent suffix early
+        omega += (tuple(2 * x for x in data.draw(st.sampled_from(omega))),)
+    plan = cone_monoid._coefficient_plan(omega, h.cone)
+    # generator combinations, some moved off the monoid or out of the cone
+    residuals = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        point = [0] * h.cone.dim
+        for b in omega:
+            k = data.draw(st.integers(0, 3))
+            point = [p + k * x for p, x in zip(point, b)]
+        shift = data.draw(st.tuples(*[st.integers(-1, 1)] * h.cone.dim))
+        residuals.append(tuple(p + s for p, s in zip(point, shift)))
+    # one memo per route, shared across residuals as decompose_interior does
+    memo, reference_memo = set(), set()
+    for residual in residuals:
+        values = _row_values(h.cone.rows, residual)
+        assert cone_monoid._solve_coefficients(
+            residual, values, plan, memo
+        ) == _recursive_solve_coefficients(residual, plan, reference_memo)
+
+
+def _reference_seeds(omega, facets, dim):
+    """The sums of the nonempty subsets of omega in no facet: all 2^|omega|."""
+    sums = set()
+    for mask in range(1, 1 << len(omega)):
+        members = frozenset(i for i in range(len(omega)) if mask >> i & 1)
+        if any(members <= facet for facet in facets):
+            continue
+        sums.add(tuple(sum(omega[i][c] for i in members) for c in range(dim)))
+    return tuple(sorted(sums))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=pointed_cone_specs(), data=st.data())
+def test_subset_sum_seeds_match_the_subset_enumeration(spec, data):
+    omega = hilbert_basis(spec, 10**6)
+    assume(len(omega) <= 12)
+    # non-minimal generators: sums of two basis elements, up to |omega| = 12
+    pairs = data.draw(
+        st.lists(st.tuples(st.sampled_from(omega), st.sampled_from(omega)),
+                 max_size=12 - len(omega))
+    )
+    extra = {tuple(x + y for x, y in zip(b, c)) for b, c in pairs}
+    h = hilbert_data_from_omega(omega + tuple(extra - set(omega)), spec)
+    assert h.omega0 == _reference_seeds(h.omega, h.facets, spec.dim)
