@@ -10,10 +10,11 @@ module computes, in exact integers and from the cone's own rays:
     divided by their gcd) and the lattice points of the half-open
     fundamental parallelepipeds of a triangulation that pulls from the
     first ray (Bruns-Koch 2001; Bruns-Ichim 2010, as in Normaliz).  They
-    generate the monoid, so the irreducible candidates are the whole
-    Hilbert basis; every candidate is recomposed over the result before it
-    is returned.  A basis with a coordinate outside the search bound's box
-    is refused (BoundTooSmallError);
+    generate the monoid, so they contain every irreducible element, and a
+    candidate is irreducible exactly when no other candidate lies below it
+    (x - y in the cone).  Every candidate is peeled down to 0 over the
+    result before it is returned.  A basis with a coordinate outside the
+    search bound's box is refused (BoundTooSmallError);
   * the interior seed set Omega_0: sums of subsets W of Omega that are not
     contained in any single facet of P.  Such a sum has strictly positive
     pairing with every facet row, so it lies in int(P), and together the
@@ -43,23 +44,21 @@ ConeSpec certifies exactly that the cone has interior and is pointed (a cone
 containing a line has units in its monoid and no irreducible generating
 set): A x > 0 is solvable iff A x >= 1 is, which on r = rank A coordinates
 has a vertex adj(S) (1, ..., 1) / det S for an invertible r x r minor S of
-A, and the cone is then pointed iff r = m.  Pointedness gives the strictly
-positive integer functional c = sum of the rows of A, whose level decreases
-along every monoid decomposition and orders the pass over the candidates.
-Facets are read off the generators: a row cuts a facet when the generators
-it vanishes on span dimension m - 1 (a monoid point on a face decomposes
-over the generators on that face), redundant rows fail that test, and rows
-vanishing on the same generators cut the same facet and are merged.  _det
-and _adjugate give the rays, the parallelepiped coordinates, the vertex,
-ranks (largest nonzero minor) and the tail solve.
+A, and the cone is then pointed iff r = m.  Facets are read off the
+generators: a row cuts a facet when the generators it vanishes on span
+dimension m - 1 (a monoid point on a face decomposes over the generators
+on that face), redundant rows fail that test, and rows vanishing on the
+same generators cut the same facet and are merged.  _det and _adjugate
+give the rays, the parallelepiped coordinates, the vertex, ranks (largest
+nonzero minor) and the tail solve.
 
-hilbert_basis and decompose_interior share one coefficient search,
-which returns the lexicographically greatest nonnegative coefficient vector.
-It goes depth-first over the generators, largest coefficient first, on an
-explicit stack (one entry per searched generator, so no recursion limit),
-and never leaves the cone: residual and generator both lie in it, so the k
-with row . (res - k b) >= 0 on every row form the interval from 0 to the
-least row . res // row . b over the rows with row . b > 0, read off the
+decompose_interior's coefficient search returns the lexicographically
+greatest nonnegative coefficient vector.  It goes depth-first over the
+generators, largest coefficient first, on an explicit stack (one entry
+per searched generator, so no recursion limit), and never leaves the
+cone: residual and generator both lie in it, so the k with
+row . (res - k b) >= 0 on every row form the interval from 0 to the least
+row . res // row . b over the rows with row . b > 0, read off the
 residual's row values.  Those values come from the caller: decompose_interior
 computes the point's row values once, uses them for the interior test, and
 takes each seed's residual values as row . p - row . a from the seed row
@@ -75,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import gcd
-from operator import add, mul
+from operator import add, ge, mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 from .bounds import cone_constant
@@ -208,10 +207,6 @@ class ConeSpec:
         raise EmptyInteriorError(
             "no x has A x > 0 (A x >= 1 has no vertex): the cone has empty interior"
         )
-
-    def level_form(self) -> tuple[int, ...]:
-        """c = sum of rows: c . x >= 0 on P, and > 0 off 0 when P is pointed."""
-        return tuple(sum(col) for col in zip(*self.rows))
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
@@ -434,12 +429,13 @@ def hilbert_basis(spec: ConeSpec, search_bound: int) -> tuple[Point, ...]:
     (a facet row is tight on exactly m - 1 rays).  By Caratheodory every
     monoid point lies in one simplicial cone, where it is a parallelepiped
     point plus a nonnegative integer combination of the rays, so the
-    candidates generate the monoid.  One pass by increasing level of the
-    positive functional c keeps the candidates that do not decompose over
-    the generators kept so far: a decomposition uses only points of lower
-    level, so the irreducible candidates are kept and no others.  Before
-    returning, every ray must be a generator and every candidate recompose
-    from its coefficients over the result, else RuntimeError.
+    candidates generate the monoid and contain every irreducible element.
+    A candidate x is kept iff no other candidate y has x - y in the cone,
+    read off row values computed once per candidate: such a y makes x =
+    y + (x - y) reducible, and a reducible x has an irreducible candidate
+    below it.  Before returning, every ray must be kept and every
+    candidate peel down to 0 by subtracting kept generators y with z - y
+    in the cone (ConeSpec.contains, not the row values), else RuntimeError.
 
     A basis with a coordinate outside [-search_bound, search_bound] raises
     BoundTooSmallError; the rays are checked first, which bounds the
@@ -460,28 +456,26 @@ def hilbert_basis(spec: ConeSpec, search_bound: int) -> tuple[Point, ...]:
         candidates.update(
             x for x in _parallelepiped_points((rays[0],) + tight) if any(x)
         )
-    c = spec.level_form()
-    omega: list[Point] = []
-    plan, memo = _coefficient_plan(omega, spec), set()
-    for x in sorted(candidates, key=lambda x: (_dot(c, x), x)):
-        if _solve_coefficients(x, _row_values(spec.rows, x), plan, memo) is None:
-            omega.append(x)
-            omega.sort()
-            plan, memo = _coefficient_plan(omega, spec), set()
-    for x in sorted(candidates):
-        ks = _solve_coefficients(x, _row_values(spec.rows, x), plan, memo)
-        if (
-            ks is None
-            or any(k < 0 for k in ks)
-            or tuple(sum(map(mul, ks, col)) for col in plan.columns) != x
-            or (x in rays and x not in omega)
-        ):
+    values = [(x, _row_values(spec.rows, x)) for x in sorted(candidates)]
+    omega = tuple(
+        x
+        for x, xv in values
+        if not any(y != x and all(map(ge, xv, yv)) for y, yv in values)
+    )
+    kept = set(omega)
+    for x, _ in values:
+        # peel generators off x, staying in the cone; a kept z is itself
+        z: Point | None = x
+        while z is not None and z not in kept:
+            rests = (tuple(map(sub, z, y)) for y in omega)
+            z = next((r for r in rests if spec.contains(r)), None)
+        if z is None or (x in rays and x not in kept):
             raise RuntimeError(
                 f"Hilbert basis candidate {x} failed re-verification over "
                 f"the {len(omega)} generators kept"
             )
     _check_within(omega, search_bound, "generator")
-    return tuple(omega)
+    return omega
 
 
 @dataclass(frozen=True)

@@ -583,10 +583,22 @@ class _Engine:
         return max(max(cov), max(interior, default=0))
 
     def hits(self, v: int, targets: set[int], m: int, memo: dict) -> set[int]:
-        """The targets at which some walk of length m from v ends."""
-        key = (v, m)
-        if key not in memo:
-            sk = self.skeleton
+        """The targets at which some walk of length m from v ends.
+
+        A walk reaching a skeleton vertex with no closed walk through it
+        goes on along that vertex's chains; those (vertex, length) pairs
+        are answered from an explicit worklist into memo, so a long
+        acyclic skeleton needs no recursion.
+        """
+        sk = self.skeleton
+        root = (v, m)
+        todo = [root]
+        while todo:
+            key = todo[-1]
+            if key in memo:
+                todo.pop()
+                continue
+            v, m = key
             path, u, loop = self.forced(v)
             if m < len(path):
                 hit = targets & {path[m]}
@@ -601,14 +613,27 @@ class _Engine:
                     hit = targets & {u}
                 else:
                     # a walk of length m >= 1 leaves u along one of its chains
-                    hit = set().union(*(
-                        targets & {chain.path[m]}
-                        if m < len(chain.path)
-                        else self.hits(chain.end, targets, m - len(chain.path), memo)
-                        for chain in sk.chains[sk.index[u]]
-                    ))
+                    chains = sk.chains[sk.index[u]]
+                    later = [
+                        (chain.end, m - len(chain.path))
+                        for chain in chains
+                        if m >= len(chain.path)
+                    ]
+                    pending = [k for k in later if k not in memo]
+                    if pending:
+                        todo.extend(pending)
+                        continue
+                    hit = set().union(
+                        *(
+                            targets & {chain.path[m]}
+                            for chain in chains
+                            if m < len(chain.path)
+                        ),
+                        *(memo[k] for k in later),
+                    )
             memo[key] = hit
-        return memo[key]
+            todo.pop()
+        return memo[root]
 
     # -- the reference route: boolean matrix powers ------------------------
 

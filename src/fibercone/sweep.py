@@ -268,13 +268,14 @@ def _pooled_reports(
 ) -> list[BoundReport]:
     """Reports for jobs from a process pool, in job order.
 
-    One future per job keeps every report that finished.  A worker that
-    dies breaks the pool and fails every unfinished future, so each
-    unfinished job is rerun alone in a fresh one-worker pool; a job that
-    breaks even that pool is reported failed with the BrokenProcessPool.
+    The pool forks at most one worker per job.  One future per job keeps
+    every report that finished.  A worker that dies breaks the pool and
+    fails every unfinished future, so each unfinished job is rerun alone in
+    a fresh one-worker pool; a job that breaks even that pool is reported
+    failed with the BrokenProcessPool.
     """
     reports: dict[int, BoundReport] = {}
-    with ProcessPoolExecutor(max_workers=worker_count) as pool:
+    with ProcessPoolExecutor(max_workers=min(worker_count, len(jobs))) as pool:
         futures = [pool.submit(_instance_worker, job) for job in jobs]
         for i, future in enumerate(futures):
             try:

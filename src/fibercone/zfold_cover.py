@@ -79,6 +79,12 @@ class CochainGraph:
             isinstance(e, Sequence) and len(e) == 3 for e in edges
         ):
             raise ValueError("each edge must be (tail, head, value)")
+        # degrees sum to 2 |E|, so count before allocating n degrees
+        if 2 * len(edges) != 3 * n:
+            raise ValueError(
+                f"graph is not 3-regular: {len(edges)} edges on {n} vertices "
+                "(3-regular needs 3 n / 2)"
+            )
         degree = [0] * n
         for e in edges:
             u, v, d = e

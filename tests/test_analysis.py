@@ -133,6 +133,20 @@ def test_image_after_huge_step_counts():
     assert image_after(cyc, "u", 10**12) == frozenset({"v"})
 
 
+def test_image_after_on_a_long_acyclic_digraph():
+    # edges i -> i + 1 and i -> i + 2: no vertex lies on a closed walk, and
+    # the walks of length m from v0 end exactly at v_m .. v_2m
+    n, m = 1200, 500
+    g = Digraph.from_edges(
+        [f"v{i}" for i in range(n)],
+        [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)],
+    )
+    image = frozenset(f"v{i}" for i in range(m, 2 * m + 1))
+    assert image_after(g, "v0", m) == image
+    assert avoidance_at(g, "v0", [f"v{m - 1}", f"v{2 * m + 1}"], m)
+    assert not avoidance_at(g, "v0", [f"v{2 * m}"], m)
+
+
 def test_image_after_validation():
     g = magic_digraph(3, 2)
     with pytest.raises(ValueError):

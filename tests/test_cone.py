@@ -449,14 +449,44 @@ def test_corrupted_tail_solve_fails_re_verification(monkeypatch):
         decompose_interior((7, 9, 2), h)
 
 
-def test_completeness_pass_runs_the_tail_solve(monkeypatch):
-    monkeypatch.setattr(cone_monoid, "_solve_tail", lambda plan, res: None)
+def test_corrupted_pass_fails_re_verification(monkeypatch):
+    # the peel reads membership through ConeSpec.contains, so a pass that
+    # misreads the row values keeps too few generators and is caught; of
+    # this cone's 11 candidates only (2, 2, 2) = 2 (1, 1, 1) is reducible
+    spec = ConeSpec(((1, 0, 0), (0, 1, 0), (-1, -1, 3)))
+    row_values = cone_monoid._row_values
+    # every candidate looks reducible: nothing is kept
+    monkeypatch.setattr(
+        cone_monoid, "_row_values", lambda rows, x: (0,) * len(rows)
+    )
     with pytest.raises(RuntimeError, match="re-verification"):
-        hilbert_basis(ConeSpec(MAGIC_ROWS), 6)
+        hilbert_basis(spec, 3)
+    # reversed order: the maximal candidates are kept instead of the minimal
+    monkeypatch.setattr(
+        cone_monoid,
+        "_row_values",
+        lambda rows, x: tuple(-v for v in row_values(rows, x)),
+    )
+    with pytest.raises(RuntimeError, match="re-verification"):
+        hilbert_basis(spec, 3)
+
+
+def test_thin_cone_matches_the_coefficient_search():
+    # rows (1, 0, 0), (0, 1, 0), (-1, -1, N) give (N + 1)(N + 2) / 2
+    # generators; the reference scans the box with the coefficient search
+    spec = ConeSpec(((1, 0, 0), (0, 1, 0), (-1, -1, 12)))
+    omega = hilbert_basis(spec, 12)
+    assert len(omega) == 91
+    assert omega == _reference_hilbert_basis(spec, 12)
 
 
 def _level(c, x):
     return sum(a * b for a, b in zip(c, x))
+
+
+def _level_form(spec):
+    """c = sum of rows: c . x >= 0 on P, and > 0 off 0 when P is pointed."""
+    return tuple(sum(col) for col in zip(*spec.rows))
 
 
 def _row_values(rows, x):
@@ -530,7 +560,7 @@ def _coefficient_vectors(levels, budget):
 
 def _brute_force_coefficients(residual, h):
     """The lexicographically greatest k >= 0 with residual = sum k_b b, or None."""
-    c = h.cone.level_form()
+    c = _level_form(h.cone)
     budget = _level(c, residual)
     if budget < 0:
         return None
@@ -578,7 +608,7 @@ def _reference_hilbert_basis(spec, bound):
     the generators found so far is reducible, a found generator plus a cone
     point proves a generator outside the box, and any other point is new.
     """
-    c = spec.level_form()
+    c = _level_form(spec)
     box = [
         x
         for x in product(range(-bound, bound + 1), repeat=spec.dim)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+from concurrent.futures import Future
 from fractions import Fraction
 from pathlib import Path
 
@@ -185,6 +186,32 @@ def test_instance_failures_are_captured_not_raised(monkeypatch):
     assert bad.mixing_r is None and bad.upper_lC is None
     # invariants outside the pipeline survive the failure
     assert bad.norm == 22 and bad.regime == "PltQle2P"
+
+
+def test_pool_has_at_most_one_worker_per_job(monkeypatch):
+    # a recording stand-in runs each job inline, so no process is forked
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", RecordingPool)
+    cfg = SweepConfig(family="pq", p=1, q=2, n_start=2, n_stop=3)
+    reports = run_sweep(dataclasses.replace(cfg, worker_count=64))
+    assert opened == [2]
+    assert reports == run_sweep(cfg)
 
 
 def test_dead_worker_loses_only_its_instance(monkeypatch):

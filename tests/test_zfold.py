@@ -1,6 +1,7 @@
 """Short essential loops in Z-fold covers of cubic graphs."""
 
 import json
+import time
 from collections import deque
 from pathlib import Path
 
@@ -76,6 +77,14 @@ def test_graph_rejects_non_integer_fields(vertex_count, edges):
 def test_graph_rejects_malformed_edges(edges):
     with pytest.raises(ValueError, match="each edge must be"):
         CochainGraph(2, edges)
+
+
+def test_edge_count_is_checked_before_allocating():
+    # 20 million vertices and no edges: refused before any degree is counted
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^graph is not 3-regular"):
+        import_cochain_graph('{"vertices": 20000000, "edges": []}')
+    assert time.perf_counter() - start < 0.1
 
 
 def test_graph_stores_edges_as_tuples():
