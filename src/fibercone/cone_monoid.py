@@ -484,7 +484,9 @@ class HilbertData:
 
     facets[f] is the set of omega indices lying on the f-th facet, and
     facet_row_indices[f] the index into cone.rows of a row cutting it.
-    seed_values[j] are the row values of omega0[j].
+    seed_values[j] are the row values of omega0[j].  cone_constants[norm]
+    is cone_constant of the seed and generator norms, filled in by
+    arithmetic_split on its first call with that norm.
     """
 
     cone: ConeSpec
@@ -495,6 +497,9 @@ class HilbertData:
     plan: _CoefficientPlan = field(init=False, compare=False, repr=False)
     seed_values: tuple[tuple[int, ...], ...] = field(
         init=False, compare=False, repr=False
+    )
+    cone_constants: dict[Callable[[Point], int], int] = field(
+        default_factory=dict, init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -637,9 +642,11 @@ def arithmetic_split(
     n = coeffs[idx]
     beta = h.omega[idx]
     alpha = tuple(p - n * b for p, b in zip(point, beta))
-    d_const = cone_constant(
-        [norm(a) for a in h.omega0], [norm(b) for b in h.omega]
-    )
+    if norm not in h.cone_constants:
+        h.cone_constants[norm] = cone_constant(
+            [norm(a) for a in h.omega0], [norm(b) for b in h.omega]
+        )
+    d_const = h.cone_constants[norm]
     value = norm(point)
     if value > d_const and n * d_const < value:
         raise RuntimeError(

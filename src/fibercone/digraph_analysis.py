@@ -35,16 +35,22 @@ branch skeleton instead of by stepping sets:
     and a chain interior i steps past the chain's start x has W(u, x) + i.
   * A vertex v of out-degree 1 has W(v, .) = {0 at v} u (W(succ v, .) + 1),
     so every source first follows its forced walk to a vertex of out-degree
-    != 1 and uses that vertex's table; in particular cov(v) = 1 +
-    cov(succ v).  Tables are built once per source and kept on the
-    per-digraph engine, so last_avoidance reuses the tables that the
-    exponent computation built.
+    != 1 and uses that vertex's table.  Tables are built once per source
+    and kept on the per-digraph engine, so last_avoidance reuses the tables
+    that the exponent computation built.
 
-Every answer is then arithmetic on the tables.  The covering time from u is
-one more than the largest length missing from any W(u, v); the mixing
-exponent is the largest covering time; last_avoidance is the largest length
-missing from W(source, avoided); avoidance_at and image_after test
-membership.  A table costs O(|skeleton| c log(|skeleton| c)), against
+Every answer is then arithmetic on the tables.  The covering time from v is
+the length of its forced walk plus one more than the largest length missing
+from any W(u, .) of the walk's end u; the mixing exponent is the largest
+covering time, taken over the skeleton vertices (branching ones first) and
+the chain interiors, which cover in i more steps than the chain's end when
+i steps before it.  last_avoidance is the largest length missing from
+W(source, avoided).  avoidance_at and image_after test membership in one
+search over states (vertex, steps left), each visited once for all
+sources: a state follows its forced walk and is answered by the walk, by
+the walk's cycle or by the end's table, and an end with no closed walk
+through it passes the state on to its out-neighbours; the search stops once
+every target is hit.  A table costs O(|skeleton| c log(|skeleton| c)), against
 O(r V / 64) for stepping a bitmask r times: (1,100,10000)+, with V = 20101
 and r = 1010199, takes well under a second.
 
@@ -558,82 +564,57 @@ class _Engine:
         return path, table
 
     def exponent(self) -> int:
-        """max over v of cov(v); needs n >= 2 and every degree >= 1."""
-        sk = self.skeleton
-        cov: list[int | None] = [None] * len(sk.nodes)
-        for x, out in enumerate(sk.chains):
-            if len(out) != 1:
-                _, table = self.cover_of(sk.nodes[x])
-                cov[x] = table.cover(sk)
-        for start in range(len(sk.nodes)):
-            trail, x = [], start
-            while cov[x] is None:
-                cov[x] = -1  # on the current forced walk
-                trail.append(x)
-                x, _ = sk.out_w[x][0]
-            if cov[x] == -1:
-                # x lies on a cycle of out-degree-1 vertices, whose forced
-                # walk cover_of refuses
-                self.cover_of(sk.nodes[x])
-            for y in reversed(trail):
-                cov[y] = sk.out_w[y][0][1] + cov[sk.out_w[y][0][0]]
-        interior = (
-            w - 1 + cov[z] for out in sk.out_w for z, w in out if w > 1
-        )
-        return max(max(cov), max(interior, default=0))
+        """max over v of cov(v); needs n >= 2 and every degree >= 1.
 
-    def hits(self, v: int, targets: set[int], m: int, memo: dict) -> set[int]:
-        """The targets at which some walk of length m from v ends.
-
-        A walk reaching a skeleton vertex with no closed walk through it
-        goes on along that vertex's chains; those (vertex, length) pairs
-        are answered from an explicit worklist into memo, so a long
-        acyclic skeleton needs no recursion.
+        A skeleton vertex covers in the length of its forced walk plus the
+        cover of the table at the walk's end, both read from cover_of.
+        Branching vertices go first, so their refusals come before that of
+        an out-degree-1 cycle.  A chain interior i steps before z covers in
+        cov(z) + i steps.
         """
         sk = self.skeleton
-        root = (v, m)
-        todo = [root]
-        while todo:
-            key = todo[-1]
-            if key in memo:
-                todo.pop()
-                continue
-            v, m = key
+        cov = {}
+        for x in sorted(range(len(sk.nodes)), key=lambda x: len(sk.chains[x]) == 1):
+            path, table = self.cover_of(sk.nodes[x])
+            cov[x] = len(path) + table.cover(sk)
+        interior = (w - 1 + cov[z] for out in sk.out_w for z, w in out if w > 1)
+        return max(max(cov.values()), max(interior, default=0))
+
+    def hits(self, starts: Iterable[int], targets: set[int], m: int) -> set[int]:
+        """The targets at which some walk of length m from a start ends.
+
+        One search over states (vertex, steps left), each visited once for
+        all starts.  A state follows its forced walk and is answered by the
+        walk itself, by the walk's cycle, or by the end vertex's table; an
+        end vertex with no closed walk through it passes the state on to
+        its out-neighbours.  The search stops once every target is hit.
+        """
+        sk = self.skeleton
+        hit: set[int] = set()
+        seen = {(v, m) for v in starts}
+        todo = list(seen)
+        while todo and len(hit) < len(targets):
+            v, m = todo.pop()
             path, u, loop = self.forced(v)
             if m < len(path):
-                hit = targets & {path[m]}
+                y = path[m]
             elif u is None:
-                hit = targets & {path[loop + (m - loop) % (len(path) - loop)]}
+                y = path[loop + (m - loop) % (len(path) - loop)]
+            elif m == len(path):
+                y = u
             else:
                 m -= len(path)
                 table = self.table(u)
                 if table is not None:
-                    hit = {y for y in targets if table.contains(sk, y, m)}
-                elif m == 0:
-                    hit = targets & {u}
+                    hit.update(y for y in targets - hit if table.contains(sk, y, m))
                 else:
-                    # a walk of length m >= 1 leaves u along one of its chains
-                    chains = sk.chains[sk.index[u]]
-                    later = [
-                        (chain.end, m - len(chain.path))
-                        for chain in chains
-                        if m >= len(chain.path)
-                    ]
-                    pending = [k for k in later if k not in memo]
-                    if pending:
-                        todo.extend(pending)
-                        continue
-                    hit = set().union(
-                        *(
-                            targets & {chain.path[m]}
-                            for chain in chains
-                            if m < len(chain.path)
-                        ),
-                        *(memo[k] for k in later),
-                    )
-            memo[key] = hit
-            todo.pop()
-        return memo[root]
+                    later = {(w, m - 1) for w in self.out_nbrs[u]} - seen
+                    seen |= later
+                    todo.extend(later)
+                continue
+            if y in targets:
+                hit.add(y)
+        return hit
 
     # -- the reference route: boolean matrix powers ------------------------
 
@@ -699,12 +680,7 @@ def image_after(
     if method == "powers":
         image = eng.image_by_powers(starts, m)
     else:
-        # each source tests only the vertices that no earlier source reaches
-        image, missed = set(), set(range(eng.n))
-        for v in starts:
-            hit = eng.hits(v, missed, m, {})
-            image |= hit
-            missed -= hit
+        image = eng.hits(starts, set(range(eng.n)), m)
     return frozenset(map(g.labels.__getitem__, image))
 
 
@@ -794,4 +770,4 @@ def avoidance_at(
         raise ValueError(f"step count must be a positive int, not {m!r}")
     eng = _engine(g)
     target_set = {g.index(lbl) for lbl in targets}
-    return not eng.hits(g.index(source), target_set, m, {})
+    return not eng.hits([g.index(source)], target_set, m)

@@ -65,7 +65,6 @@ __all__ = [
     "run_sweep",
     "verify_exponent_law",
     "report_record",
-    "report_rows",
     "report_csv",
     "report_json",
     "report_emit",
@@ -421,18 +420,13 @@ def _csv_cell(record: dict, column: str) -> str:
     return "" if value is None else str(value)
 
 
-def report_rows(reports: list[BoundReport]) -> list[list[str]]:
-    """CSV cell values (strings; empty for unavailable fields)."""
-    records = [report_record(rep) for rep in reports]
-    return [[_csv_cell(rec, column) for column in CSV_COLUMNS] for rec in records]
-
-
 def report_csv(reports: list[BoundReport]) -> str:
     """The sweep as CSV text: fixed column order, exact integer cells."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(report_rows(reports))
+    for rec in map(report_record, reports):
+        writer.writerow([_csv_cell(rec, column) for column in CSV_COLUMNS])
     return buf.getvalue()
 
 

@@ -512,6 +512,47 @@ def test_corrupted_negative_verdict_fails_re_verification(
             check(build())
 
 
+# the full refusal of primitivity_exponent on each NEGATIVE_VERDICTS digraph
+NEGATIVE_TEXTS = [
+    "not primitive: the forced walk from 'u' cycles, so every image of it is "
+    "a single vertex",
+    "not primitive: no closed walk passes through 'u', the end of the forced "
+    "walk from 'u'",
+    "not primitive: 'u' has in- or out-degree zero, which keeps every power "
+    "from being positive",
+    "not primitive: 'v' has in- or out-degree zero, which keeps every power "
+    "from being positive",
+    "not primitive: some residue mod 2 of walk lengths from 'v0' to some "
+    "vertex is unreached",
+]
+
+
+@pytest.mark.parametrize(
+    ("build", "text"),
+    [(build, text) for (build, *_), text in zip(NEGATIVE_VERDICTS, NEGATIVE_TEXTS)]
+    + [
+        # v0 -> v0 cycles, but the branching v1 is refused first: walks
+        # v1 -> v1 have even lengths only
+        (lambda: Digraph.from_edges(
+            ("v0", "v1", "v2"), ((0, 0), (1, 0), (1, 2), (2, 1))),
+         "not primitive: some residue mod 2 of walk lengths from 'v1' to some "
+         "vertex is unreached"),
+        # the forced walk v2 -> v3 -> v3 enters the cycle at v3 from outside
+        (lambda: Digraph.from_edges(
+            ("v0", "v1", "v2", "v3"),
+            ((0, 2), (1, 0), (1, 1), (1, 2), (2, 3), (3, 3))),
+         "not primitive: the forced walk from 'v2' cycles, so every image of "
+         "it is a single vertex"),
+    ],
+    ids=[f"verdict-{i}" for i in range(len(NEGATIVE_TEXTS))]
+    + ["branching-first", "cycle-entered"],
+)
+def test_refusal_texts(build, text):
+    with pytest.raises(NotPrimitiveError) as refusal:
+        primitivity_exponent(build())
+    assert str(refusal.value) == text
+
+
 def test_degree_zero_is_read_off_the_edges():
     # an engine whose degree list claims a zero it does not have is refuted
     g = magic_digraph(8, 4)

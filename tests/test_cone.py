@@ -349,6 +349,23 @@ def test_arithmetic_split_guarantee():
             assert s.n * d >= norm
 
 
+def test_arithmetic_split_reads_the_cone_constant_once_per_norm():
+    h = hilbert_data(ConeSpec(MAGIC_ROWS), 6)
+    calls = []
+
+    def counting(point):
+        calls.append(tuple(point))
+        return thurston_form(point)
+
+    first = arithmetic_split((7, 9, 2), h, counting)
+    assert len(calls) == len(h.omega0) + len(h.omega) + 1
+    calls.clear()
+    second = arithmetic_split((20, 30, 5), h, counting)
+    assert calls == [(20, 30, 5)]
+    assert first == arithmetic_split((7, 9, 2), h, thurston_form)
+    assert second == arithmetic_split((20, 30, 5), h, thurston_form)
+
+
 def test_decompose_is_exhaustive_on_small_interior_box():
     spec = ConeSpec(MAGIC_ROWS)
     h = hilbert_data(spec, 6)
