@@ -16,17 +16,17 @@ module computes, in exact integers and from the cone's own rays:
     result before it is returned.  A basis with a coordinate outside the
     search bound's box is refused (BoundTooSmallError);
   * the interior seed set Omega_0: sums of subsets W of Omega that are not
-    contained in any single facet of P.  Such a sum has strictly positive
-    pairing with every facet row, so it lies in int(P), and together the
-    seeds reach every interior lattice point:
+    contained in any single facet of P.  Such a sum lies in int(P), and
+    together the seeds reach every interior lattice point:
 
         int(P) cap Z^m = { a + sum_b k_b b : a in Omega_0, k_b >= 0 }.
 
-    W lies in a facet exactly when its sum pairs to zero with that facet's
-    row, so Omega_0 is the set of distinct nonempty subset sums that are
-    strictly positive on every facet row.  The sums are built one generator
-    at a time, S <- S u (S + b) u {b}, never enumerating the 2^|Omega|
-    subsets themselves;
+    P has no zero row and every row is a nonnegative combination of facet
+    normals, so int(P) = { x : A x > 0 } and W lies in a facet exactly when
+    some row pairs to zero with its sum: Omega_0 is the set of distinct
+    nonempty subset sums that are strictly positive on every row.  The sums
+    are built one generator at a time, S <- S u (S + b) u {b}, never
+    enumerating the 2^|Omega| subsets themselves;
 
   * decompose_interior -- that equality realized for a given interior
     point: the first seed (in sorted order) for which the residual point - a
@@ -40,17 +40,17 @@ module computes, in exact integers and from the cone's own rays:
     whenever norm(delta) exceeds that denominator, for any functional that is
     linear and nonnegative on the cone.
 
-ConeSpec certifies exactly that the cone has interior and is pointed (a cone
-containing a line has units in its monoid and no irreducible generating
-set): A x > 0 is solvable iff A x >= 1 is, which on r = rank A coordinates
-has a vertex adj(S) (1, ..., 1) / det S for an invertible r x r minor S of
-A, and the cone is then pointed iff r = m.  Facets are read off the
-generators: a row cuts a facet when the generators it vanishes on span
-dimension m - 1 (a monoid point on a face decomposes over the generators
-on that face), redundant rows fail that test, and rows vanishing on the
-same generators cut the same facet and are merged.  _det and _adjugate
-give the rays, the parallelepiped coordinates, the vertex, ranks (largest
-nonzero minor) and the tail solve.
+ConeSpec computes the cone's faces once, and everything else reads them.
+On the first r = rank A coordinates where the rows keep rank r, A x spans
+the same space and the rows cut a pointed cone, so its primitive extreme
+rays exist, and A x > 0 is solvable iff their sum is strictly positive on
+every row (EmptyInteriorError if not).  The cone is then pointed iff r = m
+(a cone containing a line has units in its monoid and no irreducible
+generating set), else ValueError.  A facet row is a row tight on exactly
+m - 1 rays; redundant rows are tight on fewer, and rows tight on the same
+rays cut the same facet, which keeps the first.  _det and _adjugate give
+the rays, the parallelepiped coordinates, ranks (largest nonzero minor)
+and the tail solve.
 
 decompose_interior's coefficient search returns the lexicographically
 greatest nonnegative coefficient vector.  It goes depth-first over the
@@ -148,11 +148,15 @@ class ConeSpec:
     """An integer inequality matrix A defining P = {x : A x >= 0}.
 
     Construction certifies that P has nonempty interior and contains no
-    line, else EmptyInteriorError or ValueError; interior_point is a lattice
-    point with A x > 0.
+    line, else EmptyInteriorError or ValueError.  rays are the primitive
+    extreme rays, sorted; facet_rows[f] indexes the first row tight on
+    exactly m - 1 of them, one per facet, in row order; interior_point is
+    the sum of the rays, which has A x > 0.
     """
 
     rows: tuple[tuple[int, ...], ...]
+    rays: tuple[Point, ...] = field(init=False, compare=False, repr=False)
+    facet_rows: tuple[int, ...] = field(init=False, compare=False, repr=False)
     interior_point: Point = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -172,12 +176,34 @@ class ConeSpec:
             for r in row:
                 if type(r) is not int:
                     raise ValueError("inequality entries must be integers")
+        # on rank-many coordinates where the rows keep their rank, A x spans
+        # the same space and the rows cut a pointed cone, which has interior
+        # iff the sum of its extreme rays is strictly positive on every row
         rank = _rank(rows)
-        object.__setattr__(self, "interior_point", self._vertex_with_interior(rank))
+        coords = next(
+            c
+            for c in combinations(range(m), rank)
+            if _rank([[row[i] for i in c] for row in rows]) == rank
+        )
+        projected = tuple(tuple(row[i] for i in coords) for row in rows)
+        rays = _extreme_rays(projected) if rank else ()
+        inner = tuple(map(sum, zip(*rays)))
+        if not all(_dot(row, inner) > 0 for row in projected):
+            raise EmptyInteriorError(
+                "no x has A x > 0 (A x >= 1 has no vertex): the cone has empty interior"
+            )
         if rank < m:
             raise ValueError(
                 f"the rows have rank {rank} < {m}, so the cone contains a line"
             )
+        first_row: dict[tuple[Point, ...], int] = {}
+        for i, row in enumerate(rows):
+            tight = tuple(v for v in rays if _dot(row, v) == 0)
+            if len(tight) == m - 1:
+                first_row.setdefault(tight, i)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "facet_rows", tuple(first_row.values()))
+        object.__setattr__(self, "interior_point", inner)
 
     @property
     def dim(self) -> int:
@@ -188,25 +214,6 @@ class ConeSpec:
 
     def strictly_positive_rows(self, x: Point) -> bool:
         return all(_dot(row, x) > 0 for row in self.rows)
-
-    def _vertex_with_interior(self, rank: int) -> Point:
-        """det(S)^2 y for the first y = adj(S) (1, ..., 1) / det S (on the
-        coordinates of a rank x rank minor S of A, 0 elsewhere) with A y > 0.
-        """
-        for sub in combinations(self.rows, rank):
-            for coords in combinations(range(self.dim), rank):
-                minor = [[row[c] for c in coords] for row in sub]
-                det = _det(minor)
-                if not det:
-                    continue
-                x = [0] * self.dim
-                for c, adj_row in zip(coords, _adjugate(minor)):
-                    x[c] = det * sum(adj_row)
-                if self.strictly_positive_rows(x):
-                    return tuple(x)
-        raise EmptyInteriorError(
-            "no x has A x > 0 (A x >= 1 has no vertex): the cone has empty interior"
-        )
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
@@ -365,17 +372,18 @@ def _solve_coefficients(
             memo.add((res, depth))
 
 
-def _extreme_rays(spec: ConeSpec) -> tuple[Point, ...]:
-    """The primitive vectors of the cone's extreme rays, sorted.
+def _extreme_rays(rows: Sequence[Sequence[int]]) -> tuple[Point, ...]:
+    """The primitive vectors of the extreme rays of {x : A x >= 0}, sorted.
 
-    The signed maximal minors of m - 1 rows give a vector those rows vanish
-    on.  Divided by its gcd, it or its negative lies in the cone exactly
-    when it spans a 1-dimensional face, and every extreme ray is cut out by
-    some m - 1 rows of rank m - 1.
+    The rows must have rank m, so the cone is pointed.  The signed maximal
+    minors of m - 1 rows give a vector those rows vanish on.  Divided by
+    its gcd, it or its negative lies in the cone exactly when it spans a
+    1-dimensional face, and every extreme ray is cut out by some m - 1 rows
+    of rank m - 1.
     """
-    m = spec.dim
+    m = len(rows[0])
     rays: set[Point] = set()
-    for sub in combinations(spec.rows, m - 1):
+    for sub in combinations(rows, m - 1):
         v = tuple(
             (-1) ** j * _det([row[:j] + row[j + 1:] for row in sub])
             for j in range(m)
@@ -383,7 +391,9 @@ def _extreme_rays(spec: ConeSpec) -> tuple[Point, ...]:
         g = gcd(*v)
         if g:
             v = tuple(c // g for c in v)
-            rays.update(r for r in (v, tuple(-c for c in v)) if spec.contains(r))
+            for r in (v, tuple(-c for c in v)):
+                if all(_dot(row, r) >= 0 for row in rows):
+                    rays.add(r)
     return tuple(sorted(rays))
 
 
@@ -425,11 +435,12 @@ def hilbert_basis(spec: ConeSpec, search_bound: int) -> tuple[Point, ...]:
 
     The candidates are the primitive extreme rays and the lattice points of
     the half-open fundamental parallelepipeds of a triangulation: pulling
-    from the first ray, which is joined to each facet not containing it
-    (a facet row is tight on exactly m - 1 rays).  By Caratheodory every
-    monoid point lies in one simplicial cone, where it is a parallelepiped
-    point plus a nonnegative integer combination of the rays, so the
-    candidates generate the monoid and contain every irreducible element.
+    from the first ray, which is joined to each facet not containing it,
+    both read off the ConeSpec (spec.rays, spec.facet_rows).  By
+    Caratheodory every monoid point lies in one simplicial cone, where it is
+    a parallelepiped point plus a nonnegative integer combination of the
+    rays, so the candidates generate the monoid and contain every
+    irreducible element.
     A candidate x is kept iff no other candidate y has x - y in the cone,
     read off row values computed once per candidate: such a y makes x =
     y + (x - y) reducible, and a reducible x has an irreducible candidate
@@ -443,19 +454,15 @@ def hilbert_basis(spec: ConeSpec, search_bound: int) -> tuple[Point, ...]:
     """
     if type(search_bound) is not int or search_bound < 1:
         raise ValueError(f"search bound {search_bound!r} is not a positive integer")
-    rays = _extreme_rays(spec)
+    rays = spec.rays
     _check_within(rays, search_bound, "extreme ray")
-    m = spec.dim
-    facets = set()
-    for row in spec.rows:
-        tight = tuple(r for r in rays if _dot(row, r) == 0)
-        if len(tight) == m - 1 and rays[0] not in tight:
-            facets.add(tight)
     candidates = set(rays)
-    for tight in facets:
-        candidates.update(
-            x for x in _parallelepiped_points((rays[0],) + tight) if any(x)
-        )
+    for f in spec.facet_rows:
+        tight = tuple(r for r in rays if _dot(spec.rows[f], r) == 0)
+        if rays[0] not in tight:
+            candidates.update(
+                x for x in _parallelepiped_points((rays[0],) + tight) if any(x)
+            )
     values = [(x, _row_values(spec.rows, x)) for x in sorted(candidates)]
     omega = tuple(
         x
@@ -482,18 +489,17 @@ def hilbert_basis(spec: ConeSpec, search_bound: int) -> tuple[Point, ...]:
 class HilbertData:
     """Generators and interior seeds of a cone's lattice monoid.
 
-    facets[f] is the set of omega indices lying on the f-th facet, and
-    facet_row_indices[f] the index into cone.rows of a row cutting it.
-    seed_values[j] are the row values of omega0[j].  cone_constants[norm]
-    is cone_constant of the seed and generator norms, filled in by
-    arithmetic_split on its first call with that norm.
+    facets[f] is the set of omega indices lying on the f-th facet of the
+    cone, and facet_row_indices[f] = cone.facet_rows[f] the index into
+    cone.rows of the first row cutting it.  seed_values[j] are the row
+    values of omega0[j].  cone_constants[norm] is cone_constant of the seed
+    and generator norms, filled in by arithmetic_split on its first call
+    with that norm.
     """
 
     cone: ConeSpec
     omega: tuple[Point, ...]
     omega0: tuple[Point, ...]
-    facets: tuple[frozenset[int], ...]
-    facet_row_indices: tuple[int, ...]
     plan: _CoefficientPlan = field(init=False, compare=False, repr=False)
     seed_values: tuple[tuple[int, ...], ...] = field(
         init=False, compare=False, repr=False
@@ -510,13 +516,21 @@ class HilbertData:
             tuple(_row_values(self.cone.rows, a) for a in self.omega0),
         )
 
-    def is_interior(self, x: Point) -> bool:
-        """x in int(P): nonnegative on all rows, strict on every facet row."""
-        return self._interior_values(_row_values(self.cone.rows, x))
+    @property
+    def facet_row_indices(self) -> tuple[int, ...]:
+        return self.cone.facet_rows
 
-    def _interior_values(self, values: tuple[int, ...]) -> bool:
-        """is_interior read off a point's row values."""
-        return min(values) >= 0 and all(values[r] > 0 for r in self.facet_row_indices)
+    @property
+    def facets(self) -> tuple[frozenset[int], ...]:
+        rows = self.cone.rows
+        return tuple(
+            frozenset(i for i, b in enumerate(self.omega) if _dot(rows[f], b) == 0)
+            for f in self.cone.facet_rows
+        )
+
+    def is_interior(self, x: Point) -> bool:
+        """x in int(P), which is {x : A x > 0}: P has no zero row."""
+        return self.cone.strictly_positive_rows(x)
 
 
 def hilbert_data_from_omega(omega: Sequence[Point], spec: ConeSpec) -> HilbertData:
@@ -524,10 +538,11 @@ def hilbert_data_from_omega(omega: Sequence[Point], spec: ConeSpec) -> HilbertDa
 
     omega need not be the minimal Hilbert basis, but every interior seed is
     built from it, so decompose_interior against the result only ever uses
-    these generators.  The facets are the distinct sets of generators a row
-    vanishes on that span dimension m - 1, each with the first such row.
-    Every generator must be a nonzero point of the cone with spec.dim
-    integer entries, else ValueError.
+    these generators.  The facets are the cone's own (spec.facet_rows), so
+    an omega missing an extreme ray still gets every facet, and the seeds
+    are the distinct nonempty subset sums of omega strictly positive on
+    every row.  Every generator must be a nonzero point of the cone with
+    spec.dim integer entries, else ValueError.
     """
     omega = tuple(sorted(_lattice_point(p, spec.dim, "generator") for p in omega))
     if not omega:
@@ -535,32 +550,19 @@ def hilbert_data_from_omega(omega: Sequence[Point], spec: ConeSpec) -> HilbertDa
     for b in omega:
         if not any(b) or not spec.contains(b):
             raise ValueError(f"generator {b} is not a nonzero point of the cone")
-    facets: list[frozenset[int]] = []
-    facet_rows: list[int] = []
-    for ridx, row in enumerate(spec.rows):
-        on_row = frozenset(i for i, b in enumerate(omega) if _dot(row, b) == 0)
-        if on_row in facets:
-            continue
-        if _rank([omega[i] for i in on_row]) == spec.dim - 1:
-            facets.append(on_row)
-            facet_rows.append(ridx)
-    # W lies in the facet cut by row exactly when row . sum(W) = 0, so the
-    # seeds are read off the distinct subset sums, not the subsets
+    # W lies in a facet exactly when some row pairs to zero with sum(W), so
+    # the seeds are read off the distinct subset sums, not the subsets
     sums: set[Point] = set()
     for b in omega:
         sums |= {tuple(map(add, s, b)) for s in sums}
         sums.add(b)
-    cuts = [spec.rows[r] for r in facet_rows]
-    seeds = sorted(s for s in sums if all(_dot(row, s) > 0 for row in cuts))
-    data = HilbertData(spec, omega, tuple(seeds), tuple(facets), tuple(facet_rows))
-    for a in data.omega0:
-        if not data.is_interior(a):
-            raise RuntimeError(f"seed {a} is not interior; facet analysis is wrong")
-    return data
+    return HilbertData(
+        spec, omega, tuple(sorted(s for s in sums if spec.strictly_positive_rows(s)))
+    )
 
 
 def hilbert_data(spec: ConeSpec, search_bound: int) -> HilbertData:
-    """hilbert_basis packaged with its interior seeds and facets.
+    """hilbert_basis packaged with its interior seeds.
 
     Raises BoundTooSmallError as hilbert_basis does.
     """
@@ -585,7 +587,7 @@ def decompose_interior(point: Point, h: HilbertData) -> InteriorDecomposition:
     """
     point = _lattice_point(point, h.cone.dim, "point")
     values = _row_values(h.cone.rows, point)
-    if not h._interior_values(values):
+    if min(values) <= 0:
         raise ValueError(f"{point} is not an interior lattice point of the cone")
     plan = h.plan
     memo: set[tuple[Point, int]] = set()

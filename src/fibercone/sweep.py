@@ -352,16 +352,10 @@ def verify_exponent_law(
     slope, _, _ = fit_exponent(samples)
     predicted = _predicted_exponent(p, q)
     if predicted is None:
-        return FitVerdict(
-            predicted_exponent=None,
-            fitted_slope=slope,
-            tolerance=tolerance,
-            passed=False,
-            which=which,
-            sample_count=len(samples),
-            reason=f"no prediction for (p, q) = ({p}, {q})",
-        )
-    passed = abs(slope - float(-predicted)) <= tolerance
+        passed, reason = False, f"no prediction for (p, q) = ({p}, {q})"
+    else:
+        passed = abs(slope - float(-predicted)) <= tolerance
+        reason = "ok" if passed else "slope outside tolerance"
     return FitVerdict(
         predicted_exponent=predicted,
         fitted_slope=slope,
@@ -369,7 +363,7 @@ def verify_exponent_law(
         passed=passed,
         which=which,
         sample_count=len(samples),
-        reason="ok" if passed else "slope outside tolerance",
+        reason=reason,
     )
 
 

@@ -1,6 +1,8 @@
 """Reachability analysis: primitivity, step images, covering, avoidance."""
 
+import copy
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -559,3 +561,157 @@ def test_degree_zero_is_read_off_the_edges():
     digraph_analysis._engine(g).in_degree[0] = 0
     with pytest.raises(RuntimeError, match="re-verification"):
         primitivity_exponent(g)
+
+
+# -- each clause of the checker, handed a crafted certificate ------------------
+
+
+def _certified(g):
+    """(g, engine, skeleton, edge pairs) with the skeleton certified."""
+    eng = digraph_analysis._engine(g)
+    return g, eng, eng.skeleton, eng._edge_pairs
+
+
+def _with_interior(sk):
+    """(out list, index, chain) for the first chain with an interior."""
+    out = next(out for out in sk.chains if any(len(ch.path) > 1 for ch in out))
+    i = next(i for i, ch in enumerate(out) if len(ch.path) > 1)
+    return out, i, out[i]
+
+
+def _no_chain_list(sk):
+    sk.chains.pop()
+
+
+def _end_inside(sk):
+    out, i, chain = _with_interior(sk)
+    out[i] = chain._replace(end=chain.path[1])
+
+
+def _end_elsewhere(sk):
+    # the interior's only successor is the chain's end, so another skeleton
+    # vertex breaks the last step
+    out, i, chain = _with_interior(sk)
+    other = next(v for v in sk.nodes if v != chain.end)
+    out[i] = chain._replace(end=other)
+
+
+def _interior_moved(sk):
+    _, _, chain = _with_interior(sk)
+    sk.place[chain.path[1]] = (chain, 2)
+
+
+def _stray_place(sk):
+    _, _, chain = _with_interior(sk)
+    sk.place[sk.nodes[0]] = (chain, 1)
+
+
+def _skeleton_of(sk_tamper):
+    def check():
+        g, _, sk, _ = _certified(magic_digraph(8, 4))
+        sk = copy.deepcopy(sk)
+        sk_tamper(sk)
+        digraph_analysis._certify_skeleton(g, sk)
+
+    return check
+
+
+def _branching_interior():
+    # a -> y, y -> b, y -> c, b -> a, c -> a, with y's edge to c hidden from
+    # the skeleton builder, so y (out-degree 2) is read as a chain interior
+    g = Digraph.from_edges(
+        ("a", "y", "b", "c"), ((0, 1), (1, 2), (1, 3), (2, 0), (3, 0))
+    )
+    sk = digraph_analysis._Skeleton([[1], [2], [0], [0]], [2, 1, 1, 1])
+    digraph_analysis._certify_skeleton(g, sk)
+
+
+def _table_of(table_tamper):
+    def check():
+        g, eng, sk, edges = _certified(magic_digraph(8, 4))
+        u = next(x for x, out in zip(sk.nodes, sk.chains) if len(out) > 1)
+        table = table_tamper(g, eng.table(u))
+        digraph_analysis._certify_table(g, sk, edges, u, table)
+
+    return check
+
+
+def _cycle_off_the_edges(g, table):
+    # the cycle's second vertex swapped for one that u has no edge to
+    u = table.cycle[0]
+    stranger = next(
+        v for v in range(g.vertex_count)
+        if not g.has_edge(g.labels[u], g.labels[v])
+    )
+    cycle = (u, stranger) + table.cycle[2:]
+    return dataclasses.replace(table, cycle=cycle)
+
+
+def _refusal_of(build, v, make_refusal):
+    def check():
+        g, eng, sk, edges = _certified(build())
+        ref = make_refusal(eng)
+        digraph_analysis._certify_refusal(g, sk, edges, g.index(v), ref)
+
+    return check
+
+
+def _closed_set_example():
+    return NEGATIVE_VERDICTS[1][0]()
+
+
+def _three_cycle():
+    return NEGATIVE_VERDICTS[0][0]()
+
+
+def _period_two_with_a_source():
+    # _period_two(4) plus s -> v0: s has in-degree zero
+    pairs = [(i, (i + 1) % 4) for i in range(4)] + [(0, 3), (4, 0)]
+    return Digraph.from_edges(("v0", "v1", "v2", "v3", "s"), pairs)
+
+
+_Refusal = digraph_analysis._Refusal
+
+# (clause of the checker's refusal text, a check that must raise it)
+CHECKER_CLAUSES = [
+    ("some skeleton vertex has no list of chains", _skeleton_of(_no_chain_list)),
+    ("a chain out of 'a_1' has the wrong ends", _skeleton_of(_end_inside)),
+    ("a chain out of 'a_1' is not a path of edges", _skeleton_of(_end_elsewhere)),
+    ("a chain out of 'a_1' misplaces its interior", _skeleton_of(_interior_moved)),
+    ("some chain interior has in- or out-degree != 1", _branching_interior),
+    ("some vertex is neither a skeleton vertex nor one chain's interior",
+     _skeleton_of(_stray_place)),
+    ("the table is rooted at 'b_1'",
+     _table_of(lambda g, t: dataclasses.replace(t, u=g.index("b_1")))),
+    ("the cycle is not a walk of the digraph", _table_of(_cycle_off_the_edges)),
+    ("the table is not 6 rows of 4 residues",
+     _table_of(lambda g, t: dataclasses.replace(t, rows=t.rows[:-1]))),
+    ("the unreached marker 0 is not above every walk length",
+     _table_of(lambda g, t: dataclasses.replace(t, unreached=0))),
+    ("it is not about 'w' among two or more vertices",
+     _refusal_of(_closed_set_example, "w",
+                 lambda eng: _Refusal("x", (1,), closed=eng.beyond(1)))),
+    ("the forced walk passes a vertex of out-degree != 1",
+     _refusal_of(_closed_set_example, "w",
+                 lambda eng: _Refusal("x", (0, 1), closed=eng.beyond(1)))),
+    ("the forced walk is not a walk of the digraph",
+     _refusal_of(_three_cycle, "u",
+                 lambda eng: _Refusal("x", (0, 2, 1, 0)))),
+    ("the set is not closed under successors",
+     _refusal_of(_closed_set_example, "u",
+                 lambda eng: _Refusal("x", (1,), closed=frozenset({2})))),
+    ("every residue is reached",
+     _refusal_of(lambda: magic_digraph(8, 4), "a_4",
+                 lambda eng: _Refusal("x", (4,), table=eng.table(4)))),
+    ("some in-degree is zero, so coverage need not be monotone",
+     _refusal_of(_period_two_with_a_source, "v0",
+                 lambda eng: _Refusal("x", (0,), table=eng.table(0)))),
+]
+
+
+@pytest.mark.parametrize(
+    ("clause", "check"), CHECKER_CLAUSES, ids=[c for c, _ in CHECKER_CLAUSES]
+)
+def test_each_checker_clause_refuses_its_tamper(clause, check):
+    with pytest.raises(RuntimeError, match=re.escape(f"re-verification: {clause}")):
+        check()

@@ -401,6 +401,27 @@ def test_zfold_random_refuses_a_count_below_one(capsys, count):
     assert err == f"error: --count must be at least 1, got {count}\n"
 
 
+MAGIC_ROWS_ARG = "1 0 0; 0 1 0; 1 0 -1; 0 1 -1"
+
+
+@pytest.mark.parametrize(
+    ("argv", "err"),
+    [
+        (("cone", "decompose", "--rows", MAGIC_ROWS_ARG, "--bound", "6",
+          "--point", "7,9"), "error: expected 3 integers, got 2: '7,9'\n"),
+        (("cone", "split", "--rows", MAGIC_ROWS_ARG, "--bound", "6",
+          "--point", "7,9,2,1"), "error: expected 3 integers, got 4: '7,9,2,1'\n"),
+        (("cone", "hilbert", "--rows", ";", "--bound", "3"),
+         "error: no inequality rows in ';'\n"),
+        (("sweep", "--family", "pq", "--q", "2", "--n-from", "2", "--n-to", "3"),
+         "error: the pq family needs --p and --q\n"),
+    ],
+    ids=["point-short", "point-long", "rows-empty", "pq-without-p"],
+)
+def test_malformed_arguments_exit_2(capsys, argv, err):
+    assert _run(capsys, *argv) == (2, "", err)
+
+
 def test_unknown_flag_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["class", "info", "--nonsense", "1"])

@@ -93,11 +93,43 @@ def test_empty_interior_is_rejected():
 
 
 def test_empty_interior_is_rejected_without_a_box_search():
-    # a plane in R^3: the rank-1 minors give only (1, 0, 0) and (-1, 0, 0)
+    # a plane in R^3: on the one coordinate that keeps rank 1, x >= 0 and
+    # -x >= 0 leave no ray
     start = time.perf_counter()
     with pytest.raises(EmptyInteriorError, match="empty interior"):
         ConeSpec(((1, 0, 0), (-1, 0, 0)))
     assert time.perf_counter() - start < 0.1
+
+
+def test_empty_interior_of_42_rows_is_refused_from_the_rays():
+    # the plane x + 2y + 3z = 0 cut by 40 more rows: rank 3, no interior;
+    # its rays take the C(42, 2) minors of row pairs
+    rows = ((1, 2, 3), (-1, -2, -3)) + tuple(
+        (i % 7 - 3, 3 * i % 11 - 5, 5 * i % 13 - 6) for i in range(40)
+    )
+    assert len(set(rows)) == 42
+    start = time.perf_counter()
+    with pytest.raises(EmptyInteriorError, match="empty interior"):
+        ConeSpec(rows)
+    assert time.perf_counter() - start < 0.25
+
+
+def test_magic_cone_rays_facets_and_interior_point():
+    spec = ConeSpec(MAGIC_ROWS)
+    assert spec.rays == ((0, 0, -1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
+    assert spec.facet_rows == (0, 1, 2, 3)
+    # the sum of the rays
+    assert spec.interior_point == (2, 2, 0)
+    assert spec == ConeSpec(MAGIC_ROWS)
+    assert "rays" not in repr(spec)
+
+
+def test_redundant_and_repeated_rows_cut_no_new_facet():
+    # (1, 1) is tight on no ray and the second (0, 1) repeats the first
+    spec = ConeSpec(((0, 1), (1, 1), (0, 1), (3, -2)))
+    assert spec.rays == ((1, 0), (2, 3))
+    assert spec.facet_rows == (0, 3)
+    assert spec.interior_point == (3, 3)
 
 
 def test_thin_cone_is_accepted():
@@ -301,6 +333,24 @@ def test_incomplete_generator_set_raises():
     h = hilbert_data_from_omega(((1, 0), (2, 3)), spec)
     with pytest.raises(NoDecompositionError):
         decompose_interior((1, 1), h)
+
+
+def test_omega_missing_a_ray_gets_the_cones_own_facets():
+    # omega lacks the ray (0, 1), yet x = 0 still bounds the quadrant: its
+    # facet holds no generator, and (0, 5) on it is not interior
+    h = hilbert_data_from_omega(((1, 0), (2, 3)), QUADRANT)
+    assert h.facets == (frozenset(), frozenset({0}))
+    assert h.facet_row_indices == (0, 1)
+    assert h.omega0 == ((2, 3), (3, 3))
+    assert not h.is_interior((0, 5))
+    assert h.is_interior((1, 5))
+    with pytest.raises(ValueError, match="not an interior lattice point"):
+        decompose_interior((0, 5), h)
+
+
+def test_hilbert_data_from_omega_refuses_an_empty_omega():
+    with pytest.raises(ValueError, match="omega must be nonempty"):
+        hilbert_data_from_omega((), QUADRANT)
 
 
 # a cone whose complete Hilbert basis has 25 generators and coordinates <= 6
@@ -663,11 +713,18 @@ def test_hilbert_basis_matches_a_box_scan(spec):
         if _reference_rank([r for r in spec.rows if _level(r, b) == 0])
         == spec.dim - 1
     }
-    assert set(cone_monoid._extreme_rays(spec)) == on_rays
-    # a pointed cone of dimension <= 3 has as many extreme rays as facets
-    on_rows = {frozenset(b for b in omega if _level(r, b) == 0) for r in spec.rows}
-    facets = [f for f in on_rows if _reference_rank(list(f)) == spec.dim - 1]
+    assert set(spec.rays) == on_rays
+    # a pointed cone of dimension <= 3 has as many extreme rays as facets;
+    # a facet is a row whose generators span dimension m - 1, and the facet
+    # rows read off the rays are the first row of each
+    on_rows = {}
+    for i, r in enumerate(spec.rows):
+        on_rows.setdefault(frozenset(b for b in omega if _level(r, b) == 0), i)
+    facets = {
+        f: i for f, i in on_rows.items() if _reference_rank(list(f)) == spec.dim - 1
+    }
     assert len(on_rays) == len(facets)
+    assert spec.facet_rows == tuple(sorted(facets.values()))
 
 
 @settings(max_examples=150, deadline=None)

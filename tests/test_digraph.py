@@ -164,6 +164,26 @@ def test_import_validates_document():
         import_digraph({"labels": ["a", 2], "adjacency": [[0, 1], [1, 0]]})
 
 
+@pytest.mark.parametrize(
+    ("document", "match"),
+    [
+        ("[]", "must be a JSON object"),
+        ('"labels"', "must be a JSON object"),
+        ({"labels": ["a"]}, "missing key 'adjacency'"),
+        ('{"adjacency": [[0]]}', "missing key 'labels'"),
+    ],
+    ids=["list", "string", "no-adjacency", "no-labels"],
+)
+def test_import_refuses_a_document_that_is_not_a_full_object(document, match):
+    with pytest.raises(ValueError, match=match):
+        import_digraph(document)
+
+
+def test_adjacency_must_have_a_row_per_label():
+    with pytest.raises(ValueError, match="square of size = #labels"):
+        Digraph(("u",), ())
+
+
 def test_adjacency_convention_is_target_row_source_column():
     g = magic_digraph(1, 2)
     doc = import_digraph(export_digraph_json(g))

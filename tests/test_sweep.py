@@ -54,6 +54,14 @@ def test_config_validation():
         SweepConfig(family="n11", n_start=4, n_stop=3)
     with pytest.raises(ValueError):
         SweepConfig(family="n11", n_start=2, n_stop=3, worker_count=0)
+    with pytest.raises(ValueError, match="vertex cap must be positive"):
+        SweepConfig(family="n11", n_start=2, n_stop=3, vertex_cap=0)
+
+
+def test_json_text_refuses_what_it_cannot_encode():
+    assert json.loads(sweep_mod.json_text({"r": Fraction(1, 3)})) == {"r": [1, 3]}
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        sweep_mod.json_text(object())
 
 
 @pytest.mark.parametrize(

@@ -55,6 +55,13 @@ def test_graph_validation():
         CochainGraph(0, ())
 
 
+
+def test_graph_with_3n_over_2_edges_and_a_degree_4_vertex_is_refused():
+    # three edges on two vertices pass the count; vertex 0 has degree 4
+    with pytest.raises(ValueError, match=r"vertices \[0, 1\] have degree != 3"):
+        CochainGraph(2, ((0, 0, 0), (0, 1, 0), (0, 1, 1)))
+
+
 @pytest.mark.parametrize(
     ("vertex_count", "edges"),
     [
@@ -108,6 +115,13 @@ def test_self_loops_count_twice_toward_degree():
 )
 def test_lemma_R_pins(cochain_bound, edge_count, expected):
     assert lemma_R(cochain_bound, edge_count) == expected
+
+
+def test_lemma_R_refuses_a_negative_bound_or_no_edges():
+    with pytest.raises(ValueError, match="cochain bound must be nonnegative"):
+        lemma_R(-1, 3)
+    with pytest.raises(ValueError, match="edge count must be positive"):
+        lemma_R(1, 0)
 
 
 def test_lemma_R_is_minimal():
@@ -479,3 +493,5 @@ def test_import_validates_document():
         import_cochain_graph(
             '{"vertices": 2, "edges": [{"u": 0, "v": 1}]}'
         )
+    with pytest.raises(ValueError, match="expected a JSON object"):
+        import_cochain_graph("[]")
