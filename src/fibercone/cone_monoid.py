@@ -190,7 +190,8 @@ class ConeSpec:
         inner = tuple(map(sum, zip(*rays)))
         if not all(_dot(row, inner) > 0 for row in projected):
             raise EmptyInteriorError(
-                "no x has A x > 0 (A x >= 1 has no vertex): the cone has empty interior"
+                "no x has A x > 0 (the sum of the extreme rays is not strictly "
+                "positive on every row): the cone has empty interior"
             )
         if rank < m:
             raise ValueError(

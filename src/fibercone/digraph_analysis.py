@@ -49,10 +49,11 @@ W(source, avoided).  avoidance_at and image_after test membership in one
 search over states (vertex, steps left), each visited once for all
 sources: a state follows its forced walk and is answered by the walk, by
 the walk's cycle or by the end's table, and an end with no closed walk
-through it passes the state on to its out-neighbours; the search stops once
-every target is hit.  A table costs O(|skeleton| c log(|skeleton| c)), against
-O(r V / 64) for stepping a bitmask r times: (1,100,10000)+, with V = 20101
-and r = 1010199, takes well under a second.
+through it (read off the skeleton's strongly connected components, with no
+table search) passes the state on to its out-neighbours; the search stops
+once every target is hit.  A table costs O(|skeleton| c log(|skeleton| c)),
+against O(r V / 64) for stepping a bitmask r times: (1,100,10000)+, with
+V = 20101 and r = 1010199, takes well under a second.
 
 A separate checker, which only checks and never searches, certifies the
 skeleton and each table before any answer built on them leaves this module,
@@ -91,8 +92,9 @@ Boolean matrix powers by repeated squaring survive only as the reference
 route image_after(..., method="powers"), which tests compare the tables
 against.  Squarings run as numpy float32 matmuls clipped back to 0/1;
 this is exact, since every entry is 0 or 1 and inner products are integers
-bounded by V, far below the 2**24 float32 integer range.  Nothing else
-builds a V x V structure.
+bounded by V, far below the 2**24 float32 integer range.  That route is the
+only one that imports numpy, and nothing else builds a V x V structure:
+the checker and every other answer use plain Python integers.
 """
 
 from __future__ import annotations
@@ -106,8 +108,6 @@ from functools import cached_property
 from itertools import repeat
 from operator import add, eq, itemgetter
 from typing import Iterable, NamedTuple
-
-import numpy as np
 
 from .traintrack_digraph import Digraph
 
@@ -396,27 +396,32 @@ def _certify_table(
     start = sk.index[u]
     if rows[start][0] != 0:
         fail("D[u][0] != 0")
-    # cand[e][(rho + w) % c] = D[x][rho] + w along each chain e: x -> z,
-    # and best[z] is the least candidate over the chains into z
-    xs, zs, ws = [], [], []
-    for x, out in enumerate(sk.chains):
+    # best[z][(rho + w) % c] is the least D[x][rho] + w over the chains
+    # x -> z of weight w, starting from the unreached marker
+    best = [[top] * c for _ in rows]
+    for row, out in zip(rows, sk.chains):
         for chain in out:
-            xs.append(x)
-            zs.append(sk.index[chain.end])
-            ws.append(len(chain.path))
-    table_d = np.array(rows, dtype=np.int64 if top < 2**62 else object)
-    weights = np.array(ws, dtype=table_d.dtype)[:, None]
-    cols = (np.arange(c)[None, :] - weights) % c
-    cand = table_d[np.array(xs)[:, None], cols.astype(np.intp)] + weights
-    best = np.full(table_d.shape, top, dtype=table_d.dtype)
-    np.minimum.at(best, np.array(zs, dtype=np.intp), cand)
-    best[start, 0] = 0
-    if not np.array_equal(table_d, best):
-        z, rho = (int(i[0]) for i in np.nonzero(table_d != best))
-        clause = "lower bound" if table_d[z, rho] > best[z, rho] else "attained"
+            z, w = sk.index[chain.end], len(chain.path)
+            s = w % c
+            rotated = row[-s:] + row[:-s]
+            best[z] = [q if q < p + w else p + w for p, q in zip(rotated, best[z])]
+    best[start][0] = 0
+    mismatch = next(
+        (
+            (z, rho)
+            for z, (row, low) in enumerate(zip(rows, best))
+            if row != low
+            for rho, (d, b) in enumerate(zip(row, low))
+            if d != b
+        ),
+        None,
+    )
+    if mismatch is not None:
+        z, rho = mismatch
+        clause = "lower bound" if rows[z][rho] > best[z][rho] else "attained"
         fail(
             f"{clause} fails at D[{g.labels[sk.nodes[z]]!r}][{rho}] = "
-            f"{table_d[z, rho]}, its predecessors give {best[z, rho]}"
+            f"{rows[z][rho]}, its predecessors give {best[z][rho]}"
         )
 
 
@@ -479,7 +484,9 @@ class _Engine:
             self.out_nbrs[source].append(target)
             self.in_degree[target] += 1
         self._tables: dict[int, _Table | None] = {}
-        self._ladder: list[np.ndarray] | None = None
+        # A^(2^t) for t = 0, 1, ... as numpy float32 matrices, built by power()
+        # for the method="powers" route only
+        self._ladder: list | None = None
 
     @property
     def g(self) -> Digraph:
@@ -491,11 +498,57 @@ class _Engine:
         self._edge_pairs = _certify_skeleton(self.g, sk)
         return sk
 
+    @cached_property
+    def cyclic(self) -> list[bool]:
+        """cyclic[x]: does a closed walk pass through skeleton vertex x?
+
+        True iff x has a chain to itself or its strongly connected component
+        of the skeleton has two or more vertices; the components come from
+        Tarjan's algorithm, run on an explicit stack.
+        """
+        out_w = self.skeleton.out_w
+        count = len(out_w)
+        order, low, where = [-1] * count, [0] * count, [0] * count
+        cyclic, on_stack, stack = [False] * count, [False] * count, []
+        counter = 0
+        for root in range(count):
+            if order[root] >= 0:
+                continue
+            work = [(root, None)]
+            while work:
+                x, nexts = work.pop()
+                if nexts is None:
+                    order[x] = low[x] = counter
+                    counter += 1
+                    where[x] = len(stack)
+                    stack.append(x)
+                    on_stack[x] = True
+                    nexts = iter(out_w[x])
+                for z, _ in nexts:
+                    if order[z] < 0:
+                        work += [(x, nexts), (z, None)]
+                        break
+                    if on_stack[z]:
+                        low[x] = min(low[x], order[z])
+                        cyclic[x] |= z == x
+                else:
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[x])
+                    if low[x] == order[x]:
+                        component = stack[where[x]:]
+                        del stack[where[x]:]
+                        for y in component:
+                            on_stack[y] = False
+                            cyclic[y] |= len(component) > 1
+        return cyclic
+
     def table(self, u: int) -> _Table | None:
-        """The certified table of skeleton vertex u, None when no closed walk
-        passes through u."""
+        """The certified table of skeleton vertex u; None, with no search,
+        when no closed walk passes through u."""
         if u not in self._tables:
-            table = _residue_table(self.skeleton, u)
+            sk = self.skeleton
+            table = _residue_table(sk, u) if self.cyclic[sk.index[u]] else None
             if table is not None:
                 _certify_table(self.g, self.skeleton, self._edge_pairs, u, table)
             self._tables[u] = table
@@ -618,8 +671,12 @@ class _Engine:
 
     # -- the reference route: boolean matrix powers ------------------------
 
-    def power(self, t: int) -> np.ndarray:
-        """A^(2^t) as a 0/1 float32 matrix (ladder entries are never mutated)."""
+    def power(self, t: int):
+        """A^(2^t) as a 0/1 numpy float32 matrix (ladder entries are never
+        mutated).  numpy is imported here and in image_by_powers only, so
+        nothing but the method="powers" route loads it."""
+        import numpy as np
+
         if self._ladder is None:
             # A[i, j] = 1 iff edge j -> i; powers act on indicator columns.
             base = np.zeros((self.n, self.n), dtype=np.float32)
@@ -634,6 +691,8 @@ class _Engine:
         return self._ladder[t]
 
     def image_by_powers(self, sources: list[int], m: int) -> list[int]:
+        import numpy as np
+
         vec = np.zeros(self.n, dtype=np.float32)
         vec[sources] = 1.0
         t = 0

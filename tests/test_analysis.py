@@ -381,6 +381,71 @@ def test_residue_route_agrees_with_stepping():
             assert image_after(g, worst, r - 1, method="powers") != full
 
 
+def test_acyclic_vertices_get_no_table_search(monkeypatch):
+    # no vertex of the long acyclic digraph lies on a closed walk, so its
+    # skeleton components say so and no residue table is searched for
+    calls, real = [], digraph_analysis._residue_table
+
+    def counted(sk, u):
+        calls.append(u)
+        return real(sk, u)
+
+    monkeypatch.setattr(digraph_analysis, "_residue_table", counted)
+    n, m = 1200, 500
+    g = Digraph.from_edges(
+        [f"v{i}" for i in range(n)],
+        [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)],
+    )
+    assert image_after(g, "v0", m) == frozenset(f"v{i}" for i in range(m, 2 * m + 1))
+    assert calls == []
+    # with the edge v1 -> v0 added, v0 lies on a closed walk and its one
+    # table answers every state of the search
+    g = Digraph.from_edges(g.labels, [(s, t) for s, t, _ in g.edges] + [(1, 0)])
+    assert image_after(g, "v0", m) == image_after(g, "v0", m, method="powers")
+    assert calls == [0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=small_digraphs())
+def test_skeleton_components_find_the_vertices_on_closed_walks(g):
+    eng = digraph_analysis._engine(g)
+    sk = eng.skeleton
+    for x, out in enumerate(sk.out_w):
+        seen, todo = set(), [z for z, _ in out]
+        while todo:
+            z = todo.pop()
+            if z not in seen:
+                seen.add(z)
+                todo.extend(y for y, _ in sk.out_w[z])
+        assert eng.cyclic[x] == (x in seen)
+
+
+@st.composite
+def small_acyclic_digraphs(draw):
+    """V <= 10 with edges only from lower to higher index, some doubled."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda e: e[0] < e[1]),
+        max_size=3 * n,
+    ))
+    return Digraph.from_edges(tuple(f"v{i}" for i in range(n)), pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=small_acyclic_digraphs(), data=st.data())
+def test_acyclic_images_match_powers(g, data):
+    sources = data.draw(st.sets(st.sampled_from(g.labels), min_size=1))
+    m = data.draw(st.integers(min_value=0, max_value=12))
+    image = image_after(g, sources, m)
+    assert image == image_after(g, sources, m, method="powers")
+    if m:
+        for v in sources:
+            missed = set(g.labels) - image_after(g, v, m, method="powers")
+            assert avoidance_at(g, v, missed, m)
+    assert all(t is None for t in digraph_analysis._engine(g)._tables.values())
+
+
 _RESIDUE_TABLE = digraph_analysis._residue_table
 
 
@@ -715,3 +780,101 @@ CHECKER_CLAUSES = [
 def test_each_checker_clause_refuses_its_tamper(clause, check):
     with pytest.raises(RuntimeError, match=re.escape(f"re-verification: {clause}")):
         check()
+
+
+# -- the table check against a vectorised numpy reference ----------------------
+
+
+def _numpy_bellman_failure(g, sk, u, table):
+    """The Bellman clauses of the table check, in the numpy formulation the
+    package used before its check became plain Python: the refusal text, or
+    None when the table passes.  It assumes the checks before them passed."""
+    rows, c, top = table.rows, table.c, table.unreached
+    xs, zs, ws = [], [], []
+    for x, out in enumerate(sk.chains):
+        for chain in out:
+            xs.append(x)
+            zs.append(sk.index[chain.end])
+            ws.append(len(chain.path))
+    table_d = np.array(rows, dtype=np.int64 if top < 2**62 else object)
+    weights = np.array(ws, dtype=table_d.dtype)[:, None]
+    cols = (np.arange(c)[None, :] - weights) % c
+    cand = table_d[np.array(xs)[:, None], cols.astype(np.intp)] + weights
+    best = np.full(table_d.shape, top, dtype=table_d.dtype)
+    np.minimum.at(best, np.array(zs, dtype=np.intp), cand)
+    best[sk.index[u], 0] = 0
+    if np.array_equal(table_d, best):
+        return None
+    z, rho = (int(i[0]) for i in np.nonzero(table_d != best))
+    clause = "lower bound" if table_d[z, rho] > best[z, rho] else "attained"
+    return (
+        f"residue table of {g.labels[u]!r} failed re-verification: {clause} "
+        f"fails at D[{g.labels[sk.nodes[z]]!r}][{rho}] = {table_d[z, rho]}, "
+        f"its predecessors give {best[z, rho]}"
+    )
+
+
+def _check_failure(g, sk, edges, u, table):
+    """The refusal text of the package's table check, or None."""
+    try:
+        digraph_analysis._certify_table(g, sk, edges, u, table)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+def _tampered(table, x, rho, d):
+    rows = [list(row) for row in table.rows]
+    rows[x][rho] = d
+    return dataclasses.replace(table, rows=rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    j=st.integers(1, 30),
+    k=st.integers(1, 30),
+    data=st.data(),
+)
+def test_table_check_agrees_with_numpy_reference(j, k, data):
+    g, eng, sk, edges = _certified(magic_digraph(j, k))
+    u = data.draw(st.sampled_from([v for v in sk.nodes if eng.cyclic[sk.index[v]]]))
+    table = eng.table(u)
+    assert _check_failure(g, sk, edges, u, table) is None
+    assert _numpy_bellman_failure(g, sk, u, table) is None
+    # one entry other than D[u][0], which an earlier clause checks, moved
+    x, rho = data.draw(
+        st.tuples(st.integers(0, len(sk.nodes) - 1), st.integers(0, table.c - 1))
+        .filter(lambda e: e != (sk.index[u], 0))
+    )
+    d = data.draw(st.sampled_from((
+        table.rows[x][rho] + 1,
+        table.rows[x][rho] - 1,
+        0,
+        table.unreached,
+        table.unreached - 1,
+    )))
+    bad = _tampered(table, x, rho, d)
+    expected = _numpy_bellman_failure(g, sk, u, bad)
+    assert _check_failure(g, sk, edges, u, bad) == expected
+    assert (expected is None) == (d == table.rows[x][rho])
+
+
+def test_table_check_with_a_marker_above_2_62():
+    # walks v0 -> v0 have even lengths only, so odd residues stay unreached
+    g, eng, sk, edges = _certified(_period_two(6))
+    u = g.index("v0")
+    table = eng.table(u)
+    top = 2**62 + 5
+    rows = [[top if d == table.unreached else d for d in row] for row in table.rows]
+    assert any(top in row for row in rows)
+    big = dataclasses.replace(table, rows=rows, unreached=top)
+    assert _check_failure(g, sk, edges, u, big) is None
+    assert _numpy_bellman_failure(g, sk, u, big) is None
+    x, rho = next(
+        (x, rho) for x, row in enumerate(rows) for rho, d in enumerate(row) if d == top
+    )
+    for d in (top - 1, top + 1, 2**64):
+        bad = _tampered(big, x, rho, d)
+        failure = _check_failure(g, sk, edges, u, bad)
+        assert failure is not None and "re-verification" in failure
+        assert failure == _numpy_bellman_failure(g, sk, u, bad)

@@ -1,11 +1,15 @@
 """Command-line interface, exercised in process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import fibercone
 from fibercone import (
     AvoidanceWitness,
     CochainGraph,
@@ -415,11 +419,42 @@ MAGIC_ROWS_ARG = "1 0 0; 0 1 0; 1 0 -1; 0 1 -1"
          "error: no inequality rows in ';'\n"),
         (("sweep", "--family", "pq", "--q", "2", "--n-from", "2", "--n-to", "3"),
          "error: the pq family needs --p and --q\n"),
+        # the same refusal as the console-script smoke step in CI
+        (("cone", "hilbert", "--rows", "1 0 0; -1 0 0", "--bound", "3"),
+         "error: no x has A x > 0 (the sum of the extreme rays is not strictly "
+         "positive on every row): the cone has empty interior\n"),
     ],
-    ids=["point-short", "point-long", "rows-empty", "pq-without-p"],
+    ids=["point-short", "point-long", "rows-empty", "pq-without-p",
+         "empty-interior"],
 )
 def test_malformed_arguments_exit_2(capsys, argv, err):
     assert _run(capsys, *argv) == (2, "", err)
+
+
+NUMPY_STAYS_OUT = """
+import sys
+
+import fibercone
+assert "numpy" not in sys.modules, "import fibercone"
+import fibercone.cli
+assert "numpy" not in sys.modules, "import fibercone.cli"
+assert fibercone.cli.main(["bounds", "class", "--plus", "1,8,4"]) == 0
+assert "numpy" not in sys.modules, "bounds class"
+"""
+
+
+def test_cli_paths_do_not_import_numpy():
+    # a fresh interpreter, since this one has numpy from other tests; only
+    # image_after(..., method="powers") may load it
+    src = str(Path(fibercone.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_STAYS_OUT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert '"mixing_r": 31' in done.stdout
 
 
 def test_unknown_flag_exits_via_argparse(capsys):

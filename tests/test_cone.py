@@ -88,8 +88,13 @@ def test_cone_spec_membership():
 
 
 def test_empty_interior_is_rejected():
-    with pytest.raises(EmptyInteriorError):
+    with pytest.raises(EmptyInteriorError) as info:
         ConeSpec(((1, 0), (-1, 0)))
+    # the refusal names the test it comes from: the sum of the rays
+    assert str(info.value) == (
+        "no x has A x > 0 (the sum of the extreme rays is not strictly positive "
+        "on every row): the cone has empty interior"
+    )
 
 
 def test_empty_interior_is_rejected_without_a_box_search():
