@@ -24,6 +24,7 @@ import argparse
 import os
 import sys
 from dataclasses import asdict
+from functools import cache
 from typing import Any, Sequence
 
 from . import bounds as bounds_mod
@@ -365,6 +366,7 @@ def _cmd_zfold_random(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the fibercone command line."""
     parser = argparse.ArgumentParser(
         prog="fibercone",
         description="Fibered classes, transition digraphs, and translation "
@@ -485,9 +487,15 @@ def _add_cone_args(p_cmd: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parsing leaves it as it
+    was, and building it costs more than a small command."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:

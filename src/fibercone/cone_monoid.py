@@ -570,7 +570,7 @@ def hilbert_data(spec: ConeSpec, search_bound: int) -> HilbertData:
     return hilbert_data_from_omega(hilbert_basis(spec, search_bound), spec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteriorDecomposition:
     """point = seed + sum over omega of coefficients[i] * omega[i]."""
 
@@ -612,7 +612,7 @@ def decompose_interior(point: Point, h: HilbertData) -> InteriorDecomposition:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArithmeticSplit:
     """point = alpha + n * beta, with beta the heaviest generator.
 

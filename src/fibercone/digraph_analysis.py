@@ -25,10 +25,15 @@ branch skeleton instead of by stepping sets:
   * Residue tables (the shortest-path view of walk-length semigroups of
     Nijenhuis 1979, Amer. Math. Monthly 86, and Boecker and Liptak 2007,
     Algorithmica 48).  For a skeleton vertex u let c be the length of a
-    shortest closed walk through u (k or j + k on Gamma).  A Dijkstra pass
-    over the states (skeleton vertex x, residue rho mod c) gives D[x][rho],
-    the least length of a walk u -> x congruent to rho mod c.  Prefixing
-    the closed walk lengthens any walk from u by c, so
+    shortest closed walk through u (k or j + k on Gamma).  A shortest-path
+    search over the states (skeleton vertex x, residue rho mod c) gives
+    D[x][rho], the least length of a walk u -> x congruent to rho mod c.
+    Every candidate length for (x, rho) is congruent to rho, so its round
+    d // c fixes it, and the search runs by rounds in the manner of Dial's
+    bucket queue (Dial 1969, Comm. ACM 12): a bucket of states per round,
+    rounds taken in increasing order from a heap of round numbers, each
+    round in any order, and a state reached in the round being searched is
+    final.  Prefixing the closed walk lengthens any walk from u by c, so
 
         W(u, x) = { L : L >= D[x][L mod c] },
 
@@ -51,9 +56,10 @@ sources: a state follows its forced walk and is answered by the walk, by
 the walk's cycle or by the end's table, and an end with no closed walk
 through it (read off the skeleton's strongly connected components, with no
 table search) passes the state on to its out-neighbours; the search stops
-once every target is hit.  A table costs O(|skeleton| c log(|skeleton| c)),
-against O(r V / 64) for stepping a bitmask r times: (1,100,10000)+, with
-V = 20101 and r = 1010199, takes well under a second.
+once every target is hit.  A table costs O(|chains| c) for its states plus
+O(R log R) for the heap of its R <= |skeleton| c distinct rounds, against
+O(r V / 64) for stepping a bitmask r times: (1,100,10000)+, with V = 20101
+and r = 1010199, takes well under a second.
 
 A separate checker, which only checks and never searches, certifies the
 skeleton and each table before any answer built on them leaves this module,
@@ -255,8 +261,8 @@ class _Table:
 
 
 def _residue_table(sk: _Skeleton, u: int) -> _Table | None:
-    """Dijkstra over (skeleton vertex, residue) from u; None when no closed
-    walk passes through u.  The result is unchecked."""
+    """The search by rounds over (skeleton vertex, residue) from u; None when
+    no closed walk passes through u.  The result is unchecked."""
     count, out_w, start = len(sk.nodes), sk.out_w, sk.index[u]
     # a shortest closed walk through u, by Dijkstra on the skeleton itself
     dist, via = {start: 0}, {}
@@ -283,7 +289,7 @@ def _residue_table(sk: _Skeleton, u: int) -> _Table | None:
     unreached = count * c * max(w for out in out_w for _, w in out) + 1
     rows = [[unreached] * c for _ in range(count)]
     rows[start][0] = 0
-    # heap keys are d << bits | x, for distance d to state (x, d mod c)
+    # bucket keys are d << bits | x, for distance d to state (x, d mod c)
     bits = count.bit_length()
     mask = (1 << bits) - 1
 
@@ -300,25 +306,41 @@ def _residue_table(sk: _Skeleton, u: int) -> _Table | None:
         return seq
 
     hops = [[hop(z, w) for z, w in out] for out in out_w]
-    heap = [start]
+    # Every candidate for (x, rho) is congruent to rho mod c, so its round
+    # d // c fixes it: rounds are searched in increasing order, each in any
+    # order, and a key whose length still stands when its round comes is
+    # final.  Rounds reach count * maxw when c is small, so nothing is
+    # indexed by round: a heap holds the distinct round numbers.
+    buckets = {0: [start]}
+    rounds = [0]
     pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        key = pop(heap)
-        d, x = key >> bits, key & mask
-        rho = d % c
-        if d != rows[x][rho]:
-            continue
-        for seq in hops[x]:
-            for row, w, shift, queue in seq:
-                j = rho + shift
-                if j >= c:
-                    j -= c
-                w += d
-                if w >= row[j]:
-                    break
-                row[j] = w
-                if queue >= 0:
-                    push(heap, w << bits | queue)
+    while rounds:
+        q = pop(rounds)
+        base = q * c
+        # keys of round q found while it is searched join its bucket
+        for key in buckets[q]:
+            d, x = key >> bits, key & mask
+            rho = d - base
+            if d != rows[x][rho]:
+                continue
+            for seq in hops[x]:
+                for row, w, shift, queue in seq:
+                    j = rho + shift
+                    if j >= c:
+                        j -= c
+                    w += d
+                    if w >= row[j]:
+                        break
+                    row[j] = w
+                    if queue >= 0:
+                        r = w // c
+                        later = buckets.get(r)
+                        if later is None:
+                            buckets[r] = [w << bits | queue]
+                            push(rounds, r)
+                        else:
+                            later.append(w << bits | queue)
+        del buckets[q]
     return _Table(u, c, cycle, rows, unreached)
 
 

@@ -41,8 +41,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -271,8 +269,12 @@ def _pooled_reports(
     every report that finished.  A worker that dies breaks the pool and
     fails every unfinished future, so each unfinished job is rerun alone in
     a fresh one-worker pool; a job that breaks even that pool is reported
-    failed with the BrokenProcessPool.
+    failed with the BrokenProcessPool.  concurrent.futures is imported here,
+    so only a sweep that starts a pool loads multiprocessing.
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     reports: dict[int, BoundReport] = {}
     with ProcessPoolExecutor(max_workers=min(worker_count, len(jobs))) as pool:
         futures = [pool.submit(_instance_worker, job) for job in jobs]

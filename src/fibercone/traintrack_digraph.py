@@ -48,8 +48,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 __all__ = [
@@ -109,13 +111,29 @@ class Digraph:
         """
         labels = _checked_labels(labels)
         n = len(labels)
-        counts: dict[tuple[int, int], int] = {}
-        for source, target in pairs:
-            for v in (source, target):
-                _check_count(v, "vertex indices")
-                if v >= n:
-                    raise ValueError(f"vertex index {v} out of range for {n} labels")
-            counts[source, target] = counts.get((source, target), 0) + 1
+        pairs = tuple(pairs)
+        try:
+            counts = Counter(pairs)
+            # types are read from every pair, since True == 1 would hide
+            # behind an equal int among the distinct pairs
+            valid = (
+                set(map(len, counts)) <= {2}
+                and set(map(type, chain.from_iterable(pairs))) <= {int}
+                and min(chain.from_iterable(counts), default=0) >= 0
+                and max(chain.from_iterable(counts), default=-1) < n
+            )
+        except TypeError:
+            valid = False
+        if not valid:
+            counts = Counter()
+            for source, target in pairs:
+                for v in (source, target):
+                    _check_count(v, "vertex indices")
+                    if v >= n:
+                        raise ValueError(
+                            f"vertex index {v} out of range for {n} labels"
+                        )
+                counts[source, target] += 1
         g = cls.__new__(cls)
         object.__setattr__(g, "labels", labels)
         object.__setattr__(
@@ -210,27 +228,24 @@ def _magic_labels(j: int, k: int) -> tuple[str, ...]:
     )
 
 
-def _magic_edges(j: int, k: int) -> list[tuple[str, str]]:
-    edges: list[tuple[str, str]] = [("s", "a_1")]
-    edges += [(f"a_{i}", f"a_{i+1}") for i in range(1, k)]
-    edges += [(f"a_{k}", "a_1"), (f"a_{k}", "s"), (f"a_{k}", "r_1")]
-    edges += [(f"r_{i}", f"r_{i+1}") for i in range(1, j)]
-    edges += [(f"r_{j}", "s"), (f"r_{j}", "b_1")]
-    edges += [(f"b_{i}", f"b_{i+1}") for i in range(1, k)]
-    if k > 1:
-        edges.append((f"b_{k}", "a_1"))
-    edges.append((f"b_{k}", "r_1"))
-    return edges
-
-
 def build_magic_digraph(spec: MagicDigraphSpec) -> Digraph:
-    """The digraph Gamma_(1,j,k)+ on 1 + j + 2k vertices."""
+    """The digraph Gamma_(1,j,k)+ on 1 + j + 2k vertices.
+
+    Edges are emitted as index pairs from the group offsets of the vertex
+    order: s = 0, a_i = i, r_i = k + i, b_i = k + j + i.
+    """
     j, k = spec.j, spec.k
-    labels = _magic_labels(j, k)
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    return Digraph.from_edges(
-        labels, ((index[src], index[dst]) for src, dst in _magic_edges(j, k))
-    )
+    r, b = k, k + j
+    pairs = [(0, 1)]
+    pairs += zip(range(1, k), range(2, k + 1))
+    pairs += [(k, 1), (k, 0), (k, r + 1)]
+    pairs += zip(range(r + 1, r + j), range(r + 2, r + j + 1))
+    pairs += [(r + j, 0), (r + j, b + 1)]
+    pairs += zip(range(b + 1, b + k), range(b + 2, b + k + 1))
+    if k > 1:
+        pairs.append((b + k, 1))
+    pairs.append((b + k, r + 1))
+    return Digraph.from_edges(_magic_labels(j, k), pairs)
 
 
 def magic_digraph(j: int, k: int) -> Digraph:

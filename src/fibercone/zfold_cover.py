@@ -113,7 +113,7 @@ class CochainGraph:
         return max(abs(e[2]) for e in self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverLoop:
     """A closed edge path in the Z-fold cover.
 

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -444,6 +445,79 @@ def test_acyclic_images_match_powers(g, data):
             missed = set(g.labels) - image_after(g, v, m, method="powers")
             assert avoidance_at(g, v, missed, m)
     assert all(t is None for t in digraph_analysis._engine(g)._tables.values())
+
+
+@st.composite
+def digraphs_with_runs(draw):
+    """V <= 7 base vertices with random edges, self-loops and 2-cycles, plus
+    long out-degree-1 runs between them (sometimes one from each base vertex
+    to the next, around a ring) and a ring of in- and out-degree 1."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    pairs += [(v, v) for v in draw(st.lists(vertex, max_size=2))]
+    for a, b in draw(st.lists(st.tuples(vertex, vertex), max_size=2)):
+        pairs += [(a, b), (b, a)]
+    ends = draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    if draw(st.booleans()):
+        ends += [(v, (v + 1) % n) for v in range(n)]
+    total = n
+    for a, b in ends:
+        length = draw(st.integers(1, 14))
+        walk = [a, *range(total, total + length), b]
+        pairs += zip(walk, walk[1:])
+        total += length
+    if draw(st.booleans()):
+        ring = list(range(total, total + draw(st.integers(1, 5))))
+        pairs += zip(ring, ring[1:] + ring[:1])
+        total += len(ring)
+    return Digraph.from_edges([f"v{i}" for i in range(total)], pairs)
+
+
+def _sets_by_length(g, u):
+    """(sets, i): sets[L] is the set of ends of walks of length L from u,
+    stepped until the next set repeats sets[i]."""
+    sets, first = [], {}
+    current = frozenset({u})
+    while current not in first:
+        first[current] = len(sets)
+        sets.append(current)
+        current = frozenset(_brute_image(g.adjacency, current, 1))
+    return sets, first[current]
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=digraphs_with_runs())
+def test_residue_tables_match_brute_force(g):
+    # every (vertex, length) state reached from u, by stepping vertex sets;
+    # past the set sequence's preperiod, (set, length mod c) repeats with
+    # the lcm of its period and c, so the horizon covers every length, the
+    # unreached marker's too
+    sk = digraph_analysis._engine(g).skeleton
+    for u in sk.nodes:
+        table = digraph_analysis._residue_table(sk, u)
+        sets, start = _sets_by_length(g, u)
+        period = len(sets) - start
+
+        def at(length):
+            return sets[length if length < start else
+                        start + (length - start) % period]
+
+        returns = [L for L in range(1, start + period + 1) if u in at(L)]
+        if table is None:
+            assert not returns
+            continue
+        assert table.c == returns[0]
+        assert len(table.cycle) == table.c + 1
+        expected = [[table.unreached] * table.c for _ in sk.nodes]
+        horizon = start + period * table.c // math.gcd(period, table.c)
+        for length in range(horizon):
+            reached = at(length)
+            for x, v in enumerate(sk.nodes):
+                row = expected[x]
+                if v in reached and row[length % table.c] == table.unreached:
+                    row[length % table.c] = length
+        assert table.rows == expected
 
 
 _RESIDUE_TABLE = digraph_analysis._residue_table

@@ -1,6 +1,9 @@
 """Lattice monoid machinery: Hilbert bases, interior seeds, splits."""
 
+import copy
+import dataclasses
 import json
+import pickle
 import sys
 import time
 from fractions import Fraction
@@ -858,3 +861,25 @@ def test_subset_sum_seeds_match_the_subset_enumeration(spec, data):
     extra = {tuple(x + y for x, y in zip(b, c)) for b, c in pairs}
     h = hilbert_data_from_omega(omega + tuple(extra - set(omega)), spec)
     assert h.omega0 == _reference_seeds(h.omega, h.facets, spec.dim)
+
+
+def test_slotted_results_pickle_compare_and_convert_as_before():
+    # InteriorDecomposition and ArithmeticSplit carry __slots__, no __dict__
+    h = hilbert_data(ConeSpec(MAGIC_ROWS), 6)
+    s = arithmetic_split((7, 9, 2), h, thurston_form)
+    d = s.decomposition
+    for value, field in ((d, "seed"), (s, "n")):
+        assert not hasattr(value, "__dict__")
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, 1)
+    assert d == decompose_interior((7, 9, 2), h)
+    assert d != dataclasses.replace(d, coefficients=d.coefficients[:-1] + (9,))
+    assert dataclasses.asdict(s) == {
+        "alpha": (1, 3, -4),
+        "beta": (1, 1, 1),
+        "n": 6,
+        "decomposition": {"seed": d.seed, "coefficients": d.coefficients},
+    }
+    assert s.degenerate is False

@@ -1,10 +1,13 @@
 """Transition digraph construction, walk certificates, and serialization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibercone import (
     Digraph,
     MagicDigraphSpec,
+    build_magic_digraph,
     certify_canonical_walks,
     export_digraph_json,
     export_dot,
@@ -201,3 +204,95 @@ def test_export_dot_lists_every_edge():
     assert '"s" -> "a_1"' in dot
     assert '"b_2" -> "r_1"' in dot
     assert dot.count("->") == g.edge_count
+
+
+def _labelled_magic_digraph(j, k):
+    """Gamma_(1,j,k)+ from the module docstring's edge list, by label, read
+    through the dense constructor."""
+    a = [f"a_{i}" for i in range(1, k + 1)]
+    r = [f"r_{i}" for i in range(1, j + 1)]
+    b = [f"b_{i}" for i in range(1, k + 1)]
+    labels = ["s"] + a + r + b
+    edges = [("s", a[0]), (a[-1], a[0]), (a[-1], "s"), (a[-1], r[0])]
+    edges += [(r[-1], "s"), (r[-1], b[0]), (b[-1], r[0])]
+    for chain in (a, r, b):
+        edges += zip(chain, chain[1:])
+    if k > 1:
+        edges.append((b[-1], a[0]))
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    adjacency = [[0] * len(labels) for _ in labels]
+    for source, target in edges:
+        adjacency[index[target]][index[source]] += 1
+    return Digraph(labels, adjacency)
+
+
+@pytest.mark.parametrize("j", range(1, 13))
+def test_index_built_digraph_matches_label_built_reference(j):
+    for k in range(1, 13):
+        g = build_magic_digraph(MagicDigraphSpec(j, k))
+        reference = _labelled_magic_digraph(j, k)
+        assert g == reference
+        assert g.edges == reference.edges
+        assert all(type(v) is int for edge in g.edges for v in edge)
+
+
+def _first_pair_error(n, pairs):
+    """The error the per-pair check raises first, as (type, text), or None."""
+    try:
+        for source, target in pairs:
+            for v in (source, target):
+                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                    raise ValueError("vertex indices must be nonnegative integers")
+                if v >= n:
+                    raise ValueError(f"vertex index {v} out of range for {n} labels")
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _pairs_with_bad_ones(n):
+    good = st.integers(0, n - 1)
+    bad = st.one_of(
+        st.booleans(), st.integers(-3, -1), st.integers(n, n + 2), st.just("0")
+    )
+    vertex = st.one_of(good, good, bad)
+    return st.lists(
+        st.one_of(
+            st.tuples(good, good),
+            st.tuples(vertex, vertex),
+            st.lists(vertex, min_size=2, max_size=2),
+            st.lists(good, min_size=2, max_size=2),
+            st.tuples(good, good, good),
+            st.just("01"),
+            st.just(0),
+        ),
+        max_size=8,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_from_edges_raises_the_first_error_in_input_order(data):
+    n = data.draw(st.integers(1, 4))
+    pairs = data.draw(_pairs_with_bad_ones(n))
+    labels = [f"v{i}" for i in range(n)]
+    expected = _first_pair_error(n, pairs)
+    if expected is None:
+        g = Digraph.from_edges(labels, iter(pairs))
+        adjacency = [[0] * n for _ in range(n)]
+        for source, target in pairs:
+            adjacency[target][source] += 1
+        assert g == Digraph(labels, adjacency)
+        assert all(type(v) is int for edge in g.edges for v in edge)
+    else:
+        with pytest.raises(expected[0]) as raised:
+            Digraph.from_edges(labels, iter(pairs))
+        assert str(raised.value) == expected[1]
+
+
+def test_from_edges_finds_a_bool_behind_an_equal_int():
+    # (1, 1) and (True, 1) are one key of a dict, but True is still refused
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        Digraph.from_edges(("u", "v"), [(1, 1), (True, 1)])
+    with pytest.raises(ValueError, match="out of range for 2 labels"):
+        Digraph.from_edges(("u", "v"), [(0, 1), (1, 2), ("x", 0)])

@@ -1,5 +1,6 @@
 """Family sweeps: reports, flat-file emission, and power-law verdicts."""
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -215,7 +216,7 @@ def test_pool_has_at_most_one_worker_per_job(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = SweepConfig(family="pq", p=1, q=2, n_start=2, n_stop=3)
     reports = run_sweep(dataclasses.replace(cfg, worker_count=64))
     assert opened == [2]

@@ -1,6 +1,8 @@
 """Short essential loops in Z-fold covers of cubic graphs."""
 
+import dataclasses
 import json
+import pickle
 import time
 from collections import deque
 from pathlib import Path
@@ -495,3 +497,16 @@ def test_import_validates_document():
         )
     with pytest.raises(ValueError, match="expected a JSON object"):
         import_cochain_graph("[]")
+
+
+def test_cover_loop_is_slotted_and_pickles():
+    loop = find_short_loop(THETA)
+    assert not hasattr(loop, "__dict__")
+    assert pickle.loads(pickle.dumps(loop)) == loop
+    assert dataclasses.asdict(loop) == {
+        "start": (0, 0),
+        "steps": ((1, True), (2, False), (1, True), (0, False)),
+    }
+    assert loop != dataclasses.replace(loop, start=(0, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        loop.start = (1, 0)
