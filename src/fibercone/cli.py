@@ -25,7 +25,7 @@ import os
 import sys
 from dataclasses import asdict
 from functools import cache
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import bounds as bounds_mod
 from . import cone_monoid, digraph_analysis, magic_classes, sweep, zfold_cover
@@ -228,15 +228,29 @@ def _sweep_config(args: argparse.Namespace) -> sweep.SweepConfig:
     )
 
 
+def _kept(reports: Iterator, kept: list) -> Iterator:
+    """reports passed through one by one, each also appended to kept."""
+    for rep in reports:
+        kept.append(rep)
+        yield rep
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _sweep_config(args)
-    reports = sweep.run_sweep(cfg)
+    csv_path = _out_path(args, args.csv)
     json_path = _out_path(args, getattr(args, "json", None))
-    written = sweep.report_emit(reports, _out_path(args, args.csv), json_path)
-    failures = [rep.n for rep in reports if rep.error is not None]
-    if not written:
-        print(sweep.report_csv(reports), end="")
+    reports: list = []
+    stream = _kept(sweep.iter_sweep(cfg), reports)
+    written = []
+    if csv_path is None and json_path is None:
+        writer = sweep.ReportWriter(sys.stdout, "csv")
+        for rep in stream:
+            writer.write(rep)
+        writer.close()
     else:
+        written = sweep.report_emit(stream, csv_path, json_path)
+    failures = [rep.n for rep in reports if rep.error is not None]
+    if written:
         _emit(
             {
                 "instances": len(reports),
@@ -249,8 +263,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _sweep_config(args)
-    reports = sweep.run_sweep(cfg)
-    sweep.report_emit(reports, _out_path(args, args.csv), _out_path(args, args.json))
+    reports: list = []
+    sweep.report_emit(
+        _kept(sweep.iter_sweep(cfg), reports),
+        _out_path(args, args.csv),
+        _out_path(args, args.json),
+    )
     verdict = sweep.verify_exponent_law(
         reports, which=args.which, tolerance=args.tolerance
     )

@@ -24,12 +24,17 @@ failed rather than shipping a wrong certificate.  Per-instance failures of
 any kind are recorded in the report's error field and never abort the sweep;
 a pool worker that dies costs only the instance it was running.
 
-Instances are independent, so a sweep may fan out over a process pool;
-results are keyed and sorted by n, making the output byte-identical for any
-worker count.  report_record flattens a report once; CSV rows carry its
-exact rationals as numerator/denominator integer columns, and json_text,
-the one JSON encoder (also behind the CLI), writes them as [num, den] with
-sorted keys.
+Instances are independent, so a sweep may fan out over a process pool.
+iter_sweep yields the reports in increasing n, each as soon as every lower
+n has finished, and run_sweep lists them; the reports are the same for any
+worker count.  report_record flattens a report once; ReportWriter, the one
+record writer, streams reports into a CSV document (exact rationals as
+numerator/denominator integer columns) or a JSON array (json_text, the one
+JSON encoder, also behind the CLI, writes them as [num, den] with sorted
+keys), so the files are byte-identical for any worker count.  report_emit
+streams a sweep into PATH.part files next to the requested paths and moves
+them onto those paths after the last report, so a sweep killed partway
+leaves every finished instance in the .part files and the paths untouched.
 verify_exponent_law fits log10(bound) against log10(norm) and compares the
 slope with the predicted decay exponent: r = 2q/p when q < p < 2q,
 r = 2 - p/q when 2p <= q, and r = 1 for the (1, n, 1)+ family; other
@@ -38,11 +43,14 @@ families have no prediction and yield a non-passing verdict saying so.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator, TextIO
 
 from .bounds import (
     BoundReport,
@@ -60,9 +68,11 @@ __all__ = [
     "SweepConfig",
     "FitVerdict",
     "class_report",
+    "iter_sweep",
     "run_sweep",
     "verify_exponent_law",
     "report_record",
+    "ReportWriter",
     "report_csv",
     "report_json",
     "report_emit",
@@ -262,47 +272,50 @@ def _instance_worker(args: tuple[int, int, int]) -> BoundReport:
 
 def _pooled_reports(
     jobs: list[tuple[int, int, int]], worker_count: int
-) -> list[BoundReport]:
-    """Reports for jobs from a process pool, in job order.
+) -> Iterator[BoundReport]:
+    """Reports for jobs from a process pool, yielded in job order.
 
-    The pool forks at most one worker per job.  One future per job keeps
-    every report that finished.  A worker that dies breaks the pool and
-    fails every unfinished future, so each unfinished job is rerun alone in
-    a fresh one-worker pool; a job that breaks even that pool is reported
-    failed with the BrokenProcessPool.  concurrent.futures is imported here,
-    so only a sweep that starts a pool loads multiprocessing.
+    The pool forks at most one worker per job and its futures are read in
+    job order, so each report is yielded once every earlier job's is.  A
+    worker that dies breaks the pool and fails every unfinished future, so
+    each unfinished job is rerun alone in a fresh one-worker pool when its
+    turn comes; a job that breaks even that pool is reported failed with
+    the BrokenProcessPool.  Closing the generator early cancels the jobs
+    not yet started.  concurrent.futures is imported here, so only a sweep
+    that starts a pool loads multiprocessing.
     """
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    reports: dict[int, BoundReport] = {}
     with ProcessPoolExecutor(max_workers=min(worker_count, len(jobs))) as pool:
         futures = [pool.submit(_instance_worker, job) for job in jobs]
-        for i, future in enumerate(futures):
-            try:
-                reports[i] = future.result()
-            except BrokenProcessPool:
-                pass
-    for i, job in enumerate(jobs):
-        if i in reports:
-            continue
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            try:
-                reports[i] = pool.submit(_instance_worker, job).result()
-            except BrokenProcessPool as exc:
-                reports[i] = BoundReport(
-                    error=f"BrokenProcessPool: {exc}",
-                    **_class_fields(_family_class(*job), job),
-                )
-    return [reports[i] for i in range(len(jobs))]
+        try:
+            for job, future in zip(jobs, futures):
+                try:
+                    report = future.result()
+                except BrokenProcessPool:
+                    with ProcessPoolExecutor(max_workers=1) as alone:
+                        try:
+                            report = alone.submit(_instance_worker, job).result()
+                        except BrokenProcessPool as exc:
+                            report = BoundReport(
+                                error=f"BrokenProcessPool: {exc}",
+                                **_class_fields(_family_class(*job), job),
+                            )
+                yield report
+        finally:
+            for future in futures:
+                future.cancel()
 
 
-def run_sweep(cfg: SweepConfig) -> list[BoundReport]:
-    """Reports for every n in the range, in increasing n order.
+def iter_sweep(cfg: SweepConfig) -> Iterator[BoundReport]:
+    """Reports for every n in the range, yielded in increasing n order.
 
-    The largest digraph in the range is size-checked up front; beyond the
-    cap the sweep refuses to start unless allow_large is set.  Results are
-    independent of worker_count.
+    Each report is yielded as soon as it and every lower n have finished.
+    The largest digraph in the range is size-checked at the call, before
+    the first report is asked for; beyond the cap the sweep refuses to
+    start unless allow_large is set.  Results are independent of
+    worker_count.
     """
     if cfg.largest_vertex_count() > cfg.vertex_cap and not cfg.allow_large:
         raise ValueError(
@@ -312,11 +325,13 @@ def run_sweep(cfg: SweepConfig) -> list[BoundReport]:
     p, q = cfg.exponents()
     jobs = [(p, q, n) for n in range(cfg.n_start, cfg.n_stop + 1)]
     if cfg.worker_count == 1 or len(jobs) == 1:
-        reports = [_instance_worker(job) for job in jobs]
-    else:
-        reports = _pooled_reports(jobs, cfg.worker_count)
-    reports.sort(key=lambda rep: rep.n if rep.n is not None else -1)
-    return reports
+        return map(_instance_worker, jobs)
+    return _pooled_reports(jobs, cfg.worker_count)
+
+
+def run_sweep(cfg: SweepConfig) -> list[BoundReport]:
+    """iter_sweep's reports as a list, in increasing n order."""
+    return list(iter_sweep(cfg))
 
 
 def verify_exponent_law(
@@ -416,16 +431,6 @@ def _csv_cell(record: dict, column: str) -> str:
     return "" if value is None else str(value)
 
 
-def report_csv(reports: list[BoundReport]) -> str:
-    """The sweep as CSV text: fixed column order, exact integer cells."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rec in map(report_record, reports):
-        writer.writerow([_csv_cell(rec, column) for column in CSV_COLUMNS])
-    return buf.getvalue()
-
-
 def _encode_fraction(value: object) -> list[int]:
     if isinstance(value, Fraction):
         return [value.numerator, value.denominator]
@@ -437,43 +442,141 @@ def json_text(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, default=_encode_fraction)
 
 
-def report_json(reports: list[BoundReport]) -> str:
+def _check_sandwich(rep: BoundReport) -> None:
+    if (
+        rep.lower_lC is not None
+        and rep.upper_lC is not None
+        and rep.lower_lC > rep.upper_lC
+    ):
+        raise RuntimeError(
+            f"sandwich violation at emission for n={rep.n}: "
+            f"{rep.lower_lC} > {rep.upper_lC}"
+        )
+
+
+class ReportWriter:
+    """One sweep document, "csv" or "json", written report by report.
+
+    The CSV header goes out at once.  write() re-checks the report's
+    lower <= upper sandwich, appends its CSV row or JSON record and flushes
+    the file, so the file holds every report written so far; close() ends
+    the JSON array.  The JSON text equals json_text of the list of records
+    plus a newline: each record's json_text indented two spaces, the
+    records joined by ",\n" inside "[\n" ... "\n]\n", or "[]\n" when
+    there are none.
+    """
+
+    def __init__(self, file: TextIO, kind: str) -> None:
+        if kind not in ("csv", "json"):
+            raise ValueError(f"unknown report format {kind!r}")
+        self._file = file
+        self._rows = csv.writer(file, lineterminator="\n") if kind == "csv" else None
+        self._opener = "[\n"
+        if self._rows is not None:
+            self._rows.writerow(CSV_COLUMNS)
+        file.flush()
+
+    def write(self, rep: BoundReport) -> None:
+        _check_sandwich(rep)
+        rec = report_record(rep)
+        if self._rows is not None:
+            self._rows.writerow([_csv_cell(rec, column) for column in CSV_COLUMNS])
+        else:
+            self._file.write(self._opener + "  " + json_text(rec).replace("\n", "\n  "))
+            self._opener = ",\n"
+        self._file.flush()
+
+    def close(self) -> None:
+        if self._rows is None:
+            self._file.write("[]\n" if self._opener == "[\n" else "\n]\n")
+        self._file.flush()
+
+
+def _document(reports: Iterable[BoundReport], kind: str) -> str:
+    buf = io.StringIO()
+    writer = ReportWriter(buf, kind)
+    for rep in reports:
+        writer.write(rep)
+    writer.close()
+    return buf.getvalue()
+
+
+def report_csv(reports: Iterable[BoundReport]) -> str:
+    """The sweep as CSV text: fixed column order, exact integer cells."""
+    return _document(reports, "csv")
+
+
+def report_json(reports: Iterable[BoundReport]) -> str:
     """The sweep as JSON text: one report_record per report."""
-    return json_text([report_record(rep) for rep in reports]) + "\n"
+    return _document(reports, "json")
+
+
+def _emit_step(parts: list[tuple[str, TextIO]], path: str, step, *args):
+    """step(*args); should it fail, every .part file goes and the error names path."""
+    try:
+        return step(*args)
+    except (OSError, RuntimeError) as exc:
+        for part_path, fh in parts:
+            with contextlib.suppress(OSError):
+                fh.close()
+            with contextlib.suppress(OSError):
+                os.remove(part_path + ".part")
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write report to {path}: {exc}") from exc
+        raise
 
 
 def report_emit(
-    reports: list[BoundReport],
+    reports: Iterable[BoundReport],
     csv_path: str | None = None,
     json_path: str | None = None,
 ) -> list[str]:
-    """Write the requested flat files; returns the paths written.
+    """Stream reports into the requested flat files; returns the paths written.
 
-    Every report is re-checked for the lower <= upper sandwich before
-    anything is written; I/O failures are re-raised with the path attached.
+    reports may be any iterable in increasing n, such as iter_sweep's
+    generator.  Each report is re-checked for the lower <= upper sandwich
+    before its row is written, and written to PATH.part (next to PATH) as
+    it arrives; after the last report both .part files are moved onto
+    their paths, so a path only ever holds a whole document.  A failed
+    re-check or an I/O failure removes the .part files and leaves the
+    paths as they were; I/O failures are re-raised with the path attached.
+    An error raised by reports itself (or Ctrl-C) keeps the .part files,
+    which then hold every report written before it.  The files are
+    byte-identical to report_csv and report_json of the same reports, for
+    any worker count.  Equal paths are refused with ValueError.
     """
-    for rep in reports:
-        if (
-            rep.lower_lC is not None
-            and rep.upper_lC is not None
-            and rep.lower_lC > rep.upper_lC
-        ):
-            raise RuntimeError(
-                f"sandwich violation at emission for n={rep.n}: "
-                f"{rep.lower_lC} > {rep.upper_lC}"
-            )
-    written = []
-    for path, text in (
-        (csv_path, report_csv(reports)),
-        (json_path, report_json(reports)),
-    ):
-        if path is None:
-            continue
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write report to {path}: {exc}") from exc
-        written.append(path)
-    return written
+    targets = [
+        (path, kind)
+        for path, kind in ((csv_path, "csv"), (json_path, "json"))
+        if path is not None
+    ]
+    if len(targets) == 2 and os.path.abspath(csv_path) == os.path.abspath(json_path):
+        raise ValueError(f"the CSV and JSON reports cannot share the path {csv_path}")
+    if not targets:
+        for rep in reports:
+            _check_sandwich(rep)
+        return []
+    parts: list[tuple[str, TextIO]] = []
+    try:
+        for path, _ in targets:
+            parts.append((path, _emit_step(parts, path, _open_part, path)))
+        writers = [
+            (path, _emit_step(parts, path, ReportWriter, fh, kind))
+            for (path, fh), (_, kind) in zip(parts, targets)
+        ]
+        for rep in reports:
+            for path, writer in writers:
+                _emit_step(parts, path, writer.write, rep)
+        for (path, writer), (_, fh) in zip(writers, parts):
+            _emit_step(parts, path, writer.close)
+            _emit_step(parts, path, fh.close)
+        for path, _ in targets:
+            _emit_step(parts, path, os.replace, path + ".part", path)
+    finally:
+        for _, fh in parts:
+            fh.close()
+    return [path for path, _ in targets]
 
+
+def _open_part(path: str) -> TextIO:
+    return open(path + ".part", "w", encoding="utf-8")

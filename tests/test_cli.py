@@ -286,6 +286,35 @@ def test_sweep_writes_files(tmp_path, capsys):
     assert len(json.loads(json_path.read_text())) == 4
 
 
+@pytest.mark.parametrize("joined", [False, True])
+def test_sweep_refuses_one_path_for_both_reports(tmp_path, capsys, joined):
+    # --out joins the relative --csv onto the directory the --json names
+    out_flag = ("--out", str(tmp_path)) if joined else ()
+    csv_arg = "r.txt" if joined else str(tmp_path / "r.txt")
+    rc, out, err = _run(capsys, *out_flag, "sweep", "--family", "n11",
+                        "--n-from", "2", "--n-to", "3", "--csv", csv_arg,
+                        "--json", str(tmp_path / "r.txt"))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: the CSV and JSON reports cannot share the path")
+    assert os.listdir(tmp_path) == []
+
+
+def test_sweep_files_are_identical_for_two_workers(tmp_path, capsys):
+    docs = []
+    for workers in ("1", "2"):
+        csv_path = tmp_path / f"w{workers}.csv"
+        json_path = tmp_path / f"w{workers}.json"
+        rc, doc, _ = _run_json(
+            capsys, "--workers", workers, "sweep", "--family", "n11",
+            "--n-from", "2", "--n-to", "12", "--csv", str(csv_path),
+            "--json", str(json_path),
+        )
+        assert rc == 0 and doc["instances"] == 11
+        docs.append((csv_path.read_bytes(), json_path.read_bytes()))
+    assert docs[0] == docs[1]
+    assert sorted(os.listdir(tmp_path)) == ["w1.csv", "w1.json", "w2.csv", "w2.json"]
+
+
 def test_verify_passes_n11(capsys):
     rc, doc, _ = _run_json(
         capsys, "verify", "--family", "n11", "--n-from", "20", "--n-to", "60"

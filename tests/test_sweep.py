@@ -5,11 +5,14 @@ import dataclasses
 import json
 import os
 import re
+import tempfile
 from concurrent.futures import Future
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fibercone
 import fibercone.sweep as sweep_mod
@@ -22,6 +25,7 @@ from fibercone import (
     SweepConfig,
     UncoveredRegimeError,
     class_report,
+    iter_sweep,
     k_pq,
     regime_of,
     report_csv,
@@ -223,6 +227,35 @@ def test_pool_has_at_most_one_worker_per_job(monkeypatch):
     assert reports == run_sweep(cfg)
 
 
+def test_pooled_sweep_yields_in_order_and_cancels_on_close(monkeypatch):
+    # only the first job finishes: its report comes out at once, and closing
+    # the generator cancels the jobs still pending
+    futures = []
+
+    class FirstOnlyPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            futures.append(Future())
+            if len(futures) == 1:
+                futures[0].set_result(fn(*args))
+            return futures[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FirstOnlyPool)
+    cfg = SweepConfig(family="n11", n_start=2, n_stop=5, worker_count=2)
+    stream = iter_sweep(cfg)
+    assert next(stream) == run_sweep(dataclasses.replace(cfg, worker_count=1))[0]
+    stream.close()
+    assert [f.cancelled() for f in futures] == [False, True, True, True]
+
+
 def test_dead_worker_loses_only_its_instance(monkeypatch):
     cfg = SweepConfig(family="pq", p=1, q=2, n_start=2, n_stop=5)
     serial = run_sweep(cfg)
@@ -353,6 +386,159 @@ def test_report_emit_rechecks_the_sandwich(tmp_path):
     object.__setattr__(rep, "lower_lC", Fraction(1))
     with pytest.raises(RuntimeError, match="sandwich"):
         report_emit([rep], str(tmp_path / "out.csv"), None)
+
+
+def _crossed_report(n):
+    rep = BoundReport(
+        integral_class=IntegralClass(5, 7, 1),
+        norm=11,
+        punctures=3,
+        genus=5,
+        regime="PltQle2P",
+        n=n,
+        p=1,
+        q=2,
+        lower_lC=Fraction(1, 100),
+        upper_lC=Fraction(1, 2),
+    )
+    object.__setattr__(rep, "lower_lC", Fraction(1))
+    return rep
+
+
+def test_report_emit_refuses_equal_paths(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    asked = []
+
+    def reports():
+        asked.append(True)
+        yield from run_sweep(SweepConfig(family="n11", n_start=2, n_stop=3))
+
+    for csv_path, json_path in (
+        ("out.txt", "out.txt"),
+        ("out.txt", str(tmp_path / "out.txt")),
+        (str(tmp_path / "sub" / ".." / "out.txt"), "out.txt"),
+    ):
+        with pytest.raises(ValueError, match="cannot share the path"):
+            report_emit(reports(), csv_path, json_path)
+    assert asked == [] and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("missing", ["csv", "json"])
+def test_report_emit_io_error_leaves_both_paths_untouched(tmp_path, missing):
+    reports = run_sweep(SweepConfig(family="n11", n_start=2, n_stop=3))
+    kept = tmp_path / "kept"
+    kept.write_bytes(b"an older report\n")
+    lost = tmp_path / "nope" / "out"
+    paths = (lost, kept) if missing == "csv" else (kept, lost)
+    with pytest.raises(OSError, match=f"cannot write report to {lost}"):
+        report_emit(reports, *map(str, paths))
+    assert kept.read_bytes() == b"an older report\n"
+    assert sorted(os.listdir(tmp_path)) == ["kept"]
+    # with no file at either path, neither appears
+    fresh = tmp_path / "fresh"
+    paths = (lost, fresh) if missing == "csv" else (fresh, lost)
+    with pytest.raises(OSError, match="cannot write report"):
+        report_emit(reports, *map(str, paths))
+    assert sorted(os.listdir(tmp_path)) == ["kept"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_report_emit_write_error_removes_the_part_files(tmp_path):
+    # a .part file that is a link to /dev/full fails its first flush
+    reports = run_sweep(SweepConfig(family="n11", n_start=2, n_stop=3))
+    csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
+    json_path.write_text("older\n", encoding="utf-8")
+    os.symlink("/dev/full", tmp_path / "s.json.part")
+    with pytest.raises(OSError, match=f"cannot write report to {json_path}"):
+        report_emit(reports, str(csv_path), str(json_path))
+    assert sorted(os.listdir(tmp_path)) == ["s.json"]
+    assert json_path.read_text(encoding="utf-8") == "older\n"
+
+
+def test_emitted_files_of_no_reports_and_of_the_golden_sweep(tmp_path):
+    csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
+    report_emit([], str(csv_path), str(json_path))
+    assert report_json([]) == json_path.read_text(encoding="utf-8") == "[]\n"
+    assert csv_path.read_text(encoding="utf-8") == GOLDEN_12_CSV.splitlines(True)[0]
+    golden = run_sweep(SweepConfig(family="pq", p=1, q=2, n_start=2, n_stop=3))
+    report_emit(iter(golden), str(csv_path), str(json_path))
+    assert csv_path.read_text(encoding="utf-8") == GOLDEN_12_CSV
+
+
+def test_iter_sweep_refuses_an_oversized_range_at_the_call():
+    cfg = SweepConfig(family="pq", p=1, q=2, n_start=2, n_stop=3, vertex_cap=10)
+    with pytest.raises(ValueError, match="over the cap 10"):
+        iter_sweep(cfg)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    family=st.sampled_from([("n11", None, None), ("pq", 1, 2), ("pq", 2, 1),
+                            ("pq", 2, 2), ("pq", 1, 1)]),
+    n_start=st.integers(2, 4),
+    span=st.integers(0, 2),
+    worker_count=st.sampled_from([1, 2]),
+)
+def test_streamed_files_equal_the_documents_of_run_sweep(
+    family, n_start, span, worker_count
+):
+    name, p, q = family
+    cfg = SweepConfig(family=name, p=p, q=q, n_start=n_start,
+                      n_stop=n_start + span, worker_count=worker_count)
+    ns = []
+
+    def recorded():
+        for rep in iter_sweep(cfg):
+            ns.append(rep.n)
+            yield rep
+
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, json_path = os.path.join(tmp, "s.csv"), os.path.join(tmp, "s.json")
+        assert report_emit(recorded(), csv_path, json_path) == [csv_path, json_path]
+        reports = run_sweep(dataclasses.replace(cfg, worker_count=1))
+        assert Path(csv_path).read_text(encoding="utf-8") == report_csv(reports)
+        assert Path(json_path).read_text(encoding="utf-8") == report_json(reports)
+        assert sorted(os.listdir(tmp)) == ["s.csv", "s.json"]
+    assert ns == list(range(cfg.n_start, cfg.n_stop + 1))
+    # the record-by-record array is the one json_text of the whole list
+    whole = fibercone.json_text([report_record(rep) for rep in reports]) + "\n"
+    assert report_json(reports) == whole
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_interrupted_stream_keeps_finished_reports_in_part_files(tmp_path, k):
+    reports = run_sweep(SweepConfig(family="n11", n_start=2, n_stop=6))
+    csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
+    json_path.write_text("older\n", encoding="utf-8")
+    parts = (tmp_path / "s.csv.part", tmp_path / "s.json.part")
+    seen = []
+
+    def dying():
+        yield from reports[:k]
+        # what a kill at this moment would leave on disk
+        seen.extend(part.read_text(encoding="utf-8") for part in parts)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        report_emit(dying(), str(csv_path), str(json_path))
+    assert not csv_path.exists()
+    assert json_path.read_text(encoding="utf-8") == "older\n"
+    csv_part, json_part = (part.read_text(encoding="utf-8") for part in parts)
+    assert seen == [csv_part, json_part]
+    assert csv_part.splitlines() == report_csv(reports).splitlines()[: k + 1]
+    whole = report_json(reports[:k])
+    assert json_part == ("" if k == 0 else whole[: -len("\n]\n")])
+
+
+def test_crossed_sandwich_mid_stream_leaves_no_part_file(tmp_path):
+    reports = run_sweep(SweepConfig(family="n11", n_start=2, n_stop=4))
+    csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
+    csv_path.write_text("older\n", encoding="utf-8")
+    stream = [reports[0], _crossed_report(3), reports[2]]
+    with pytest.raises(RuntimeError, match="sandwich violation at emission for n=3"):
+        report_emit(iter(stream), str(csv_path), str(json_path))
+    assert sorted(os.listdir(tmp_path)) == ["s.csv"]
+    assert csv_path.read_text(encoding="utf-8") == "older\n"
 
 
 def test_readme_tour_and_sweep_exports_are_package_exports():
