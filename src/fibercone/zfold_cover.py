@@ -15,13 +15,16 @@ two tree paths must collide and a vertex-simple loop of length at most 2R
 exists.  lemma_R returns the least such R; find_short_loop runs a
 breadth-first search of depth at most R from each level-zero cover vertex
 (every loop of length at most 2R has a translate through one).  It never
-builds the cover: each base vertex's half-edges are sorted once and lifted
-on demand to the level being expanded, so the search reaches only levels
-below window_radius = R k + 1.  Candidate loops are closed during the
-search, and a start's search stops once 2 dist >= the best length found.
-It returns a shortest loop, failing loudly if its length exceeds 2R.
-verify_loop replays a claimed loop step by step against the graph,
-independently of the search.
+builds the cover.  Cover vertex (v, t) has the integer id
+v (2 (R + 1) k + 1) + t + (R + 1) k, distinct for |t| <= (R + 1) k: the
+search reaches only levels within R k, below window_radius = R k + 1, and
+looks up neighbours one edge further.  Each base vertex's half-edges are
+sorted once as id moves, so an id's neighbours are found at any level, and
+each start keeps one record per reached id: depth plus the tree step into
+it.  Candidate loops are closed during the search, and a start's search
+stops once 2 dist >= the best length found.  It returns a shortest loop,
+failing loudly if its length exceeds 2R.  verify_loop replays a claimed
+loop step by step against the graph, independently of the search.
 
 Loops are recorded as a start vertex in the cover plus steps (edge index,
 forward flag); a step traverses a single lifted edge, and a valid loop
@@ -244,124 +247,130 @@ def verify_loop(g: CochainGraph, loop: CoverLoop) -> tuple[bool, str]:
     return True, "ok"
 
 
-def _half_edges(g: CochainGraph) -> list[list[tuple[int, int, int, int, bool]]]:
-    """Each base vertex's incident half-edges, in canonical traversal order.
+def _id_steps(
+    g: CochainGraph, r: int
+) -> tuple[int, int, list[list[tuple[int, int, int, bool]]]]:
+    """(offset, width, steps): integer ids of cover nodes and moves between them.
 
-    half[w] lists (head, level change, edge index, tail level offset,
-    forward flag), sorted.  Lifted to level t, an entry is the step from
-    (w, t) to (head, t + level change) along the lifted edge whose tail sits
-    at level t + offset; at every level this sorted order is the order of
-    (head vertex, head level, edge index, tail level, forward flag).
+    Node (v, t) has id v * width + t + offset, where offset = (R + 1) k and
+    width = 2 offset + 1, so nodes with |t| <= offset have distinct ids.
+    steps[w] lists w's half-edges as (id delta, edge index, tail level
+    offset, forward flag), sorted: from (w, t), of id x, an entry steps to
+    the node of id x + delta along the lifted edge whose tail sits at level
+    t + offset.  As |level change| <= k < width / 2, this order is the order
+    of (head vertex, head level, edge index, tail level, forward flag).
     """
-    half: list[list[tuple[int, int, int, int, bool]]] = [
+    offset = (r + 1) * g.cochain_bound
+    width = 2 * offset + 1
+    steps: list[list[tuple[int, int, int, bool]]] = [
         [] for _ in range(g.vertex_count)
     ]
     for eidx, (u, v, d) in enumerate(g.edges):
-        half[u].append((v, d, eidx, 0, True))
-        half[v].append((u, -d, eidx, -d, False))
-    for lst in half:
+        steps[u].append(((v - u) * width + d, eidx, 0, True))
+        steps[v].append(((u - v) * width - d, eidx, -d, False))
+    for lst in steps:
         lst.sort()
-    return half
+    return offset, width, steps
 
 
-# a BFS step: (head node, edge index, tail level of the lifted edge, forward
-# flag); the tree step into a node is stored as (parent node, edge index, tail
-# level, forward flag), read from the parent
-_Step = tuple[tuple[int, int], int, int, bool]
+# a reached node's record: (depth, parent id, edge index, tail level of the
+# lifted edge, forward flag) of the tree step into it; the start's record has
+# parent None and edge index -1, so it matches no lifted edge
+_Record = tuple[int, "int | None", int, int, bool]
 
 
 def _fundamental_cycle(
-    parent: dict[tuple[int, int], _Step], x: tuple[int, int], closing: _Step
+    seen: dict[int, _Record],
+    x: int,
+    y: int,
+    closing: tuple[int, bool],
+    offset: int,
+    width: int,
 ) -> CoverLoop:
-    """The cycle of the closing step x -> y in the BFS tree.
+    """The cycle of the closing step x -> y, along (edge, forward), in the tree.
 
     It starts at the lowest common ancestor z of x and y, runs down the tree
     to x, takes the closing step, and climbs the tree from y back to z.
     """
     path_x = [x]
-    while path_x[-1] in parent:
-        path_x.append(parent[path_x[-1]][0])
-    z = closing[0]
+    while (up := seen[path_x[-1]][1]) is not None:
+        path_x.append(up)
+    z = y
     climb = []
     while z not in path_x:
-        z, eidx, _, forward = parent[z]
+        _, z, eidx, _, forward = seen[z]
         climb.append((eidx, not forward))
-    descent = [parent[w] for w in reversed(path_x[: path_x.index(z)])]
-    steps = [(eidx, forward) for _, eidx, _, forward in descent + [closing]]
-    return CoverLoop(z, tuple(steps + climb))
+    descent = [seen[w] for w in reversed(path_x[: path_x.index(z)])]
+    steps = [(rec[2], rec[4]) for rec in descent] + [closing] + climb
+    vertex, level = divmod(z, width)
+    return CoverLoop((vertex, level - offset), tuple(steps))
 
 
 def find_short_loop(g: CochainGraph) -> CoverLoop:
     """A shortest vertex-simple loop through level zero of the cover.
 
     Runs a depth-limited breadth-first search from every level-zero cover
-    vertex in canonical order, lifting each base vertex's sorted half-edges
-    to the level being expanded rather than building the cover.  Right after
-    a vertex x is expanded, in pop order, each off-tree lifted edge from x
-    to a reached vertex closes a candidate, its fundamental cycle in the
-    search tree, which is kept if shorter.  A start's search stops once
-    2 dist(x) >= the best length, since every later candidate is at least
-    that long.  Depth at most R from level zero reaches only levels within
-    R k < window_radius(g).  The counting bound guarantees length <= 2R;
-    exceeding it (or finding nothing) means the premises are violated: a
-    hard error.
+    vertex in canonical order, on the node ids of _id_steps, keeping one
+    record per reached id.  As a vertex x is expanded, in pop order, each
+    off-tree lifted edge from x to a reached vertex closes a candidate, its
+    fundamental cycle in the search tree, which is kept if shorter.  A
+    start's search stops once 2 dist(x) >= the best length, since every
+    later candidate is at least that long.  Depth at most R from level zero
+    reaches only levels within R k < window_radius(g).  The counting bound
+    guarantees length <= 2R; exceeding it (or finding nothing) means the
+    premises are violated: a hard error.
     """
     r = lemma_R(g.cochain_bound, g.edge_count)
-    half = _half_edges(g)
+    offset, width, id_steps = _id_steps(g, r)
     best: CoverLoop | None = None
+    # longer than any candidate (its closing edge joins depths <= R), so the
+    # first start searches to depth R
+    best_length = 2 * r + 2
 
     # any loop of length <= 2R translates to levels [0, Rk], so it passes
     # through a level-zero vertex: starting the search at level zero loses
     # nothing
     for start in range(g.vertex_count):
-        if best is not None and best.length == 1:
+        if best_length == 1:
             break
         # a cycle shorter than the current best needs both endpoints of its
         # closing edge within half its length of the start, so cap the depth
-        cap = r if best is None else min(r, max(1, best.length // 2))
-        s = (start, 0)
-        dist = {s: 0}
-        parent: dict[tuple[int, int], _Step] = {}
+        cap = min(r, max(1, best_length // 2))
+        s = start * width + offset
+        seen: dict[int, _Record] = {s: (0, None, -1, 0, False)}
         queue = deque([s])
         while queue:
             x = queue.popleft()
-            dx = dist[x]
+            dx, _, into_edge, into_tail, _ = seen[x]
             # every candidate closed from here on is at least 2 dist(x) long
-            if best is not None and 2 * dx >= best.length:
+            if 2 * dx >= best_length:
                 break
-            w, t = x
-            steps = [
-                ((head, t + dt), eidx, t + offset, forward)
-                for head, dt, eidx, offset, forward in half[w]
-            ]
-            if dx < cap:
-                for step in steps:
-                    y = step[0]
-                    if y not in dist:
-                        dist[y] = dx + 1
-                        parent[y] = (x, *step[1:])
+            w, t = divmod(x, width)
+            t -= offset
+            # a step to an unreached node is a tree step (kept if dx < cap);
+            # a step to a reached node y closes a candidate unless its lifted
+            # edge (eidx, tail) is the tree step into x or into y
+            for delta, eidx, tail, forward in id_steps[w]:
+                y = x + delta
+                into_y = seen.get(y)
+                if into_y is None:
+                    if dx < cap:
+                        seen[y] = (dx + 1, x, eidx, t + tail, forward)
                         queue.append(y)
-            # off-tree lifted edges from x to reached vertices close candidates;
-            # the lifted edge (eidx, tail) is a tree edge only as the tree step
-            # into x or into y
-            into_x = parent.get(x)
-            for step in steps:
-                y, eidx, tail, _ = step
-                if y not in dist:
                     continue
-                if into_x is not None and into_x[1] == eidx and into_x[2] == tail:
+                tail += t
+                if into_edge == eidx and into_tail == tail:
                     continue
-                into_y = parent.get(y)
-                if into_y is not None and into_y[1] == eidx and into_y[2] == tail:
+                if into_y[2] == eidx and into_y[3] == tail:
                     continue
-                if best is not None and dx + dist[y] + 1 >= best.length:
+                if dx + into_y[0] + 1 >= best_length:
                     continue
-                loop = _fundamental_cycle(parent, x, step)
+                loop = _fundamental_cycle(seen, x, y, (eidx, forward), offset, width)
                 ok, reason = _structural_check(g, loop)
                 if not ok:
                     raise RuntimeError(f"search produced an invalid loop: {reason}")
-                if best is None or loop.length < best.length:
-                    best = loop
+                if loop.length < best_length:
+                    best, best_length = loop, loop.length
     if best is None:
         raise RuntimeError(
             "no loop found in the cover window; the counting bound is violated"
@@ -380,7 +389,12 @@ def random_cubic_cochain(
     Three half-edges per vertex are paired uniformly (so self-loops and
     parallel edges can occur), and each edge gets an independent uniform
     value in [-cochain_bound, cochain_bound].  Deterministic in the seed.
+    A vertex count or bound that is not of type int (a bool, a float)
+    raises ValueError, as does an odd count, one below 2 or a negative bound.
     """
+    for name, x in (("vertex count", n_vertices), ("cochain bound", cochain_bound)):
+        if type(x) is not int:
+            raise ValueError(f"{name} must be an integer, got {x!r}")
     if n_vertices < 2 or n_vertices % 2:
         raise ValueError("vertex count must be even and at least 2")
     if cochain_bound < 0:
@@ -399,14 +413,18 @@ def random_cubic_cochain(
 def import_cochain_graph(data: str | dict[str, Any]) -> CochainGraph:
     """Build a graph from JSON text or an already-parsed mapping.
 
-    Parsing is strict: "edges" must be a list of objects with "u", "v" and
+    Parsing is strict: the document has exactly the keys "vertices" and
+    "edges", "edges" is a list of objects with exactly the keys "u", "v" and
     "d", and CochainGraph refuses any value that is not an integer (a
-    boolean, string or float); either failure raises ValueError.
+    boolean, string or float); any failure raises ValueError.
     """
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
+    unknown = [key for key in data if key not in ("vertices", "edges")]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in the document")
     try:
         n = data["vertices"]
         raw = data["edges"]
@@ -414,6 +432,9 @@ def import_cochain_graph(data: str | dict[str, Any]) -> CochainGraph:
         raise ValueError(f"missing field {exc}") from exc
     if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
         raise ValueError("edges must be a list of objects")
+    unknown = [key for e in raw for key in e if key not in ("u", "v", "d")]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in an edge object")
     try:
         edges = tuple((e["u"], e["v"], e["d"]) for e in raw)
     except KeyError as exc:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import pickle
 import time
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -399,6 +400,77 @@ def test_find_short_loop_matches_the_materialized_window(n, k, seed):
     assert find_short_loop(g) == _reference_short_loop(g)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 20).map(lambda h: 2 * h),
+    k=st.integers(7, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_find_short_loop_matches_the_materialized_window_for_larger_bounds(
+    n, k, seed
+):
+    g = random_cubic_cochain(n, k, seed)
+    assert find_short_loop(g) == _reference_short_loop(g)
+
+
+@pytest.mark.parametrize(
+    "edges, expected",
+    [
+        # a zero-valued self-loop lifts to a 1-cycle, stepped backward first
+        (((0, 0, 0), (0, 1, 5), (1, 1, 3)), CoverLoop((0, 0), ((0, False),))),
+        # parallel edges of equal value close a 2-cycle at every level
+        (
+            ((0, 1, 2), (0, 1, 2), (0, 1, -1)),
+            CoverLoop((0, 0), ((1, True), (0, False))),
+        ),
+    ],
+    ids=["zero-self-loop", "parallel-equal-values"],
+)
+def test_find_short_loop_pins_on_hand_built_graphs(edges, expected):
+    assert find_short_loop(CochainGraph(2, edges)) == expected
+
+
+def test_find_short_loop_with_a_huge_cochain_value_stays_small():
+    g = CochainGraph(2, ((0, 1, 0), (0, 1, 0), (0, 1, 10**9)))
+    tracemalloc.start()
+    try:
+        loop = find_short_loop(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loop == CoverLoop((0, 0), ((1, True), (0, False)))
+    assert peak < 2**20
+
+
+def test_node_ids_decode_to_their_cover_vertices():
+    g = random_cubic_cochain(10, 4, seed=3)
+    k = g.cochain_bound
+    r = lemma_R(k, g.edge_count)
+    offset, width, steps = zfold_cover._id_steps(g, r)
+
+    def decode(node):
+        vertex, level = divmod(node, width)
+        return vertex, level - offset
+
+    assert k == 4
+    assert sorted((e, fwd) for lst in steps for _, e, _, fwd in lst) == sorted(
+        (e, fwd) for e in range(g.edge_count) for fwd in (True, False)
+    )
+    for w in range(g.vertex_count):
+        for t in range(-r * k, r * k + 1):
+            x = w * width + t + offset
+            assert decode(x) == (w, t)
+            moves = []
+            for delta, e, tail, fwd in steps[w]:
+                u, v, d = g.edges[e]
+                head, head_level = (v, t + d) if fwd else (u, t - d)
+                assert w == (u if fwd else v)
+                assert decode(x + delta) == (head, head_level)
+                assert t + tail == (t if fwd else t - d)
+                moves.append((head, head_level, e, t + tail, fwd))
+            assert moves == sorted(moves)
+
+
 def test_find_short_loop_checks_each_candidate(monkeypatch):
     monkeypatch.setattr(
         zfold_cover, "_structural_check", lambda g, loop: (False, "rejected")
@@ -435,6 +507,17 @@ def test_random_model_validation():
         random_cubic_cochain(0, 2, seed=0)
     with pytest.raises(ValueError):
         random_cubic_cochain(4, -1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(4.0, 1), (4, 1.0), (True, 1), (4, True), ("4", 1), (4, None)],
+    ids=["float-count", "float-bound", "bool-count", "bool-bound", "str-count",
+         "none-bound"],
+)
+def test_random_model_refuses_non_integer_arguments(args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        random_cubic_cochain(*args, seed=0)
 
 
 def test_json_roundtrip_uses_edge_objects():
@@ -497,6 +580,21 @@ def test_import_validates_document():
         )
     with pytest.raises(ValueError, match="expected a JSON object"):
         import_cochain_graph("[]")
+
+
+@pytest.mark.parametrize(
+    "document, key",
+    [
+        ({"vertices": 2, "extra": 1, "edges": [{"u": 0, "v": 1, "d": 0}] * 3},
+         "extra"),
+        ({"vertices": 2, "edges": [{"u": 0, "v": 1, "d": 0, "x": 5}] * 3}, "x"),
+    ],
+    ids=["document-key", "edge-key"],
+)
+def test_import_refuses_unknown_keys(document, key):
+    for doc in (document, json.dumps(document)):
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            import_cochain_graph(doc)
 
 
 def test_cover_loop_is_slotted_and_pickles():
