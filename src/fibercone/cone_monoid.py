@@ -572,7 +572,12 @@ def hilbert_data(spec: ConeSpec, search_bound: int) -> HilbertData:
 
 @dataclass(frozen=True, slots=True)
 class InteriorDecomposition:
-    """point = seed + sum over omega of coefficients[i] * omega[i]."""
+    """point = seed + sum over omega of coefficients[i] * omega[i].
+
+    Frozen and slotted: setting a field raises FrozenInstanceError, and
+    setting a name that is not a field raises TypeError (CPython's slotted
+    frozen __setattr__ fails in super()).
+    """
 
     seed: Point
     coefficients: tuple[int, ...]
@@ -618,6 +623,10 @@ class ArithmeticSplit:
 
     n = 0 (degenerate: the point is a bare seed) is flagged so callers skip
     the twist-power bound.
+
+    Frozen and slotted: setting a field raises FrozenInstanceError, and
+    setting a name that is not a field raises TypeError (CPython's slotted
+    frozen __setattr__ fails in super()).
     """
 
     alpha: Point

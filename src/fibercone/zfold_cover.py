@@ -123,6 +123,10 @@ class CoverLoop:
     start = (vertex, level); steps[i] = (edge index, forward flag).  A
     forward step along edge (u, v, d) moves (u, t) -> (v, t + d); a backward
     step moves (v, t) -> (u, t - d).
+
+    Frozen and slotted: setting a field raises FrozenInstanceError, and
+    setting a name that is not a field raises TypeError (CPython's slotted
+    frozen __setattr__ fails in super()).
     """
 
     start: tuple[int, int]
@@ -389,10 +393,15 @@ def random_cubic_cochain(
     Three half-edges per vertex are paired uniformly (so self-loops and
     parallel edges can occur), and each edge gets an independent uniform
     value in [-cochain_bound, cochain_bound].  Deterministic in the seed.
-    A vertex count or bound that is not of type int (a bool, a float)
-    raises ValueError, as does an odd count, one below 2 or a negative bound.
+    A vertex count, bound or seed that is not of type int (a bool, a float,
+    a str) raises ValueError, as does an odd count, one below 2 or a
+    negative bound.
     """
-    for name, x in (("vertex count", n_vertices), ("cochain bound", cochain_bound)):
+    for name, x in (
+        ("vertex count", n_vertices),
+        ("cochain bound", cochain_bound),
+        ("seed", seed),
+    ):
         if type(x) is not int:
             raise ValueError(f"{name} must be an integer, got {x!r}")
     if n_vertices < 2 or n_vertices % 2:

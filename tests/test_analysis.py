@@ -517,7 +517,7 @@ def test_residue_tables_match_brute_force(g):
                 row = expected[x]
                 if v in reached and row[length % table.c] == table.unreached:
                     row[length % table.c] = length
-        assert table.rows == expected
+        assert table.row_form().rows == expected
 
 
 _RESIDUE_TABLE = digraph_analysis._residue_table
@@ -531,14 +531,130 @@ def _corrupted_tables(monkeypatch, corrupt):
     monkeypatch.setattr(digraph_analysis, "_residue_table", corrupted)
 
 
+def _remasked(table, x, edit):
+    """The table with the residues of row x edited, or None when edit
+    returns None: edit maps the (round, residue) pairs of the row's least
+    lengths, highest length first, to the pairs of the new row."""
+    c = table.c
+    pairs = sorted(
+        ((q, rho) for q, m in zip(table.rounds[x], table.masks[x])
+         for rho in range(c) if m >> rho & 1),
+        key=lambda p: p[0] * c + p[1], reverse=True,
+    )
+    pairs = edit(pairs, c)
+    if pairs is None:
+        return None
+    by_round = {}
+    for q, rho in pairs:
+        by_round[q] = by_round.get(q, 0) | 1 << rho
+    rounds = [list(qs) for qs in table.rounds]
+    masks = [list(ms) for ms in table.masks]
+    rounds[x] = sorted(by_round)
+    masks[x] = [by_round[q] for q in rounds[x]]
+    return dataclasses.replace(table, rounds=rounds, masks=masks)
+
+
+def _raised(table, x):
+    """The least length of residue 0 of row x raised by c."""
+    return _remasked(table, x, lambda pairs, c: [
+        (q + (rho == 0), rho) for q, rho in pairs
+    ] if any(rho == 0 for _, rho in pairs) else None)
+
+
+def _lowered(table, x):
+    """The highest least length of row x lowered by c."""
+    return _remasked(table, x, lambda pairs, c: (
+        [(pairs[0][0] - 1, pairs[0][1])] + pairs[1:] if pairs and pairs[0][0]
+        else None
+    ))
+
+
+def _dropped(table, x):
+    """The highest least length of row x dropped."""
+    return _remasked(table, x, lambda pairs, c: pairs[1:] if pairs else None)
+
+
+def _added(table, x):
+    """An unreached residue of row x given a length past every other."""
+    def edit(pairs, c):
+        free = sorted(set(range(c)) - {rho for _, rho in pairs})
+        top = pairs[0][0] + 1 if pairs else 0
+        return [(top, free[0])] + pairs if free else None
+
+    return _remasked(table, x, edit)
+
+
+def _doubled(table, x):
+    """A second, shorter length for the residue of row x's highest."""
+    return _remasked(table, x, lambda pairs, c: (
+        [(pairs[0][0] - 1, pairs[0][1])] + pairs if pairs and pairs[0][0] else None
+    ))
+
+
+def _reshaped(table, x, edit):
+    """The table with row x's lists of rounds and masks edited in place, or
+    None when edit returns False."""
+    rounds = [list(qs) for qs in table.rounds]
+    masks = [list(ms) for ms in table.masks]
+    if edit(rounds[x], masks[x], table.c) is False:
+        return None
+    return dataclasses.replace(table, rounds=rounds, masks=masks)
+
+
+def _unsorted(table, x):
+    """Row x's first two rounds swapped, masks and all."""
+    def edit(qs, ms, c):
+        if len(qs) < 2:
+            return False
+        qs[:2], ms[:2] = qs[1::-1], ms[1::-1]
+
+    return _reshaped(table, x, edit)
+
+
+def _overflowing(table, x):
+    """Bit c, which is no residue, set in row x's last mask."""
+    def edit(qs, ms, c):
+        if not ms:
+            return False
+        ms[-1] |= 1 << c
+
+    return _reshaped(table, x, edit)
+
+
+def _empty_mask(table, x):
+    """A round with no residue after row x's last."""
+    return _reshaped(table, x, lambda qs, ms, c: (
+        qs.append(qs[-1] + 1 if qs else 0), ms.append(0)
+    ))
+
+
+def _negative_round(table, x):
+    """Row x's first round moved below round 0."""
+    def edit(qs, ms, c):
+        if not qs:
+            return False
+        qs[0] = -1
+
+    return _reshaped(table, x, edit)
+
+
+def _unpaired_round(table, x):
+    """A round number with no mask after row x's last."""
+    return _reshaped(table, x, lambda qs, ms, c: qs.append(qs[-1] + 1 if qs else 0))
+
+
+def _emptied(table, x):
+    """Every row emptied: Bellman's equations without D[u][0] = 0 hold."""
+    empty = [[] for _ in table.masks]
+    return dataclasses.replace(table, rounds=empty, masks=list(map(list, empty)))
+
+
 def _entry_up(table):
-    table.rows[-1][0] += 1
-    return table
+    return _raised(table, len(table.masks) - 1)
 
 
 def _entry_down(table):
-    table.rows[-1][0] -= 1
-    return table
+    return _lowered(table, len(table.masks) - 1)
 
 
 def _cycle_longer(table):
@@ -585,6 +701,152 @@ def _period_two(n):
     return Digraph.from_edges([f"v{i}" for i in range(n)], pairs)
 
 
+def _route_verdicts(g, sk, edges, u, table):
+    """[bitmap route passes, row route passes], each after the clauses that
+    both routes share; a refusal must name re-verification."""
+    verdicts = []
+    for route in (
+        lambda: digraph_analysis._certify_bitmaps(g, sk, u, table),
+        lambda: digraph_analysis._certify_rows(g, sk, edges, u, table),
+    ):
+        try:
+            digraph_analysis._certify_rounds(g, sk, edges, u, table)
+            route()
+        except RuntimeError as exc:
+            assert "re-verification" in str(exc)
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    return verdicts
+
+
+def _wrong_cycle(g, table, x):
+    u = g.labels[table.u]
+    if all(g.has_edge(u, v) for v in g.labels):
+        return None
+    return _cycle_off_the_edges(g, table)
+
+
+# (corruption, a digraph whose branching vertex's table it applies to)
+BITMAP_CORRUPTIONS = [
+    (lambda g, t, x: _raised(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x: _lowered(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x: _dropped(t, x), lambda: magic_digraph(4, 16)),
+    # walks v0 -> v0 have even lengths only, so odd residues are free
+    (lambda g, t, x: _added(t, x), lambda: _period_two(6)),
+    (lambda g, t, x: _doubled(t, x), lambda: magic_digraph(4, 16)),
+    (_wrong_cycle, lambda: magic_digraph(4, 16)),
+    (lambda g, t, x: _emptied(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x: _unsorted(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x: _overflowing(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x: _empty_mask(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x: dataclasses.replace(t, unreached=0),
+     lambda: magic_digraph(4, 16)),
+    (lambda g, t, x: _negative_round(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x: _unpaired_round(t, x), lambda: magic_digraph(4, 16)),
+]
+
+
+@pytest.mark.parametrize(
+    ("corrupt", "build"),
+    BITMAP_CORRUPTIONS,
+    ids=["raised-by-c", "lowered-by-c", "dropped", "added", "second-bit",
+         "wrong-cycle", "emptied", "unsorted", "overflowing", "empty-mask",
+         "low-marker", "negative-round", "unpaired-round"],
+)
+def test_bitmap_route_refuses_each_corruption(corrupt, build):
+    g, eng, sk, edges = _certified(build())
+    u = next(v for v, out in zip(sk.nodes, sk.chains) if len(out) > 1)
+    table = digraph_analysis._residue_table(sk, u)
+    # the table has few rounds, so the bitmap route certifies it
+    assert digraph_analysis._bitmaps_cheaper(sk, table)
+    digraph_analysis._check_table(g, sk, edges, u, table)
+    for x in range(len(sk.nodes)):
+        bad = corrupt(g, table, x)
+        if bad is None:
+            continue
+        assert digraph_analysis._bitmaps_cheaper(sk, bad)
+        with pytest.raises(RuntimeError, match="re-verification"):
+            digraph_analysis._check_table(g, sk, edges, u, bad)
+        assert _route_verdicts(g, sk, edges, u, bad) == [False, False]
+
+
+ROUTE_CORRUPTIONS = [None] + [corrupt for corrupt, _ in BITMAP_CORRUPTIONS]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=st.one_of(
+        st.builds(magic_digraph, st.integers(1, 30), st.integers(1, 30)),
+        digraphs_with_runs(),
+    ),
+    data=st.data(),
+)
+def test_both_check_routes_accept_or_refuse_alike(g, data):
+    g, eng, sk, edges = _certified(g)
+    cyclic = [v for v in sk.nodes if eng.cyclic[sk.index[v]]]
+    if not cyclic:
+        return
+    u = data.draw(st.sampled_from(cyclic))
+    table = digraph_analysis._residue_table(sk, u)
+    corrupt = data.draw(st.sampled_from(ROUTE_CORRUPTIONS))
+    if corrupt is not None:
+        x = data.draw(st.integers(0, len(sk.nodes) - 1))
+        table = corrupt(g, table, x)
+        if table is None:
+            return
+    # a sound table passes both routes, and every corruption fails both
+    assert _route_verdicts(g, sk, edges, u, table) == [corrupt is None] * 2
+
+
+@pytest.mark.parametrize(
+    ("j", "k", "r", "route"),
+    [
+        # r(1,n,n)+ = n^2 + 3n - 1, as a per-state search of the residue
+        # tables also gives at n = 200, 256, 400, 1000 and 1666
+        (200, 200, 200**2 + 3 * 200 - 1, "rows"),
+        (10, 100, EXPONENT_TABLE[(10, 100)], "bitmaps"),
+    ],
+    ids=["many-rounds", "few-rounds"],
+)
+def test_each_check_route_is_taken(monkeypatch, j, k, r, route):
+    # (1,n,n)+ from a_n settles one residue a round, so its table takes the
+    # row route; (1,n,n^2)+ tables have about n rounds of n^2 residues
+    taken = []
+    for name in ("_certify_bitmaps", "_certify_rows"):
+        real = getattr(digraph_analysis, name)
+
+        def counted(*args, real=real, name=name):
+            taken.append(name.removeprefix("_certify_"))
+            return real(*args)
+
+        monkeypatch.setattr(digraph_analysis, name, counted)
+    g = magic_digraph(j, k)
+    assert primitivity_exponent(g) == r
+    assert route in taken
+    if route == "rows":
+        # the table of a_n, whose cycle a_n -> a_1 -> a_n has length n
+        eng = digraph_analysis._engine(g)
+        table = eng.table(g.index(f"a_{k}"))
+        assert table.c == k and max(map(len, table.rounds)) >= k
+        assert not digraph_analysis._bitmaps_cheaper(eng.skeleton, table)
+    else:
+        assert set(taken) == {"bitmaps"}
+
+
+def _hub(n):
+    """An n-cycle v0..v(n-1) plus a hub h with h -> h, h -> vi for every i
+    and v0 -> h: every vi but v0 has in-degree 2 and out-degree 1."""
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [(n, n), (0, n)]
+    pairs += [(n, i) for i in range(n)]
+    return Digraph.from_edges([f"v{i}" for i in range(n)] + ["h"], pairs)
+
+
+def test_hub_digraph_exponent():
+    # its skeleton is every vertex, with forced runs as long as the cycle
+    assert primitivity_exponent(_hub(500)) == 501
+
+
 def test_period_two_cycle_with_chord_is_not_primitive():
     # the unreached odd residues refuse it at once, however long the cycle
     with pytest.raises(NotPrimitiveError, match="unreached"):
@@ -603,9 +865,13 @@ def _closed_set_holds_u(refusal):
 
 
 def _residues_filled(refusal):
-    top = refusal.table.unreached
-    rows = [[min(d, top - 1) for d in row] for row in refusal.table.rows]
-    return refusal._replace(table=dataclasses.replace(refusal.table, rows=rows))
+    table = refusal.table
+    for x in range(len(table.masks)):
+        table = _remasked(table, x, lambda pairs, c: [
+            (pairs[0][0] + 1 if pairs else 0, rho)
+            for rho in sorted(set(range(c)) - {rho for _, rho in pairs})
+        ] + pairs)
+    return refusal._replace(table=table)
 
 
 # (digraph, covering source or None, certificate kind, corruption); each
@@ -766,23 +1032,27 @@ def _branching_interior():
 
 
 def _table_of(table_tamper):
+    """A check of the row route: the table in row form, tampered."""
     def check():
         g, eng, sk, edges = _certified(magic_digraph(8, 4))
         u = next(x for x, out in zip(sk.nodes, sk.chains) if len(out) > 1)
-        table = table_tamper(g, eng.table(u))
+        table = table_tamper(g, eng.table(u).row_form())
         digraph_analysis._certify_table(g, sk, edges, u, table)
 
     return check
 
 
 def _cycle_off_the_edges(g, table):
-    # the cycle's second vertex swapped for one that u has no edge to
+    # the cycle's second vertex swapped for one that u has no edge to, in a
+    # table of either form
     u = table.cycle[0]
     stranger = next(
         v for v in range(g.vertex_count)
         if not g.has_edge(g.labels[u], g.labels[v])
     )
     cycle = (u, stranger) + table.cycle[2:]
+    if isinstance(table, tuple):
+        return table._replace(cycle=cycle)
     return dataclasses.replace(table, cycle=cycle)
 
 
@@ -821,12 +1091,12 @@ CHECKER_CLAUSES = [
     ("some vertex is neither a skeleton vertex nor one chain's interior",
      _skeleton_of(_stray_place)),
     ("the table is rooted at 'b_1'",
-     _table_of(lambda g, t: dataclasses.replace(t, u=g.index("b_1")))),
+     _table_of(lambda g, t: t._replace(u=g.index("b_1")))),
     ("the cycle is not a walk of the digraph", _table_of(_cycle_off_the_edges)),
     ("the table is not 6 rows of 4 residues",
-     _table_of(lambda g, t: dataclasses.replace(t, rows=t.rows[:-1]))),
+     _table_of(lambda g, t: t._replace(rows=t.rows[:-1]))),
     ("the unreached marker 0 is not above every walk length",
-     _table_of(lambda g, t: dataclasses.replace(t, unreached=0))),
+     _table_of(lambda g, t: t._replace(unreached=0))),
     ("it is not about 'w' among two or more vertices",
      _refusal_of(_closed_set_example, "w",
                  lambda eng: _Refusal("x", (1,), closed=eng.beyond(1)))),
@@ -900,7 +1170,7 @@ def _check_failure(g, sk, edges, u, table):
 def _tampered(table, x, rho, d):
     rows = [list(row) for row in table.rows]
     rows[x][rho] = d
-    return dataclasses.replace(table, rows=rows)
+    return table._replace(rows=rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -912,7 +1182,7 @@ def _tampered(table, x, rho, d):
 def test_table_check_agrees_with_numpy_reference(j, k, data):
     g, eng, sk, edges = _certified(magic_digraph(j, k))
     u = data.draw(st.sampled_from([v for v in sk.nodes if eng.cyclic[sk.index[v]]]))
-    table = eng.table(u)
+    table = eng.table(u).row_form()
     assert _check_failure(g, sk, edges, u, table) is None
     assert _numpy_bellman_failure(g, sk, u, table) is None
     # one entry other than D[u][0], which an earlier clause checks, moved
@@ -937,11 +1207,11 @@ def test_table_check_with_a_marker_above_2_62():
     # walks v0 -> v0 have even lengths only, so odd residues stay unreached
     g, eng, sk, edges = _certified(_period_two(6))
     u = g.index("v0")
-    table = eng.table(u)
+    table = eng.table(u).row_form()
     top = 2**62 + 5
     rows = [[top if d == table.unreached else d for d in row] for row in table.rows]
     assert any(top in row for row in rows)
-    big = dataclasses.replace(table, rows=rows, unreached=top)
+    big = table._replace(rows=rows, unreached=top)
     assert _check_failure(g, sk, edges, u, big) is None
     assert _numpy_bellman_failure(g, sk, u, big) is None
     x, rho = next(

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import re
 import sys
 import time
 from fractions import Fraction
@@ -874,6 +875,9 @@ def test_slotted_results_pickle_compare_and_convert_as_before():
         assert copy.deepcopy(value) == value
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, field, 1)
+        # a name that is no field fails in the slotted __setattr__'s super()
+        with pytest.raises(TypeError, match=re.escape("super(type, obj)")):
+            setattr(value, "extra", 1)
     assert d == decompose_interior((7, 9, 2), h)
     assert d != dataclasses.replace(d, coefficients=d.coefficients[:-1] + (9,))
     assert dataclasses.asdict(s) == {

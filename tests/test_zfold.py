@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import pickle
+import re
 import time
 import tracemalloc
 from collections import deque
@@ -520,6 +521,15 @@ def test_random_model_refuses_non_integer_arguments(args):
         random_cubic_cochain(*args, seed=0)
 
 
+@pytest.mark.parametrize(
+    "seed", [True, 1.0, "1", [1]], ids=["bool", "float", "str", "list"]
+)
+def test_random_model_refuses_a_seed_that_is_not_an_int(seed):
+    # True would draw seed 1's graph and [1] would fail inside random
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        random_cubic_cochain(4, 1, seed)
+
+
 def test_json_roundtrip_uses_edge_objects():
     doc = export_cochain_json(THETA)
     parsed = json.loads(doc)
@@ -608,3 +618,6 @@ def test_cover_loop_is_slotted_and_pickles():
     assert loop != dataclasses.replace(loop, start=(0, 1))
     with pytest.raises(dataclasses.FrozenInstanceError):
         loop.start = (1, 0)
+    # a name that is no field fails in the slotted __setattr__'s super()
+    with pytest.raises(TypeError, match=re.escape("super(type, obj)")):
+        loop.length = 4
