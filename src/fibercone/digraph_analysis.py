@@ -99,8 +99,9 @@ and raises RuntimeError mentioning "re-verification" on any failure:
         marker with only unreached predecessors (attained).  That is about
         (|skeleton| + chains) c list entries, each handled in Python.
     _bitmaps_cheaper takes the route whose cost estimate is lower, from E,
-    R, c and the chain count: bitmaps for the few rounds of (1,n,1)+ and
-    (1,n,n^2)+, rows for the many of (1,n,n)+.
+    R, c and the chain count: bitmaps for (1,n,n^2)+ and the c = n + 1
+    tables of (1,n,1)+, whose few rounds settle many residues, and rows for
+    (1,n,n)+ and the c = 1 tables of (1,n,1)+, whose rounds settle one.
 
 A negative verdict ("not primitive", "never covers") is a certificate that
 no image of a source v is every vertex (V >= 2), which the checker reads
