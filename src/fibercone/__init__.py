@@ -21,23 +21,6 @@ from .bounds import (
     mixing_exponent_cap,
     regime_of,
 )
-from .cone_monoid import (
-    ArithmeticSplit,
-    BoundTooSmallError,
-    ConeSpec,
-    EmptyInteriorError,
-    HilbertData,
-    InteriorDecomposition,
-    NoDecompositionError,
-    Point,
-    arithmetic_split,
-    decompose_interior,
-    hilbert_basis,
-    hilbert_data,
-    hilbert_data_from_omega,
-    l1_norm,
-    thurston_form,
-)
 from .digraph_analysis import (
     AvoidanceWitness,
     NeverCoversError,
@@ -88,19 +71,35 @@ from .traintrack_digraph import (
     magic_digraph,
 )
 from .traintrack_digraph import export_json as export_digraph_json
-from .zfold_cover import (
-    CochainGraph,
-    CoverLoop,
-    find_short_loop,
-    import_cochain_graph,
-    lemma_R,
-    random_cubic_cochain,
-    verify_loop,
-    window_radius,
-)
-from .zfold_cover import export_json as export_cochain_json
 
 __version__ = "1.0.0"
+
+# No sweep or class report uses cone_monoid or zfold_cover, so their names
+# are loaded on first use (PEP 562) and cost nothing at import.
+_LAZY = dict.fromkeys(
+    "ArithmeticSplit BoundTooSmallError ConeSpec EmptyInteriorError HilbertData "
+    "InteriorDecomposition NoDecompositionError Point arithmetic_split "
+    "decompose_interior hilbert_basis hilbert_data hilbert_data_from_omega "
+    "l1_norm thurston_form".split(),
+    "cone_monoid",
+) | dict.fromkeys(
+    "CochainGraph CoverLoop export_cochain_json find_short_loop "
+    "import_cochain_graph lemma_R random_cubic_cochain verify_loop "
+    "window_radius".split(),
+    "zfold_cover",
+)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f".{_LAZY[name]}", __name__)
+    value = getattr(module, "export_json" if name == "export_cochain_json" else name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ArithmeticSplit",

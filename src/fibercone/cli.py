@@ -28,7 +28,7 @@ from functools import cache
 from typing import Any, Iterator, Sequence
 
 from . import bounds as bounds_mod
-from . import cone_monoid, digraph_analysis, magic_classes, sweep, zfold_cover
+from . import digraph_analysis, magic_classes, sweep
 from . import traintrack_digraph as ttd
 
 __all__ = ["main", "build_parser"]
@@ -280,6 +280,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cone_data(args: argparse.Namespace) -> cone_monoid.HilbertData:
+    from . import cone_monoid
+
     spec = cone_monoid.ConeSpec(_parse_rows(args.rows))
     return cone_monoid.hilbert_data(spec, args.bound)
 
@@ -299,6 +301,8 @@ def _cmd_cone_hilbert(args: argparse.Namespace) -> int:
 
 
 def _cmd_cone_decompose(args: argparse.Namespace) -> int:
+    from . import cone_monoid
+
     data = _cone_data(args)
     point = _parse_ints(args.point, data.cone.dim)
     decomp = cone_monoid.decompose_interior(point, data)
@@ -314,6 +318,8 @@ def _cmd_cone_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_cone_split(args: argparse.Namespace) -> int:
+    from . import cone_monoid
+
     data = _cone_data(args)
     point = _parse_ints(args.point, data.cone.dim)
     norm = (
@@ -338,6 +344,8 @@ def _cmd_cone_split(args: argparse.Namespace) -> int:
 
 
 def _zfold_record(g: zfold_cover.CochainGraph) -> dict[str, Any]:
+    from . import zfold_cover
+
     loop = zfold_cover.find_short_loop(g)
     ok, reason = zfold_cover.verify_loop(g, loop)
     r = zfold_cover.lemma_R(g.cochain_bound, g.edge_count)
@@ -356,6 +364,8 @@ def _zfold_record(g: zfold_cover.CochainGraph) -> dict[str, Any]:
 
 
 def _cmd_zfold_loop(args: argparse.Namespace) -> int:
+    from . import zfold_cover
+
     with open(args.json, encoding="utf-8") as fh:
         g = zfold_cover.import_cochain_graph(fh.read())
     record = _zfold_record(g)
@@ -364,6 +374,8 @@ def _cmd_zfold_loop(args: argparse.Namespace) -> int:
 
 
 def _cmd_zfold_random(args: argparse.Namespace) -> int:
+    from . import zfold_cover
+
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     records = []

@@ -21,7 +21,14 @@ branch skeleton instead of by stepping sets:
     of each cycle made only of vertices of in- and out-degree 1.  Every other
     vertex is interior to exactly one chain, a maximal path through such
     vertices from one skeleton vertex to the next; the chains are the
-    skeleton's edges, weighted by their lengths.
+    skeleton's edges, weighted by their lengths.  Read off the digraph's
+    store of index runs and extra edges, the skeleton vertices are among
+    the run ends, the ends of extra edges and the vertices with no edge,
+    and a chain crosses a run in one step, so the skeleton costs
+    O(runs + extra edges) steps, plus one per vertex with no edge out, and
+    C-level copies of the chain paths.  Chain interiors are kept as
+    segments: a stretch inside one run, or one vertex whose single out-edge
+    is an extra edge, with its chain and offset, found by bisection.
   * Residue tables (the shortest-path view of walk-length semigroups of
     Nijenhuis 1979, Amer. Math. Monthly 86, and Boecker and Liptak 2007,
     Algorithmica 48).  For a skeleton vertex u let c be the length of a
@@ -75,10 +82,17 @@ A separate checker, which only checks and never searches, certifies the
 skeleton and each table before any answer built on them leaves this module,
 and raises RuntimeError mentioning "re-verification" on any failure:
 
-  * chains: every chain is a path of edges of the digraph with the stated
-    weight whose interior vertices have in- and out-degree 1, the chains out
-    of a skeleton vertex start with exactly its out-edges, and every vertex
-    is either a skeleton vertex or interior to exactly one chain;
+  * chains, in O(runs + extra edges + skeleton vertices + segments)
+    steps and C-level comparisons of the chain paths, all read off the
+    store: the skeleton vertices and the segments tile the vertices exactly
+    once; every segment lies inside one run or is one vertex with one
+    out-edge, and one edge enters it, at its first vertex (so its vertices
+    have in- and out-degree 1); the chains out of a skeleton vertex start
+    with exactly its out-edges; every chain is a walk of the digraph
+    between skeleton vertices, and its interior is its segments at their
+    stated offsets.  A walk is checked a run at a time: from a run member
+    it must follow the run, which one C-level comparison checks, and only
+    the steps from other vertices are looked up among the extra edges;
   * cycle: an explicit closed walk of length c through u is a walk of the
     digraph;
   * rounds: each vertex's rounds increase, and its masks are nonempty sets
@@ -105,7 +119,7 @@ and raises RuntimeError mentioning "re-verification" on any failure:
 
 A negative verdict ("not primitive", "never covers") is a certificate that
 no image of a source v is every vertex (V >= 2), which the checker reads
-against the edge list.  It starts with the forced walk from v, through
+against the store.  It starts with the forced walk from v, through
 vertices of out-degree 1 up to its last vertex u, so each image along it is
 a single vertex; then one of:
 
@@ -130,12 +144,11 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from bisect import bisect_left, bisect_right
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, compress, repeat
-from operator import add, eq, itemgetter, lt, or_
+from itertools import accumulate, chain, compress
+from operator import add, lt, or_
 from typing import Iterable, NamedTuple
 
 from .traintrack_digraph import Digraph
@@ -186,46 +199,84 @@ class _Chain(NamedTuple):
     end: int
 
 
+class _Segment(NamedTuple):
+    """Chain interior vertices start .. stop - 1, at offsets offset ..
+    offset + stop - start - 1 of chain.path: a stretch inside one run, or
+    one vertex whose single out-edge is an extra edge."""
+
+    start: int
+    stop: int
+    chain: _Chain
+    offset: int
+
+
 class _Skeleton:
     """Skeleton vertices, the chains out of each, and where interiors lie.
 
     nodes lists the skeleton vertices and index inverts it; chains[i] are the
-    chains out of nodes[i]; place[y] = (chain, i) for a chain interior y,
-    which sits i steps past the chain's start.
+    chains out of nodes[i]; segments are the chain interiors, sorted by
+    start, and starts lists their starts for bisection.  Built from the
+    store in O(runs + extra edges) steps, plus one per vertex that has no
+    edge and the C-level copies of the chain paths.
     """
 
-    def __init__(self, out_nbrs: list[list[int]], in_degree: list[int]):
-        n = len(out_nbrs)
-        is_node = [i != 1 or len(o) != 1 for i, o in zip(in_degree, out_nbrs)]
-        self.nodes = [v for v in range(n) if is_node[v]]
+    def __init__(self, g: Digraph):
+        n = g.vertex_count
+        # a vertex that is no run end, no end of an extra edge and has an
+        # edge out is a run member past its run's first vertex that no extra
+        # edge enters, so of in- and out-degree 1
+        ends = set(chain.from_iterable(g.runs))
+        ends.update(chain.from_iterable(edge[:2] for edge in g.extra))
+        found = {v for v in ends if g.in_degree(v) != 1 or len(g.successors(v)) != 1}
+        found.update(g.bare(0))
+        self.nodes = nodes = sorted(found)
+        self.index = {v: i for i, v in enumerate(nodes)}
         self.chains: list[list[_Chain]] = []
-        self.place: dict[int, tuple[_Chain, int]] = {}
 
-        def trace(x: int) -> None:
-            out = []
-            for y in out_nbrs[x]:
-                path = [x]
-                while not is_node[y]:
-                    path.append(y)
-                    y = out_nbrs[y][0]
-                chain = _Chain(tuple(path), y)
-                out.append(chain)
-                self.place.update(
-                    zip(path[1:], zip(repeat(chain), range(1, len(path))))
-                )
+        def trace(x: int) -> list[_Segment]:
+            """The chains out of x; returns their interiors' segments."""
+            out, made = [], []
+            for y in g.successors(x):
+                path, pieces = [x], []
+                while y not in self.index:
+                    stop = g.run_last(y)
+                    if stop is not None:
+                        # cross the run up to its last vertex or the next
+                        # skeleton vertex inside it
+                        nxt = bisect_right(nodes, y)
+                        if nxt < len(nodes) and nodes[nxt] < stop:
+                            stop = nodes[nxt]
+                        pieces.append((y, stop, len(path)))
+                        path += range(y, stop)
+                        y = stop
+                    else:
+                        pieces.append((y, y + 1, len(path)))
+                        path.append(y)
+                        (y,) = g.successors(y)
+                ch = _Chain(tuple(path), y)
+                out.append(ch)
+                made += (_Segment(a, b, ch, i) for a, b, i in pieces)
             self.chains.append(out)
+            return made
 
-        for x in self.nodes:
-            trace(x)
-        # what is left lies on cycles of in- and out-degree-1 vertices: one
-        # vertex of each stands in for a skeleton vertex, and its cycle
-        # becomes a chain from it to itself
-        for v in range(n) if len(self.place) + len(self.nodes) < n else ():
-            if not is_node[v] and v not in self.place:
-                is_node[v] = True
-                self.nodes.append(v)
-                trace(v)
-        self.index = {v: i for i, v in enumerate(self.nodes)}
+        segments = list(chain.from_iterable(map(trace, nodes)))
+        # what is left lies on cycles of in- and out-degree-1 vertices: the
+        # least vertex of each stands in for a skeleton vertex, and its
+        # cycle becomes a chain from it to itself
+        if len(nodes) + sum(seg.stop - seg.start for seg in segments) < n:
+            covered = set(nodes)
+            for seg in segments:
+                covered.update(range(seg.start, seg.stop))
+            self.nodes = list(nodes)
+            for v in sorted(set(range(n)) - covered):
+                if v not in covered:
+                    self.index[v] = len(self.nodes)
+                    self.nodes.append(v)
+                    segments += trace(v)
+                    covered.update(self.chains[-1][0].path)
+        segments.sort()
+        self.segments = segments
+        self.starts = [seg.start for seg in segments]
         self.out_w = [
             [(self.index[ch.end], len(ch.path)) for ch in out] for out in self.chains
         ]
@@ -233,11 +284,17 @@ class _Skeleton:
         self.reach = [max((len(ch.path) - 1 for ch in out), default=0)
                       for out in self.chains]
 
+    def place(self, y: int) -> tuple[_Chain, int]:
+        """(chain, i) for a chain interior y, which sits i steps past the
+        chain's start."""
+        seg = self.segments[bisect_right(self.starts, y) - 1]
+        return seg.chain, seg.offset + y - seg.start
+
     def row_of(self, y: int) -> tuple[int, int]:
         """(skeleton index x, offset i) with W(u, y) = W(u, nodes[x]) + i."""
         if y in self.index:
             return self.index[y], 0
-        chain, i = self.place[y]
+        chain, i = self.place(y)
         return self.index[chain.path[0]], i
 
 
@@ -468,54 +525,77 @@ def _residue_table(sk: _Skeleton, u: int) -> _Table | None:
 # -- the checker: certifies, never searches ------------------------------------
 
 
-def _certify_skeleton(g: Digraph, sk: _Skeleton) -> set[tuple[int, int]]:
-    """Raises unless the skeleton is right; returns the digraph's (source,
-    target) pairs, read again from its edges, for checking tables."""
+def _certify_skeleton(g: Digraph, sk: _Skeleton) -> None:
+    """Raises unless the skeleton is right; reads only the store, at the
+    granularity of segments, never vertex by vertex."""
 
     def fail(why: str) -> None:
         raise RuntimeError(f"branch skeleton failed re-verification: {why}")
 
-    edges = set(map(itemgetter(0, 1), g.edges))
-    out_degree = Counter(map(itemgetter(0), g.edges))
-    in_degree = Counter(map(itemgetter(1), g.edges))
-    if len(sk.chains) != len(sk.nodes):
+    labels, nodes, segments, n = g.labels, sk.nodes, sk.segments, g.vertex_count
+    if len(sk.chains) != len(nodes):
         fail("some skeleton vertex has no list of chains")
-    interiors: list[int] = []
-    for x, out in zip(sk.nodes, sk.chains):
-        lo, hi = bisect_left(g.edges, (x,)), bisect_left(g.edges, (x + 1,))
-        firsts = sorted(ch.path[1] if len(ch.path) > 1 else ch.end for ch in out)
-        if firsts != [target for _, target, _ in g.edges[lo:hi]]:
-            fail(f"the chains out of {g.labels[x]!r} do not start with its out-edges")
-        for chain in out:
-            walk = chain.path + (chain.end,)
-            if chain.path[0] != x or chain.end not in sk.index:
-                fail(f"a chain out of {g.labels[x]!r} has the wrong ends")
-            if not all(map(edges.__contains__, zip(walk, walk[1:]))):
-                fail(f"a chain out of {g.labels[x]!r} is not a path of edges")
-            inner = chain.path[1:]
-            placed = zip(repeat(chain), range(1, len(chain.path)))
-            if not all(map(eq, map(sk.place.get, inner), placed)):
-                fail(f"a chain out of {g.labels[x]!r} misplaces its interior")
-            interiors += inner
-    degrees = set(map(in_degree.__getitem__, interiors))
-    degrees.update(map(out_degree.__getitem__, interiors))
-    if degrees - {1}:
-        fail("some chain interior has in- or out-degree != 1")
-    covered = set(sk.nodes)
-    covered.update(interiors)
+    # the nodes and segments tile 0 .. V - 1 exactly once, and the lookups
+    # that the engine reads agree with them
+    ends = list(chain.from_iterable(sorted(
+        [(v, v + 1) for v in nodes] + [seg[:2] for seg in segments]
+    )))
     if (
-        len(sk.nodes) + len(interiors) != g.vertex_count
-        or covered != set(range(g.vertex_count))
-        or len(sk.place) != len(interiors)
-        or any(sk.index.get(v) != i for i, v in enumerate(sk.nodes))
+        ends[1:-1:2] != ends[2::2]
+        or not all(map(lt, ends[::2], ends[1::2]))
+        or ends[:1] + ends[-1:] != ([0, n] if n else [])
+        or [seg.start for seg in segments] != sk.starts
+        or not all(map(lt, sk.starts, sk.starts[1:]))
+        or len(sk.index) != len(nodes)
+        or any(sk.index.get(v) != i for i, v in enumerate(nodes))
     ):
         fail("some vertex is neither a skeleton vertex nor one chain's interior")
-    return edges
+    # a segment lies inside one run, or is one vertex with one out-edge, and
+    # one edge enters it, at its first vertex
+    for start, stop, _, _ in segments:
+        last = g.run_last(start)
+        if last is None or stop > last:
+            if stop != start + 1:
+                fail("some segment leaves its run")
+            if len(g.successors(start)) != 1:
+                fail("some chain interior has in- or out-degree != 1")
+        if g.extra_into(start + 1, stop):
+            fail("an edge enters a segment past its first vertex")
+        if g.in_degree(start) != 1:
+            fail("some chain interior has in- or out-degree != 1")
+    used = 0
+    for x, out in zip(nodes, sk.chains):
+        firsts_out = sorted(ch.path[1] if len(ch.path) > 1 else ch.end for ch in out)
+        if firsts_out != list(g.successors(x)):
+            fail(f"the chains out of {labels[x]!r} do not start with its out-edges")
+        for ch in out:
+            path = ch.path
+            if path[0] != x or ch.end not in sk.index:
+                fail(f"a chain out of {labels[x]!r} has the wrong ends")
+            if g.extra_steps(path + (ch.end,)) is None:
+                fail(f"a chain out of {labels[x]!r} is not a path of edges")
+            # the interior, a segment at a time, at the stated offsets
+            i = 1
+            while i < len(path):
+                at = bisect_right(sk.starts, path[i]) - 1
+                seg = segments[at] if at >= 0 else None
+                size = seg.stop - seg.start if seg else 0
+                if (
+                    seg is None
+                    or seg.start != path[i]
+                    or seg.chain is not ch
+                    or seg.offset != i
+                    or i + size > len(path)
+                    or path[i + size - 1] != seg.stop - 1
+                ):
+                    fail(f"a chain out of {labels[x]!r} misplaces its interior")
+                i += size
+                used += 1
+    if used != len(segments):
+        fail("some vertex is neither a skeleton vertex nor one chain's interior")
 
 
-def _certify_table(
-    g: Digraph, sk: _Skeleton, edges: set[tuple[int, int]], u: int, table: _Rows
-) -> None:
+def _certify_table(g: Digraph, sk: _Skeleton, u: int, table: _Rows) -> None:
     c, rows, top = table.c, table.rows, table.unreached
 
     def fail(why: str) -> None:
@@ -528,7 +608,7 @@ def _certify_table(
     cycle = table.cycle
     if len(cycle) != c + 1 or cycle[0] != u or cycle[-1] != u:
         fail(f"the cycle is not a closed walk of length {c} through it")
-    if not all(map(edges.__contains__, zip(cycle, cycle[1:]))):
+    if g.extra_steps(cycle) is None:
         fail("the cycle is not a walk of the digraph")
     if len(rows) != len(sk.nodes) or any(len(row) != c for row in rows):
         fail(f"the table is not {len(sk.nodes)} rows of {c} residues")
@@ -568,9 +648,7 @@ def _certify_table(
         )
 
 
-def _certify_rounds(
-    g: Digraph, sk: _Skeleton, edges: set[tuple[int, int]], u: int, table: _Table
-) -> None:
+def _certify_rounds(g: Digraph, sk: _Skeleton, u: int, table: _Table) -> None:
     """The clauses that both routes rely on: the root, the cycle, and lists
     of increasing rounds with nonempty masks of residues below c."""
     c = table.c
@@ -585,7 +663,7 @@ def _certify_rounds(
     cycle = table.cycle
     if len(cycle) != c + 1 or cycle[0] != u or cycle[-1] != u:
         fail(f"the cycle is not a closed walk of length {c} through it")
-    if not all(map(edges.__contains__, zip(cycle, cycle[1:]))):
+    if g.extra_steps(cycle) is None:
         fail("the cycle is not a walk of the digraph")
     full = (1 << c) - 1
     count = len(sk.nodes)
@@ -688,9 +766,7 @@ def _bitmaps_cheaper(sk: _Skeleton, table: _Table) -> bool:
     return bitmaps < rows
 
 
-def _certify_rows(
-    g: Digraph, sk: _Skeleton, edges: set[tuple[int, int]], u: int, table: _Table
-) -> None:
+def _certify_rows(g: Digraph, sk: _Skeleton, u: int, table: _Table) -> None:
     """The row route: _certify_table on the table's rows."""
     rows = table.row_form()
     if rows is None:
@@ -698,18 +774,16 @@ def _certify_rows(
             f"residue table of {g.labels[u]!r} failed re-verification: some "
             "row has two lengths in one residue"
         )
-    _certify_table(g, sk, edges, u, rows)
+    _certify_table(g, sk, u, rows)
 
 
-def _check_table(
-    g: Digraph, sk: _Skeleton, edges: set[tuple[int, int]], u: int, table: _Table
-) -> None:
+def _check_table(g: Digraph, sk: _Skeleton, u: int, table: _Table) -> None:
     """Certifies a table by the route with the lower cost estimate."""
-    _certify_rounds(g, sk, edges, u, table)
+    _certify_rounds(g, sk, u, table)
     if _bitmaps_cheaper(sk, table):
         _certify_bitmaps(g, sk, u, table)
     else:
-        _certify_rows(g, sk, edges, u, table)
+        _certify_rows(g, sk, u, table)
 
 
 class _Refusal(NamedTuple):
@@ -723,31 +797,36 @@ class _Refusal(NamedTuple):
     table: _Table | None = None
 
 
-def _certify_refusal(
-    g: Digraph, sk: _Skeleton, edges: set[tuple[int, int]], v: int, ref: _Refusal
-) -> None:
+def _certify_refusal(g: Digraph, sk: _Skeleton, v: int, ref: _Refusal) -> None:
     walk, u = ref.walk, ref.walk[-1]
 
     def fail(why: str) -> None:
         raise RuntimeError(f"the verdict '{ref.why}' failed re-verification: {why}")
 
-    out_degree = Counter(map(itemgetter(0), g.edges))
     if walk[0] != v or g.vertex_count < 2:
         fail(f"it is not about {g.labels[v]!r} among two or more vertices")
-    if any(out_degree[v] != 1 for v in walk[:-1]):
-        fail("the forced walk passes a vertex of out-degree != 1")
-    if not all(map(edges.__contains__, zip(walk, walk[1:]))):
+    taken = g.extra_steps(walk)
+    if taken is None:
         fail("the forced walk is not a walk of the digraph")
+    # run members have out-degree 1, so only the vertices that take an
+    # extra edge are looked up
+    if any(len(g.successors(y)) != 1 for y in taken):
+        fail("the forced walk passes a vertex of out-degree != 1")
     if ref.closed is not None:
         if u in ref.closed:
             fail(f"the closed set holds {g.labels[u]!r}")
-        if any(t not in ref.closed for s, t, _ in g.edges if s == u or s in ref.closed):
+        if any(t not in ref.closed for s in (u, *ref.closed) for t in g.successors(s)):
             fail("the set is not closed under successors")
     elif ref.table is not None:
-        _check_table(g, sk, edges, u, ref.table)
+        _check_table(g, sk, u, ref.table)
         if max(ref.table.tops) < ref.table.unreached:
             fail("every residue is reached")
-        if len(set(map(itemgetter(1), g.edges))) != g.vertex_count:
+        # the run steps enter first + 1 .. last of each run, and each extra
+        # edge its target
+        entered = sum(last - first for first, last in g.runs) + len(
+            {t for _, t, _ in g.extra if g.run_last(t - 1) is None}
+        )
+        if entered != g.vertex_count:
             fail("some in-degree is zero, so coverage need not be monotone")
     elif u not in walk[:-1]:
         fail("the forced walk does not close on itself")
@@ -757,19 +836,14 @@ def _certify_refusal(
 
 
 class _Engine:
-    """Per-digraph state: degrees, the certified skeleton and tables, and the
-    lazily built matrix ladder."""
+    """Per-digraph state: the certified skeleton and tables, and the lazily
+    built matrix ladder; degrees and successors are read from the store."""
 
     def __init__(self, g: Digraph):
         # g holds the engine, so a strong reference back would make a cycle
         # that outlives g until the next full garbage collection
         self._digraph = weakref.ref(g)
-        self.n = n = g.vertex_count
-        self.out_nbrs: list[list[int]] = [[] for _ in range(n)]
-        self.in_degree = [0] * n
-        for source, target, _ in g.edges:
-            self.out_nbrs[source].append(target)
-            self.in_degree[target] += 1
+        self.n = g.vertex_count
         self._tables: dict[int, _Table | None] = {}
         # A^(2^t) for t = 0, 1, ... as numpy float32 matrices, built by power()
         # for the method="powers" route only
@@ -781,8 +855,9 @@ class _Engine:
 
     @cached_property
     def skeleton(self) -> _Skeleton:
-        sk = _Skeleton(self.out_nbrs, self.in_degree)
-        self._edge_pairs = _certify_skeleton(self.g, sk)
+        g = self.g
+        sk = _Skeleton(g)
+        _certify_skeleton(g, sk)
         return sk
 
     @cached_property
@@ -837,14 +912,14 @@ class _Engine:
             sk = self.skeleton
             table = _residue_table(sk, u) if self.cyclic[sk.index[u]] else None
             if table is not None:
-                _check_table(self.g, sk, self._edge_pairs, u, table)
+                _check_table(self.g, sk, u, table)
             self._tables[u] = table
         return self._tables[u]
 
     def refuse(self, v: int, refusal: _Refusal) -> NeverCoversError:
         """The verdict that nothing covers from v, once its certificate is
         checked."""
-        _certify_refusal(self.g, self.skeleton, self._edge_pairs, v, refusal)
+        _certify_refusal(self.g, self.skeleton, v, refusal)
         return NeverCoversError(refusal.why)
 
     def forced(self, v: int) -> tuple[list[int], int | None, int]:
@@ -856,8 +931,8 @@ class _Engine:
         """
         sk = self.skeleton
         path: list[int] = []
-        if v in sk.place:
-            chain, i = sk.place[v]
+        if v not in sk.index:
+            chain, i = sk.place(v)
             path.extend(chain.path[i:])
             v = chain.end
         seen: dict[int, int] = {}
@@ -872,9 +947,10 @@ class _Engine:
 
     def beyond(self, u: int) -> frozenset[int]:
         """The vertices at the ends of walks of length >= 1 from u."""
-        seen, todo = set(self.out_nbrs[u]), list(self.out_nbrs[u])
+        g = self.g
+        seen, todo = set(g.successors(u)), list(g.successors(u))
         while todo:
-            for y in self.out_nbrs[todo.pop()]:
+            for y in g.successors(todo.pop()):
                 if y not in seen:
                     seen.add(y)
                     todo.append(y)
@@ -948,7 +1024,7 @@ class _Engine:
                 if table is not None:
                     hit.update(y for y in targets - hit if table.contains(sk, y, m))
                 else:
-                    later = {(w, m - 1) for w in self.out_nbrs[u]} - seen
+                    later = {(w, m - 1) for w in self.g.successors(u)} - seen
                     seen |= later
                     todo.extend(later)
                 continue
@@ -1042,24 +1118,29 @@ def primitivity_exponent(g: Digraph) -> int:
     eng = _engine(g)
     n = eng.n
     if n == 1:
-        if g.edges:
+        if g.extra:
             return 1
         raise NotPrimitiveError("not primitive: single vertex without a loop")
     try:
-        for v in range(n):
-            if not eng.in_degree[v] or not eng.out_nbrs[v]:
-                raise eng.refuse(v, _Refusal(
-                    f"{g.labels[v]!r} has in- or out-degree zero, which keeps "
-                    "every power from being positive", (v,), eng.beyond(v)
-                ))
+        v = _degree_zero(g)
+        if v is not None:
+            raise eng.refuse(v, _Refusal(
+                f"{g.labels[v]!r} has in- or out-degree zero, which keeps "
+                "every power from being positive", (v,), eng.beyond(v)
+            ))
         return eng.exponent()
     except NeverCoversError as exc:
         raise NotPrimitiveError(f"not primitive: {exc}") from None
 
 
+def _degree_zero(g: Digraph) -> int | None:
+    """The least vertex with no edge out or no edge in; None if none."""
+    return min(g.bare(0)[:1] + g.bare(1)[:1], default=None)
+
+
 def _covering_engine(g: Digraph) -> _Engine:
     eng = _engine(g)
-    if 0 in eng.in_degree:
+    if g.bare(1):
         raise ValueError(
             "covering time needs every in-degree >= 1, otherwise coverage "
             "is not monotone"

@@ -437,8 +437,40 @@ def _encode_fraction(value: object) -> list[int]:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+# the types that JSON writes as one token, and the C encoder writing a list
+# of them with a NUL between each two, which no encoded leaf holds
+_LEAVES = frozenset((str, int, float, bool, type(None)))
+_leaf_texts = json.JSONEncoder(separators=("\0", ":")).encode
+
+
 def json_text(obj: object) -> str:
-    """obj as JSON text: sorted keys, two-space indent, rationals as [num, den]."""
+    """obj as JSON text: sorted keys, two-space indent, rationals as [num, den].
+
+    json.dumps with an indent runs CPython's pure-Python encoder.  A flat
+    record, a dict of str keys to leaves (str, int, float, bool, None),
+    Fractions or lists of leaves, has its keys and leaves written by the C
+    encoder in one call instead, and the indented text is laid out around
+    them; anything else goes through indent=2.  The text is the same.
+    """
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        leaves, parts = [], []
+        for key in sorted(obj):
+            value = obj[key]
+            if type(value) is Fraction:
+                value = (value.numerator, value.denominator)
+            if type(value) in _LEAVES:
+                leaves += (key, value)
+                parts.append("  %s: %s")
+            elif type(value) in (list, tuple) and _LEAVES.issuperset(map(type, value)):
+                leaves.append(key)
+                leaves += value
+                items = ",\n    ".join(["%s"] * len(value))
+                parts.append(f"  %s: [\n    {items}\n  ]" if value else "  %s: []")
+            else:
+                break
+        else:
+            texts = _leaf_texts(leaves)[1:-1].split("\0")
+            return ("{\n" + ",\n".join(parts) + "\n}") % tuple(texts)
     return json.dumps(obj, sort_keys=True, indent=2, default=_encode_fraction)
 
 

@@ -37,9 +37,14 @@ the four walks every downstream bound relies on executable checks:
     (c) a cycle at a_k of length j + k + 1    (through r_1..r_j and s)
     (d) a spanning path from r_1 to s of length j + 2k visiting every vertex.
 
-A Digraph stores its edges sparsely, as sorted (source, target, multiplicity)
-index triples, so building Gamma costs one pass over its j + 2k + 5 edges.
-The dense view, derived only on request, follows the convention
+A Digraph stores its edges as index runs plus extra edges.  A run (first,
+last) stands for the steps v -> v + 1, first <= v < last, each the one
+out-edge of its source; every other edge is an extra (source, target,
+multiplicity) triple.  Gamma is three runs (s a_1 .. a_k, r_1 .. r_j and
+b_1 .. b_k) and seven extra edges, so building and validating its store
+costs O(1) steps beyond its labels, and readers find degrees and successors
+by bisection.  The sorted edge triples and the dense view are derived only
+on request; the dense view follows the convention
 adjacency[i][j] = number of directed edges from vertex j to vertex i, so
 matrix powers act on indicator columns; the JSON document uses that view.
 """
@@ -47,11 +52,11 @@ matrix powers act on indicator columns; the JSON document uses that view.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any, Iterable, Sequence
 
 __all__ = [
@@ -71,18 +76,24 @@ __all__ = [
 class Digraph:
     """A finite directed multigraph with labeled vertices.
 
-    The store is sparse: edges is the sorted tuple of (source, target,
-    multiplicity) vertex-index triples, one per ordered pair that carries an
-    edge, each with multiplicity >= 1.  Equality compares labels and edges.
+    The store has two parts.  runs is the sorted tuple of maximal index runs
+    (first, last): every v with first <= v < last, a run member, has exactly
+    one out-edge, v -> v + 1, of multiplicity one.  extra is the sorted
+    tuple of the remaining (source, target, multiplicity) triples, one per
+    ordered pair, none of them from a run member.  The store is canonical,
+    so equality on (labels, runs, extra) is equality on labels and edges.
 
     Digraph(labels, adjacency) reads a dense matrix in which adjacency[i][j]
     holds the number of directed edges from vertex j to vertex i (column
     index = source, row index = target); Digraph.from_edges reads the edge
-    multiset directly.  The dense adjacency tuple is derived on first access.
+    multiset directly.  Both normalize into the store in one pass.  edges,
+    the sorted triples of both parts, and the dense adjacency tuple are
+    derived on first access.
     """
 
     labels: tuple[str, ...]
-    edges: tuple[tuple[int, int, int], ...]
+    runs: tuple[tuple[int, int], ...]
+    extra: tuple[tuple[int, int, int], ...]
 
     def __init__(self, labels: Sequence[str], adjacency: Sequence[Sequence[int]]):
         labels = _checked_labels(labels)
@@ -98,8 +109,7 @@ class Digraph:
                 if mult:
                     edges.append((source, target, mult))
         edges.sort()
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "edges", tuple(edges))
+        self._fill(labels, *_runs_and_extra(edges))
 
     @classmethod
     def from_edges(
@@ -134,12 +144,83 @@ class Digraph:
                             f"vertex index {v} out of range for {n} labels"
                         )
                 counts[source, target] += 1
+        edges = sorted((s, t, m) for (s, t), m in counts.items())
+        return cls._from_store(labels, *_runs_and_extra(edges))
+
+    @classmethod
+    def _from_store(
+        cls,
+        labels: tuple[str, ...],
+        runs: Iterable[tuple[int, int]],
+        extra: Iterable[tuple[int, int, int]],
+    ) -> Digraph:
+        """The digraph of a store; labels must be checked already."""
         g = cls.__new__(cls)
-        object.__setattr__(g, "labels", labels)
-        object.__setattr__(
-            g, "edges", tuple(sorted((s, t, m) for (s, t), m in counts.items()))
-        )
+        g._fill(labels, runs, extra)
         return g
+
+    def _fill(self, labels: tuple[str, ...], runs, extra) -> None:
+        """The store constructor: refuses, in O(runs + extra), a store that
+        is out of range, out of order, overlapping, not maximal or has an
+        extra edge from a run member, then sets the three fields."""
+        n = len(labels)
+        runs, extra = tuple(map(tuple, runs)), tuple(map(tuple, extra))
+        end = -1
+        for first, last in runs:
+            if not (type(first) is type(last) is int and 0 <= first < last < n):
+                raise ValueError(
+                    f"run ({first!r}, {last!r}) is not first < last among "
+                    f"vertex indices below {n}"
+                )
+            if first <= end:
+                raise ValueError(
+                    f"run ({first}, {last}) starts at or before the last vertex "
+                    "of the run before it: runs must be sorted, disjoint and "
+                    "maximal"
+                )
+            end = last
+        firsts = [first for first, _ in runs]
+        before = (-1, -1)
+        for i, edge in enumerate(extra):
+            source, target, mult = edge
+            if not (
+                type(source) is type(target) is type(mult) is int
+                and 0 <= source < n and 0 <= target < n and mult >= 1
+            ):
+                raise ValueError(
+                    f"extra edge {edge!r} is not (source, target, multiplicity) "
+                    f"with indices below {n} and multiplicity >= 1"
+                )
+            if (source, target) <= before:
+                raise ValueError("extra edges must be sorted, one per pair")
+            before = (source, target)
+            at = bisect_right(firsts, source) - 1
+            if at >= 0 and source < runs[at][1]:
+                raise ValueError(
+                    f"extra edge {edge!r} leaves {source}, a member of run "
+                    f"{runs[at]}"
+                )
+            if (
+                (target, mult) == (source + 1, 1)
+                and (i == 0 or extra[i - 1][0] != source)
+                and (i + 1 == len(extra) or extra[i + 1][0] != source)
+            ):
+                raise ValueError(
+                    f"{source} -> {target} is the one out-edge of {source}, "
+                    "so a run holds it: runs must be maximal"
+                )
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "extra", extra)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The sorted (source, target, multiplicity) triples of both parts."""
+        steps = chain.from_iterable(
+            zip(range(first, last), range(first + 1, last + 1), repeat(1))
+            for first, last in self.runs
+        )
+        return tuple(sorted(chain(steps, self.extra)))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -154,6 +235,86 @@ class Digraph:
     def _index(self) -> dict[str, int]:
         return {lbl: i for i, lbl in enumerate(self.labels)}
 
+    @cached_property
+    def _firsts(self) -> list[int]:
+        return [first for first, _ in self.runs]
+
+    @cached_property
+    def _out(self) -> dict[int, tuple[int, ...]]:
+        """The targets of the extra edges out of each of their sources."""
+        out: dict[int, list[int]] = {}
+        for source, target, _ in self.extra:
+            out.setdefault(source, []).append(target)
+        return {source: tuple(targets) for source, targets in out.items()}
+
+    @cached_property
+    def _extra_pairs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(edge[:2] for edge in self.extra)
+
+    @cached_property
+    def _targets(self) -> list[int]:
+        """The targets of the extra edges, sorted, one per edge."""
+        return sorted(target for _, target, _ in self.extra)
+
+    def run_last(self, v: int) -> int | None:
+        """The last vertex of the run that vertex index v is a member of,
+        so that v's one out-edge is v -> v + 1; None if v is no member."""
+        at = bisect_right(self._firsts, v) - 1
+        if at >= 0 and v < self.runs[at][1]:
+            return self.runs[at][1]
+        return None
+
+    def successors(self, v: int) -> tuple[int, ...]:
+        """The targets of the edges out of vertex index v, increasing."""
+        return self._out.get(v, ()) if self.run_last(v) is None else (v + 1,)
+
+    def extra_into(self, start: int, stop: int) -> int:
+        """The number of extra edges into vertex indices start .. stop - 1."""
+        return bisect_left(self._targets, stop) - bisect_left(self._targets, start)
+
+    def in_degree(self, v: int) -> int:
+        """The number of vertices with an edge to vertex index v."""
+        return (self.run_last(v - 1) is not None) + self.extra_into(v, v + 1)
+
+    def bare(self, side: int) -> list[int]:
+        """The vertex indices with no edge out (side 0) or in (side 1),
+        increasing, read off the spans that the runs and extra edges cover."""
+        spans = sorted([(first + side, last + side) for first, last in self.runs]
+                       + [(edge[side], edge[side] + 1) for edge in self.extra])
+        bare, v = [], 0
+        for a, b in spans:
+            if a > v:
+                bare += range(v, a)
+            v = max(v, b)
+        return bare + list(range(v, len(self.labels)))
+
+    def extra_steps(self, walk: tuple[int, ...]) -> list[int] | None:
+        """The vertices from which walk, a tuple of vertex indices, takes an
+        extra edge, in walk order; None if walk is not a walk of the digraph.
+
+        From a run member the walk must follow the run to its last vertex or
+        to the walk's end, and that stretch is compared with the run in one
+        C-level pass; only steps from vertices outside every run are looked
+        up, among the extra edges.
+        """
+        if not walk:
+            return None
+        taken, i, end = [], 0, len(walk) - 1
+        while i < end:
+            a = walk[i]
+            last = self.run_last(a)
+            if last is not None:
+                j = min(end, i + last - a)
+                if walk[i:j + 1] != tuple(range(a, a + j - i + 1)):
+                    return None
+                i = j
+            elif (a, walk[i + 1]) in self._extra_pairs:
+                taken.append(a)
+                i += 1
+            else:
+                return None
+        return taken
+
     def index(self, label: str) -> int:
         try:
             return self._index[label]
@@ -167,22 +328,44 @@ class Digraph:
     @property
     def edge_count(self) -> int:
         """Total multiplicity over all ordered pairs."""
-        return sum(mult for _, _, mult in self.edges)
+        steps = sum(last - first for first, last in self.runs)
+        return steps + sum(mult for _, _, mult in self.extra)
 
     def multiplicity(self, source: str, target: str) -> int:
-        key = (self.index(source), self.index(target))
-        pos = bisect_left(self.edges, key)
-        if pos < len(self.edges) and self.edges[pos][:2] == key:
-            return self.edges[pos][2]
+        s, t = self.index(source), self.index(target)
+        if self.run_last(s) is not None:
+            return int(t == s + 1)
+        pos = bisect_left(self.extra, (s, t))
+        if pos < len(self.extra) and self.extra[pos][:2] == (s, t):
+            return self.extra[pos][2]
         return 0
 
     def has_edge(self, source: str, target: str) -> bool:
         return self.multiplicity(source, target) > 0
 
     def out_labels(self, source: str) -> tuple[str, ...]:
-        j = self.index(source)
-        lo, hi = bisect_left(self.edges, (j,)), bisect_left(self.edges, (j + 1,))
-        return tuple(self.labels[target] for _, target, _ in self.edges[lo:hi])
+        return tuple(map(self.labels.__getitem__, self.successors(self.index(source))))
+
+
+def _runs_and_extra(
+    edges: list[tuple[int, int, int]],
+) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
+    """The store of sorted (source, target, multiplicity) triples, one per
+    pair: a vertex whose one out-edge is v -> v + 1 of multiplicity one is a
+    run member, and consecutive members make one run."""
+    out_degree = Counter(source for source, _, _ in edges)
+    runs: list[list[int]] = []
+    extra = []
+    for edge in edges:
+        source, target, mult = edge
+        if (target, mult) == (source + 1, 1) and out_degree[source] == 1:
+            if runs and runs[-1][1] == source:
+                runs[-1][1] = target
+            else:
+                runs.append([source, target])
+        else:
+            extra.append(edge)
+    return runs, extra
 
 
 def _checked_labels(labels: Sequence[str]) -> tuple[str, ...]:
@@ -231,21 +414,23 @@ def _magic_labels(j: int, k: int) -> tuple[str, ...]:
 def build_magic_digraph(spec: MagicDigraphSpec) -> Digraph:
     """The digraph Gamma_(1,j,k)+ on 1 + j + 2k vertices.
 
-    Edges are emitted as index pairs from the group offsets of the vertex
-    order: s = 0, a_i = i, r_i = k + i, b_i = k + j + i.
+    The store is written from the group offsets of the vertex order, s = 0,
+    a_i = i, r_i = k + i, b_i = k + j + i: the runs s -> a_1 -> .. -> a_k,
+    r_1 -> .. -> r_j and b_1 -> .. -> b_k (the last two empty when j = 1 or
+    k = 1), and the seven fan-out edges (six when k = 1) as extra edges.
     """
     j, k = spec.j, spec.k
     r, b = k, k + j
-    pairs = [(0, 1)]
-    pairs += zip(range(1, k), range(2, k + 1))
-    pairs += [(k, 1), (k, 0), (k, r + 1)]
-    pairs += zip(range(r + 1, r + j), range(r + 2, r + j + 1))
-    pairs += [(r + j, 0), (r + j, b + 1)]
-    pairs += zip(range(b + 1, b + k), range(b + 2, b + k + 1))
+    runs = [(0, k)]
+    if j > 1:
+        runs.append((r + 1, r + j))
     if k > 1:
-        pairs.append((b + k, 1))
-    pairs.append((b + k, r + 1))
-    return Digraph.from_edges(_magic_labels(j, k), pairs)
+        runs.append((b + 1, b + k))
+    extra = [(k, 0, 1), (k, 1, 1), (k, r + 1, 1), (r + j, 0, 1), (r + j, b + 1, 1)]
+    if k > 1:
+        extra.append((b + k, 1, 1))
+    extra.append((b + k, r + 1, 1))
+    return Digraph._from_store(_magic_labels(j, k), runs, extra)
 
 
 def magic_digraph(j: int, k: int) -> Digraph:

@@ -683,8 +683,8 @@ def test_avoidance_witness_failing_backward_check_raises(monkeypatch):
 def test_corrupted_skeleton_fails_re_verification(monkeypatch):
     real = digraph_analysis._Skeleton
 
-    def skipping(out_nbrs, in_degree):
-        sk = real(out_nbrs, in_degree)
+    def skipping(g):
+        sk = real(g)
         out = next(out for out in sk.chains if any(len(c.path) > 2 for c in out))
         i = next(i for i, c in enumerate(out) if len(c.path) > 2)
         out[i] = out[i]._replace(path=out[i].path[:1] + out[i].path[2:])
@@ -701,16 +701,16 @@ def _period_two(n):
     return Digraph.from_edges([f"v{i}" for i in range(n)], pairs)
 
 
-def _route_verdicts(g, sk, edges, u, table):
+def _route_verdicts(g, sk, u, table):
     """[bitmap route passes, row route passes], each after the clauses that
     both routes share; a refusal must name re-verification."""
     verdicts = []
     for route in (
         lambda: digraph_analysis._certify_bitmaps(g, sk, u, table),
-        lambda: digraph_analysis._certify_rows(g, sk, edges, u, table),
+        lambda: digraph_analysis._certify_rows(g, sk, u, table),
     ):
         try:
-            digraph_analysis._certify_rounds(g, sk, edges, u, table)
+            digraph_analysis._certify_rounds(g, sk, u, table)
             route()
         except RuntimeError as exc:
             assert "re-verification" in str(exc)
@@ -755,20 +755,20 @@ BITMAP_CORRUPTIONS = [
          "low-marker", "negative-round", "unpaired-round"],
 )
 def test_bitmap_route_refuses_each_corruption(corrupt, build):
-    g, eng, sk, edges = _certified(build())
+    g, eng, sk = _certified(build())
     u = next(v for v, out in zip(sk.nodes, sk.chains) if len(out) > 1)
     table = digraph_analysis._residue_table(sk, u)
     # the table has few rounds, so the bitmap route certifies it
     assert digraph_analysis._bitmaps_cheaper(sk, table)
-    digraph_analysis._check_table(g, sk, edges, u, table)
+    digraph_analysis._check_table(g, sk, u, table)
     for x in range(len(sk.nodes)):
         bad = corrupt(g, table, x)
         if bad is None:
             continue
         assert digraph_analysis._bitmaps_cheaper(sk, bad)
         with pytest.raises(RuntimeError, match="re-verification"):
-            digraph_analysis._check_table(g, sk, edges, u, bad)
-        assert _route_verdicts(g, sk, edges, u, bad) == [False, False]
+            digraph_analysis._check_table(g, sk, u, bad)
+        assert _route_verdicts(g, sk, u, bad) == [False, False]
 
 
 ROUTE_CORRUPTIONS = [None] + [corrupt for corrupt, _ in BITMAP_CORRUPTIONS]
@@ -783,7 +783,7 @@ ROUTE_CORRUPTIONS = [None] + [corrupt for corrupt, _ in BITMAP_CORRUPTIONS]
     data=st.data(),
 )
 def test_both_check_routes_accept_or_refuse_alike(g, data):
-    g, eng, sk, edges = _certified(g)
+    g, eng, sk = _certified(g)
     cyclic = [v for v in sk.nodes if eng.cyclic[sk.index[v]]]
     if not cyclic:
         return
@@ -796,7 +796,7 @@ def test_both_check_routes_accept_or_refuse_alike(g, data):
         if table is None:
             return
     # a sound table passes both routes, and every corruption fails both
-    assert _route_verdicts(g, sk, edges, u, table) == [corrupt is None] * 2
+    assert _route_verdicts(g, sk, u, table) == [corrupt is None] * 2
 
 
 @pytest.mark.parametrize(
@@ -912,7 +912,7 @@ def test_corrupted_negative_verdict_fails_re_verification(
     monkeypatch.setattr(
         digraph_analysis,
         "_certify_refusal",
-        lambda g, sk, edges, v, ref: _CERTIFY_REFUSAL(g, sk, edges, v, corrupt(ref)),
+        lambda g, sk, v, ref: _CERTIFY_REFUSAL(g, sk, v, corrupt(ref)),
     )
     for check in checks:
         with pytest.raises(RuntimeError, match="re-verification"):
@@ -960,21 +960,20 @@ def test_refusal_texts(build, text):
     assert str(refusal.value) == text
 
 
-def test_degree_zero_is_read_off_the_edges():
-    # an engine whose degree list claims a zero it does not have is refuted
-    g = magic_digraph(8, 4)
-    digraph_analysis._engine(g).in_degree[0] = 0
+def test_degree_zero_is_read_off_the_edges(monkeypatch):
+    # a degree reader that claims a zero the store does not have is refuted
+    monkeypatch.setattr(digraph_analysis, "_degree_zero", lambda g: 0)
     with pytest.raises(RuntimeError, match="re-verification"):
-        primitivity_exponent(g)
+        primitivity_exponent(magic_digraph(8, 4))
 
 
 # -- each clause of the checker, handed a crafted certificate ------------------
 
 
 def _certified(g):
-    """(g, engine, skeleton, edge pairs) with the skeleton certified."""
+    """(g, engine, skeleton) with the skeleton certified."""
     eng = digraph_analysis._engine(g)
-    return g, eng, eng.skeleton, eng._edge_pairs
+    return g, eng, eng.skeleton
 
 
 def _with_interior(sk):
@@ -1002,18 +1001,24 @@ def _end_elsewhere(sk):
 
 
 def _interior_moved(sk):
+    # the segment that starts the chain's interior claims offset 2
     _, _, chain = _with_interior(sk)
-    sk.place[chain.path[1]] = (chain, 2)
+    at = sk.starts.index(chain.path[1])
+    sk.segments[at] = sk.segments[at]._replace(offset=2)
 
 
 def _stray_place(sk):
+    # a one-vertex segment of the chain laid over a skeleton vertex
     _, _, chain = _with_interior(sk)
-    sk.place[sk.nodes[0]] = (chain, 1)
+    v = sk.nodes[0]
+    sk.segments.append(digraph_analysis._Segment(v, v + 1, chain, 1))
+    sk.segments.sort(key=lambda seg: seg.start)
+    sk.starts[:] = [seg.start for seg in sk.segments]
 
 
 def _skeleton_of(sk_tamper):
     def check():
-        g, _, sk, _ = _certified(magic_digraph(8, 4))
+        g, _, sk = _certified(magic_digraph(8, 4))
         sk = copy.deepcopy(sk)
         sk_tamper(sk)
         digraph_analysis._certify_skeleton(g, sk)
@@ -1024,20 +1029,19 @@ def _skeleton_of(sk_tamper):
 def _branching_interior():
     # a -> y, y -> b, y -> c, b -> a, c -> a, with y's edge to c hidden from
     # the skeleton builder, so y (out-degree 2) is read as a chain interior
-    g = Digraph.from_edges(
-        ("a", "y", "b", "c"), ((0, 1), (1, 2), (1, 3), (2, 0), (3, 0))
-    )
-    sk = digraph_analysis._Skeleton([[1], [2], [0], [0]], [2, 1, 1, 1])
-    digraph_analysis._certify_skeleton(g, sk)
+    labels = ("a", "y", "b", "c")
+    g = Digraph.from_edges(labels, ((0, 1), (1, 2), (1, 3), (2, 0), (3, 0)))
+    hidden = Digraph.from_edges(labels, ((0, 1), (1, 2), (2, 0), (3, 0)))
+    digraph_analysis._certify_skeleton(g, digraph_analysis._Skeleton(hidden))
 
 
 def _table_of(table_tamper):
     """A check of the row route: the table in row form, tampered."""
     def check():
-        g, eng, sk, edges = _certified(magic_digraph(8, 4))
+        g, eng, sk = _certified(magic_digraph(8, 4))
         u = next(x for x, out in zip(sk.nodes, sk.chains) if len(out) > 1)
         table = table_tamper(g, eng.table(u).row_form())
-        digraph_analysis._certify_table(g, sk, edges, u, table)
+        digraph_analysis._certify_table(g, sk, u, table)
 
     return check
 
@@ -1058,9 +1062,9 @@ def _cycle_off_the_edges(g, table):
 
 def _refusal_of(build, v, make_refusal):
     def check():
-        g, eng, sk, edges = _certified(build())
+        g, eng, sk = _certified(build())
         ref = make_refusal(eng)
-        digraph_analysis._certify_refusal(g, sk, edges, g.index(v), ref)
+        digraph_analysis._certify_refusal(g, sk, g.index(v), ref)
 
     return check
 
@@ -1126,6 +1130,201 @@ def test_each_checker_clause_refuses_its_tamper(clause, check):
         check()
 
 
+def _doubled_step():
+    """v0 -> v1 => v2 -> v3 -> v0 with v1 => v2 doubled, and v3 -> v3: the
+    chain v3 -> v0 v1 v2 -> v3 crosses the runs (0, 1) and (2, 3) and the
+    one-vertex segment of v1, whose single out-edge is an extra edge."""
+    pairs = ((0, 1), (1, 2), (1, 2), (2, 3), (3, 0), (3, 3))
+    return Digraph.from_edges(("v0", "v1", "v2", "v3"), pairs)
+
+
+def _segments_merged(g, sk):
+    # one segment over v0 v1 v2 tiles as before, but leaves the run (0, 1)
+    chain = sk.segments[0].chain
+    sk.segments[:] = [digraph_analysis._Segment(0, 3, chain, 1)]
+    sk.starts[:] = [0]
+    return g
+
+
+def _entered_inside(g, sk):
+    # the skeleton of Gamma_(1,8,4)+ against the digraph with a_4 -> a_3 added
+    return Digraph.from_edges(
+        g.labels, [(s, t) for s, t, _ in g.edges] + [(g.index("a_4"), g.index("a_3"))]
+    )
+
+
+def _offset_moved(g, sk):
+    # the segment r_2 .. r_7 claims to start the r-chain's interior one late
+    at = sk.starts.index(g.index("r_2"))
+    sk.segments[at] = sk.segments[at]._replace(offset=2)
+    return g
+
+
+def _segment_doubled(g, sk):
+    # a_3 sits in the segment a_2 a_3 and in one of its own
+    seg = sk.segments[0]
+    sk.segments.insert(1, seg._replace(start=seg.stop - 1, offset=seg.offset + 1))
+    sk.starts.insert(1, seg.stop - 1)
+    return g
+
+
+def _segment_dropped(g, sk):
+    # b_1 .. b_3 lie in no segment
+    del sk.segments[-1], sk.starts[-1]
+    return g
+
+
+def _wrong_extra_step(g, sk):
+    # on Gamma_(1,8,1)+ the chain r_8 -> b_1 -> r_1 is sent on to s, which
+    # b_1, outside every run, has no edge to
+    out = sk.chains[sk.index[g.index("r_8")]]
+    at = next(i for i, ch in enumerate(out) if len(ch.path) > 1)
+    out[at] = out[at]._replace(end=g.index("s"))
+    return g
+
+
+def _empty_segment(g, sk):
+    # an empty segment at s, whose own piece (s, s + 1) follows it
+    sk.segments.insert(0, sk.segments[0]._replace(start=0, stop=0))
+    sk.starts.insert(0, 0)
+    return g
+
+
+def _entered_first(g, sk):
+    # a_2, the first vertex of the segment a_2 a_3, gets a second edge in
+    return Digraph.from_edges(
+        g.labels, [(s, t) for s, t, _ in g.edges] + [(g.index("a_4"), g.index("a_2"))]
+    )
+
+
+def _segment_of_another_chain(g, sk):
+    # the segment r_2 .. r_7 claims the a-chain, at the r-chain's offsets
+    at = sk.starts.index(g.index("r_2"))
+    sk.segments[at] = sk.segments[at]._replace(chain=sk.segments[0].chain)
+    return g
+
+
+def _ring_beside_a_loop():
+    """h -> h, h -> x -> h, and the ring y -> z -> y, whose least vertex y
+    stands in for a skeleton vertex."""
+    return Digraph.from_edges(("h", "x", "y", "z"), ((0, 0), (0, 1), (1, 0), (2, 3), (3, 2)))
+
+
+def _stand_in_dropped(g, sk):
+    # the ring's stand-in y and its chain leave the skeleton, and a segment
+    # that no chain holds covers y
+    ring = sk.chains.pop()[0]
+    del sk.index[sk.nodes.pop()]
+    sk.segments.append(digraph_analysis._Segment(2, 3, ring, 0))
+    sk.segments.sort(key=lambda seg: seg.start)
+    sk.starts[:] = [seg.start for seg in sk.segments]
+    return g
+
+
+def _chain_dropped(g, sk):
+    # a_4 keeps its chains to a_1 and r_1 but loses the one to s
+    out = sk.chains[sk.index[g.index("a_4")]]
+    out[:] = [ch for ch in out if ch.end != g.index("s")]
+    return g
+
+
+def _starts_off(g, sk):
+    sk.starts[0] += 1
+    return g
+
+
+# (clause, digraph, tamper of its certified skeleton returning the digraph
+# to check it against)
+SEGMENT_TAMPERS = [
+    ("a chain out of 'r_8' is not a path of edges",
+     lambda: magic_digraph(8, 1), _wrong_extra_step),
+    ("some vertex is neither a skeleton vertex nor one chain's interior",
+     lambda: magic_digraph(8, 4), _empty_segment),
+    ("some chain interior has in- or out-degree != 1",
+     lambda: magic_digraph(8, 4), _entered_first),
+    ("a chain out of 'r_1' misplaces its interior",
+     lambda: magic_digraph(8, 4), _segment_of_another_chain),
+    ("some vertex is neither a skeleton vertex nor one chain's interior",
+     _ring_beside_a_loop, _stand_in_dropped),
+    ("the chains out of 'a_4' do not start with its out-edges",
+     lambda: magic_digraph(8, 4), _chain_dropped),
+    ("some vertex is neither a skeleton vertex nor one chain's interior",
+     lambda: magic_digraph(8, 4), _starts_off),
+    ("some segment leaves its run", _doubled_step, _segments_merged),
+    ("an edge enters a segment past its first vertex",
+     lambda: magic_digraph(8, 4), _entered_inside),
+    ("a chain out of 'r_1' misplaces its interior",
+     lambda: magic_digraph(8, 4), _offset_moved),
+    ("some vertex is neither a skeleton vertex nor one chain's interior",
+     lambda: magic_digraph(8, 4), _segment_doubled),
+    ("some vertex is neither a skeleton vertex nor one chain's interior",
+     lambda: magic_digraph(8, 4), _segment_dropped),
+]
+
+
+@pytest.mark.parametrize(
+    ("clause", "build", "tamper"),
+    SEGMENT_TAMPERS,
+    ids=["wrong-extra-step", "empty-segment", "entered-first",
+         "another-chain", "unheld-segment", "chain-dropped", "starts-off",
+         "leaves-run", "entered-inside", "offset-moved", "in-two-segments",
+         "in-no-segment"],
+)
+def test_each_segment_clause_refuses_its_tamper(clause, build, tamper):
+    g, _, sk = _certified(build())
+    sk = copy.deepcopy(sk)
+    with pytest.raises(RuntimeError, match=re.escape(f"re-verification: {clause}")):
+        digraph_analysis._certify_skeleton(tamper(g, sk), sk)
+
+
+def _relabeled(g, order):
+    """g with its vertices stored in the given order of old indices: each
+    vertex keeps its label and its edges, and the index runs break up."""
+    where = {v: i for i, v in enumerate(order)}
+    pairs = [(where[s], where[t]) for s, t, m in g.edges for _ in range(m)]
+    return Digraph.from_edges([g.labels[v] for v in order], pairs)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=st.one_of(
+        small_digraphs(),
+        digraphs_with_runs(),
+        st.builds(magic_digraph, st.integers(1, 30), st.integers(1, 30)),
+    ),
+    data=st.data(),
+)
+def test_relabeling_changes_no_answer(g, data):
+    h = _relabeled(g, data.draw(st.permutations(range(g.vertex_count))))
+    # the exponent, or a refusal; which vertex a refusal names depends on
+    # the index order, but each source's own verdict does not
+    r = _outcome(primitivity_exponent, g)
+    if type(r) is int:
+        assert primitivity_exponent(h) == r
+    else:
+        assert r[0] is NotPrimitiveError
+        assert _outcome(primitivity_exponent, h)[0] is NotPrimitiveError
+    for v in g.labels:
+        assert _outcome(covering_time, h, v) == _outcome(covering_time, g, v)
+    vertex = st.sampled_from(g.labels)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    if "b_1" in g.labels:
+        # Gamma_(1,j,k)+: the witness of a standalone class, from b_k
+        pairs.append((g.labels[-1], "r_1"))
+    for source, avoided in pairs:
+        assert (_outcome(last_avoidance, h, source, avoided)
+                == _outcome(last_avoidance, g, source, avoided))
+    source, m = data.draw(vertex), data.draw(st.integers(0, 3 * g.vertex_count))
+    assert image_after(h, source, m) == image_after(g, source, m)
+
+
 # -- the table check against a vectorised numpy reference ----------------------
 
 
@@ -1158,10 +1357,10 @@ def _numpy_bellman_failure(g, sk, u, table):
     )
 
 
-def _check_failure(g, sk, edges, u, table):
+def _check_failure(g, sk, u, table):
     """The refusal text of the package's table check, or None."""
     try:
-        digraph_analysis._certify_table(g, sk, edges, u, table)
+        digraph_analysis._certify_table(g, sk, u, table)
     except RuntimeError as exc:
         return str(exc)
     return None
@@ -1180,10 +1379,10 @@ def _tampered(table, x, rho, d):
     data=st.data(),
 )
 def test_table_check_agrees_with_numpy_reference(j, k, data):
-    g, eng, sk, edges = _certified(magic_digraph(j, k))
+    g, eng, sk = _certified(magic_digraph(j, k))
     u = data.draw(st.sampled_from([v for v in sk.nodes if eng.cyclic[sk.index[v]]]))
     table = eng.table(u).row_form()
-    assert _check_failure(g, sk, edges, u, table) is None
+    assert _check_failure(g, sk, u, table) is None
     assert _numpy_bellman_failure(g, sk, u, table) is None
     # one entry other than D[u][0], which an earlier clause checks, moved
     x, rho = data.draw(
@@ -1199,26 +1398,26 @@ def test_table_check_agrees_with_numpy_reference(j, k, data):
     )))
     bad = _tampered(table, x, rho, d)
     expected = _numpy_bellman_failure(g, sk, u, bad)
-    assert _check_failure(g, sk, edges, u, bad) == expected
+    assert _check_failure(g, sk, u, bad) == expected
     assert (expected is None) == (d == table.rows[x][rho])
 
 
 def test_table_check_with_a_marker_above_2_62():
     # walks v0 -> v0 have even lengths only, so odd residues stay unreached
-    g, eng, sk, edges = _certified(_period_two(6))
+    g, eng, sk = _certified(_period_two(6))
     u = g.index("v0")
     table = eng.table(u).row_form()
     top = 2**62 + 5
     rows = [[top if d == table.unreached else d for d in row] for row in table.rows]
     assert any(top in row for row in rows)
     big = table._replace(rows=rows, unreached=top)
-    assert _check_failure(g, sk, edges, u, big) is None
+    assert _check_failure(g, sk, u, big) is None
     assert _numpy_bellman_failure(g, sk, u, big) is None
     x, rho = next(
         (x, rho) for x, row in enumerate(rows) for rho, d in enumerate(row) if d == top
     )
     for d in (top - 1, top + 1, 2**64):
         bad = _tampered(big, x, rho, d)
-        failure = _check_failure(g, sk, edges, u, bad)
+        failure = _check_failure(g, sk, u, bad)
         assert failure is not None and "re-verification" in failure
         assert failure == _numpy_bellman_failure(g, sk, u, bad)

@@ -464,7 +464,8 @@ NUMPY_STAYS_OUT = """
 import sys
 
 def loaded():
-    return [m for m in ("numpy", "multiprocessing", "concurrent.futures")
+    return [m for m in ("numpy", "multiprocessing", "concurrent.futures",
+                        "fibercone.cone_monoid", "fibercone.zfold_cover")
             if m in sys.modules]
 
 import fibercone
@@ -473,13 +474,19 @@ import fibercone.cli
 assert not loaded(), ("import fibercone.cli", loaded())
 assert fibercone.cli.main(["bounds", "class", "--plus", "1,8,4"]) == 0
 assert not loaded(), ("bounds class", loaded())
+assert fibercone.cli.main(["sweep", "--family", "n11", "--n-from", "2",
+                           "--n-to", "5"]) == 0
+assert not loaded(), ("sweep", loaded())
+assert fibercone.ConeSpec.__module__ == "fibercone.cone_monoid"
+assert "fibercone.cone_monoid" in sys.modules
 """
 
 
 def test_cli_paths_do_not_import_numpy():
     # a fresh interpreter, since this one has numpy from other tests; only
     # image_after(..., method="powers") may load it, and only a sweep that
-    # starts a process pool loads multiprocessing
+    # starts a process pool loads multiprocessing; cone_monoid and
+    # zfold_cover load on first use of one of their names
     src = str(Path(fibercone.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))

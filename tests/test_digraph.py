@@ -1,5 +1,7 @@
 """Transition digraph construction, walk certificates, and serialization."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -296,3 +298,86 @@ def test_from_edges_finds_a_bool_behind_an_equal_int():
         Digraph.from_edges(("u", "v"), [(1, 1), (True, 1)])
     with pytest.raises(ValueError, match="out of range for 2 labels"):
         Digraph.from_edges(("u", "v"), [(0, 1), (1, 2), ("x", 0)])
+
+
+@st.composite
+def _pair_lists(draw):
+    """(n, pairs): random index pairs with repeats and self-loops, plus
+    consecutive chains v -> v + 1, some of them with a doubled step."""
+    n = draw(st.integers(1, 9))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    pairs += [(v, v) for v in draw(st.lists(vertex, max_size=2))]
+    for start in draw(st.lists(vertex, max_size=3)):
+        stop = draw(st.integers(start, n - 1))
+        pairs += zip(range(start, stop), range(start + 1, stop + 1))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    return n, draw(st.permutations(pairs))
+
+
+def _store_invariants(g):
+    """The store is maximal runs and the edges of every other source."""
+    members = [v for first, last in g.runs for v in range(first, last)]
+    assert all(last < first for (_, last), (first, _) in zip(g.runs, g.runs[1:]))
+    assert not {s for s, _, _ in g.extra} & set(members)
+    singles = [e for e in g.edges if Counter(s for s, _, _ in g.edges)[e[0]] == 1]
+    assert sorted(members) == [s for s, t, m in singles if (t, m) == (s + 1, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=_pair_lists(), second=_pair_lists())
+def test_store_round_trips_random_pair_lists(first, second):
+    digraphs = []
+    for n, pairs in (first, second):
+        labels = tuple(f"v{i}" for i in range(n))
+        g = Digraph.from_edges(labels, pairs)
+        # the reference: the sorted multiset of pairs, counted
+        assert g.edges == tuple(sorted((s, t, m) for (s, t), m in Counter(pairs).items()))
+        assert g.edge_count == len(pairs)
+        _store_invariants(g)
+        adjacency = [[0] * n for _ in range(n)]
+        for s, t in pairs:
+            adjacency[t][s] += 1
+        dense = Digraph(labels, adjacency)
+        assert dense == g and hash(dense) == hash(g)
+        assert (dense.runs, dense.extra) == (g.runs, g.extra)
+        assert Digraph._from_store(labels, g.runs, g.extra) == g
+        for v in range(n):
+            assert g.successors(v) == tuple(t for s, t, _ in g.edges if s == v)
+            assert g.in_degree(v) == sum(t == v for _, t, _ in g.edges)
+        digraphs.append(g)
+    g, h = digraphs
+    same = (g.labels, g.edges) == (h.labels, h.edges)
+    assert (g == h) == same
+    if same:
+        assert hash(g) == hash(h)
+
+
+@pytest.mark.parametrize(
+    ("runs", "extra"),
+    [
+        (((0, 2), (1, 3)), ()),              # overlapping runs
+        (((0, 2), (2, 3)), ()),              # 2 ends one run and starts the next
+        (((0, 1),), ((1, 2, 1),)),           # 1's one out-edge 1 -> 2 extends it
+        (((0, 2),), ((1, 0, 1),)),           # an extra edge from run member 1
+        (((0, 4),), ()),                     # index 4 out of range
+        (((2, 1),), ()),                     # first > last
+        ((), ((0, 5, 1),)),                  # extra target out of range
+        ((), ((1, 0, 1), (0, 1, 2))),        # extra edges out of order
+        ((), ((0, 1, 0),)),                  # multiplicity zero
+        (((0, True),), ()),                  # a bool for an index
+    ],
+    ids=["overlap", "touching", "not-maximal", "extra-from-member",
+         "out-of-range", "reversed", "target-out-of-range", "unsorted",
+         "zero-multiplicity", "bool-index"],
+)
+def test_store_constructor_refuses_a_malformed_store(runs, extra):
+    with pytest.raises(ValueError):
+        Digraph._from_store(("v0", "v1", "v2", "v3"), runs, extra)
+
+
+def test_magic_digraph_store_is_three_runs_and_seven_extra_edges():
+    g = magic_digraph(8, 4)
+    assert g.runs == ((0, 4), (5, 12), (13, 16))
+    assert len(g.extra) == 7 and g.edge_count == 21
+    assert magic_digraph(1, 1).runs == ((0, 1),)

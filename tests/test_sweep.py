@@ -69,6 +69,54 @@ def test_json_text_refuses_what_it_cannot_encode():
         sweep_mod.json_text(object())
 
 
+_LEAF = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10**20, 10**20),
+    st.floats(allow_nan=False),
+    st.text(),
+)
+_ERROR = st.one_of(
+    st.none(),
+    st.just('ValueError: a "quoted"\tline\nand é'),
+    st.text(alphabet='ab\n"\t\\é%', max_size=12),
+)
+_FRACTION = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    record=st.fixed_dictionaries(
+        {"error": _ERROR, "lower_lC": st.one_of(st.none(), _FRACTION)},
+        optional={"xyz": st.lists(st.integers(-99, 99), max_size=3)},
+    ) | st.dictionaries(
+        st.text(max_size=6),
+        st.one_of(_LEAF, _FRACTION, st.lists(_LEAF, max_size=3),
+                  st.tuples(_LEAF, _LEAF), st.lists(_FRACTION, max_size=2),
+                  st.dictionaries(st.text(max_size=2), _LEAF, max_size=2)),
+        max_size=8,
+    ) | st.lists(_LEAF, max_size=3)
+)
+def test_json_text_matches_the_indenting_encoder(record):
+    # flat records take the C encoder and the rest indent=2; both must give
+    # the bytes of the indenting encoder itself
+    expected = json.dumps(
+        record, sort_keys=True, indent=2, default=sweep_mod._encode_fraction
+    )
+    assert sweep_mod.json_text(record) == expected
+
+
+def test_json_text_of_a_report_record_with_every_kind_of_field():
+    rep = class_report(PlusClass(1, 3, 1), (1, 0, 3))
+    record = report_record(dataclasses.replace(
+        rep, error='RuntimeError: a "quoted"\tline\nand é', regime=None
+    ))
+    assert isinstance(record["lower_lC"], Fraction) and record["regime"] is None
+    assert sweep_mod.json_text(record) == json.dumps(
+        record, sort_keys=True, indent=2, default=sweep_mod._encode_fraction
+    )
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
