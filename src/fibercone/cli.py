@@ -7,7 +7,7 @@ Verbs:
   digraph build    construct a transition digraph, emit JSON/DOT
   digraph certify  check the four canonical walk certificates
   analyze          exponent / image / avoid on a digraph
-  bounds           single-class report or a family CSV
+  bounds class     one class end to end: invariants, exponent and bounds
   cone             Hilbert basis, interior decomposition, arithmetic split
   zfold            short loops in Z-fold covers of cubic cochain graphs
   sweep            family experiment driver (CSV/JSON emission)
@@ -31,7 +31,7 @@ from . import bounds as bounds_mod
 from . import digraph_analysis, magic_classes, sweep
 from . import traintrack_digraph as ttd
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 def _emit(obj: Any) -> None:
@@ -221,8 +221,8 @@ def _sweep_config(args: argparse.Namespace) -> sweep.SweepConfig:
         family=family,
         n_start=args.n_from,
         n_stop=args.n_to,
-        p=args.p if family == "pq" else None,
-        q=args.q if family == "pq" else None,
+        p=args.p,
+        q=args.q,
         worker_count=args.workers,
         allow_large=args.allow_large,
     )
@@ -238,7 +238,7 @@ def _kept(reports: Iterator, kept: list) -> Iterator:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _sweep_config(args)
     csv_path = _out_path(args, args.csv)
-    json_path = _out_path(args, getattr(args, "json", None))
+    json_path = _out_path(args, args.json)
     reports: list = []
     stream = _kept(sweep.iter_sweep(cfg), reports)
     written = []
@@ -395,8 +395,10 @@ def _cmd_zfold_random(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser for the fibercone command line."""
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parsing leaves it as it
+    was, and building it costs more than a small command."""
     parser = argparse.ArgumentParser(
         prog="fibercone",
         description="Fibered classes, transition digraphs, and translation "
@@ -451,9 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bc = bounds_sub.add_parser("class", help="one class end to end")
     p_bc.add_argument("--plus", required=True, help="plus-parameters I,J,K")
     p_bc.set_defaults(func=_cmd_bounds_class)
-    p_bf = bounds_sub.add_parser("family", help="family sweep to CSV")
-    _add_family_args(p_bf)
-    p_bf.set_defaults(func=_cmd_sweep)
 
     p_cone = sub.add_parser("cone", help="lattice monoids of rational cones")
     cone_sub = p_cone.add_subparsers(dest="action", required=True)
@@ -483,12 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="family experiment driver")
     _add_family_args(p_sweep)
-    p_sweep.add_argument("--json", help="write JSON report here")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="exponent-law verdict")
     _add_family_args(p_ver)
-    p_ver.add_argument("--json", help="write JSON report here")
     p_ver.add_argument("--which", choices=("lower", "upper"), default="upper")
     p_ver.add_argument("--tolerance", type=float, default=None)
     p_ver.set_defaults(func=_cmd_verify)
@@ -506,6 +503,7 @@ def _add_family_args(p_cmd: argparse.ArgumentParser) -> None:
     p_cmd.add_argument(
         "--allow-large", action="store_true", help="lift the digraph size cap"
     )
+    p_cmd.add_argument("--json", help="write JSON report here")
 
 
 def _add_cone_args(p_cmd: argparse.ArgumentParser) -> None:
@@ -515,13 +513,6 @@ def _add_cone_args(p_cmd: argparse.ArgumentParser) -> None:
     p_cmd.add_argument(
         "--bound", type=int, default=10, help="largest generator coordinate accepted"
     )
-
-
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built once per process: parsing leaves it as it
-    was, and building it costs more than a small command."""
-    return build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:

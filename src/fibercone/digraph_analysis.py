@@ -93,25 +93,28 @@ and raises RuntimeError mentioning "re-verification" on any failure:
     stated offsets.  A walk is checked a run at a time: from a run member
     it must follow the run, which one C-level comparison checks, and only
     the steps from other vertices are looked up among the extra edges;
-  * cycle: an explicit closed walk of length c through u is a walk of the
-    digraph;
-  * rounds: each vertex's rounds increase, and its masks are nonempty sets
-    of residues below c that share none;
+  * the clauses that both routes share, checked once on the rounds: the
+    table is rooted at u; its cycle is an explicit closed walk of length c
+    through u and a walk of the digraph; each vertex's rounds increase,
+    and its masks are nonempty sets of residues below c; the unreached
+    marker is above every least walk length; and D[u][0] = 0;
   * Bellman's equations, whose only solution with positive weights is the
     exact table of least walk lengths, by one of two routes:
       - bitmaps: one int X_x per skeleton vertex, bit L set iff L is the
-        least length of its residue.  Bit 0 of X_u is set; X_x << w lies
-        inside the +c closure of X_z (every length at or above the least of
-        its residue, by doubling shifts) for each chain x -> z of weight w
-        (lower bound); and X_z lies inside the OR of the X_x << w over the
-        chains into z, plus bit 0 at u (attained).  That is about E +
-        |skeleton| log R + 3 chains operations on R c-bit ints.
-      - rows: the table written out as D[x][rho], then D[u][0] = 0,
-        D[z][(rho + w) mod c] <= D[x][rho] + w for every chain x -> z of
-        weight w and every rho (lower bound), and every other entry equal to
-        D[x][(rho - w) mod c] + w for some chain x -> z, or the unreached
-        marker with only unreached predecessors (attained).  That is about
-        (|skeleton| + chains) c list entries, each handled in Python.
+        least length of its residue, where no two masks of x may share a
+        residue.  X_x << w lies inside the +c closure of X_z (every length
+        at or above the least of its residue, by doubling shifts) for each
+        chain x -> z of weight w (lower bound); and X_z lies inside the OR
+        of the X_x << w over the chains into z, plus bit 0 at u
+        (attained).  That is about E + |skeleton| log R + 3 chains
+        operations on R c-bit ints.
+      - rows: the table written out as D[x][rho], where no two masks of x
+        may share a residue, then D[z][(rho + w) mod c] <= D[x][rho] + w
+        for every chain x -> z of weight w and every rho (lower bound), and
+        every other entry equal to D[x][(rho - w) mod c] + w for some chain
+        x -> z, or the unreached marker with only unreached predecessors
+        (attained).  That is about (|skeleton| + chains) c list entries,
+        each handled in Python.
     _bitmaps_cheaper takes the route whose cost estimate is lower, from E,
     R, c and the chain count: bitmaps for (1,n,n^2)+ and the c = n + 1
     tables of (1,n,1)+, whose few rounds settle many residues, and rows for
@@ -147,9 +150,9 @@ import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 from operator import add, lt, or_
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, NoReturn
 
 from .traintrack_digraph import Digraph
 
@@ -298,20 +301,12 @@ class _Skeleton:
         return self.index[chain.path[0]], i
 
 
-# _BYTE_BITS[b]: the positions of the set bits of the byte b; rows read up
-# to _BIT_BY_BIT bits of a mask one at a time before they turn to its bytes
-_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
-_BIT_BY_BIT = 4
-
-
 class _Rows(NamedTuple):
     """A residue table as rows, the form that _certify_table reads:
     rows[x][rho] is the least length of a walk u -> nodes[x] congruent to
     rho mod c, or the unreached marker."""
 
-    u: int
     c: int
-    cycle: tuple[int, ...]
     rows: list[list[int]]
     unreached: int
 
@@ -342,27 +337,14 @@ class _Table:
             row = [top] * c
             for q, mask in zip(qs, masks):
                 base = q * c
-                # one set bit at a time while few are read, then the rest
-                # byte by byte, so that a dense mask costs its length once
-                few = _BIT_BY_BIT
-                while mask and few:
+                while mask:
                     rho = mask.bit_length() - 1
                     if row[rho] != top:
                         return None
                     row[rho] = base + rho
                     mask ^= 1 << rho
-                    few -= 1
-                if not mask:
-                    continue
-                data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-                for i in compress(range(0, 8 * len(data), 8), data):
-                    for rho in _BYTE_BITS[data[i >> 3]]:
-                        rho += i
-                        if row[rho] != top:
-                            return None
-                        row[rho] = base + rho
             rows.append(row)
-        return _Rows(self.u, c, self.cycle, rows, top)
+        return _Rows(c, rows, top)
 
     @cached_property
     def tops(self) -> list[int]:
@@ -595,30 +577,16 @@ def _certify_skeleton(g: Digraph, sk: _Skeleton) -> None:
         fail("some vertex is neither a skeleton vertex nor one chain's interior")
 
 
+def _fail_table(g: Digraph, u: int, why: str) -> NoReturn:
+    raise RuntimeError(
+        f"residue table of {g.labels[u]!r} failed re-verification: {why}"
+    )
+
+
 def _certify_table(g: Digraph, sk: _Skeleton, u: int, table: _Rows) -> None:
-    c, rows, top = table.c, table.rows, table.unreached
-
-    def fail(why: str) -> None:
-        raise RuntimeError(
-            f"residue table of {g.labels[u]!r} failed re-verification: {why}"
-        )
-
-    if table.u != u:
-        fail(f"the table is rooted at {g.labels[table.u]!r}")
-    cycle = table.cycle
-    if len(cycle) != c + 1 or cycle[0] != u or cycle[-1] != u:
-        fail(f"the cycle is not a closed walk of length {c} through it")
-    if g.extra_steps(cycle) is None:
-        fail("the cycle is not a walk of the digraph")
-    if len(rows) != len(sk.nodes) or any(len(row) != c for row in rows):
-        fail(f"the table is not {len(sk.nodes)} rows of {c} residues")
-    # a least walk visits each state at most once, so is at most this long
-    longest = (len(rows) * c - 1) * max(len(ch.path) for out in sk.chains for ch in out)
-    if top <= longest:
-        fail(f"the unreached marker {top} is not above every walk length")
-    start = sk.index[u]
-    if rows[start][0] != 0:
-        fail("D[u][0] != 0")
+    """Bellman's equations on the rows of a table whose rounds
+    _certify_rounds has passed."""
+    c, rows, top, start = table.c, table.rows, table.unreached, sk.index[u]
     # best[z][(rho + w) % c] is the least D[x][rho] + w over the chains
     # x -> z of weight w, starting from the unreached marker
     best = [[top] * c for _ in rows]
@@ -642,33 +610,28 @@ def _certify_table(g: Digraph, sk: _Skeleton, u: int, table: _Rows) -> None:
     if mismatch is not None:
         z, rho = mismatch
         clause = "lower bound" if rows[z][rho] > best[z][rho] else "attained"
-        fail(
-            f"{clause} fails at D[{g.labels[sk.nodes[z]]!r}][{rho}] = "
+        _fail_table(
+            g, u, f"{clause} fails at D[{g.labels[sk.nodes[z]]!r}][{rho}] = "
             f"{rows[z][rho]}, its predecessors give {best[z][rho]}"
         )
 
 
 def _certify_rounds(g: Digraph, sk: _Skeleton, u: int, table: _Table) -> None:
-    """The clauses that both routes rely on: the root, the cycle, and lists
-    of increasing rounds with nonempty masks of residues below c."""
-    c = table.c
-
-    def fail(why: str) -> None:
-        raise RuntimeError(
-            f"residue table of {g.labels[u]!r} failed re-verification: {why}"
-        )
-
+    """The clauses that both routes rely on: the root, the cycle, lists of
+    increasing rounds with nonempty masks of residues below c, the unreached
+    marker and D[u][0] = 0."""
+    c, top = table.c, table.unreached
     if table.u != u:
-        fail(f"the table is rooted at {g.labels[table.u]!r}")
+        _fail_table(g, u, f"the table is rooted at {g.labels[table.u]!r}")
     cycle = table.cycle
     if len(cycle) != c + 1 or cycle[0] != u or cycle[-1] != u:
-        fail(f"the cycle is not a closed walk of length {c} through it")
+        _fail_table(g, u, f"the cycle is not a closed walk of length {c} through it")
     if g.extra_steps(cycle) is None:
-        fail("the cycle is not a walk of the digraph")
+        _fail_table(g, u, "the cycle is not a walk of the digraph")
     full = (1 << c) - 1
     count = len(sk.nodes)
     if len(table.rounds) != count or len(table.masks) != count:
-        fail(f"the table is not {count} rows of {c} residues")
+        _fail_table(g, u, f"the table is not {count} rows of {c} residues")
     for x, (qs, masks) in enumerate(zip(table.rounds, table.masks)):
         if (
             len(qs) != len(masks)
@@ -677,8 +640,18 @@ def _certify_rounds(g: Digraph, sk: _Skeleton, u: int, table: _Table) -> None:
             or 0 in masks
             or masks and max(masks) > full
         ):
-            fail(f"the rounds of {g.labels[sk.nodes[x]]!r} are not increasing "
-                 f"rounds of nonempty sets of {c} residues")
+            _fail_table(
+                g, u, f"the rounds of {g.labels[sk.nodes[x]]!r} are not increasing "
+                f"rounds of nonempty sets of {c} residues"
+            )
+    # a least walk visits each state at most once, so is at most this long
+    weight = max(len(ch.path) for out in sk.chains for ch in out)
+    if top <= (count * c - 1) * weight:
+        _fail_table(g, u, f"the unreached marker {top} is not above every walk length")
+    # D[u][0] = 0: u's first round is round 0, and its mask holds residue 0
+    start = sk.index[u]
+    if not (table.rounds[start][:1] == [0] and table.masks[start][0] & 1):
+        _fail_table(g, u, "D[u][0] != 0")
 
 
 def _certify_bitmaps(
@@ -686,17 +659,9 @@ def _certify_bitmaps(
 ) -> None:
     """Bellman's equations on one length bitmap per skeleton vertex, for a
     table that _certify_rounds has passed."""
-    c, top, start = table.c, table.unreached, sk.index[u]
+    c, start = table.c, sk.index[u]
     labels, nodes = g.labels, sk.nodes
-
-    def fail(why: str) -> None:
-        raise RuntimeError(
-            f"residue table of {labels[u]!r} failed re-verification: {why}"
-        )
-
     weight = max(len(ch.path) for out in sk.chains for ch in out)
-    if top <= (len(nodes) * c - 1) * weight:
-        fail(f"the unreached marker {top} is not above every walk length")
     # bit L of lengths[x] is set iff L is the least length of a walk
     # u -> nodes[x] in its residue
     lengths = [0] * len(nodes)
@@ -704,7 +669,9 @@ def _certify_bitmaps(
         # the sum of nonnegative ints equals their union iff no two share
         # a bit
         if sum(masks) != reduce(or_, masks, 0):
-            fail(f"D[{labels[nodes[x]]!r}] has two lengths in one residue")
+            _fail_table(
+                g, u, f"D[{labels[nodes[x]]!r}] has two lengths in one residue"
+            )
         # neighbouring rounds are joined pairwise, so each bit moves about
         # log2(rounds) times rather than once per later round
         parts = list(zip(qs, masks))
@@ -714,8 +681,6 @@ def _certify_bitmaps(
             parts = joined + parts[len(parts) - len(parts) % 2:]
         if parts:
             lengths[x] = parts[0][1] << parts[0][0] * c
-    if not lengths[start] & 1:
-        fail("D[u][0] != 0")
     horizon = max(lengths).bit_length() + weight
     cut = (1 << horizon) - 1
     into: list[list[tuple[int, int]]] = [[] for _ in nodes]
@@ -735,14 +700,18 @@ def _certify_bitmaps(
             short = sent & ~above
             if short:
                 d = (short & -short).bit_length() - 1
-                fail(f"lower bound fails at D[{labels[nodes[z]]!r}][{d % c}], "
-                     f"which the chain from {labels[nodes[x]]!r} reaches in {d}")
+                _fail_table(
+                    g, u, f"lower bound fails at D[{labels[nodes[z]]!r}][{d % c}], "
+                    f"which the chain from {labels[nodes[x]]!r} reaches in {d}"
+                )
             given |= sent
         extra = have & ~given
         if extra:
             d = (extra & -extra).bit_length() - 1
-            fail(f"attained fails at D[{labels[nodes[z]]!r}][{d % c}] = {d}, "
-                 "which no chain into it gives")
+            _fail_table(
+                g, u, f"attained fails at D[{labels[nodes[z]]!r}][{d % c}] = {d}, "
+                "which no chain into it gives"
+            )
 
 
 def _bitmaps_cheaper(sk: _Skeleton, table: _Table) -> bool:
@@ -766,24 +735,17 @@ def _bitmaps_cheaper(sk: _Skeleton, table: _Table) -> bool:
     return bitmaps < rows
 
 
-def _certify_rows(g: Digraph, sk: _Skeleton, u: int, table: _Table) -> None:
-    """The row route: _certify_table on the table's rows."""
-    rows = table.row_form()
-    if rows is None:
-        raise RuntimeError(
-            f"residue table of {g.labels[u]!r} failed re-verification: some "
-            "row has two lengths in one residue"
-        )
-    _certify_table(g, sk, u, rows)
-
-
 def _check_table(g: Digraph, sk: _Skeleton, u: int, table: _Table) -> None:
-    """Certifies a table by the route with the lower cost estimate."""
+    """Certifies a table: the shared clauses, then Bellman's equations by
+    the route with the lower cost estimate."""
     _certify_rounds(g, sk, u, table)
     if _bitmaps_cheaper(sk, table):
         _certify_bitmaps(g, sk, u, table)
-    else:
-        _certify_rows(g, sk, u, table)
+        return
+    rows = table.row_form()
+    if rows is None:
+        _fail_table(g, u, "some row has two lengths in one residue")
+    _certify_table(g, sk, u, rows)
 
 
 class _Refusal(NamedTuple):

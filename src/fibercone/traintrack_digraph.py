@@ -98,10 +98,12 @@ class Digraph:
     def __init__(self, labels: Sequence[str], adjacency: Sequence[Sequence[int]]):
         labels = _checked_labels(labels)
         n = len(labels)
-        if len(adjacency) != n:
+        if not isinstance(adjacency, Sequence) or len(adjacency) != n:
             raise ValueError("adjacency matrix must be square of size = #labels")
         edges = []
         for target, row in enumerate(adjacency):
+            if not isinstance(row, Sequence):
+                raise ValueError(f"adjacency row {target} is not a sequence")
             if len(row) != n:
                 raise ValueError("adjacency matrix must be square")
             for source, mult in enumerate(row):
@@ -121,29 +123,19 @@ class Digraph:
         """
         labels = _checked_labels(labels)
         n = len(labels)
-        pairs = tuple(pairs)
-        try:
-            counts = Counter(pairs)
-            # types are read from every pair, since True == 1 would hide
-            # behind an equal int among the distinct pairs
-            valid = (
-                set(map(len, counts)) <= {2}
-                and set(map(type, chain.from_iterable(pairs))) <= {int}
-                and min(chain.from_iterable(counts), default=0) >= 0
-                and max(chain.from_iterable(counts), default=-1) < n
-            )
-        except TypeError:
-            valid = False
-        if not valid:
-            counts = Counter()
-            for source, target in pairs:
-                for v in (source, target):
-                    _check_count(v, "vertex indices")
-                    if v >= n:
-                        raise ValueError(
-                            f"vertex index {v} out of range for {n} labels"
-                        )
-                counts[source, target] += 1
+        counts: Counter[tuple[int, int]] = Counter()
+        for pair in pairs:
+            try:
+                source, target = pair
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"edge {pair!r} is not a (source, target) pair of vertex indices"
+                ) from None
+            for v in (source, target):
+                _check_count(v, "vertex indices")
+                if v >= n:
+                    raise ValueError(f"vertex index {v} out of range for {n} labels")
+            counts[source, target] += 1
         edges = sorted((s, t, m) for (s, t), m in counts.items())
         return cls._from_store(labels, *_runs_and_extra(edges))
 
@@ -378,8 +370,8 @@ def _checked_labels(labels: Sequence[str]) -> tuple[str, ...]:
 
 
 def _check_count(value: object, what: str) -> None:
-    # bool is an int subclass; True must not pass as a count of one.
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    # exactly int: True, or any other int subclass, is no count
+    if type(value) is not int or value < 0:
         raise ValueError(f"{what} must be nonnegative integers")
 
 

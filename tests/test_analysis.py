@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import math
 import re
+import tokenize
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -702,16 +704,16 @@ def _period_two(n):
 
 
 def _route_verdicts(g, sk, u, table):
-    """[bitmap route passes, row route passes], each after the clauses that
-    both routes share; a refusal must name re-verification."""
+    """[bitmap route passes, row route passes], each checked by _check_table
+    with the route forced; a refusal must name re-verification."""
     verdicts = []
-    for route in (
-        lambda: digraph_analysis._certify_bitmaps(g, sk, u, table),
-        lambda: digraph_analysis._certify_rows(g, sk, u, table),
-    ):
+    for bitmaps in (True, False):
+        forced = mock.patch.object(
+            digraph_analysis, "_bitmaps_cheaper", lambda sk, table: bitmaps
+        )
         try:
-            digraph_analysis._certify_rounds(g, sk, u, table)
-            route()
+            with forced:
+                digraph_analysis._check_table(g, sk, u, table)
         except RuntimeError as exc:
             assert "re-verification" in str(exc)
             verdicts.append(False)
@@ -813,11 +815,12 @@ def test_each_check_route_is_taken(monkeypatch, j, k, r, route):
     # (1,n,n)+ from a_n settles one residue a round, so its table takes the
     # row route; (1,n,n^2)+ tables have about n rounds of n^2 residues
     taken = []
-    for name in ("_certify_bitmaps", "_certify_rows"):
+    routes = (("_certify_bitmaps", "bitmaps"), ("_certify_table", "rows"))
+    for name, route_name in routes:
         real = getattr(digraph_analysis, name)
 
-        def counted(*args, real=real, name=name):
-            taken.append(name.removeprefix("_certify_"))
+        def counted(*args, real=real, route_name=route_name):
+            taken.append(route_name)
             return real(*args)
 
         monkeypatch.setattr(digraph_analysis, name, counted)
@@ -840,6 +843,18 @@ def _hub(n):
     pairs = [(i, (i + 1) % n) for i in range(n)] + [(n, n), (0, n)]
     pairs += [(n, i) for i in range(n)]
     return Digraph.from_edges([f"v{i}" for i in range(n)] + ["h"], pairs)
+
+
+def test_analysis_module_stays_below_the_parser_token_doubling():
+    # CPython's parser doubles its token array at 8192 tokens, which adds
+    # about 0.46 MB to the peak RSS of every process that compiles this
+    # module from source
+    with open(digraph_analysis.__file__, "rb") as fh:
+        tokens = [
+            tok for tok in tokenize.tokenize(fh.readline)
+            if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+        ]
+    assert len(tokens) < 8192
 
 
 def test_hub_digraph_exponent():
@@ -1036,28 +1051,35 @@ def _branching_interior():
 
 
 def _table_of(table_tamper):
-    """A check of the row route: the table in row form, tampered."""
+    """A check of the clauses that both routes share: a table tampered."""
     def check():
         g, eng, sk = _certified(magic_digraph(8, 4))
         u = next(x for x, out in zip(sk.nodes, sk.chains) if len(out) > 1)
-        table = table_tamper(g, eng.table(u).row_form())
-        digraph_analysis._certify_table(g, sk, u, table)
+        table = table_tamper(g, eng.table(u))
+        digraph_analysis._certify_rounds(g, sk, u, table)
+
+    return check
+
+
+def _routed_table_of(v, table_tamper):
+    """A check of the whole table check: the table of v, tampered, by the
+    route that _check_table takes for it."""
+    def check():
+        g, eng, sk = _certified(magic_digraph(8, 4))
+        u = g.index(v)
+        digraph_analysis._check_table(g, sk, u, table_tamper(g, eng.table(u)))
 
     return check
 
 
 def _cycle_off_the_edges(g, table):
-    # the cycle's second vertex swapped for one that u has no edge to, in a
-    # table of either form
+    # the cycle's second vertex swapped for one that u has no edge to
     u = table.cycle[0]
     stranger = next(
         v for v in range(g.vertex_count)
         if not g.has_edge(g.labels[u], g.labels[v])
     )
-    cycle = (u, stranger) + table.cycle[2:]
-    if isinstance(table, tuple):
-        return table._replace(cycle=cycle)
-    return dataclasses.replace(table, cycle=cycle)
+    return dataclasses.replace(table, cycle=(u, stranger) + table.cycle[2:])
 
 
 def _refusal_of(build, v, make_refusal):
@@ -1095,12 +1117,23 @@ CHECKER_CLAUSES = [
     ("some vertex is neither a skeleton vertex nor one chain's interior",
      _skeleton_of(_stray_place)),
     ("the table is rooted at 'b_1'",
-     _table_of(lambda g, t: t._replace(u=g.index("b_1")))),
+     _table_of(lambda g, t: dataclasses.replace(t, u=g.index("b_1")))),
+    ("the cycle is not a closed walk of length 4 through it",
+     _table_of(lambda g, t: dataclasses.replace(t, cycle=t.cycle[:-1]))),
     ("the cycle is not a walk of the digraph", _table_of(_cycle_off_the_edges)),
     ("the table is not 6 rows of 4 residues",
-     _table_of(lambda g, t: t._replace(rows=t.rows[:-1]))),
+     _table_of(lambda g, t: dataclasses.replace(t, rounds=t.rounds[:-1]))),
+    ("the rounds of 'a_1' are not increasing rounds of nonempty sets of 4 "
+     "residues", _table_of(lambda g, t: _empty_mask(t, 1))),
     ("the unreached marker 0 is not above every walk length",
-     _table_of(lambda g, t: t._replace(unreached=0))),
+     _table_of(lambda g, t: dataclasses.replace(t, unreached=0))),
+    ("D[u][0] != 0", _table_of(lambda g, t: _emptied(t, 0))),
+    # a_4's table (c = 4, one residue a round) takes the row route, and
+    # r_8's (c = 12) the bitmap route
+    ("some row has two lengths in one residue",
+     _routed_table_of("a_4", lambda g, t: _doubled(t, 1))),
+    ("D['a_1'] has two lengths in one residue",
+     _routed_table_of("r_8", lambda g, t: _doubled(t, 1))),
     ("it is not about 'w' among two or more vertices",
      _refusal_of(_closed_set_example, "w",
                  lambda eng: _Refusal("x", (1,), closed=eng.beyond(1)))),

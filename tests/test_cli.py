@@ -243,11 +243,10 @@ def test_bounds_class_refuses_general_first_coordinate(capsys):
     assert doc["norm"] == 7  # invariants still reported
 
 
-def test_bounds_family_csv_to_stdout(capsys):
+def test_sweep_csv_to_stdout(capsys):
     rc, out, _ = _run(
         capsys,
-        "bounds",
-        "family",
+        "sweep",
         "--family",
         "pq",
         "--p",
@@ -448,12 +447,19 @@ MAGIC_ROWS_ARG = "1 0 0; 0 1 0; 1 0 -1; 0 1 -1"
          "error: no inequality rows in ';'\n"),
         (("sweep", "--family", "pq", "--q", "2", "--n-from", "2", "--n-to", "3"),
          "error: the pq family needs --p and --q\n"),
+        (("sweep", "--family", "n11", "--p", "2", "--q", "3", "--n-from", "2",
+          "--n-to", "3"), "error: the n11 family takes no p or q\n"),
+        (("verify", "--family", "n11", "--p", "2", "--q", "3", "--n-from", "2",
+          "--n-to", "3"), "error: the n11 family takes no p or q\n"),
+        (("sweep", "--family", "n11", "--p", "2", "--n-from", "2", "--n-to", "3"),
+         "error: the n11 family takes no p or q\n"),
         # the same refusal as the console-script smoke step in CI
         (("cone", "hilbert", "--rows", "1 0 0; -1 0 0", "--bound", "3"),
          "error: no x has A x > 0 (the sum of the extreme rays is not strictly "
          "positive on every row): the cone has empty interior\n"),
     ],
     ids=["point-short", "point-long", "rows-empty", "pq-without-p",
+         "sweep-n11-with-pq", "verify-n11-with-pq", "sweep-n11-with-p",
          "empty-interior"],
 )
 def test_malformed_arguments_exit_2(capsys, argv, err):
@@ -501,3 +507,9 @@ def test_cli_paths_do_not_import_numpy():
 def test_unknown_flag_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["class", "info", "--nonsense", "1"])
+
+
+def test_sweep_is_the_one_family_verb(capsys):
+    # family sweeps have one verb, sweep; bounds takes only class
+    with pytest.raises(SystemExit):
+        main(["bounds", "family", "--family", "n11", "--n-from", "2", "--n-to", "3"])

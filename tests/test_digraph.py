@@ -241,13 +241,17 @@ def test_index_built_digraph_matches_label_built_reference(j):
 def _first_pair_error(n, pairs):
     """The error the per-pair check raises first, as (type, text), or None."""
     try:
-        for source, target in pairs:
-            for v in (source, target):
-                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        for pair in pairs:
+            if isinstance(pair, int) or len(pair) != 2:
+                raise ValueError(
+                    f"edge {pair!r} is not a (source, target) pair of vertex indices"
+                )
+            for v in pair:
+                if type(v) is not int or v < 0:
                     raise ValueError("vertex indices must be nonnegative integers")
                 if v >= n:
                     raise ValueError(f"vertex index {v} out of range for {n} labels")
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
     return None
 
@@ -290,6 +294,37 @@ def test_from_edges_raises_the_first_error_in_input_order(data):
         with pytest.raises(expected[0]) as raised:
             Digraph.from_edges(labels, iter(pairs))
         assert str(raised.value) == expected[1]
+
+
+class _Index(int):
+    """An int subclass, which is no vertex index."""
+
+
+@pytest.mark.parametrize(
+    ("build", "match"),
+    [
+        (lambda: Digraph.from_edges(("a", "b"), [5]),
+         "edge 5 is not a (source, target) pair of vertex indices"),
+        (lambda: Digraph.from_edges(("a", "b"), [(0, 1, 1)]),
+         "edge (0, 1, 1) is not a (source, target) pair of vertex indices"),
+        (lambda: Digraph.from_edges(("a", "b"), [(0,)]),
+         "edge (0,) is not a (source, target) pair of vertex indices"),
+        (lambda: Digraph.from_edges(("a", "b"), [(_Index(0), 1)]),
+         "vertex indices must be nonnegative integers"),
+        (lambda: Digraph(("a", "b"), [[0, 1], 5]),
+         "adjacency row 1 is not a sequence"),
+        (lambda: Digraph(("a", "b"), 5),
+         "adjacency matrix must be square of size = #labels"),
+        (lambda: Digraph(("a", "b"), [[0, _Index(1)], [1, 0]]),
+         "edge multiplicities must be nonnegative integers"),
+    ],
+    ids=["non-pair", "triple", "single", "int-subclass-index",
+         "row-not-a-sequence", "matrix-not-a-sequence", "int-subclass-multiplicity"],
+)
+def test_malformed_digraph_input_is_a_value_error(build, match):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == match
 
 
 def test_from_edges_finds_a_bool_behind_an_equal_int():
