@@ -106,23 +106,20 @@ def _cmd_class_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_digraph_build(args: argparse.Namespace) -> int:
-    g = ttd.magic_digraph(args.j, args.k)
     json_path = _out_path(args, args.json)
     dot_path = _out_path(args, args.dot)
+    written = [p for p in (json_path, dot_path) if p]
+    if len(written) == 2 and os.path.abspath(json_path) == os.path.abspath(dot_path):
+        raise ValueError(f"the JSON and DOT files cannot share the path {json_path}")
+    g = ttd.magic_digraph(args.j, args.k)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(ttd.export_json(g))
     if dot_path:
         with open(dot_path, "w", encoding="utf-8") as fh:
             fh.write(ttd.export_dot(g))
-    if json_path or dot_path:
-        _emit(
-            {
-                "vertices": g.vertex_count,
-                "edges": g.edge_count,
-                "written": [p for p in (json_path, dot_path) if p],
-            }
-        )
+    if written:
+        _emit({"vertices": g.vertex_count, "edges": g.edge_count, "written": written})
     else:
         print(ttd.export_json(g))
     return 0
@@ -130,17 +127,7 @@ def _cmd_digraph_build(args: argparse.Namespace) -> int:
 
 def _cmd_digraph_certify(args: argparse.Namespace) -> int:
     certs = ttd.certify_canonical_walks(ttd.MagicDigraphSpec(args.j, args.k))
-    _emit(
-        {
-            "j": args.j,
-            "k": args.k,
-            "lengths": list(certs.lengths),
-            "short_cycle": list(certs.short_cycle),
-            "step_cycle": list(certs.step_cycle),
-            "long_cycle": list(certs.long_cycle),
-            "spanning_path": list(certs.spanning_path),
-        }
-    )
+    _emit({"j": args.j, "k": args.k, "lengths": certs.lengths, **asdict(certs)})
     return 0
 
 

@@ -136,8 +136,10 @@ a single vertex; then one of:
 
 Boolean matrix powers by repeated squaring survive only as the reference
 route image_after(..., method="powers"), which tests compare the tables
-against.  Squarings run as numpy float32 matmuls clipped back to 0/1;
-this is exact, since every entry is 0 or 1 and inner products are integers
+against.  It builds A from the edge list on each call, without the engine,
+so it shares no state with the tables it checks, and drops every matrix on
+return.  Squarings run as numpy float32 matmuls clipped back to 0/1; this
+is exact, since every entry is 0 or 1 and inner products are integers
 bounded by V, far below the 2**24 float32 integer range.  That route is the
 only one that imports numpy, and nothing else builds a V x V structure:
 the checker and every other answer use plain Python integers.
@@ -798,18 +800,14 @@ def _certify_refusal(g: Digraph, sk: _Skeleton, v: int, ref: _Refusal) -> None:
 
 
 class _Engine:
-    """Per-digraph state: the certified skeleton and tables, and the lazily
-    built matrix ladder; degrees and successors are read from the store."""
+    """Per-digraph state: the certified skeleton and tables; degrees and
+    successors are read from the store."""
 
     def __init__(self, g: Digraph):
         # g holds the engine, so a strong reference back would make a cycle
         # that outlives g until the next full garbage collection
         self._digraph = weakref.ref(g)
-        self.n = g.vertex_count
         self._tables: dict[int, _Table | None] = {}
-        # A^(2^t) for t = 0, 1, ... as numpy float32 matrices, built by power()
-        # for the method="powers" route only
-        self._ladder: list | None = None
 
     @property
     def g(self) -> Digraph:
@@ -994,40 +992,29 @@ class _Engine:
                 hit.add(y)
         return hit
 
-    # -- the reference route: boolean matrix powers ------------------------
 
-    def power(self, t: int):
-        """A^(2^t) as a 0/1 numpy float32 matrix (ladder entries are never
-        mutated).  numpy is imported here and in image_by_powers only, so
-        nothing but the method="powers" route loads it."""
-        import numpy as np
+def _image_by_powers(g: Digraph, starts: list[int], m: int) -> list[int]:
+    """The reference route, the only importer of numpy: the indices that
+    walks of length m from starts reach.  For each bit t of m, lowest first,
+    a set bit multiplies the vector by A^(2^t), squared again if bits remain."""
+    import numpy as np
 
-        if self._ladder is None:
-            # A[i, j] = 1 iff edge j -> i; powers act on indicator columns.
-            base = np.zeros((self.n, self.n), dtype=np.float32)
-            for source, target, _ in self.g.edges:
-                base[target, source] = 1.0
-            self._ladder = [base]
-        while len(self._ladder) <= t:
-            top = self._ladder[-1]
-            sq = top @ top
-            np.minimum(sq, 1.0, out=sq)
-            self._ladder.append(sq)
-        return self._ladder[t]
-
-    def image_by_powers(self, sources: list[int], m: int) -> list[int]:
-        import numpy as np
-
-        vec = np.zeros(self.n, dtype=np.float32)
-        vec[sources] = 1.0
-        t = 0
-        while m:
-            if m & 1:
-                vec = self.power(t) @ vec
-                np.minimum(vec, 1.0, out=vec)
-            m >>= 1
-            t += 1
-        return np.flatnonzero(vec).tolist()
+    n = g.vertex_count
+    # A[i, j] = 1 iff edge j -> i; powers act on indicator columns.
+    square = np.zeros((n, n), dtype=np.float32)
+    for source, target, _ in g.edges:
+        square[target, source] = 1.0
+    vec = np.zeros(n, dtype=np.float32)
+    vec[starts] = 1.0
+    while m:
+        if m & 1:
+            vec = square @ vec
+            np.minimum(vec, 1.0, out=vec)
+        m >>= 1
+        if m:
+            square = square @ square
+            np.minimum(square, 1.0, out=square)
+    return np.flatnonzero(vec).tolist()
 
 
 def _engine(g: Digraph) -> _Engine:
@@ -1050,21 +1037,21 @@ def image_after(
 
     method selects the evaluation route: "tables" (membership in the
     certified walk-length sets) or "powers" (boolean matrix powers with
-    doubling, the dense reference route, which allocates V x V matrices).
+    doubling, the dense reference route, which allocates V x V matrices for
+    this call only).
     The two routes agree; exposing both keeps that checkable.
     """
     if type(m) is not int or m < 0:
         raise ValueError(f"step count must be a nonnegative int, not {m!r}")
     if method not in ("tables", "powers"):
         raise ValueError(f"unknown method {method!r}")
-    eng = _engine(g)
     if isinstance(sources, str):
         sources = [sources]
     starts = [g.index(lbl) for lbl in sources]
     if method == "powers":
-        image = eng.image_by_powers(starts, m)
+        image = _image_by_powers(g, starts, m)
     else:
-        image = eng.hits(starts, set(range(eng.n)), m)
+        image = _engine(g).hits(starts, set(range(g.vertex_count)), m)
     return frozenset(map(g.labels.__getitem__, image))
 
 
@@ -1078,8 +1065,7 @@ def primitivity_exponent(g: Digraph) -> int:
     if g.vertex_count == 0:
         raise ValueError("digraph is empty")
     eng = _engine(g)
-    n = eng.n
-    if n == 1:
+    if g.vertex_count == 1:
         if g.extra:
             return 1
         raise NotPrimitiveError("not primitive: single vertex without a loop")
@@ -1119,7 +1105,7 @@ def covering_time(g: Digraph, source: str) -> int:
     edge list.
     """
     eng, v = _covering_engine(g), g.index(source)
-    if eng.n == 1:
+    if g.vertex_count == 1:
         return 0
     path, table = eng.cover_of(v)
     return len(path) + table.cover(eng.skeleton)
@@ -1134,7 +1120,7 @@ def last_avoidance(g: Digraph, source: str, avoided: str) -> AvoidanceWitness:
     """
     eng = _covering_engine(g)
     v, y = g.index(source), g.index(avoided)
-    if eng.n == 1:
+    if g.vertex_count == 1:
         best = None
     else:
         path, table = eng.cover_of(v)

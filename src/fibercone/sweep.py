@@ -47,6 +47,8 @@ import contextlib
 import csv
 import io
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -344,10 +346,16 @@ def verify_exponent_law(
     which selects "upper" (the 4/m avoidance bound) or "lower" (the mixing
     bound).  All reports must come from one family; at least four clean
     samples are required.  Families outside the predicted regimes produce a
-    non-passing "no prediction" verdict carrying the fitted slope.
+    non-passing "no prediction" verdict carrying the fitted slope.  tolerance
+    is None (the family's default) or a finite real >= 0, not a bool.
     """
     if which not in ("lower", "upper"):
         raise ValueError("which must be 'lower' or 'upper'")
+    if tolerance is not None and (
+        isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real)
+        or not 0 <= tolerance < math.inf
+    ):
+        raise ValueError(f"tolerance must be a finite number >= 0, not {tolerance!r}")
     if not reports:
         raise ValueError("no reports to fit")
     pqs = {(rep.p, rep.q) for rep in reports}

@@ -43,16 +43,17 @@ out-edge of its source; every other edge is an extra (source, target,
 multiplicity) triple.  Gamma is three runs (s a_1 .. a_k, r_1 .. r_j and
 b_1 .. b_k) and seven extra edges, so building and validating its store
 costs O(1) steps beyond its labels, and readers find degrees and successors
-by bisection.  The sorted edge triples and the dense view are derived only
-on request; the dense view follows the convention
-adjacency[i][j] = number of directed edges from vertex j to vertex i, so
-matrix powers act on indicator columns; the JSON document uses that view.
+by bisection.  Neither the sorted edge triples nor a dense matrix is kept:
+edges derives the triples on each access, and export_json builds the JSON
+document's matrix, in the convention adjacency[i][j] = number of directed
+edges from vertex j to vertex i (so matrix powers act on indicator
+columns), for that one call.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -86,9 +87,9 @@ class Digraph:
     Digraph(labels, adjacency) reads a dense matrix in which adjacency[i][j]
     holds the number of directed edges from vertex j to vertex i (column
     index = source, row index = target); Digraph.from_edges reads the edge
-    multiset directly.  Both normalize into the store in one pass.  edges,
-    the sorted triples of both parts, and the dense adjacency tuple are
-    derived on first access.
+    multiset directly.  Both normalize into the store in one pass, and
+    neither keeps the matrix.  edges, the sorted triples of both parts, is
+    derived on each access and not kept.
     """
 
     labels: tuple[str, ...]
@@ -171,7 +172,6 @@ class Digraph:
                     "maximal"
                 )
             end = last
-        firsts = [first for first, _ in runs]
         before = (-1, -1)
         for i, edge in enumerate(extra):
             source, target, mult = edge
@@ -186,7 +186,7 @@ class Digraph:
             if (source, target) <= before:
                 raise ValueError("extra edges must be sorted, one per pair")
             before = (source, target)
-            at = bisect_right(firsts, source) - 1
+            at = bisect_left(runs, (source + 1,)) - 1
             if at >= 0 and source < runs[at][1]:
                 raise ValueError(
                     f"extra edge {edge!r} leaves {source}, a member of run "
@@ -205,9 +205,10 @@ class Digraph:
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "extra", extra)
 
-    @cached_property
+    @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """The sorted (source, target, multiplicity) triples of both parts."""
+        """The sorted (source, target, multiplicity) triples of both parts,
+        built on each access and not kept."""
         steps = chain.from_iterable(
             zip(range(first, last), range(first + 1, last + 1), repeat(1))
             for first, last in self.runs
@@ -215,21 +216,8 @@ class Digraph:
         return tuple(sorted(chain(steps, self.extra)))
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """The dense matrix: adjacency[i][j] = #edges from vertex j to vertex i."""
-        n = len(self.labels)
-        rows = [[0] * n for _ in range(n)]
-        for source, target, mult in self.edges:
-            rows[target][source] = mult
-        return tuple(tuple(row) for row in rows)
-
-    @cached_property
     def _index(self) -> dict[str, int]:
         return {lbl: i for i, lbl in enumerate(self.labels)}
-
-    @cached_property
-    def _firsts(self) -> list[int]:
-        return [first for first, _ in self.runs]
 
     @cached_property
     def _out(self) -> dict[int, tuple[int, ...]]:
@@ -240,10 +228,6 @@ class Digraph:
         return {source: tuple(targets) for source, targets in out.items()}
 
     @cached_property
-    def _extra_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(edge[:2] for edge in self.extra)
-
-    @cached_property
     def _targets(self) -> list[int]:
         """The targets of the extra edges, sorted, one per edge."""
         return sorted(target for _, target, _ in self.extra)
@@ -251,7 +235,8 @@ class Digraph:
     def run_last(self, v: int) -> int | None:
         """The last vertex of the run that vertex index v is a member of,
         so that v's one out-edge is v -> v + 1; None if v is no member."""
-        at = bisect_right(self._firsts, v) - 1
+        # (v + 1,) sorts after every run that starts at or before v
+        at = bisect_left(self.runs, (v + 1,)) - 1
         if at >= 0 and v < self.runs[at][1]:
             return self.runs[at][1]
         return None
@@ -300,7 +285,7 @@ class Digraph:
                 if walk[i:j + 1] != tuple(range(a, a + j - i + 1)):
                     return None
                 i = j
-            elif (a, walk[i + 1]) in self._extra_pairs:
+            elif walk[i + 1] in self._out.get(a, ()):
                 taken.append(a)
                 i += 1
             else:
@@ -505,13 +490,17 @@ def import_digraph(document: str | dict[str, Any]) -> Digraph:
 
     adjacency[i][j] is the multiplicity of the edge from vertex j to vertex i.
     Accepts either the JSON text or the already-parsed dict.  Parsing is
-    strict: labels must be a list of unique strings, adjacency a list of
-    lists, and every multiplicity a nonnegative integer (not a boolean).
+    strict: the document has exactly the keys "labels" and "adjacency",
+    labels must be a list of unique strings, adjacency a list of lists, and
+    every multiplicity a nonnegative integer (not a boolean).
     """
     if isinstance(document, str):
         document = json.loads(document)
     if not isinstance(document, dict):
         raise ValueError("digraph document must be a JSON object")
+    unknown = [key for key in document if key not in ("labels", "adjacency")]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in the digraph document")
     try:
         labels = document["labels"]
         adjacency = document["adjacency"]
@@ -527,11 +516,13 @@ def import_digraph(document: str | dict[str, Any]) -> Digraph:
 
 
 def export_json(g: Digraph) -> str:
-    """Serialize to the document format accepted by import_digraph."""
-    return json.dumps(
-        {"labels": list(g.labels), "adjacency": [list(row) for row in g.adjacency]},
-        sort_keys=True,
-    )
+    """Serialize to the document format accepted by import_digraph; the
+    dense rows are built from the edges for this call only."""
+    n = len(g.labels)
+    rows = [[0] * n for _ in range(n)]
+    for source, target, mult in g.edges:
+        rows[target][source] = mult
+    return json.dumps({"labels": list(g.labels), "adjacency": rows}, sort_keys=True)
 
 
 def export_dot(g: Digraph) -> str:

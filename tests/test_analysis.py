@@ -20,6 +20,7 @@ from fibercone import (
     NotPrimitiveError,
     avoidance_at,
     covering_time,
+    export_digraph_json,
     image_after,
     last_avoidance,
     magic_digraph,
@@ -59,7 +60,7 @@ def test_primitivity_exponent_table(j, k):
 
 def test_exponent_matches_integer_matrix_brute_force():
     g = magic_digraph(2, 2)
-    a = np.array(g.adjacency, dtype=object)
+    a = np.array(_matrix(g), dtype=object)
     power = np.eye(g.vertex_count, dtype=object)
     m = 0
     while True:
@@ -185,6 +186,16 @@ def test_stepping_and_powers_routes_agree(sources, m):
     assert image_after(g, sources, m) == image_after(g, sources, m, method="powers")
 
 
+def test_export_and_the_powers_route_keep_nothing_on_the_digraph():
+    g = magic_digraph(8, 4)
+    # the label index, which both calls read, is the one cache they may fill
+    g.index("s")
+    before = set(g.__dict__)
+    export_digraph_json(g)
+    assert image_after(g, "b_4", 4, method="powers") == frozenset({"a_4", "r_4"})
+    assert set(g.__dict__) == before
+
+
 def test_covering_time_pins():
     assert covering_time(magic_digraph(8, 4), "b_4") == 28
     assert covering_time(magic_digraph(27, 9), "b_9") == 117
@@ -254,6 +265,15 @@ def test_avoidance_at_multiple_targets():
 # -- the tables against the dense route and a brute force, on random inputs
 
 
+def _matrix(g):
+    """The dense matrix of g, built from its edges: adj[t][s] counts the
+    edges s -> t."""
+    adj = [[0] * g.vertex_count for _ in range(g.vertex_count)]
+    for source, target, mult in g.edges:
+        adj[target][source] = mult
+    return adj
+
+
 def _brute_image(adj, sources, m):
     """m-step image of a set of vertex indices, straight from the matrix."""
     n = len(adj)
@@ -304,7 +324,7 @@ def small_digraphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(g=small_digraphs())
 def test_exponent_matches_brute_force_and_powers(g):
-    expected = _brute_exponent(g.adjacency)
+    expected = _brute_exponent(_matrix(g))
     if expected is None:
         with pytest.raises(NotPrimitiveError):
             primitivity_exponent(g)
@@ -322,7 +342,7 @@ def test_exponent_matches_brute_force_and_powers(g):
 @settings(max_examples=150, deadline=None)
 @given(g=small_digraphs())
 def test_covering_and_last_avoidance_match_brute_force(g):
-    adj, n = g.adjacency, g.vertex_count
+    adj, n = _matrix(g), g.vertex_count
     if any(not any(adj[t]) for t in range(n)):  # a vertex of in-degree zero
         with pytest.raises(ValueError):
             covering_time(g, g.labels[0])
@@ -351,12 +371,13 @@ def test_image_routes_match_brute_force(g, data):
     sources = data.draw(st.sets(st.integers(0, g.vertex_count - 1), min_size=1))
     m = data.draw(st.integers(min_value=0, max_value=3 * wielandt_cutoff(10)))
     labels = [g.labels[i] for i in sources]
-    expected = frozenset(g.labels[i] for i in _brute_image(g.adjacency, sources, m))
+    adj = _matrix(g)
+    expected = frozenset(g.labels[i] for i in _brute_image(adj, sources, m))
     assert image_after(g, labels, m) == expected
     assert image_after(g, labels, m, method="powers") == expected
     if m >= 1:
         source = min(sources)
-        hit = _brute_image(g.adjacency, {source}, m) & sources
+        hit = _brute_image(adj, {source}, m) & sources
         assert avoidance_at(g, g.labels[source], labels, m) == (not hit)
 
 
@@ -479,12 +500,12 @@ def digraphs_with_runs(draw):
 def _sets_by_length(g, u):
     """(sets, i): sets[L] is the set of ends of walks of length L from u,
     stepped until the next set repeats sets[i]."""
-    sets, first = [], {}
+    sets, first, adj = [], {}, _matrix(g)
     current = frozenset({u})
     while current not in first:
         first[current] = len(sets)
         sets.append(current)
-        current = frozenset(_brute_image(g.adjacency, current, 1))
+        current = frozenset(_brute_image(adj, current, 1))
     return sets, first[current]
 
 

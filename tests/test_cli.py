@@ -134,6 +134,14 @@ def test_analyze_exponent_from_json_file(tmp_path, capsys):
     assert rc == 0 and doc["exponent"] == 15
 
 
+def test_analyze_refuses_a_document_with_an_unknown_key(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"labels": ["a"], "adjacency": [[1]], "junk": 5}')
+    rc, out, err = _run(capsys, "analyze", "exponent", "--json", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: unknown key 'junk' in the digraph document\n"
+
+
 def test_analyze_requires_one_graph_source(capsys):
     rc, _, err = _run(capsys, "analyze", "exponent")
     assert rc == 2 and "error:" in err
@@ -453,6 +461,15 @@ MAGIC_ROWS_ARG = "1 0 0; 0 1 0; 1 0 -1; 0 1 -1"
           "--n-to", "3"), "error: the n11 family takes no p or q\n"),
         (("sweep", "--family", "n11", "--p", "2", "--n-from", "2", "--n-to", "3"),
          "error: the n11 family takes no p or q\n"),
+        (("verify", "--family", "n11", "--n-from", "2", "--n-to", "8",
+          "--tolerance", "inf"),
+         "error: tolerance must be a finite number >= 0, not inf\n"),
+        (("verify", "--family", "n11", "--n-from", "2", "--n-to", "8",
+          "--tolerance", "nan"),
+         "error: tolerance must be a finite number >= 0, not nan\n"),
+        (("digraph", "build", "--j", "8", "--k", "4", "--json", "same.out",
+          "--dot", "same.out"),
+         "error: the JSON and DOT files cannot share the path same.out\n"),
         # the same refusal as the console-script smoke step in CI
         (("cone", "hilbert", "--rows", "1 0 0; -1 0 0", "--bound", "3"),
          "error: no x has A x > 0 (the sum of the extreme rays is not strictly "
@@ -460,10 +477,13 @@ MAGIC_ROWS_ARG = "1 0 0; 0 1 0; 1 0 -1; 0 1 -1"
     ],
     ids=["point-short", "point-long", "rows-empty", "pq-without-p",
          "sweep-n11-with-pq", "verify-n11-with-pq", "sweep-n11-with-p",
-         "empty-interior"],
+         "verify-infinite-tolerance", "verify-nan-tolerance",
+         "build-json-and-dot-one-path", "empty-interior"],
 )
-def test_malformed_arguments_exit_2(capsys, argv, err):
+def test_malformed_arguments_exit_2(capsys, tmp_path, monkeypatch, argv, err):
+    monkeypatch.chdir(tmp_path)
     assert _run(capsys, *argv) == (2, "", err)
+    assert not any(tmp_path.iterdir())
 
 
 NUMPY_STAYS_OUT = """

@@ -1,5 +1,6 @@
 """Transition digraph construction, walk certificates, and serialization."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -131,9 +132,18 @@ def test_json_roundtrip():
     assert import_digraph(doc) == g
 
 
+def _matrix(g):
+    """The dense matrix of g, built from its edges: adj[t][s] counts the
+    edges s -> t."""
+    adj = [[0] * g.vertex_count for _ in range(g.vertex_count)]
+    for source, target, mult in g.edges:
+        adj[target][source] = mult
+    return adj
+
+
 def test_sparse_and_dense_constructors_agree():
     g = magic_digraph(3, 2)
-    assert Digraph(g.labels, g.adjacency) == g
+    assert Digraph(g.labels, _matrix(g)) == g
     # a pair listed twice is one edge of multiplicity two
     h = Digraph.from_edges(("u", "v"), [(0, 1), (1, 0), (0, 1)])
     assert h == Digraph(("u", "v"), ((0, 1), (2, 0)))
@@ -167,6 +177,10 @@ def test_import_validates_document():
         import_digraph({"labels": ["a", "b"], "adjacency": [[0, 1.0], [1, 0]]})
     with pytest.raises(ValueError):
         import_digraph({"labels": ["a", 2], "adjacency": [[0, 1], [1, 0]]})
+    for junk in ({"labels": ["a"], "adjacency": [[1]], "junk": 5},
+                 '{"labels": ["a"], "adjacency": [[1]], "junk": 5}'):
+        with pytest.raises(ValueError, match="unknown key 'junk'"):
+            import_digraph(junk)
 
 
 @pytest.mark.parametrize(
@@ -195,8 +209,9 @@ def test_adjacency_convention_is_target_row_source_column():
     s = doc.index("s")
     a1 = doc.index("a_1")
     # edge s -> a_1 sits at adjacency[a_1][s]
-    assert doc.adjacency[a1][s] == 1
-    assert doc.adjacency[s][a1] == 0
+    adjacency = json.loads(export_digraph_json(doc))["adjacency"]
+    assert adjacency[a1][s] == 1
+    assert adjacency[s][a1] == 0
 
 
 def test_export_dot_lists_every_edge():
@@ -375,6 +390,9 @@ def test_store_round_trips_random_pair_lists(first, second):
             adjacency[t][s] += 1
         dense = Digraph(labels, adjacency)
         assert dense == g and hash(dense) == hash(g)
+        document = export_digraph_json(g)
+        assert import_digraph(document) == g
+        assert json.loads(document)["adjacency"] == _matrix(g) == adjacency
         assert (dense.runs, dense.extra) == (g.runs, g.extra)
         assert Digraph._from_store(labels, g.runs, g.extra) == g
         for v in range(n):

@@ -387,6 +387,20 @@ def test_verify_exponent_law_explicit_tolerance():
     assert tight.reason == "slope outside tolerance"
     loose = verify_exponent_law(reports, tolerance=1.0)
     assert loose.passed
+    assert verify_exponent_law(reports, tolerance=Fraction(1)).passed
+    assert not verify_exponent_law(reports, tolerance=0).passed
+
+
+@pytest.mark.parametrize(
+    "tolerance",
+    [True, False, "0.1", -0.1, -1, float("nan"), float("inf"), -float("inf")],
+    ids=["true", "false", "string", "negative", "negative-int", "nan", "inf",
+         "minus-inf"],
+)
+def test_verify_exponent_law_refuses_a_meaningless_tolerance(tolerance):
+    reports = run_sweep(SweepConfig(family="n11", n_start=2, n_stop=6))
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        verify_exponent_law(reports, tolerance=tolerance)
 
 
 def test_report_json_parses_back():

@@ -581,6 +581,17 @@ def test_valid_documents_round_trip_unchanged():
         assert export_cochain_json(back) == doc
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    half=st.integers(1, 40),
+    bound=st.integers(0, 10**6),
+    seed=st.integers(-(2**64), 2**64),
+)
+def test_random_documents_round_trip(half, bound, seed):
+    g = random_cubic_cochain(2 * half, bound, seed)
+    assert import_cochain_graph(export_cochain_json(g)) == g
+
+
 def test_import_validates_document():
     with pytest.raises(ValueError):
         import_cochain_graph('{"vertices": 2}')
