@@ -4,8 +4,7 @@ supporting lattice-cone monoid machinery and the short-loop graph lemma.
 
 class_report turns one (1, j, k)+ class into a BoundReport; iter_sweep and
 run_sweep run it over a family, and report_record / json_text serialize the
-result.  The
-README's library tour imports only names listed in __all__."""
+result.  The README's library tour imports only names listed in __all__."""
 
 from .bounds import (
     REGIMES,

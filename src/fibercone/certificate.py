@@ -1,0 +1,384 @@
+r"""
+The checker of what fibercone.digraph_analysis finds: it certifies, never
+searches, imports only the standard library and the store, and reads plain
+data, in which JSON arrays may stand for tuples, so it shares no code with
+the engine (certifying algorithms: McConnell, Mehlhorn, Naeher and
+Schweitzer 2011, Comput. Sci. Rev. 5).  A failure raises RuntimeError
+mentioning "re-verification".
+
+A skeleton is (nodes, chains, segments, starts): the skeleton vertices;
+chains[x], the chains out of nodes[x], each (path, end), where path is its
+start then its interior vertices, so len(path) is its weight; the chain
+interiors as segments (start, stop, (x, i), offset), vertices start ..
+stop - 1 at offsets offset .. of chains[x][i]'s path, sorted by start; and
+their starts.  It is checked in O(runs + extra edges + skeleton vertices +
+segments) steps and C-level comparisons of the chain paths, against the
+store: the skeleton vertices and the segments tile the vertices once; every
+segment lies inside one run or is one vertex with one out-edge, and one
+edge enters it, at its first vertex (so its vertices have in- and
+out-degree 1); the chains out of a skeleton vertex start with exactly its
+out-edges; every chain is a walk of the digraph between skeleton vertices,
+and its interior is its segments at their stated offsets.  A walk is
+checked a run at a time: from a run member it must follow the run, which
+one C-level comparison checks, and only the steps from other vertices are
+looked up among the extra edges.
+
+A residue table is (u, c, cycle, rounds, masks, unreached): rho is in the
+c-bit set masks[x][i] iff the least length of a walk u -> nodes[x]
+congruent to rho mod c is q c + rho, for q = rounds[x][i]; cycle is a
+closed walk of length c through u, as its c + 1 vertices; unreached is the
+marker of the residues in no mask.  It is checked in two steps:
+
+  * the clauses that both routes rely on, checked once on the rounds: the
+    table is rooted at u; its cycle is a closed walk of length c through u
+    and a walk of the digraph; each vertex's rounds increase, its masks are
+    nonempty sets of residues below c, and no residue is in two of them
+    (their sum equals their OR); the unreached marker is above every least
+    walk length; and D[u][0] = 0;
+  * Bellman's equations, whose only solution with positive weights is the
+    exact table of least walk lengths, by one of two routes:
+      - bitmaps: one int X_x per skeleton vertex, bit L set iff L is the
+        least length of its residue.  X_x << w lies inside the +c closure
+        of X_z (every length at or above the least of its residue, by
+        doubling shifts) for each chain x -> z of weight w (lower bound);
+        and X_z lies inside the OR of the X_x << w over the chains into z,
+        plus bit 0 at u (attained).  That is about E + |skeleton| log R +
+        3 chains operations on R c-bit ints, for E masks over R rounds.
+      - rows: the table written out as D[x][rho], then D[z][(rho + w) mod
+        c] <= D[x][rho] + w for every chain x -> z of weight w and every
+        rho (lower bound), and every other entry equal to D[x][(rho - w)
+        mod c] + w for some chain x -> z, or the unreached marker with only
+        unreached predecessors (attained).  That is about (|skeleton| +
+        chains) c list entries, each handled in Python.
+    _bitmaps_cheaper takes the route whose cost estimate is lower, from E,
+    R, c and the chain count: bitmaps for (1,n,n^2)+ and the c = n + 1
+    tables of (1,n,1)+, whose few rounds settle many residues, and rows for
+    (1,n,n)+ and the c = 1 tables of (1,n,1)+, whose rounds settle one.
+
+A negative verdict ("not primitive", "never covers") is a certificate that
+no image of a source v is every vertex (V >= 2).  It starts with the forced
+walk from v, through vertices of out-degree 1 up to its last vertex u, so
+each image along it is a single vertex; then one of:
+
+  * cycle: u occurs earlier on the walk, so every image is a single vertex;
+  * closed set: a set closed under successors holding u's out-neighbours
+    but not u, so no later image contains u (the vertices reachable from
+    them, when no closed walk passes through u, as at a degree-zero u);
+  * unreached residue: u's table, certified again, with a residue that no
+    walk reaches; with every in-degree >= 1, also checked, coverage is
+    monotone, so infinitely many missing lengths mean that it never happens.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from functools import reduce
+from itertools import chain
+from operator import lt, or_
+from typing import NamedTuple, NoReturn, Sequence
+
+from .traintrack_digraph import Digraph
+
+
+# a skeleton and a residue table, laid out as the module docstring says
+Skeleton = Sequence
+Table = Sequence
+
+
+class _Rows(NamedTuple):
+    """A residue table as rows for _certify_table: rows[x][rho] is the least
+    length of a walk u -> nodes[x] congruent to rho mod c, or unreached."""
+
+    c: int
+    rows: list[list[int]]
+    unreached: int
+
+
+class _Refusal(NamedTuple):
+    """A negative verdict's certificate (see the module docstring): the
+    forced walk, then the closed set, the table, or neither for a cycle."""
+
+    why: str
+    walk: tuple[int, ...]
+    closed: frozenset[int] | None = None
+    table: Table | None = None
+
+
+def _certify_skeleton(g: Digraph, sk: Skeleton) -> None:
+    """Raises unless the skeleton is right; reads only the store, at the
+    granularity of segments, never vertex by vertex."""
+
+    def fail(why: str) -> None:
+        raise RuntimeError(f"branch skeleton failed re-verification: {why}")
+
+    nodes, chains, segments, starts = sk
+    labels, n = g.labels, g.vertex_count
+    if len(chains) != len(nodes):
+        fail("some skeleton vertex has no list of chains")
+    # the nodes and segments tile 0 .. V - 1 exactly once, so the nodes are
+    # distinct, and the starts that the engine bisects agree with them
+    ends = list(chain.from_iterable(sorted(
+        [(v, v + 1) for v in nodes] + [(seg[0], seg[1]) for seg in segments]
+    )))
+    if (
+        ends[1:-1:2] != ends[2::2]
+        or not all(map(lt, ends[::2], ends[1::2]))
+        or ends[:1] + ends[-1:] != ([0, n] if n else [])
+        or [seg[0] for seg in segments] != list(starts)
+        or not all(map(lt, starts, starts[1:]))
+    ):
+        fail("some vertex is neither a skeleton vertex nor one chain's interior")
+    # a segment lies inside one run, or is one vertex with one out-edge, and
+    # one edge enters it, at its first vertex
+    for start, stop, _, _ in segments:
+        last = g.run_last(start)
+        if last is None or stop > last:
+            if stop != start + 1:
+                fail("some segment leaves its run")
+            if len(g.successors(start)) != 1:
+                fail("some chain interior has in- or out-degree != 1")
+        if g.extra_into(start + 1, stop):
+            fail("an edge enters a segment past its first vertex")
+        if g.in_degree(start) != 1:
+            fail("some chain interior has in- or out-degree != 1")
+    skeleton, used = set(nodes), 0
+    for x, (v, out) in enumerate(zip(nodes, chains)):
+        firsts_out = sorted(path[1] if len(path) > 1 else end for path, end in out)
+        if firsts_out != list(g.successors(v)):
+            fail(f"the chains out of {labels[v]!r} do not start with its out-edges")
+        for k, (path, end) in enumerate(out):
+            if path[0] != v or end not in skeleton:
+                fail(f"a chain out of {labels[v]!r} has the wrong ends")
+            if g.extra_steps((*path, end)) is None:
+                fail(f"a chain out of {labels[v]!r} is not a path of edges")
+            # the interior, a segment at a time, at the stated offsets
+            i = 1
+            while i < len(path):
+                at = bisect_right(starts, path[i]) - 1
+                start, stop, ref, offset = segments[at] if at >= 0 else (None,) * 4
+                if (
+                    start != path[i]
+                    or tuple(ref) != (x, k)
+                    or offset != i
+                    or i + stop - start > len(path)
+                    or path[i + stop - start - 1] != stop - 1
+                ):
+                    fail(f"a chain out of {labels[v]!r} misplaces its interior")
+                i += stop - start
+                used += 1
+    if used != len(segments):
+        fail("some vertex is neither a skeleton vertex nor one chain's interior")
+
+
+def _fail_table(g: Digraph, u: int, why: str) -> NoReturn:
+    raise RuntimeError(
+        f"residue table of {g.labels[u]!r} failed re-verification: {why}"
+    )
+
+
+def _moves(sk: Skeleton) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
+    """(where, moves): where[nodes[x]] = x, and (x, z, w) for each chain
+    nodes[x] -> nodes[z] of weight w."""
+    where = {v: x for x, v in enumerate(sk[0])}
+    return where, [(x, where[end], len(path))
+                   for x, out in enumerate(sk[1]) for path, end in out]
+
+
+def _rows(table: Table) -> _Rows:
+    """The table written out as rows, once _certify_rounds has passed it."""
+    _, c, _, rounds, masks, top = table
+    rows = []
+    for qs, ms in zip(rounds, masks):
+        row = [top] * c
+        for q, mask in zip(qs, ms):
+            base = q * c
+            while mask:
+                rho = mask.bit_length() - 1
+                row[rho] = base + rho
+                mask ^= 1 << rho
+        rows.append(row)
+    return _Rows(c, rows, top)
+
+
+def _certify_table(g: Digraph, sk: Skeleton, u: int, table: _Rows) -> None:
+    """Bellman's equations on the rows of a table whose rounds
+    _certify_rounds has passed."""
+    c, rows, top = table
+    where, moves = _moves(sk)
+    # best[z][(rho + w) % c] is the least D[x][rho] + w over the chains
+    # x -> z of weight w, starting from the unreached marker
+    best = [[top] * c for _ in rows]
+    for x, z, w in moves:
+        row, s = rows[x], w % c
+        rotated = row[-s:] + row[:-s]
+        best[z] = [q if q < p + w else p + w for p, q in zip(rotated, best[z])]
+    best[where[u]][0] = 0
+    mismatch = next(((z, rho) for z, (row, low) in enumerate(zip(rows, best))
+                     if row != low for rho, (d, b) in enumerate(zip(row, low))
+                     if d != b), None)
+    if mismatch is not None:
+        z, rho = mismatch
+        clause = "lower bound" if rows[z][rho] > best[z][rho] else "attained"
+        _fail_table(
+            g, u, f"{clause} fails at D[{g.labels[sk[0][z]]!r}][{rho}] = "
+            f"{rows[z][rho]}, its predecessors give {best[z][rho]}"
+        )
+
+
+def _certify_rounds(g: Digraph, sk: Skeleton, u: int, table: Table) -> None:
+    """The clauses that both routes rely on: the root, the cycle, lists of
+    increasing rounds with nonempty masks of distinct residues below c, the
+    unreached marker and D[u][0] = 0."""
+    root, c, cycle, rounds, masks, top = table
+    labels, nodes = g.labels, sk[0]
+    if root != u:
+        _fail_table(g, u, f"the table is rooted at {labels[root]!r}")
+    if len(cycle) != c + 1 or cycle[0] != u or cycle[-1] != u:
+        _fail_table(g, u, f"the cycle is not a closed walk of length {c} through it")
+    if g.extra_steps(tuple(cycle)) is None:
+        _fail_table(g, u, "the cycle is not a walk of the digraph")
+    full, count = (1 << c) - 1, len(nodes)
+    if len(rounds) != count or len(masks) != count:
+        _fail_table(g, u, f"the table is not {count} rows of {c} residues")
+    for x, (qs, ms) in enumerate(zip(rounds, masks)):
+        if (
+            len(qs) != len(ms)
+            or not all(map(lt, qs, qs[1:]))
+            or qs and qs[0] < 0
+            or 0 in ms
+            or ms and max(ms) > full
+        ):
+            _fail_table(
+                g, u, f"the rounds of {labels[nodes[x]]!r} are not increasing "
+                f"rounds of nonempty sets of {c} residues"
+            )
+        # the sum of nonnegative ints equals their union iff no two share
+        # a bit
+        if sum(ms) != reduce(or_, ms, 0):
+            _fail_table(g, u, f"D[{labels[nodes[x]]!r}] has two lengths in one residue")
+    # a least walk visits each state at most once, so is at most this long
+    where, moves = _moves(sk)
+    if top <= (count * c - 1) * max(w for _, _, w in moves):
+        _fail_table(g, u, f"the unreached marker {top} is not above every walk length")
+    # D[u][0] = 0: u's first round is round 0, and its mask holds residue 0
+    qs = rounds[where[u]]
+    if not (qs and qs[0] == 0 and masks[where[u]][0] & 1):
+        _fail_table(g, u, "D[u][0] != 0")
+
+
+def _certify_bitmaps(g: Digraph, sk: Skeleton, u: int, table: Table) -> None:
+    """Bellman's equations on one length bitmap per skeleton vertex, for a
+    table that _certify_rounds has passed."""
+    _, c, _, rounds, masks, _ = table
+    labels, nodes = g.labels, sk[0]
+    where, moves = _moves(sk)
+    # bit L of lengths[x] is set iff L is the least length of a walk
+    # u -> nodes[x] in its residue
+    lengths = [0] * len(nodes)
+    for x, (qs, ms) in enumerate(zip(rounds, masks)):
+        # neighbouring rounds are joined pairwise, so each bit moves about
+        # log2(rounds) times rather than once per later round
+        parts = list(zip(qs, ms))
+        while len(parts) > 1:
+            pairs = zip(parts[::2], parts[1::2])
+            joined = [(p, m | n << (r - p) * c) for (p, m), (r, n) in pairs]
+            parts = joined + parts[len(parts) - len(parts) % 2:]
+        if parts:
+            lengths[x] = parts[0][1] << parts[0][0] * c
+    horizon = max(lengths).bit_length() + max(w for _, _, w in moves)
+    cut = (1 << horizon) - 1
+    into: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    for x, z, w in moves:
+        into[z].append((x, w))
+    for z, have in enumerate(lengths):
+        # above: every length at or above the least one of its residue;
+        # given: the lengths that the chains into z give
+        above, s = have, c
+        while s < horizon:
+            above = (above | above << s) & cut
+            s += s
+        given = int(z == where[u])
+        for x, w in into[z]:
+            sent = lengths[x] << w
+            short = sent & ~above
+            if short:
+                d = (short & -short).bit_length() - 1
+                _fail_table(
+                    g, u, f"lower bound fails at D[{labels[nodes[z]]!r}][{d % c}], "
+                    f"which the chain from {labels[nodes[x]]!r} reaches in {d}"
+                )
+            given |= sent
+        extra = have & ~given
+        if extra:
+            d = (extra & -extra).bit_length() - 1
+            _fail_table(
+                g, u, f"attained fails at D[{labels[nodes[z]]!r}][{d % c}] = {d}, "
+                "which no chain into it gives"
+            )
+
+
+def _bitmaps_cheaper(sk: Skeleton, table: Table) -> bool:
+    """Is the bitmap route's cost estimate below the row route's?
+
+    The estimates are in nanoseconds, fitted on 149 tables (Gamma_(1,j,k)+
+    up to (1,300,90000)+, hub digraphs and random digraphs with long runs)
+    under CPython 3.11 on a 2-CPU x86-64 machine.  The row route builds and
+    checks (vertices + chains) x c row entries in Python.  The bitmap route
+    makes a few big-int operations per mask, per vertex for each of about
+    2 log2(R) joins and doublings, and per chain, over the R c bits of R
+    rounds.
+    """
+    c, rounds, count = table[1], table[3], len(sk[0])
+    chains = sum(map(len, sk[1]))
+    entries = sum(map(len, rounds))
+    spread = 1 + max((qs[-1] for qs in rounds if qs), default=0)
+    steps = 2 * count * spread.bit_length() + count + 3 * chains
+    bitmaps = 450 * (entries + steps) + 2 * spread * c / 64 * steps
+    rows = 100 * (count + chains) * c + 100 * entries + 2000 * (count + chains)
+    return bitmaps < rows
+
+
+def _check_table(g: Digraph, sk: Skeleton, u: int, table: Table) -> None:
+    """Certifies a table: the shared clauses, then Bellman's equations by
+    the route with the lower cost estimate."""
+    _certify_rounds(g, sk, u, table)
+    if _bitmaps_cheaper(sk, table):
+        _certify_bitmaps(g, sk, u, table)
+    else:
+        _certify_table(g, sk, u, _rows(table))
+
+
+def _certify_refusal(g: Digraph, sk: Skeleton, v: int, ref: _Refusal) -> None:
+    """Raises unless ref certifies that no image of v is every vertex."""
+    walk, u = ref.walk, ref.walk[-1]
+
+    def fail(why: str) -> None:
+        raise RuntimeError(f"the verdict '{ref.why}' failed re-verification: {why}")
+
+    if walk[0] != v or g.vertex_count < 2:
+        fail(f"it is not about {g.labels[v]!r} among two or more vertices")
+    taken = g.extra_steps(tuple(walk))
+    if taken is None:
+        fail("the forced walk is not a walk of the digraph")
+    # run members have out-degree 1, so only the vertices that take an
+    # extra edge are looked up
+    if any(len(g.successors(y)) != 1 for y in taken):
+        fail("the forced walk passes a vertex of out-degree != 1")
+    if ref.closed is not None:
+        if u in ref.closed:
+            fail(f"the closed set holds {g.labels[u]!r}")
+        if any(t not in ref.closed for s in (u, *ref.closed) for t in g.successors(s)):
+            fail("the set is not closed under successors")
+    elif ref.table is not None:
+        _check_table(g, sk, u, ref.table)
+        full = (1 << ref.table[1]) - 1
+        if all(reduce(or_, masks, 0) == full for masks in ref.table[4]):
+            fail("every residue is reached")
+        # the run steps enter first + 1 .. last of each run, and each extra
+        # edge its target
+        entered = sum(last - first for first, last in g.runs)
+        entered += len({t for _, t, _ in g.extra if g.run_last(t - 1) is None})
+        if entered != g.vertex_count:
+            fail("some in-degree is zero, so coverage need not be monotone")
+    elif u not in walk[:-1]:
+        fail("the forced walk does not close on itself")

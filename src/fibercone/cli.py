@@ -250,6 +250,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _sweep_config(args)
+    # refused before the sweep runs, so that no report file is written
+    sweep.check_tolerance(args.tolerance)
     reports: list = []
     sweep.report_emit(
         _kept(sweep.iter_sweep(cfg), reports),

@@ -78,61 +78,8 @@ once every target is hit.  Against the O(r V / 64) of stepping a bitmask r
 times, (1,100,10000)+, with V = 20101 and r = 1010199, takes well under a
 second.
 
-A separate checker, which only checks and never searches, certifies the
-skeleton and each table before any answer built on them leaves this module,
-and raises RuntimeError mentioning "re-verification" on any failure:
-
-  * chains, in O(runs + extra edges + skeleton vertices + segments)
-    steps and C-level comparisons of the chain paths, all read off the
-    store: the skeleton vertices and the segments tile the vertices exactly
-    once; every segment lies inside one run or is one vertex with one
-    out-edge, and one edge enters it, at its first vertex (so its vertices
-    have in- and out-degree 1); the chains out of a skeleton vertex start
-    with exactly its out-edges; every chain is a walk of the digraph
-    between skeleton vertices, and its interior is its segments at their
-    stated offsets.  A walk is checked a run at a time: from a run member
-    it must follow the run, which one C-level comparison checks, and only
-    the steps from other vertices are looked up among the extra edges;
-  * the clauses that both routes share, checked once on the rounds: the
-    table is rooted at u; its cycle is an explicit closed walk of length c
-    through u and a walk of the digraph; each vertex's rounds increase,
-    and its masks are nonempty sets of residues below c; the unreached
-    marker is above every least walk length; and D[u][0] = 0;
-  * Bellman's equations, whose only solution with positive weights is the
-    exact table of least walk lengths, by one of two routes:
-      - bitmaps: one int X_x per skeleton vertex, bit L set iff L is the
-        least length of its residue, where no two masks of x may share a
-        residue.  X_x << w lies inside the +c closure of X_z (every length
-        at or above the least of its residue, by doubling shifts) for each
-        chain x -> z of weight w (lower bound); and X_z lies inside the OR
-        of the X_x << w over the chains into z, plus bit 0 at u
-        (attained).  That is about E + |skeleton| log R + 3 chains
-        operations on R c-bit ints.
-      - rows: the table written out as D[x][rho], where no two masks of x
-        may share a residue, then D[z][(rho + w) mod c] <= D[x][rho] + w
-        for every chain x -> z of weight w and every rho (lower bound), and
-        every other entry equal to D[x][(rho - w) mod c] + w for some chain
-        x -> z, or the unreached marker with only unreached predecessors
-        (attained).  That is about (|skeleton| + chains) c list entries,
-        each handled in Python.
-    _bitmaps_cheaper takes the route whose cost estimate is lower, from E,
-    R, c and the chain count: bitmaps for (1,n,n^2)+ and the c = n + 1
-    tables of (1,n,1)+, whose few rounds settle many residues, and rows for
-    (1,n,n)+ and the c = 1 tables of (1,n,1)+, whose rounds settle one.
-
-A negative verdict ("not primitive", "never covers") is a certificate that
-no image of a source v is every vertex (V >= 2), which the checker reads
-against the store.  It starts with the forced walk from v, through
-vertices of out-degree 1 up to its last vertex u, so each image along it is
-a single vertex; then one of:
-
-  * cycle: u occurs earlier on the walk, so every image is a single vertex;
-  * closed set: a set closed under successors holding u's out-neighbours
-    but not u, so no later image contains u (the vertices reachable from
-    them, when no closed walk passes through u, as at a degree-zero u);
-  * unreached residue: an entry of u's table, certified again, that no walk
-    reaches; with every in-degree >= 1, also checked, coverage is monotone,
-    so infinitely many missing lengths mean that it never happens.
+fibercone.certificate, sharing no code with this engine, checks the skeleton,
+each table and each refusal's certificate before an answer built on them leaves.
 
 Boolean matrix powers by repeated squaring survive only as the reference
 route image_after(..., method="powers"), which tests compare the tables
@@ -150,12 +97,14 @@ from __future__ import annotations
 import heapq
 import weakref
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, chain
-from operator import add, lt, or_
-from typing import Iterable, NamedTuple, NoReturn
+from operator import add, or_
+from typing import Iterable
 
+from . import certificate
 from .traintrack_digraph import Digraph
 
 __all__ = [
@@ -196,157 +145,108 @@ class AvoidanceWitness:
 # -- the branch skeleton and its residue tables --------------------------------
 
 
-class _Chain(NamedTuple):
-    """A skeleton edge: path is its start then its interior vertices, so its
-    weight (length) is len(path); end is the skeleton vertex it reaches."""
-
-    path: tuple[int, ...]
-    end: int
-
-
-class _Segment(NamedTuple):
-    """Chain interior vertices start .. stop - 1, at offsets offset ..
-    offset + stop - start - 1 of chain.path: a stretch inside one run, or
-    one vertex whose single out-edge is an extra edge."""
-
-    start: int
-    stop: int
-    chain: _Chain
-    offset: int
+# a chain, a segment (a stretch of a chain's interior inside one run, or one
+# vertex whose single out-edge is an extra edge) and the skeleton, laid out
+# as fibercone.certificate reads them
+_Chain = namedtuple("_Chain", "path end")
+_Segment = namedtuple("_Segment", "start stop chain offset")
 
 
-class _Skeleton:
-    """Skeleton vertices, the chains out of each, and where interiors lie.
+class _Skeleton(namedtuple("_Skeleton", "nodes chains segments starts")):
+    """The skeleton with its lookups: index inverts nodes, and out_w and
+    reach give each chain's end and weight and the longest interior past
+    each skeleton vertex."""
 
-    nodes lists the skeleton vertices and index inverts it; chains[i] are the
-    chains out of nodes[i]; segments are the chain interiors, sorted by
-    start, and starts lists their starts for bisection.  Built from the
-    store in O(runs + extra edges) steps, plus one per vertex that has no
-    edge and the C-level copies of the chain paths.
-    """
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {v: x for x, v in enumerate(self.nodes)}
 
-    def __init__(self, g: Digraph):
-        n = g.vertex_count
-        # a vertex that is no run end, no end of an extra edge and has an
-        # edge out is a run member past its run's first vertex that no extra
-        # edge enters, so of in- and out-degree 1
-        ends = set(chain.from_iterable(g.runs))
-        ends.update(chain.from_iterable(edge[:2] for edge in g.extra))
-        found = {v for v in ends if g.in_degree(v) != 1 or len(g.successors(v)) != 1}
-        found.update(g.bare(0))
-        self.nodes = nodes = sorted(found)
-        self.index = {v: i for i, v in enumerate(nodes)}
-        self.chains: list[list[_Chain]] = []
+    @cached_property
+    def out_w(self) -> list[list[tuple[int, int]]]:
+        index = self.index
+        return [[(index[ch.end], len(ch.path)) for ch in out] for out in self.chains]
 
-        def trace(x: int) -> list[_Segment]:
-            """The chains out of x; returns their interiors' segments."""
-            out, made = [], []
-            for y in g.successors(x):
-                path, pieces = [x], []
-                while y not in self.index:
-                    stop = g.run_last(y)
-                    if stop is not None:
-                        # cross the run up to its last vertex or the next
-                        # skeleton vertex inside it
-                        nxt = bisect_right(nodes, y)
-                        if nxt < len(nodes) and nodes[nxt] < stop:
-                            stop = nodes[nxt]
-                        pieces.append((y, stop, len(path)))
-                        path += range(y, stop)
-                        y = stop
-                    else:
-                        pieces.append((y, y + 1, len(path)))
-                        path.append(y)
-                        (y,) = g.successors(y)
-                ch = _Chain(tuple(path), y)
-                out.append(ch)
-                made += (_Segment(a, b, ch, i) for a, b, i in pieces)
-            self.chains.append(out)
-            return made
-
-        segments = list(chain.from_iterable(map(trace, nodes)))
-        # what is left lies on cycles of in- and out-degree-1 vertices: the
-        # least vertex of each stands in for a skeleton vertex, and its
-        # cycle becomes a chain from it to itself
-        if len(nodes) + sum(seg.stop - seg.start for seg in segments) < n:
-            covered = set(nodes)
-            for seg in segments:
-                covered.update(range(seg.start, seg.stop))
-            self.nodes = list(nodes)
-            for v in sorted(set(range(n)) - covered):
-                if v not in covered:
-                    self.index[v] = len(self.nodes)
-                    self.nodes.append(v)
-                    segments += trace(v)
-                    covered.update(self.chains[-1][0].path)
-        segments.sort()
-        self.segments = segments
-        self.starts = [seg.start for seg in segments]
-        self.out_w = [
-            [(self.index[ch.end], len(ch.path)) for ch in out] for out in self.chains
-        ]
-        # the largest chain-interior offset past each skeleton vertex
-        self.reach = [max((len(ch.path) - 1 for ch in out), default=0)
-                      for out in self.chains]
+    @cached_property
+    def reach(self) -> list[int]:
+        return [max((len(ch.path) - 1 for ch in out), default=0) for out in self.chains]
 
     def place(self, y: int) -> tuple[_Chain, int]:
-        """(chain, i) for a chain interior y, which sits i steps past the
-        chain's start."""
-        seg = self.segments[bisect_right(self.starts, y) - 1]
-        return seg.chain, seg.offset + y - seg.start
+        """(chain, i): the chain interior y sits i steps past its start."""
+        start, _, (x, k), offset = self.segments[bisect_right(self.starts, y) - 1]
+        return self.chains[x][k], offset + y - start
 
     def row_of(self, y: int) -> tuple[int, int]:
         """(skeleton index x, offset i) with W(u, y) = W(u, nodes[x]) + i."""
         if y in self.index:
             return self.index[y], 0
-        chain, i = self.place(y)
-        return self.index[chain.path[0]], i
+        start, _, (x, _), offset = self.segments[bisect_right(self.starts, y) - 1]
+        return x, offset + y - start
 
 
-class _Rows(NamedTuple):
-    """A residue table as rows, the form that _certify_table reads:
-    rows[x][rho] is the least length of a walk u -> nodes[x] congruent to
-    rho mod c, or the unreached marker."""
+def _skeleton(g: Digraph) -> _Skeleton:
+    """The skeleton, from the store in O(runs + extra edges) steps, plus one
+    per vertex with no edge and the C-level copies of the chain paths."""
+    n = g.vertex_count
+    # a vertex that is no run end, no end of an extra edge and has an edge
+    # out is a run member past its run's first vertex that no extra edge
+    # enters, so of in- and out-degree 1
+    ends = set(chain.from_iterable(g.runs))
+    ends.update(chain.from_iterable(edge[:2] for edge in g.extra))
+    found = {v for v in ends if g.in_degree(v) != 1 or len(g.successors(v)) != 1}
+    found.update(g.bare(0))
+    nodes = sorted(found)
+    index = {v: x for x, v in enumerate(nodes)}
+    chains: list[list[_Chain]] = []
 
-    c: int
-    rows: list[list[int]]
-    unreached: int
+    def trace(x: int) -> list[_Segment]:
+        """The chains out of x; returns their interiors' segments."""
+        out, made = [], []
+        for k, y in enumerate(g.successors(x)):
+            path, pieces = [x], []
+            while y not in index:
+                stop = g.run_last(y)
+                if stop is not None:
+                    # cross the run up to its last vertex or the next
+                    # skeleton vertex inside it
+                    nxt = bisect_right(nodes, y)
+                    if nxt < len(nodes) and nodes[nxt] < stop:
+                        stop = nodes[nxt]
+                    pieces.append((y, stop, len(path)))
+                    path += range(y, stop)
+                    y = stop
+                else:
+                    pieces.append((y, y + 1, len(path)))
+                    path.append(y)
+                    (y,) = g.successors(y)
+            out.append(_Chain(tuple(path), y))
+            ref = (len(chains), k)
+            made += (_Segment(a, b, ref, i) for a, b, i in pieces)
+        chains.append(out)
+        return made
+
+    segments = list(chain.from_iterable(map(trace, nodes)))
+    order = nodes
+    # what is left lies on cycles of in- and out-degree-1 vertices: the
+    # least vertex of each stands in for a skeleton vertex, and its cycle
+    # becomes a chain from it to itself
+    if len(nodes) + sum(seg.stop - seg.start for seg in segments) < n:
+        covered = set(nodes)
+        for seg in segments:
+            covered.update(range(seg.start, seg.stop))
+        order = list(nodes)
+        for v in sorted(set(range(n)) - covered):
+            if v not in covered:
+                index[v] = len(order)
+                order.append(v)
+                segments += trace(v)
+                covered.update(chains[-1][0].path)
+    segments.sort()
+    return _Skeleton(order, chains, segments, [seg.start for seg in segments])
 
 
-@dataclass(frozen=True)
-class _Table:
-    """Least walk lengths from vertex u by residue mod c, kept by rounds.
-
-    masks[x][i] is a c-bit set of residues: rho is in it iff the least
-    length of a walk u -> nodes[x] congruent to rho mod c is q c + rho, for
-    the round q = rounds[x][i].  Rounds increase along each list, and a
-    residue in no mask is unreached.  cycle is a closed walk of length c
-    through u, as its c + 1 vertices; unreached stands for the unreached
-    residues in row_form().
-    """
-
-    u: int
-    c: int
-    cycle: tuple[int, ...]
-    rounds: list[list[int]]
-    masks: list[list[int]]
-    unreached: int
-
-    def row_form(self) -> _Rows | None:
-        """The table as rows; None if some residue is in two masks."""
-        c, top, rows = self.c, self.unreached, []
-        for qs, masks in zip(self.rounds, self.masks):
-            row = [top] * c
-            for q, mask in zip(qs, masks):
-                base = q * c
-                while mask:
-                    rho = mask.bit_length() - 1
-                    if row[rho] != top:
-                        return None
-                    row[rho] = base + rho
-                    mask ^= 1 << rho
-            rows.append(row)
-        return _Rows(c, rows, top)
+class _Table(namedtuple("_Table", "u c cycle rounds masks unreached")):
+    """Least walk lengths from u by residue mod c, kept by rounds as
+    fibercone.certificate lays them out, with the queries on them."""
 
     @cached_property
     def tops(self) -> list[int]:
@@ -506,296 +406,6 @@ def _residue_table(sk: _Skeleton, u: int) -> _Table | None:
     return _Table(u, c, cycle, rounds, masks, unreached)
 
 
-# -- the checker: certifies, never searches ------------------------------------
-
-
-def _certify_skeleton(g: Digraph, sk: _Skeleton) -> None:
-    """Raises unless the skeleton is right; reads only the store, at the
-    granularity of segments, never vertex by vertex."""
-
-    def fail(why: str) -> None:
-        raise RuntimeError(f"branch skeleton failed re-verification: {why}")
-
-    labels, nodes, segments, n = g.labels, sk.nodes, sk.segments, g.vertex_count
-    if len(sk.chains) != len(nodes):
-        fail("some skeleton vertex has no list of chains")
-    # the nodes and segments tile 0 .. V - 1 exactly once, and the lookups
-    # that the engine reads agree with them
-    ends = list(chain.from_iterable(sorted(
-        [(v, v + 1) for v in nodes] + [seg[:2] for seg in segments]
-    )))
-    if (
-        ends[1:-1:2] != ends[2::2]
-        or not all(map(lt, ends[::2], ends[1::2]))
-        or ends[:1] + ends[-1:] != ([0, n] if n else [])
-        or [seg.start for seg in segments] != sk.starts
-        or not all(map(lt, sk.starts, sk.starts[1:]))
-        or len(sk.index) != len(nodes)
-        or any(sk.index.get(v) != i for i, v in enumerate(nodes))
-    ):
-        fail("some vertex is neither a skeleton vertex nor one chain's interior")
-    # a segment lies inside one run, or is one vertex with one out-edge, and
-    # one edge enters it, at its first vertex
-    for start, stop, _, _ in segments:
-        last = g.run_last(start)
-        if last is None or stop > last:
-            if stop != start + 1:
-                fail("some segment leaves its run")
-            if len(g.successors(start)) != 1:
-                fail("some chain interior has in- or out-degree != 1")
-        if g.extra_into(start + 1, stop):
-            fail("an edge enters a segment past its first vertex")
-        if g.in_degree(start) != 1:
-            fail("some chain interior has in- or out-degree != 1")
-    used = 0
-    for x, out in zip(nodes, sk.chains):
-        firsts_out = sorted(ch.path[1] if len(ch.path) > 1 else ch.end for ch in out)
-        if firsts_out != list(g.successors(x)):
-            fail(f"the chains out of {labels[x]!r} do not start with its out-edges")
-        for ch in out:
-            path = ch.path
-            if path[0] != x or ch.end not in sk.index:
-                fail(f"a chain out of {labels[x]!r} has the wrong ends")
-            if g.extra_steps(path + (ch.end,)) is None:
-                fail(f"a chain out of {labels[x]!r} is not a path of edges")
-            # the interior, a segment at a time, at the stated offsets
-            i = 1
-            while i < len(path):
-                at = bisect_right(sk.starts, path[i]) - 1
-                seg = segments[at] if at >= 0 else None
-                size = seg.stop - seg.start if seg else 0
-                if (
-                    seg is None
-                    or seg.start != path[i]
-                    or seg.chain is not ch
-                    or seg.offset != i
-                    or i + size > len(path)
-                    or path[i + size - 1] != seg.stop - 1
-                ):
-                    fail(f"a chain out of {labels[x]!r} misplaces its interior")
-                i += size
-                used += 1
-    if used != len(segments):
-        fail("some vertex is neither a skeleton vertex nor one chain's interior")
-
-
-def _fail_table(g: Digraph, u: int, why: str) -> NoReturn:
-    raise RuntimeError(
-        f"residue table of {g.labels[u]!r} failed re-verification: {why}"
-    )
-
-
-def _certify_table(g: Digraph, sk: _Skeleton, u: int, table: _Rows) -> None:
-    """Bellman's equations on the rows of a table whose rounds
-    _certify_rounds has passed."""
-    c, rows, top, start = table.c, table.rows, table.unreached, sk.index[u]
-    # best[z][(rho + w) % c] is the least D[x][rho] + w over the chains
-    # x -> z of weight w, starting from the unreached marker
-    best = [[top] * c for _ in rows]
-    for row, out in zip(rows, sk.chains):
-        for chain in out:
-            z, w = sk.index[chain.end], len(chain.path)
-            s = w % c
-            rotated = row[-s:] + row[:-s]
-            best[z] = [q if q < p + w else p + w for p, q in zip(rotated, best[z])]
-    best[start][0] = 0
-    mismatch = next(
-        (
-            (z, rho)
-            for z, (row, low) in enumerate(zip(rows, best))
-            if row != low
-            for rho, (d, b) in enumerate(zip(row, low))
-            if d != b
-        ),
-        None,
-    )
-    if mismatch is not None:
-        z, rho = mismatch
-        clause = "lower bound" if rows[z][rho] > best[z][rho] else "attained"
-        _fail_table(
-            g, u, f"{clause} fails at D[{g.labels[sk.nodes[z]]!r}][{rho}] = "
-            f"{rows[z][rho]}, its predecessors give {best[z][rho]}"
-        )
-
-
-def _certify_rounds(g: Digraph, sk: _Skeleton, u: int, table: _Table) -> None:
-    """The clauses that both routes rely on: the root, the cycle, lists of
-    increasing rounds with nonempty masks of residues below c, the unreached
-    marker and D[u][0] = 0."""
-    c, top = table.c, table.unreached
-    if table.u != u:
-        _fail_table(g, u, f"the table is rooted at {g.labels[table.u]!r}")
-    cycle = table.cycle
-    if len(cycle) != c + 1 or cycle[0] != u or cycle[-1] != u:
-        _fail_table(g, u, f"the cycle is not a closed walk of length {c} through it")
-    if g.extra_steps(cycle) is None:
-        _fail_table(g, u, "the cycle is not a walk of the digraph")
-    full = (1 << c) - 1
-    count = len(sk.nodes)
-    if len(table.rounds) != count or len(table.masks) != count:
-        _fail_table(g, u, f"the table is not {count} rows of {c} residues")
-    for x, (qs, masks) in enumerate(zip(table.rounds, table.masks)):
-        if (
-            len(qs) != len(masks)
-            or not all(map(lt, qs, qs[1:]))
-            or qs and qs[0] < 0
-            or 0 in masks
-            or masks and max(masks) > full
-        ):
-            _fail_table(
-                g, u, f"the rounds of {g.labels[sk.nodes[x]]!r} are not increasing "
-                f"rounds of nonempty sets of {c} residues"
-            )
-    # a least walk visits each state at most once, so is at most this long
-    weight = max(len(ch.path) for out in sk.chains for ch in out)
-    if top <= (count * c - 1) * weight:
-        _fail_table(g, u, f"the unreached marker {top} is not above every walk length")
-    # D[u][0] = 0: u's first round is round 0, and its mask holds residue 0
-    start = sk.index[u]
-    if not (table.rounds[start][:1] == [0] and table.masks[start][0] & 1):
-        _fail_table(g, u, "D[u][0] != 0")
-
-
-def _certify_bitmaps(
-    g: Digraph, sk: _Skeleton, u: int, table: _Table
-) -> None:
-    """Bellman's equations on one length bitmap per skeleton vertex, for a
-    table that _certify_rounds has passed."""
-    c, start = table.c, sk.index[u]
-    labels, nodes = g.labels, sk.nodes
-    weight = max(len(ch.path) for out in sk.chains for ch in out)
-    # bit L of lengths[x] is set iff L is the least length of a walk
-    # u -> nodes[x] in its residue
-    lengths = [0] * len(nodes)
-    for x, (qs, masks) in enumerate(zip(table.rounds, table.masks)):
-        # the sum of nonnegative ints equals their union iff no two share
-        # a bit
-        if sum(masks) != reduce(or_, masks, 0):
-            _fail_table(
-                g, u, f"D[{labels[nodes[x]]!r}] has two lengths in one residue"
-            )
-        # neighbouring rounds are joined pairwise, so each bit moves about
-        # log2(rounds) times rather than once per later round
-        parts = list(zip(qs, masks))
-        while len(parts) > 1:
-            pairs = zip(parts[::2], parts[1::2])
-            joined = [(p, m | n << (r - p) * c) for (p, m), (r, n) in pairs]
-            parts = joined + parts[len(parts) - len(parts) % 2:]
-        if parts:
-            lengths[x] = parts[0][1] << parts[0][0] * c
-    horizon = max(lengths).bit_length() + weight
-    cut = (1 << horizon) - 1
-    into: list[list[tuple[int, int]]] = [[] for _ in nodes]
-    for x, out in enumerate(sk.chains):
-        for chain in out:
-            into[sk.index[chain.end]].append((x, len(chain.path)))
-    for z, have in enumerate(lengths):
-        # above: every length at or above the least one of its residue;
-        # given: the lengths that the chains into z give
-        above, s = have, c
-        while s < horizon:
-            above = (above | above << s) & cut
-            s += s
-        given = int(z == start)
-        for x, w in into[z]:
-            sent = lengths[x] << w
-            short = sent & ~above
-            if short:
-                d = (short & -short).bit_length() - 1
-                _fail_table(
-                    g, u, f"lower bound fails at D[{labels[nodes[z]]!r}][{d % c}], "
-                    f"which the chain from {labels[nodes[x]]!r} reaches in {d}"
-                )
-            given |= sent
-        extra = have & ~given
-        if extra:
-            d = (extra & -extra).bit_length() - 1
-            _fail_table(
-                g, u, f"attained fails at D[{labels[nodes[z]]!r}][{d % c}] = {d}, "
-                "which no chain into it gives"
-            )
-
-
-def _bitmaps_cheaper(sk: _Skeleton, table: _Table) -> bool:
-    """Is the bitmap route's cost estimate below the row route's?
-
-    The estimates are in nanoseconds, fitted on 149 tables (Gamma_(1,j,k)+
-    up to (1,300,90000)+, hub digraphs and random digraphs with long runs)
-    under CPython 3.11 on a 2-CPU x86-64 machine.  The row route builds and
-    checks (vertices + chains) x c row entries in Python.  The bitmap route
-    makes a few big-int operations per mask, per vertex for each of about
-    2 log2(R) joins and doublings, and per chain, over the R c bits of R
-    rounds.
-    """
-    c, count = table.c, len(sk.nodes)
-    chains = sum(map(len, sk.chains))
-    entries = sum(map(len, table.rounds))
-    spread = 1 + max((qs[-1] for qs in table.rounds if qs), default=0)
-    steps = 2 * count * spread.bit_length() + count + 3 * chains
-    bitmaps = 450 * (entries + steps) + 2 * spread * c / 64 * steps
-    rows = 100 * (count + chains) * c + 100 * entries + 2000 * (count + chains)
-    return bitmaps < rows
-
-
-def _check_table(g: Digraph, sk: _Skeleton, u: int, table: _Table) -> None:
-    """Certifies a table: the shared clauses, then Bellman's equations by
-    the route with the lower cost estimate."""
-    _certify_rounds(g, sk, u, table)
-    if _bitmaps_cheaper(sk, table):
-        _certify_bitmaps(g, sk, u, table)
-        return
-    rows = table.row_form()
-    if rows is None:
-        _fail_table(g, u, "some row has two lengths in one residue")
-    _certify_table(g, sk, u, rows)
-
-
-class _Refusal(NamedTuple):
-    """A certificate that no image of walk[0] is every vertex: the forced
-    walk, then the closed set, or the table with an unreached residue, or
-    neither when the walk cycles (see the module docstring)."""
-
-    why: str
-    walk: tuple[int, ...]
-    closed: frozenset[int] | None = None
-    table: _Table | None = None
-
-
-def _certify_refusal(g: Digraph, sk: _Skeleton, v: int, ref: _Refusal) -> None:
-    walk, u = ref.walk, ref.walk[-1]
-
-    def fail(why: str) -> None:
-        raise RuntimeError(f"the verdict '{ref.why}' failed re-verification: {why}")
-
-    if walk[0] != v or g.vertex_count < 2:
-        fail(f"it is not about {g.labels[v]!r} among two or more vertices")
-    taken = g.extra_steps(walk)
-    if taken is None:
-        fail("the forced walk is not a walk of the digraph")
-    # run members have out-degree 1, so only the vertices that take an
-    # extra edge are looked up
-    if any(len(g.successors(y)) != 1 for y in taken):
-        fail("the forced walk passes a vertex of out-degree != 1")
-    if ref.closed is not None:
-        if u in ref.closed:
-            fail(f"the closed set holds {g.labels[u]!r}")
-        if any(t not in ref.closed for s in (u, *ref.closed) for t in g.successors(s)):
-            fail("the set is not closed under successors")
-    elif ref.table is not None:
-        _check_table(g, sk, u, ref.table)
-        if max(ref.table.tops) < ref.table.unreached:
-            fail("every residue is reached")
-        # the run steps enter first + 1 .. last of each run, and each extra
-        # edge its target
-        entered = sum(last - first for first, last in g.runs) + len(
-            {t for _, t, _ in g.extra if g.run_last(t - 1) is None}
-        )
-        if entered != g.vertex_count:
-            fail("some in-degree is zero, so coverage need not be monotone")
-    elif u not in walk[:-1]:
-        fail("the forced walk does not close on itself")
-
-
 # -- the per-digraph engine ----------------------------------------------------
 
 
@@ -816,8 +426,8 @@ class _Engine:
     @cached_property
     def skeleton(self) -> _Skeleton:
         g = self.g
-        sk = _Skeleton(g)
-        _certify_skeleton(g, sk)
+        sk = _skeleton(g)
+        certificate._certify_skeleton(g, sk)
         return sk
 
     @cached_property
@@ -872,14 +482,14 @@ class _Engine:
             sk = self.skeleton
             table = _residue_table(sk, u) if self.cyclic[sk.index[u]] else None
             if table is not None:
-                _check_table(self.g, sk, u, table)
+                certificate._check_table(self.g, sk, u, table)
             self._tables[u] = table
         return self._tables[u]
 
-    def refuse(self, v: int, refusal: _Refusal) -> NeverCoversError:
+    def refuse(self, v: int, refusal: certificate._Refusal) -> NeverCoversError:
         """The verdict that nothing covers from v, once its certificate is
         checked."""
-        _certify_refusal(self.g, self.skeleton, v, refusal)
+        certificate._certify_refusal(self.g, self.skeleton, v, refusal)
         return NeverCoversError(refusal.why)
 
     def forced(self, v: int) -> tuple[list[int], int | None, int]:
@@ -922,18 +532,18 @@ class _Engine:
         sk, labels = self.skeleton, self.g.labels
         path, u, loop = self.forced(v)
         if u is None:
-            raise self.refuse(v, _Refusal(
+            raise self.refuse(v, certificate._Refusal(
                 f"the forced walk from {labels[v]!r} cycles, so every image of "
                 "it is a single vertex", (*path, path[loop])
             ))
         table = self.table(u)
         if table is None:
-            raise self.refuse(v, _Refusal(
+            raise self.refuse(v, certificate._Refusal(
                 f"no closed walk passes through {labels[u]!r}, the end of the "
                 f"forced walk from {labels[v]!r}", (*path, u), closed=self.beyond(u)
             ))
         if table.cover(sk) is None:
-            raise self.refuse(v, _Refusal(
+            raise self.refuse(v, certificate._Refusal(
                 f"some residue mod {table.c} of walk lengths from {labels[v]!r} "
                 "to some vertex is unreached", (*path, u), table=table
             ))
@@ -1072,7 +682,7 @@ def primitivity_exponent(g: Digraph) -> int:
     try:
         v = _degree_zero(g)
         if v is not None:
-            raise eng.refuse(v, _Refusal(
+            raise eng.refuse(v, certificate._Refusal(
                 f"{g.labels[v]!r} has in- or out-degree zero, which keeps "
                 "every power from being positive", (v,), eng.beyond(v)
             ))

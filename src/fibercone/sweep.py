@@ -336,6 +336,15 @@ def run_sweep(cfg: SweepConfig) -> list[BoundReport]:
     return list(iter_sweep(cfg))
 
 
+def check_tolerance(tolerance: float | None) -> None:
+    """Raises ValueError unless tolerance is None or a finite real >= 0."""
+    if tolerance is not None and (
+        isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real)
+        or not 0 <= tolerance < math.inf
+    ):
+        raise ValueError(f"tolerance must be a finite number >= 0, not {tolerance!r}")
+
+
 def verify_exponent_law(
     reports: list[BoundReport],
     which: str = "upper",
@@ -351,11 +360,7 @@ def verify_exponent_law(
     """
     if which not in ("lower", "upper"):
         raise ValueError("which must be 'lower' or 'upper'")
-    if tolerance is not None and (
-        isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real)
-        or not 0 <= tolerance < math.inf
-    ):
-        raise ValueError(f"tolerance must be a finite number >= 0, not {tolerance!r}")
+    check_tolerance(tolerance)
     if not reports:
         raise ValueError("no reports to fit")
     pqs = {(rep.p, rep.q) for rep in reports}

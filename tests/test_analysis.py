@@ -1,9 +1,11 @@
 """Reachability analysis: primitivity, step images, covering, avoidance."""
 
+import ast
 import copy
-import dataclasses
+import json
 import math
 import re
+import sys
 import tokenize
 from unittest import mock
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from fibercone import (
     AvoidanceWitness,
+    certificate,
     digraph_analysis,
     Digraph,
     NeverCoversError,
@@ -540,7 +543,7 @@ def test_residue_tables_match_brute_force(g):
                 row = expected[x]
                 if v in reached and row[length % table.c] == table.unreached:
                     row[length % table.c] = length
-        assert table.row_form().rows == expected
+        assert certificate._rows(table).rows == expected
 
 
 _RESIDUE_TABLE = digraph_analysis._residue_table
@@ -574,7 +577,7 @@ def _remasked(table, x, edit):
     masks = [list(ms) for ms in table.masks]
     rounds[x] = sorted(by_round)
     masks[x] = [by_round[q] for q in rounds[x]]
-    return dataclasses.replace(table, rounds=rounds, masks=masks)
+    return table._replace(rounds=rounds, masks=masks)
 
 
 def _raised(table, x):
@@ -621,7 +624,7 @@ def _reshaped(table, x, edit):
     masks = [list(ms) for ms in table.masks]
     if edit(rounds[x], masks[x], table.c) is False:
         return None
-    return dataclasses.replace(table, rounds=rounds, masks=masks)
+    return table._replace(rounds=rounds, masks=masks)
 
 
 def _unsorted(table, x):
@@ -669,7 +672,7 @@ def _unpaired_round(table, x):
 def _emptied(table, x):
     """Every row emptied: Bellman's equations without D[u][0] = 0 hold."""
     empty = [[] for _ in table.masks]
-    return dataclasses.replace(table, rounds=empty, masks=list(map(list, empty)))
+    return table._replace(rounds=empty, masks=list(map(list, empty)))
 
 
 def _entry_up(table):
@@ -681,7 +684,7 @@ def _entry_down(table):
 
 
 def _cycle_longer(table):
-    return dataclasses.replace(table, c=table.c + 1)
+    return table._replace(c=table.c + 1)
 
 
 TABLE_CORRUPTIONS = (_entry_up, _entry_down, _cycle_longer)
@@ -704,7 +707,7 @@ def test_avoidance_witness_failing_backward_check_raises(monkeypatch):
 
 
 def test_corrupted_skeleton_fails_re_verification(monkeypatch):
-    real = digraph_analysis._Skeleton
+    real = digraph_analysis._skeleton
 
     def skipping(g):
         sk = real(g)
@@ -713,7 +716,7 @@ def test_corrupted_skeleton_fails_re_verification(monkeypatch):
         out[i] = out[i]._replace(path=out[i].path[:1] + out[i].path[2:])
         return sk
 
-    monkeypatch.setattr(digraph_analysis, "_Skeleton", skipping)
+    monkeypatch.setattr(digraph_analysis, "_skeleton", skipping)
     with pytest.raises(RuntimeError, match="re-verification"):
         primitivity_exponent(magic_digraph(8, 4))
 
@@ -730,11 +733,11 @@ def _route_verdicts(g, sk, u, table):
     verdicts = []
     for bitmaps in (True, False):
         forced = mock.patch.object(
-            digraph_analysis, "_bitmaps_cheaper", lambda sk, table: bitmaps
+            certificate, "_bitmaps_cheaper", lambda sk, table: bitmaps
         )
         try:
             with forced:
-                digraph_analysis._check_table(g, sk, u, table)
+                certificate._check_table(g, sk, u, table)
         except RuntimeError as exc:
             assert "re-verification" in str(exc)
             verdicts.append(False)
@@ -763,7 +766,7 @@ BITMAP_CORRUPTIONS = [
     (lambda g, t, x: _unsorted(t, x), lambda: magic_digraph(4, 16)),
     (lambda g, t, x: _overflowing(t, x), lambda: magic_digraph(4, 16)),
     (lambda g, t, x: _empty_mask(t, x), lambda: magic_digraph(4, 16)),
-    (lambda g, t, x: dataclasses.replace(t, unreached=0),
+    (lambda g, t, x: t._replace(unreached=0),
      lambda: magic_digraph(4, 16)),
     (lambda g, t, x: _negative_round(t, x), lambda: magic_digraph(4, 16)),
     (lambda g, t, x: _unpaired_round(t, x), lambda: magic_digraph(4, 16)),
@@ -782,15 +785,15 @@ def test_bitmap_route_refuses_each_corruption(corrupt, build):
     u = next(v for v, out in zip(sk.nodes, sk.chains) if len(out) > 1)
     table = digraph_analysis._residue_table(sk, u)
     # the table has few rounds, so the bitmap route certifies it
-    assert digraph_analysis._bitmaps_cheaper(sk, table)
-    digraph_analysis._check_table(g, sk, u, table)
+    assert certificate._bitmaps_cheaper(sk, table)
+    certificate._check_table(g, sk, u, table)
     for x in range(len(sk.nodes)):
         bad = corrupt(g, table, x)
         if bad is None:
             continue
-        assert digraph_analysis._bitmaps_cheaper(sk, bad)
+        assert certificate._bitmaps_cheaper(sk, bad)
         with pytest.raises(RuntimeError, match="re-verification"):
-            digraph_analysis._check_table(g, sk, u, bad)
+            certificate._check_table(g, sk, u, bad)
         assert _route_verdicts(g, sk, u, bad) == [False, False]
 
 
@@ -822,6 +825,82 @@ def test_both_check_routes_accept_or_refuse_alike(g, data):
     assert _route_verdicts(g, sk, u, table) == [corrupt is None] * 2
 
 
+def _lists_and_ints(data):
+    """data as a JSON document gives it back: lists and ints only."""
+    plain = json.loads(json.dumps(data))
+
+    def leaves(x):
+        return [leaf for y in x for leaf in leaves(y)] if type(x) is list else [x]
+
+    assert all(type(leaf) is int for leaf in leaves(plain))
+    return plain
+
+
+def _refusal_text(check, *args):
+    try:
+        check(*args)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    g=st.one_of(
+        st.builds(magic_digraph, st.integers(1, 30), st.integers(1, 30)),
+        digraphs_with_runs(),
+    ),
+    data=st.data(),
+)
+def test_checker_reads_plain_data(g, data):
+    # the checker reads a skeleton and tables as lists and ints alone, so it
+    # calls nothing of the engine's objects, and it refuses each tamper with
+    # the text that the engine's objects get
+    g, eng, sk = _certified(g)
+    plain_sk = _lists_and_ints(sk)
+    certificate._certify_skeleton(g, plain_sk)
+    x = data.draw(st.integers(0, len(sk.nodes) - 1))
+    for u in sk.nodes:
+        table = eng.table(u)
+        if table is None:
+            continue
+        certificate._check_table(g, plain_sk, u, _lists_and_ints(table))
+        for corrupt, _ in BITMAP_CORRUPTIONS:
+            bad = corrupt(g, table, x)
+            if bad is None:
+                continue
+            text = _refusal_text(certificate._check_table, g, sk, u, bad)
+            assert text is not None and "re-verification" in text
+            assert _refusal_text(
+                certificate._check_table, g, plain_sk, u, _lists_and_ints(bad)
+            ) == text
+
+
+def test_certificate_imports_no_engine_code():
+    # the checker is a second route only if it shares no code with the
+    # engine: it may import the standard library and the store, nothing else
+    with open(certificate.__file__, "rb") as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "fibercone." * (node.level > 0) + (node.module or "")
+            if node.module is None:
+                imported += [base + alias.name for alias in node.names]
+            else:
+                imported.append(base)
+        elif isinstance(node, ast.Name):
+            assert node.id not in ("__import__", "importlib")
+    assert "fibercone.traintrack_digraph" in imported
+    for name in imported:
+        top = name.split(".")[0]
+        assert name == "fibercone.traintrack_digraph" or (
+            top in sys.stdlib_module_names and top != "importlib"
+        ), name
+
+
 @pytest.mark.parametrize(
     ("j", "k", "r", "route"),
     [
@@ -838,13 +917,13 @@ def test_each_check_route_is_taken(monkeypatch, j, k, r, route):
     taken = []
     routes = (("_certify_bitmaps", "bitmaps"), ("_certify_table", "rows"))
     for name, route_name in routes:
-        real = getattr(digraph_analysis, name)
+        real = getattr(certificate, name)
 
         def counted(*args, real=real, route_name=route_name):
             taken.append(route_name)
             return real(*args)
 
-        monkeypatch.setattr(digraph_analysis, name, counted)
+        monkeypatch.setattr(certificate, name, counted)
     g = magic_digraph(j, k)
     assert primitivity_exponent(g) == r
     assert route in taken
@@ -853,7 +932,7 @@ def test_each_check_route_is_taken(monkeypatch, j, k, r, route):
         eng = digraph_analysis._engine(g)
         table = eng.table(g.index(f"a_{k}"))
         assert table.c == k and max(map(len, table.rounds)) >= k
-        assert not digraph_analysis._bitmaps_cheaper(eng.skeleton, table)
+        assert not certificate._bitmaps_cheaper(eng.skeleton, table)
     else:
         assert set(taken) == {"bitmaps"}
 
@@ -866,11 +945,14 @@ def _hub(n):
     return Digraph.from_edges([f"v{i}" for i in range(n)] + ["h"], pairs)
 
 
-def test_analysis_module_stays_below_the_parser_token_doubling():
+@pytest.mark.parametrize(
+    "module", [digraph_analysis, certificate], ids=["digraph_analysis", "certificate"]
+)
+def test_analysis_module_stays_below_the_parser_token_doubling(module):
     # CPython's parser doubles its token array at 8192 tokens, which adds
-    # about 0.46 MB to the peak RSS of every process that compiles this
+    # about 0.46 MB to the peak RSS of every process that compiles the
     # module from source
-    with open(digraph_analysis.__file__, "rb") as fh:
+    with open(module.__file__, "rb") as fh:
         tokens = [
             tok for tok in tokenize.tokenize(fh.readline)
             if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
@@ -889,7 +971,7 @@ def test_period_two_cycle_with_chord_is_not_primitive():
         primitivity_exponent(_period_two(4000))
 
 
-_CERTIFY_REFUSAL = digraph_analysis._certify_refusal
+_CERTIFY_REFUSAL = certificate._certify_refusal
 
 
 def _cycle_broken(refusal):
@@ -946,7 +1028,7 @@ def test_corrupted_negative_verdict_fails_re_verification(
         with pytest.raises((NotPrimitiveError, NeverCoversError)):
             check(build())
     monkeypatch.setattr(
-        digraph_analysis,
+        certificate,
         "_certify_refusal",
         lambda g, sk, v, ref: _CERTIFY_REFUSAL(g, sk, v, corrupt(ref)),
     )
@@ -1046,8 +1128,9 @@ def _interior_moved(sk):
 def _stray_place(sk):
     # a one-vertex segment of the chain laid over a skeleton vertex
     _, _, chain = _with_interior(sk)
+    ref = sk.segments[sk.starts.index(chain.path[1])].chain
     v = sk.nodes[0]
-    sk.segments.append(digraph_analysis._Segment(v, v + 1, chain, 1))
+    sk.segments.append(digraph_analysis._Segment(v, v + 1, ref, 1))
     sk.segments.sort(key=lambda seg: seg.start)
     sk.starts[:] = [seg.start for seg in sk.segments]
 
@@ -1057,7 +1140,7 @@ def _skeleton_of(sk_tamper):
         g, _, sk = _certified(magic_digraph(8, 4))
         sk = copy.deepcopy(sk)
         sk_tamper(sk)
-        digraph_analysis._certify_skeleton(g, sk)
+        certificate._certify_skeleton(g, sk)
 
     return check
 
@@ -1068,7 +1151,7 @@ def _branching_interior():
     labels = ("a", "y", "b", "c")
     g = Digraph.from_edges(labels, ((0, 1), (1, 2), (1, 3), (2, 0), (3, 0)))
     hidden = Digraph.from_edges(labels, ((0, 1), (1, 2), (2, 0), (3, 0)))
-    digraph_analysis._certify_skeleton(g, digraph_analysis._Skeleton(hidden))
+    certificate._certify_skeleton(g, digraph_analysis._skeleton(hidden))
 
 
 def _table_of(table_tamper):
@@ -1077,7 +1160,7 @@ def _table_of(table_tamper):
         g, eng, sk = _certified(magic_digraph(8, 4))
         u = next(x for x, out in zip(sk.nodes, sk.chains) if len(out) > 1)
         table = table_tamper(g, eng.table(u))
-        digraph_analysis._certify_rounds(g, sk, u, table)
+        certificate._certify_rounds(g, sk, u, table)
 
     return check
 
@@ -1088,7 +1171,7 @@ def _routed_table_of(v, table_tamper):
     def check():
         g, eng, sk = _certified(magic_digraph(8, 4))
         u = g.index(v)
-        digraph_analysis._check_table(g, sk, u, table_tamper(g, eng.table(u)))
+        certificate._check_table(g, sk, u, table_tamper(g, eng.table(u)))
 
     return check
 
@@ -1100,14 +1183,14 @@ def _cycle_off_the_edges(g, table):
         v for v in range(g.vertex_count)
         if not g.has_edge(g.labels[u], g.labels[v])
     )
-    return dataclasses.replace(table, cycle=(u, stranger) + table.cycle[2:])
+    return table._replace(cycle=(u, stranger) + table.cycle[2:])
 
 
 def _refusal_of(build, v, make_refusal):
     def check():
         g, eng, sk = _certified(build())
         ref = make_refusal(eng)
-        digraph_analysis._certify_refusal(g, sk, g.index(v), ref)
+        certificate._certify_refusal(g, sk, g.index(v), ref)
 
     return check
 
@@ -1126,7 +1209,7 @@ def _period_two_with_a_source():
     return Digraph.from_edges(("v0", "v1", "v2", "v3", "s"), pairs)
 
 
-_Refusal = digraph_analysis._Refusal
+_Refusal = certificate._Refusal
 
 # (clause of the checker's refusal text, a check that must raise it)
 CHECKER_CLAUSES = [
@@ -1138,20 +1221,20 @@ CHECKER_CLAUSES = [
     ("some vertex is neither a skeleton vertex nor one chain's interior",
      _skeleton_of(_stray_place)),
     ("the table is rooted at 'b_1'",
-     _table_of(lambda g, t: dataclasses.replace(t, u=g.index("b_1")))),
+     _table_of(lambda g, t: t._replace(u=g.index("b_1")))),
     ("the cycle is not a closed walk of length 4 through it",
-     _table_of(lambda g, t: dataclasses.replace(t, cycle=t.cycle[:-1]))),
+     _table_of(lambda g, t: t._replace(cycle=t.cycle[:-1]))),
     ("the cycle is not a walk of the digraph", _table_of(_cycle_off_the_edges)),
     ("the table is not 6 rows of 4 residues",
-     _table_of(lambda g, t: dataclasses.replace(t, rounds=t.rounds[:-1]))),
+     _table_of(lambda g, t: t._replace(rounds=t.rounds[:-1]))),
     ("the rounds of 'a_1' are not increasing rounds of nonempty sets of 4 "
      "residues", _table_of(lambda g, t: _empty_mask(t, 1))),
     ("the unreached marker 0 is not above every walk length",
-     _table_of(lambda g, t: dataclasses.replace(t, unreached=0))),
+     _table_of(lambda g, t: t._replace(unreached=0))),
     ("D[u][0] != 0", _table_of(lambda g, t: _emptied(t, 0))),
     # a_4's table (c = 4, one residue a round) takes the row route, and
-    # r_8's (c = 12) the bitmap route
-    ("some row has two lengths in one residue",
+    # r_8's (c = 12) the bitmap route; the shared clauses refuse both
+    ("D['a_1'] has two lengths in one residue",
      _routed_table_of("a_4", lambda g, t: _doubled(t, 1))),
     ("D['a_1'] has two lengths in one residue",
      _routed_table_of("r_8", lambda g, t: _doubled(t, 1))),
@@ -1267,9 +1350,9 @@ def _ring_beside_a_loop():
 def _stand_in_dropped(g, sk):
     # the ring's stand-in y and its chain leave the skeleton, and a segment
     # that no chain holds covers y
-    ring = sk.chains.pop()[0]
+    sk.chains.pop()
     del sk.index[sk.nodes.pop()]
-    sk.segments.append(digraph_analysis._Segment(2, 3, ring, 0))
+    sk.segments.append(digraph_analysis._Segment(2, 3, (len(sk.chains), 0), 0))
     sk.segments.sort(key=lambda seg: seg.start)
     sk.starts[:] = [seg.start for seg in sk.segments]
     return g
@@ -1328,7 +1411,7 @@ def test_each_segment_clause_refuses_its_tamper(clause, build, tamper):
     g, _, sk = _certified(build())
     sk = copy.deepcopy(sk)
     with pytest.raises(RuntimeError, match=re.escape(f"re-verification: {clause}")):
-        digraph_analysis._certify_skeleton(tamper(g, sk), sk)
+        certificate._certify_skeleton(tamper(g, sk), sk)
 
 
 def _relabeled(g, order):
@@ -1414,7 +1497,7 @@ def _numpy_bellman_failure(g, sk, u, table):
 def _check_failure(g, sk, u, table):
     """The refusal text of the package's table check, or None."""
     try:
-        digraph_analysis._certify_table(g, sk, u, table)
+        certificate._certify_table(g, sk, u, table)
     except RuntimeError as exc:
         return str(exc)
     return None
@@ -1435,7 +1518,7 @@ def _tampered(table, x, rho, d):
 def test_table_check_agrees_with_numpy_reference(j, k, data):
     g, eng, sk = _certified(magic_digraph(j, k))
     u = data.draw(st.sampled_from([v for v in sk.nodes if eng.cyclic[sk.index[v]]]))
-    table = eng.table(u).row_form()
+    table = certificate._rows(eng.table(u))
     assert _check_failure(g, sk, u, table) is None
     assert _numpy_bellman_failure(g, sk, u, table) is None
     # one entry other than D[u][0], which an earlier clause checks, moved
@@ -1460,7 +1543,7 @@ def test_table_check_with_a_marker_above_2_62():
     # walks v0 -> v0 have even lengths only, so odd residues stay unreached
     g, eng, sk = _certified(_period_two(6))
     u = g.index("v0")
-    table = eng.table(u).row_form()
+    table = certificate._rows(eng.table(u))
     top = 2**62 + 5
     rows = [[top if d == table.unreached else d for d in row] for row in table.rows]
     assert any(top in row for row in rows)

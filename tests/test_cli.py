@@ -462,7 +462,7 @@ MAGIC_ROWS_ARG = "1 0 0; 0 1 0; 1 0 -1; 0 1 -1"
         (("sweep", "--family", "n11", "--p", "2", "--n-from", "2", "--n-to", "3"),
          "error: the n11 family takes no p or q\n"),
         (("verify", "--family", "n11", "--n-from", "2", "--n-to", "8",
-          "--tolerance", "inf"),
+          "--tolerance", "inf", "--csv", "x.csv"),
          "error: tolerance must be a finite number >= 0, not inf\n"),
         (("verify", "--family", "n11", "--n-from", "2", "--n-to", "8",
           "--tolerance", "nan"),
