@@ -200,11 +200,13 @@ def _rows(table: Table) -> _Rows:
     return _Rows(c, rows, top)
 
 
-def _certify_table(g: Digraph, sk: Skeleton, u: int, table: _Rows) -> None:
+def _certify_table(
+    g: Digraph, sk: Skeleton, u: int, table: _Rows,
+    where: dict[int, int], moves: list[tuple[int, int, int]],
+) -> None:
     """Bellman's equations on the rows of a table whose rounds
-    _certify_rounds has passed."""
+    _certify_rounds has passed, with sk's (where, moves) from _moves."""
     c, rows, top = table
-    where, moves = _moves(sk)
     # best[z][(rho + w) % c] is the least D[x][rho] + w over the chains
     # x -> z of weight w, starting from the unreached marker
     best = [[top] * c for _ in rows]
@@ -225,14 +227,21 @@ def _certify_table(g: Digraph, sk: Skeleton, u: int, table: _Rows) -> None:
         )
 
 
-def _certify_rounds(g: Digraph, sk: Skeleton, u: int, table: Table) -> None:
-    """The clauses that both routes rely on: the root, the cycle, lists of
-    increasing rounds with nonempty masks of distinct residues below c, the
-    unreached marker and D[u][0] = 0."""
+def _certify_rounds(
+    g: Digraph, sk: Skeleton, u: int, table: Table,
+    where: dict[int, int], moves: list[tuple[int, int, int]],
+) -> None:
+    """The clauses that both routes rely on: the root, a skeleton vertex,
+    the cycle, lists of increasing rounds with nonempty masks of distinct
+    residues below c, the unreached marker and D[u][0] = 0; sk's (where,
+    moves) come from _moves."""
     root, c, cycle, rounds, masks, top = table
     labels, nodes = g.labels, sk[0]
     if root != u:
         _fail_table(g, u, f"the table is rooted at {labels[root]!r}")
+    # the rows are the skeleton vertices', so the root must be one of them
+    if u not in where:
+        _fail_table(g, u, "its root is not a skeleton vertex")
     if len(cycle) != c + 1 or cycle[0] != u or cycle[-1] != u:
         _fail_table(g, u, f"the cycle is not a closed walk of length {c} through it")
     if g.extra_steps(tuple(cycle)) is None:
@@ -257,7 +266,6 @@ def _certify_rounds(g: Digraph, sk: Skeleton, u: int, table: Table) -> None:
         if sum(ms) != reduce(or_, ms, 0):
             _fail_table(g, u, f"D[{labels[nodes[x]]!r}] has two lengths in one residue")
     # a least walk visits each state at most once, so is at most this long
-    where, moves = _moves(sk)
     if top <= (count * c - 1) * max(w for _, _, w in moves):
         _fail_table(g, u, f"the unreached marker {top} is not above every walk length")
     # D[u][0] = 0: u's first round is round 0, and its mask holds residue 0
@@ -266,12 +274,14 @@ def _certify_rounds(g: Digraph, sk: Skeleton, u: int, table: Table) -> None:
         _fail_table(g, u, "D[u][0] != 0")
 
 
-def _certify_bitmaps(g: Digraph, sk: Skeleton, u: int, table: Table) -> None:
+def _certify_bitmaps(
+    g: Digraph, sk: Skeleton, u: int, table: Table,
+    where: dict[int, int], moves: list[tuple[int, int, int]],
+) -> None:
     """Bellman's equations on one length bitmap per skeleton vertex, for a
-    table that _certify_rounds has passed."""
+    table that _certify_rounds has passed, with sk's (where, moves)."""
     _, c, _, rounds, masks, _ = table
     labels, nodes = g.labels, sk[0]
-    where, moves = _moves(sk)
     # bit L of lengths[x] is set iff L is the least length of a walk
     # u -> nodes[x] in its residue
     lengths = [0] * len(nodes)
@@ -340,12 +350,13 @@ def _bitmaps_cheaper(sk: Skeleton, table: Table) -> bool:
 
 def _check_table(g: Digraph, sk: Skeleton, u: int, table: Table) -> None:
     """Certifies a table: the shared clauses, then Bellman's equations by
-    the route with the lower cost estimate."""
-    _certify_rounds(g, sk, u, table)
+    the route with the lower cost estimate, on one (where, moves) of sk."""
+    where, moves = _moves(sk)
+    _certify_rounds(g, sk, u, table, where, moves)
     if _bitmaps_cheaper(sk, table):
-        _certify_bitmaps(g, sk, u, table)
+        _certify_bitmaps(g, sk, u, table, where, moves)
     else:
-        _certify_table(g, sk, u, _rows(table))
+        _certify_table(g, sk, u, _rows(table), where, moves)
 
 
 def _certify_refusal(g: Digraph, sk: Skeleton, v: int, ref: _Refusal) -> None:

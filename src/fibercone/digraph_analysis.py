@@ -526,9 +526,10 @@ class _Engine:
                     todo.append(y)
         return frozenset(seen)
 
-    def cover_of(self, v: int) -> tuple[list[int], _Table]:
-        """(forced path, table) for a source v that covers; raises
-        NeverCoversError, with a checked certificate, when it never does."""
+    def cover_of(self, v: int) -> tuple[list[int], _Table, int]:
+        """(forced path, table, the table's cover) for a source v that
+        covers; raises NeverCoversError, with a checked certificate, when it
+        never does."""
         sk, labels = self.skeleton, self.g.labels
         path, u, loop = self.forced(v)
         if u is None:
@@ -542,12 +543,13 @@ class _Engine:
                 f"no closed walk passes through {labels[u]!r}, the end of the "
                 f"forced walk from {labels[v]!r}", (*path, u), closed=self.beyond(u)
             ))
-        if table.cover(sk) is None:
+        cover = table.cover(sk)
+        if cover is None:
             raise self.refuse(v, certificate._Refusal(
                 f"some residue mod {table.c} of walk lengths from {labels[v]!r} "
                 "to some vertex is unreached", (*path, u), table=table
             ))
-        return path, table
+        return path, table, cover
 
     def exponent(self) -> int:
         """max over v of cov(v); needs n >= 2 and every degree >= 1.
@@ -561,8 +563,8 @@ class _Engine:
         sk = self.skeleton
         cov = {}
         for x in sorted(range(len(sk.nodes)), key=lambda x: len(sk.chains[x]) == 1):
-            path, table = self.cover_of(sk.nodes[x])
-            cov[x] = len(path) + table.cover(sk)
+            path, _, cover = self.cover_of(sk.nodes[x])
+            cov[x] = len(path) + cover
         interior = (w - 1 + cov[z] for out in sk.out_w for z, w in out if w > 1)
         return max(max(cov.values()), max(interior, default=0))
 
@@ -717,8 +719,8 @@ def covering_time(g: Digraph, source: str) -> int:
     eng, v = _covering_engine(g), g.index(source)
     if g.vertex_count == 1:
         return 0
-    path, table = eng.cover_of(v)
-    return len(path) + table.cover(eng.skeleton)
+    path, _, cover = eng.cover_of(v)
+    return len(path) + cover
 
 
 def last_avoidance(g: Digraph, source: str, avoided: str) -> AvoidanceWitness:
@@ -733,7 +735,7 @@ def last_avoidance(g: Digraph, source: str, avoided: str) -> AvoidanceWitness:
     if g.vertex_count == 1:
         best = None
     else:
-        path, table = eng.cover_of(v)
+        path, table, _ = eng.cover_of(v)
         missing = table.gap(eng.skeleton, y)
         if missing >= 0:
             best = len(path) + missing

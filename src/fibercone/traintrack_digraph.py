@@ -41,24 +41,29 @@ A Digraph stores its edges as index runs plus extra edges.  A run (first,
 last) stands for the steps v -> v + 1, first <= v < last, each the one
 out-edge of its source; every other edge is an extra (source, target,
 multiplicity) triple.  Gamma is three runs (s a_1 .. a_k, r_1 .. r_j and
-b_1 .. b_k) and seven extra edges, so building and validating its store
-costs O(1) steps beyond its labels, and readers find degrees and successors
-by bisection.  Neither the sorted edge triples nor a dense matrix is kept:
-edges derives the triples on each access, and export_json builds the JSON
-document's matrix, in the convention adjacency[i][j] = number of directed
-edges from vertex j to vertex i (so matrix powers act on indicator
-columns), for that one call.
+b_1 .. b_k) and seven extra edges.  Its labels are derived on demand from
+(j, k): each label is built when it is read, and the index of a label is
+found by arithmetic on its letter and number, then accepted only if the
+label at that index is spelled the same.  So building and validating
+Gamma costs O(1) steps, and readers find degrees and successors by
+bisection.  A digraph read from labels (Digraph(...), from_edges,
+import_digraph) keeps their checked tuple and a label -> index dict.
+Neither the sorted edge triples nor a dense matrix is kept: edges derives
+the triples on each access, and export_json builds the JSON document's
+matrix, in the convention adjacency[i][j] = number of directed edges from
+vertex j to vertex i (so matrix powers act on indicator columns), for
+that one call.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, abc
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 __all__ = [
     "Digraph",
@@ -83,6 +88,8 @@ class Digraph:
     tuple of the remaining (source, target, multiplicity) triples, one per
     ordered pair, none of them from a run member.  The store is canonical,
     so equality on (labels, runs, extra) is equality on labels and edges.
+    labels is the checked tuple of a digraph read from labels; Gamma's is a
+    sequence that builds each label on demand and equals that tuple.
 
     Digraph(labels, adjacency) reads a dense matrix in which adjacency[i][j]
     holds the number of directed edges from vertex j to vertex i (column
@@ -92,7 +99,7 @@ class Digraph:
     derived on each access and not kept.
     """
 
-    labels: tuple[str, ...]
+    labels: Sequence[str]
     runs: tuple[tuple[int, int], ...]
     extra: tuple[tuple[int, int, int], ...]
 
@@ -143,7 +150,7 @@ class Digraph:
     @classmethod
     def _from_store(
         cls,
-        labels: tuple[str, ...],
+        labels: Sequence[str],
         runs: Iterable[tuple[int, int]],
         extra: Iterable[tuple[int, int, int]],
     ) -> Digraph:
@@ -152,7 +159,7 @@ class Digraph:
         g._fill(labels, runs, extra)
         return g
 
-    def _fill(self, labels: tuple[str, ...], runs, extra) -> None:
+    def _fill(self, labels: Sequence[str], runs, extra) -> None:
         """The store constructor: refuses, in O(runs + extra), a store that
         is out of range, out of order, overlapping, not maximal or has an
         extra edge from a run member, then sets the three fields."""
@@ -216,8 +223,12 @@ class Digraph:
         return tuple(sorted(chain(steps, self.extra)))
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        return {lbl: i for i, lbl in enumerate(self.labels)}
+    def _find(self) -> Callable[[str], int | None]:
+        """label -> its index, or None: arithmetic on Gamma's labels, a dict
+        lookup otherwise."""
+        if isinstance(self.labels, _MagicLabels):
+            return self.labels.find
+        return {lbl: i for i, lbl in enumerate(self.labels)}.get
 
     @cached_property
     def _out(self) -> dict[int, tuple[int, ...]]:
@@ -253,17 +264,25 @@ class Digraph:
         """The number of vertices with an edge to vertex index v."""
         return (self.run_last(v - 1) is not None) + self.extra_into(v, v + 1)
 
-    def bare(self, side: int) -> list[int]:
+    def bare(self, side: int) -> tuple[int, ...]:
         """The vertex indices with no edge out (side 0) or in (side 1),
-        increasing, read off the spans that the runs and extra edges cover."""
-        spans = sorted([(first + side, last + side) for first, last in self.runs]
-                       + [(edge[side], edge[side] + 1) for edge in self.extra])
-        bare, v = [], 0
-        for a, b in spans:
-            if a > v:
+        increasing."""
+        return self._bare[side]
+
+    @cached_property
+    def _bare(self) -> list[tuple[int, ...]]:
+        """bare(0) and bare(1), read off the spans that the runs and extra
+        edges cover, once per digraph."""
+        both = []
+        for side in (0, 1):
+            spans = sorted([(first + side, last + side) for first, last in self.runs]
+                           + [(edge[side], edge[side] + 1) for edge in self.extra])
+            bare, v = [], 0
+            for a, b in spans:
                 bare += range(v, a)
-            v = max(v, b)
-        return bare + list(range(v, len(self.labels)))
+                v = max(v, b)
+            both.append((*bare, *range(v, len(self.labels))))
+        return both
 
     def extra_steps(self, walk: tuple[int, ...]) -> list[int] | None:
         """The vertices from which walk, a tuple of vertex indices, takes an
@@ -293,10 +312,10 @@ class Digraph:
         return taken
 
     def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError(f"no vertex labeled {label!r}") from None
+        at = self._find(label)
+        if at is None:
+            raise KeyError(f"no vertex labeled {label!r}")
+        return at
 
     @property
     def vertex_count(self) -> int:
@@ -379,13 +398,60 @@ class MagicDigraphSpec:
             )
 
 
-def _magic_labels(j: int, k: int) -> tuple[str, ...]:
-    return (
-        ("s",)
-        + tuple(f"a_{i}" for i in range(1, k + 1))
-        + tuple(f"r_{i}" for i in range(1, j + 1))
-        + tuple(f"b_{i}" for i in range(1, k + 1))
-    )
+class _MagicLabels(abc.Sequence):
+    """The labels s, a_1 .. a_k, r_1 .. r_j, b_1 .. b_k of Gamma_(1,j,k)+,
+    each built when it is read.  A read-only sequence of j and k alone that
+    compares equal to the tuple of them, hashes the same, and slices (to a
+    tuple), iterates and pickles like it."""
+
+    def __init__(self, j: int, k: int):
+        self.j, self.k = j, k
+
+    def __len__(self) -> int:
+        return 1 + self.j + 2 * self.k
+
+    def __getitem__(self, i):
+        # a range slices, and refuses an index out of range or not an int
+        at = range(len(self))[i]
+        return tuple(map(self._label, at)) if isinstance(at, range) else self._label(at)
+
+    def _label(self, i: int) -> str:
+        j, k = self.j, self.k
+        if i == 0:
+            return "s"
+        if i <= k:
+            return f"a_{i}"
+        if i <= k + j:
+            return f"r_{i - k}"
+        return f"b_{i - k - j}"
+
+    def __iter__(self):
+        return map(self._label, range(len(self)))
+
+    def find(self, label: object) -> int | None:
+        """The index of label, by arithmetic on its letter and number; None
+        unless the label there is spelled exactly so (int() also reads
+        '04', '+1', '1_0' and other digits, which name no vertex)."""
+        if not isinstance(label, str):
+            return None
+        if label == "s":
+            return 0
+        try:
+            at = int(label[2:]) + {"a_": 0, "r_": self.k, "b_": self.k + self.j}[label[:2]]
+        except (ValueError, KeyError):
+            return None
+        return at if 0 < at < len(self) and self._label(at) == label else None
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, _MagicLabels)):
+            return len(other) == len(self) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def build_magic_digraph(spec: MagicDigraphSpec) -> Digraph:
@@ -407,7 +473,7 @@ def build_magic_digraph(spec: MagicDigraphSpec) -> Digraph:
     if k > 1:
         extra.append((b + k, 1, 1))
     extra.append((b + k, r + 1, 1))
-    return Digraph._from_store(_magic_labels(j, k), runs, extra)
+    return Digraph._from_store(_MagicLabels(j, k), runs, extra)
 
 
 def magic_digraph(j: int, k: int) -> Digraph:
@@ -433,12 +499,8 @@ class WalkCertificates:
 
     @property
     def lengths(self) -> tuple[int, int, int, int]:
-        return (
-            len(self.short_cycle) - 1,
-            len(self.step_cycle) - 1,
-            len(self.long_cycle) - 1,
-            len(self.spanning_path) - 1,
-        )
+        walks = self.short_cycle, self.step_cycle, self.long_cycle, self.spanning_path
+        return tuple(len(walk) - 1 for walk in walks)
 
 
 def _check_walk(g: Digraph, walk: tuple[str, ...], what: str) -> None:

@@ -1,6 +1,7 @@
 """Transition digraph construction, walk certificates, and serialization."""
 
 import json
+import pickle
 from collections import Counter
 
 import pytest
@@ -434,3 +435,66 @@ def test_magic_digraph_store_is_three_runs_and_seven_extra_edges():
     assert g.runs == ((0, 4), (5, 12), (13, 16))
     assert len(g.extra) == 7 and g.edge_count == 21
     assert magic_digraph(1, 1).runs == ((0, 1),)
+
+
+def _spelled_out(j, k):
+    return (
+        ("s",) + tuple(f"a_{i}" for i in range(1, k + 1))
+        + tuple(f"r_{i}" for i in range(1, j + 1))
+        + tuple(f"b_{i}" for i in range(1, k + 1))
+    )
+
+
+def _misspellings(letter, number, count):
+    """Labels that int() reads as number, or that name a number out of
+    range, but that no vertex carries."""
+    digits = str(number)
+    arabic = digits.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    spellings = [f"0{digits}", f"+{digits}", f" {digits}", f"{digits} ", arabic,
+                 f"{digits}_0", str(count + 1), "0", "-1", ""]
+    if len(digits) > 1:
+        spellings.append(f"{digits[0]}_{digits[1:]}")
+    return [f"{letter}_{spelling}" for spelling in spellings]
+
+
+@settings(max_examples=150, deadline=None)
+@given(j=st.integers(1, 60), k=st.integers(1, 60), data=st.data())
+def test_gamma_labels_on_demand_match_the_explicit_tuple(j, k, data):
+    g = magic_digraph(j, k)
+    explicit = _spelled_out(j, k)
+    n = len(explicit)
+    assert tuple(g.labels) == explicit and len(g.labels) == n
+    assert [g.labels[i] for i in range(-n, n)] == list(explicit * 2)
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            g.labels[i]
+    bounds = st.none() | st.integers(-n - 2, n + 2)
+    cut = slice(data.draw(bounds), data.draw(bounds),
+                data.draw(st.none() | st.integers(-4, 4).filter(bool)))
+    assert g.labels[cut] == explicit[cut] and type(g.labels[cut]) is tuple
+    assert [g.index(label) for label in explicit] == list(range(n))
+    assert all(label in g.labels for label in explicit)
+
+    # the same store under the explicit tuple: equal, the same hash, and the
+    # same documents
+    h = Digraph._from_store(explicit, g.runs, g.extra)
+    assert g == h and h == g and hash(g) == hash(h)
+    assert g.labels == explicit and explicit == g.labels and g.labels != list(explicit)
+    assert hash(g.labels) == hash(explicit) and repr(g) == repr(h)
+    assert export_digraph_json(g) == export_digraph_json(h)
+    assert export_dot(g) == export_dot(h)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and hash(back) == hash(g) and back.labels == explicit
+    assert back.index(explicit[-1]) == n - 1
+
+    # every other spelling is refused as the explicit tuple's lookup does
+    letter, count = data.draw(st.sampled_from([("a", k), ("r", j), ("b", k)]))
+    number = data.draw(st.integers(1, count))
+    for label in _misspellings(letter, number, count) + [
+        "s_1", "S", "x", " s", 5, None, 1.0, ("s",)
+    ]:
+        for digraph in (g, h):
+            with pytest.raises(KeyError) as refused:
+                digraph.index(label)
+            assert refused.value.args == (f"no vertex labeled {label!r}",)
+        assert label not in g.labels
