@@ -23,18 +23,17 @@ checked a run at a time: from a run member it must follow the run, which
 one C-level comparison checks, and only the steps from other vertices are
 looked up among the extra edges.
 
-A residue table is (u, c, cycle, rounds, masks, unreached): rho is in the
-c-bit set masks[x][i] iff the least length of a walk u -> nodes[x]
-congruent to rho mod c is q c + rho, for q = rounds[x][i]; cycle is a
-closed walk of length c through u, as its c + 1 vertices; unreached is the
-marker of the residues in no mask.  It is checked in two steps:
+A residue table is (u, c, cycle, rounds, masks): rho is in the c-bit set
+masks[x][i] iff the least length of a walk u -> nodes[x] congruent to rho
+mod c is q c + rho, for q = rounds[x][i]; a residue in no mask is
+unreached; cycle is a closed walk of length c through u, as its c + 1
+vertices.  It is checked in two steps:
 
   * the clauses that both routes rely on, checked once on the rounds: the
     table is rooted at u; its cycle is a closed walk of length c through u
     and a walk of the digraph; each vertex's rounds increase, its masks are
     nonempty sets of residues below c, and no residue is in two of them
-    (their sum equals their OR); the unreached marker is above every least
-    walk length; and D[u][0] = 0;
+    (their sum equals their OR); and D[u][0] = 0;
   * Bellman's equations, whose only solution with positive weights is the
     exact table of least walk lengths, by one of two routes:
       - bitmaps: one int X_x per skeleton vertex, bit L set iff L is the
@@ -44,16 +43,19 @@ marker of the residues in no mask.  It is checked in two steps:
         and X_z lies inside the OR of the X_x << w over the chains into z,
         plus bit 0 at u (attained).  That is about E + |skeleton| log R +
         3 chains operations on R c-bit ints, for E masks over R rounds.
-      - rows: the table written out as D[x][rho], then D[z][(rho + w) mod
-        c] <= D[x][rho] + w for every chain x -> z of weight w and every
-        rho (lower bound), and every other entry equal to D[x][(rho - w)
-        mod c] + w for some chain x -> z, or the unreached marker with only
-        unreached predecessors (attained).  That is about (|skeleton| +
-        chains) c list entries, each handled in Python.
+      - rows: the table written out as D[x][rho], the unreached residues
+        as the marker |skeleton| c max w + 1, above every least walk length;
+        then D[z][(rho + w) mod c] <= D[x][rho] + w for every chain x -> z
+        of weight w and every rho (lower bound), and every other entry equal
+        to D[x][(rho - w) mod c] + w for some chain x -> z, or the marker
+        with only marked predecessors (attained).  That is about
+        (|skeleton| + chains) c list entries, each handled in Python.
     _bitmaps_cheaper takes the route whose cost estimate is lower, from E,
-    R, c and the chain count: bitmaps for (1,n,n^2)+ and the c = n + 1
-    tables of (1,n,1)+, whose few rounds settle many residues, and rows for
-    (1,n,n)+ and the c = 1 tables of (1,n,1)+, whose rounds settle one.
+    R, c and the chain count: bitmaps for (1,n,n^2)+, the c = n + 1 tables
+    of (1,n,1)+ and, up to n = 400 at least, the c = 2n tables of (1,n,n)+
+    at r_n and b_n; rows for its c = n table at a_n, whose rounds settle
+    one residue each, the c = 1 tables of (1,n,1)+, and, by n = 1000, all
+    three (1,n,n)+ tables.
 
 A negative verdict ("not primitive", "never covers") is a certificate that
 no image of a source v is every vertex (V >= 2).  It starts with the forced
@@ -149,7 +151,7 @@ def _certify_skeleton(g: Digraph, sk: Skeleton) -> None:
         for k, (path, end) in enumerate(out):
             if path[0] != v or end not in skeleton:
                 fail(f"a chain out of {labels[v]!r} has the wrong ends")
-            if g.extra_steps((*path, end)) is None:
+            if _extra_steps(g, (*path, end)) is None:
                 fail(f"a chain out of {labels[v]!r} is not a path of edges")
             # the interior, a segment at a time, at the stated offsets
             i = 1
@@ -170,6 +172,26 @@ def _certify_skeleton(g: Digraph, sk: Skeleton) -> None:
         fail("some vertex is neither a skeleton vertex nor one chain's interior")
 
 
+def _extra_steps(g: Digraph, walk: Sequence[int]) -> list[int] | None:
+    """The vertices from which walk takes an extra edge, in walk order;
+    None if walk is not a walk of g, checked a run at a time."""
+    taken, i, end = [], 0, len(walk) - 1
+    while i < end:
+        a = walk[i]
+        last = g.run_last(a)
+        if last is not None:
+            j = min(end, i + last - a)
+            if tuple(walk[i:j + 1]) != tuple(range(a, a + j - i + 1)):
+                return None
+            i = j
+        elif walk[i + 1] in g.successors(a):
+            taken.append(a)
+            i += 1
+        else:
+            return None
+    return taken
+
+
 def _fail_table(g: Digraph, u: int, why: str) -> NoReturn:
     raise RuntimeError(
         f"residue table of {g.labels[u]!r} failed re-verification: {why}"
@@ -184,9 +206,11 @@ def _moves(sk: Skeleton) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
                    for x, out in enumerate(sk[1]) for path, end in out]
 
 
-def _rows(table: Table) -> _Rows:
-    """The table written out as rows, once _certify_rounds has passed it."""
-    _, c, _, rounds, masks, top = table
+def _rows(table: Table, moves: list[tuple[int, int, int]]) -> _Rows:
+    """The table written out as rows, once _certify_rounds has passed it,
+    unreached as |skeleton| c max w + 1 over the (x, z, w) of _moves."""
+    _, c, _, rounds, masks = table
+    top = len(rounds) * c * max(w for _, _, w in moves) + 1
     rows = []
     for qs, ms in zip(rounds, masks):
         row = [top] * c
@@ -228,14 +252,12 @@ def _certify_table(
 
 
 def _certify_rounds(
-    g: Digraph, sk: Skeleton, u: int, table: Table,
-    where: dict[int, int], moves: list[tuple[int, int, int]],
+    g: Digraph, sk: Skeleton, u: int, table: Table, where: dict[int, int]
 ) -> None:
     """The clauses that both routes rely on: the root, a skeleton vertex,
     the cycle, lists of increasing rounds with nonempty masks of distinct
-    residues below c, the unreached marker and D[u][0] = 0; sk's (where,
-    moves) come from _moves."""
-    root, c, cycle, rounds, masks, top = table
+    residues below c, and D[u][0] = 0; where comes from _moves."""
+    root, c, cycle, rounds, masks = table
     labels, nodes = g.labels, sk[0]
     if root != u:
         _fail_table(g, u, f"the table is rooted at {labels[root]!r}")
@@ -244,7 +266,7 @@ def _certify_rounds(
         _fail_table(g, u, "its root is not a skeleton vertex")
     if len(cycle) != c + 1 or cycle[0] != u or cycle[-1] != u:
         _fail_table(g, u, f"the cycle is not a closed walk of length {c} through it")
-    if g.extra_steps(tuple(cycle)) is None:
+    if _extra_steps(g, cycle) is None:
         _fail_table(g, u, "the cycle is not a walk of the digraph")
     full, count = (1 << c) - 1, len(nodes)
     if len(rounds) != count or len(masks) != count:
@@ -265,9 +287,6 @@ def _certify_rounds(
         # a bit
         if sum(ms) != reduce(or_, ms, 0):
             _fail_table(g, u, f"D[{labels[nodes[x]]!r}] has two lengths in one residue")
-    # a least walk visits each state at most once, so is at most this long
-    if top <= (count * c - 1) * max(w for _, _, w in moves):
-        _fail_table(g, u, f"the unreached marker {top} is not above every walk length")
     # D[u][0] = 0: u's first round is round 0, and its mask holds residue 0
     qs = rounds[where[u]]
     if not (qs and qs[0] == 0 and masks[where[u]][0] & 1):
@@ -280,7 +299,7 @@ def _certify_bitmaps(
 ) -> None:
     """Bellman's equations on one length bitmap per skeleton vertex, for a
     table that _certify_rounds has passed, with sk's (where, moves)."""
-    _, c, _, rounds, masks, _ = table
+    _, c, _, rounds, masks = table
     labels, nodes = g.labels, sk[0]
     # bit L of lengths[x] is set iff L is the least length of a walk
     # u -> nodes[x] in its residue
@@ -352,11 +371,11 @@ def _check_table(g: Digraph, sk: Skeleton, u: int, table: Table) -> None:
     """Certifies a table: the shared clauses, then Bellman's equations by
     the route with the lower cost estimate, on one (where, moves) of sk."""
     where, moves = _moves(sk)
-    _certify_rounds(g, sk, u, table, where, moves)
+    _certify_rounds(g, sk, u, table, where)
     if _bitmaps_cheaper(sk, table):
         _certify_bitmaps(g, sk, u, table, where, moves)
     else:
-        _certify_table(g, sk, u, _rows(table), where, moves)
+        _certify_table(g, sk, u, _rows(table, moves), where, moves)
 
 
 def _certify_refusal(g: Digraph, sk: Skeleton, v: int, ref: _Refusal) -> None:
@@ -368,7 +387,7 @@ def _certify_refusal(g: Digraph, sk: Skeleton, v: int, ref: _Refusal) -> None:
 
     if walk[0] != v or g.vertex_count < 2:
         fail(f"it is not about {g.labels[v]!r} among two or more vertices")
-    taken = g.extra_steps(tuple(walk))
+    taken = _extra_steps(g, walk)
     if taken is None:
         fail("the forced walk is not a walk of the digraph")
     # run members have out-degree 1, so only the vertices that take an

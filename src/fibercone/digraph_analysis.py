@@ -58,9 +58,11 @@ branch skeleton instead of by stepping sets:
     and E is |skeleton| c, as many as there are states.
   * A vertex v of out-degree 1 has W(v, .) = {0 at v} u (W(succ v, .) + 1),
     so every source first follows its forced walk to a vertex of out-degree
-    != 1 and uses that vertex's table.  Tables are built once per source
-    and kept on the per-digraph engine, so last_avoidance reuses the tables
-    that the exponent computation built.
+    != 1 and uses that vertex's table.  The per-digraph engine keeps the
+    certified skeleton and each certified table with its cover, each derived
+    once, so last_avoidance reuses the tables that the exponent computation
+    built.  It holds no reference to the digraph, so a copy or an unpickled
+    digraph keeps an engine that stays valid.
 
 Every answer is then arithmetic on the tables.  The covering time from v is
 the length of its forced walk plus one more than the largest length missing
@@ -95,7 +97,6 @@ the checker and every other answer use plain Python integers.
 from __future__ import annotations
 
 import heapq
-import weakref
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
@@ -244,17 +245,17 @@ def _skeleton(g: Digraph) -> _Skeleton:
     return _Skeleton(order, chains, segments, [seg.start for seg in segments])
 
 
-class _Table(namedtuple("_Table", "u c cycle rounds masks unreached")):
+class _Table(namedtuple("_Table", "u c cycle rounds masks")):
     """Least walk lengths from u by residue mod c, kept by rounds as
     fibercone.certificate lays them out, with the queries on them."""
 
     @cached_property
-    def tops(self) -> list[int]:
-        """The largest entry of each row: the unreached marker if any."""
+    def tops(self) -> list[int | None]:
+        """The largest entry of each row; None if it misses a residue."""
         full, tops = (1 << self.c) - 1, []
         for qs, masks in zip(self.rounds, self.masks):
             if reduce(or_, masks, 0) != full:
-                tops.append(self.unreached)
+                tops.append(None)
             else:
                 tops.append(qs[-1] * self.c + masks[-1].bit_length() - 1)
         return tops
@@ -280,11 +281,11 @@ class _Table(namedtuple("_Table", "u c cycle rounds masks unreached")):
         infinitely many are missing."""
         x, i = sk.row_of(y)
         top = self.tops[x]
-        return None if top >= self.unreached else top - self.c + i
+        return None if top is None else top - self.c + i
 
     def cover(self, sk: _Skeleton) -> int | None:
         """1 + the largest length missing from any W(u, v); None if infinite."""
-        if max(self.tops) >= self.unreached:
+        if None in self.tops:
             return None
         return max(map(add, self.tops, sk.reach)) - self.c + 1
 
@@ -314,8 +315,6 @@ def _residue_table(sk: _Skeleton, u: int) -> _Table | None:
         steps.append(via[sk.index[steps[-1].path[0]]])
     cycle = sum((chain.path for chain in reversed(steps)), ()) + (u,)
 
-    # any least walk visits each state at most once, so is shorter than this
-    unreached = count * c * max(w for out in out_w for _, w in out) + 1
     full = (1 << c) - 1
     # A chain of weight a c + b sends the residues N that x reaches in round
     # q to z: (N << b) & full in round q + a and N >> (c - b) in round
@@ -403,32 +402,22 @@ def _residue_table(sk: _Skeleton, u: int) -> _Table | None:
             rounds[x].append(q)
             masks[x].append(got[x])
             got[x] = 0
-    return _Table(u, c, cycle, rounds, masks, unreached)
+    return _Table(u, c, cycle, rounds, masks)
 
 
 # -- the per-digraph engine ----------------------------------------------------
 
 
 class _Engine:
-    """Per-digraph state: the certified skeleton and tables; degrees and
-    successors are read from the store."""
+    """Per-digraph state, each part derived once: the certified skeleton and
+    tables, each table with its cover.  It holds no reference to the
+    digraph; the methods that read the store take it."""
 
     def __init__(self, g: Digraph):
-        # g holds the engine, so a strong reference back would make a cycle
-        # that outlives g until the next full garbage collection
-        self._digraph = weakref.ref(g)
-        self._tables: dict[int, _Table | None] = {}
-
-    @property
-    def g(self) -> Digraph:
-        return self._digraph()
-
-    @cached_property
-    def skeleton(self) -> _Skeleton:
-        g = self.g
         sk = _skeleton(g)
         certificate._certify_skeleton(g, sk)
-        return sk
+        self.skeleton = sk
+        self._tables: dict[int, tuple[_Table, int | None] | None] = {}
 
     @cached_property
     def cyclic(self) -> list[bool]:
@@ -475,21 +464,24 @@ class _Engine:
                             cyclic[y] |= len(component) > 1
         return cyclic
 
-    def table(self, u: int) -> _Table | None:
-        """The certified table of skeleton vertex u; None, with no search,
-        when no closed walk passes through u."""
+    def table(self, g: Digraph, u: int) -> tuple[_Table, int | None] | None:
+        """(table, its cover) for skeleton vertex u, the table certified;
+        None, with no search, when no closed walk passes through u."""
         if u not in self._tables:
             sk = self.skeleton
             table = _residue_table(sk, u) if self.cyclic[sk.index[u]] else None
             if table is not None:
-                certificate._check_table(self.g, sk, u, table)
+                certificate._check_table(g, sk, u, table)
+                table = table, table.cover(sk)
             self._tables[u] = table
         return self._tables[u]
 
-    def refuse(self, v: int, refusal: certificate._Refusal) -> NeverCoversError:
+    def refuse(
+        self, g: Digraph, v: int, refusal: certificate._Refusal
+    ) -> NeverCoversError:
         """The verdict that nothing covers from v, once its certificate is
         checked."""
-        certificate._certify_refusal(self.g, self.skeleton, v, refusal)
+        certificate._certify_refusal(g, self.skeleton, v, refusal)
         return NeverCoversError(refusal.why)
 
     def forced(self, v: int) -> tuple[list[int], int | None, int]:
@@ -515,9 +507,8 @@ class _Engine:
             v = chain.end
         return path, v, 0
 
-    def beyond(self, u: int) -> frozenset[int]:
+    def beyond(self, g: Digraph, u: int) -> frozenset[int]:
         """The vertices at the ends of walks of length >= 1 from u."""
-        g = self.g
         seen, todo = set(g.successors(u)), list(g.successors(u))
         while todo:
             for y in g.successors(todo.pop()):
@@ -526,32 +517,32 @@ class _Engine:
                     todo.append(y)
         return frozenset(seen)
 
-    def cover_of(self, v: int) -> tuple[list[int], _Table, int]:
+    def cover_of(self, g: Digraph, v: int) -> tuple[list[int], _Table, int]:
         """(forced path, table, the table's cover) for a source v that
         covers; raises NeverCoversError, with a checked certificate, when it
         never does."""
-        sk, labels = self.skeleton, self.g.labels
+        labels = g.labels
         path, u, loop = self.forced(v)
         if u is None:
-            raise self.refuse(v, certificate._Refusal(
+            raise self.refuse(g, v, certificate._Refusal(
                 f"the forced walk from {labels[v]!r} cycles, so every image of "
                 "it is a single vertex", (*path, path[loop])
             ))
-        table = self.table(u)
-        if table is None:
-            raise self.refuse(v, certificate._Refusal(
+        found = self.table(g, u)
+        if found is None:
+            raise self.refuse(g, v, certificate._Refusal(
                 f"no closed walk passes through {labels[u]!r}, the end of the "
-                f"forced walk from {labels[v]!r}", (*path, u), closed=self.beyond(u)
+                f"forced walk from {labels[v]!r}", (*path, u), closed=self.beyond(g, u)
             ))
-        cover = table.cover(sk)
+        table, cover = found
         if cover is None:
-            raise self.refuse(v, certificate._Refusal(
+            raise self.refuse(g, v, certificate._Refusal(
                 f"some residue mod {table.c} of walk lengths from {labels[v]!r} "
                 "to some vertex is unreached", (*path, u), table=table
             ))
         return path, table, cover
 
-    def exponent(self) -> int:
+    def exponent(self, g: Digraph) -> int:
         """max over v of cov(v); needs n >= 2 and every degree >= 1.
 
         A skeleton vertex covers in the length of its forced walk plus the
@@ -563,12 +554,14 @@ class _Engine:
         sk = self.skeleton
         cov = {}
         for x in sorted(range(len(sk.nodes)), key=lambda x: len(sk.chains[x]) == 1):
-            path, _, cover = self.cover_of(sk.nodes[x])
+            path, _, cover = self.cover_of(g, sk.nodes[x])
             cov[x] = len(path) + cover
         interior = (w - 1 + cov[z] for out in sk.out_w for z, w in out if w > 1)
         return max(max(cov.values()), max(interior, default=0))
 
-    def hits(self, starts: Iterable[int], targets: set[int], m: int) -> set[int]:
+    def hits(
+        self, g: Digraph, starts: Iterable[int], targets: set[int], m: int
+    ) -> set[int]:
         """The targets at which some walk of length m from a start ends.
 
         One search over states (vertex, steps left), each visited once for
@@ -592,11 +585,11 @@ class _Engine:
                 y = u
             else:
                 m -= len(path)
-                table = self.table(u)
-                if table is not None:
-                    hit.update(y for y in targets - hit if table.contains(sk, y, m))
+                found = self.table(g, u)
+                if found is not None:
+                    hit.update(y for y in targets - hit if found[0].contains(sk, y, m))
                 else:
-                    later = {(w, m - 1) for w in self.g.successors(u)} - seen
+                    later = {(w, m - 1) for w in g.successors(u)} - seen
                     seen |= later
                     todo.extend(later)
                 continue
@@ -630,8 +623,9 @@ def _image_by_powers(g: Digraph, starts: list[int], m: int) -> list[int]:
 
 
 def _engine(g: Digraph) -> _Engine:
-    # Stashed on the digraph instance (immutable, so the engine stays valid)
-    # to keep the skeleton and tables across calls.
+    # Stashed on the digraph instance, which is immutable, to keep the
+    # skeleton and tables across calls; the engine holds no reference back,
+    # so a copy or an unpickled digraph carries state that stays valid.
     eng = g.__dict__.get("_analysis_engine")
     if eng is None:
         eng = _Engine(g)
@@ -663,7 +657,7 @@ def image_after(
     if method == "powers":
         image = _image_by_powers(g, starts, m)
     else:
-        image = _engine(g).hits(starts, set(range(g.vertex_count)), m)
+        image = _engine(g).hits(g, starts, set(range(g.vertex_count)), m)
     return frozenset(map(g.labels.__getitem__, image))
 
 
@@ -676,19 +670,19 @@ def primitivity_exponent(g: Digraph) -> int:
     """
     if g.vertex_count == 0:
         raise ValueError("digraph is empty")
-    eng = _engine(g)
     if g.vertex_count == 1:
         if g.extra:
             return 1
         raise NotPrimitiveError("not primitive: single vertex without a loop")
+    eng = _engine(g)
     try:
         v = _degree_zero(g)
         if v is not None:
-            raise eng.refuse(v, certificate._Refusal(
+            raise eng.refuse(g, v, certificate._Refusal(
                 f"{g.labels[v]!r} has in- or out-degree zero, which keeps "
-                "every power from being positive", (v,), eng.beyond(v)
+                "every power from being positive", (v,), eng.beyond(g, v)
             ))
-        return eng.exponent()
+        return eng.exponent(g)
     except NeverCoversError as exc:
         raise NotPrimitiveError(f"not primitive: {exc}") from None
 
@@ -699,13 +693,12 @@ def _degree_zero(g: Digraph) -> int | None:
 
 
 def _covering_engine(g: Digraph) -> _Engine:
-    eng = _engine(g)
     if g.bare(1):
         raise ValueError(
             "covering time needs every in-degree >= 1, otherwise coverage "
             "is not monotone"
         )
-    return eng
+    return _engine(g)
 
 
 def covering_time(g: Digraph, source: str) -> int:
@@ -719,7 +712,7 @@ def covering_time(g: Digraph, source: str) -> int:
     eng, v = _covering_engine(g), g.index(source)
     if g.vertex_count == 1:
         return 0
-    path, _, cover = eng.cover_of(v)
+    path, _, cover = eng.cover_of(g, v)
     return len(path) + cover
 
 
@@ -735,7 +728,7 @@ def last_avoidance(g: Digraph, source: str, avoided: str) -> AvoidanceWitness:
     if g.vertex_count == 1:
         best = None
     else:
-        path, table, _ = eng.cover_of(v)
+        path, table, _ = eng.cover_of(g, v)
         missing = table.gap(eng.skeleton, y)
         if missing >= 0:
             best = len(path) + missing
@@ -757,4 +750,4 @@ def avoidance_at(
         raise ValueError(f"step count must be a positive int, not {m!r}")
     eng = _engine(g)
     target_set = {g.index(lbl) for lbl in targets}
-    return not eng.hits([g.index(source)], target_set, m)
+    return not eng.hits(g, [g.index(source)], target_set, m)

@@ -198,13 +198,16 @@ def _class_fields(plus: PlusClass, family: tuple[int, int, int] | None) -> dict:
 def class_report(
     plus: PlusClass, family: tuple[int, int, int] | None = None
 ) -> BoundReport:
-    """Bounds on ell_C for one class; failures land in the error field.
+    """Bounds on ell_C for one class; failures in the pipeline land in the
+    error field.
 
     family = (p, q, n) marks plus as the sweep instance (1, n^p, n^q)+ (with
     (1, n, 1)+ as p = 1, q = 0): the witness is then the regime's closed
     form and covered regimes check r against its cap.  A standalone class
     (family None, regime None) takes the last avoidance of r_1 from b_k.
     Every witness is re-verified against the digraph before it is used.
+    A class outside the open fibered cone, or not primitive, has no
+    invariants and so no report: it raises ValueError before the pipeline.
     """
     if family is not None and plus != _family_class(*family):
         raise ValueError(f"{plus} is not the (p, q, n) = {family} instance")

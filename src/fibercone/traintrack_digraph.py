@@ -284,33 +284,6 @@ class Digraph:
             both.append((*bare, *range(v, len(self.labels))))
         return both
 
-    def extra_steps(self, walk: tuple[int, ...]) -> list[int] | None:
-        """The vertices from which walk, a tuple of vertex indices, takes an
-        extra edge, in walk order; None if walk is not a walk of the digraph.
-
-        From a run member the walk must follow the run to its last vertex or
-        to the walk's end, and that stretch is compared with the run in one
-        C-level pass; only steps from vertices outside every run are looked
-        up, among the extra edges.
-        """
-        if not walk:
-            return None
-        taken, i, end = [], 0, len(walk) - 1
-        while i < end:
-            a = walk[i]
-            last = self.run_last(a)
-            if last is not None:
-                j = min(end, i + last - a)
-                if walk[i:j + 1] != tuple(range(a, a + j - i + 1)):
-                    return None
-                i = j
-            elif walk[i + 1] in self._out.get(a, ()):
-                taken.append(a)
-                i += 1
-            else:
-                return None
-        return taken
-
     def index(self, label: str) -> int:
         at = self._find(label)
         if at is None:

@@ -2,12 +2,15 @@
 
 import ast
 import copy
+import gc
 import json
 import math
 import os
+import pickle
 import re
 import sys
 import tokenize
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -26,6 +29,7 @@ from fibercone import (
     covering_time,
     export_digraph_json,
     image_after,
+    import_digraph,
     last_avoidance,
     magic_digraph,
     primitivity_exponent,
@@ -100,6 +104,12 @@ def test_single_vertex_cases():
     assert primitivity_exponent(Digraph(("u",), ((1,),))) == 1
     with pytest.raises(NotPrimitiveError):
         primitivity_exponent(Digraph(("u",), ((0,),)))
+
+
+def test_empty_digraph_is_refused():
+    with pytest.raises(ValueError, match="^digraph is empty$") as refusal:
+        primitivity_exponent(Digraph((), ()))
+    assert type(refusal.value) is ValueError
 
 
 def test_zero_out_degree_is_not_primitive():
@@ -448,6 +458,74 @@ def test_skeleton_components_find_the_vertices_on_closed_walks(g):
         assert eng.cyclic[x] == (x in seen)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: magic_digraph(3, 2),
+        lambda: import_digraph(
+            {"labels": ["x", "y", "z"], "adjacency": [[0, 0, 1], [1, 0, 1], [0, 1, 0]]}
+        ),
+    ],
+    ids=["gamma-1-3-2", "imported"],
+)
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_analysed_digraph_survives_pickle_and_copies(monkeypatch, build, duplicate):
+    # the engine holds no reference to the digraph, so the state a copy
+    # carries answers for it once the original is gone, and nothing is
+    # derived again
+    g = build()
+    source, avoided = g.labels[-1], g.labels[0]
+    r, witness = primitivity_exponent(g), last_avoidance(g, source, avoided)
+    h = duplicate(g)
+    del g
+    gc.collect()
+
+    def derive(*args):
+        raise AssertionError("the copy derived its analysis state again")
+
+    monkeypatch.setattr(digraph_analysis, "_skeleton", derive)
+    monkeypatch.setattr(digraph_analysis, "_residue_table", derive)
+    assert primitivity_exponent(h) == r
+    assert last_avoidance(h, source, avoided) == witness
+
+
+def test_engine_holds_no_digraph():
+    # nothing reachable from the engine's state is a digraph or a weak
+    # reference to one
+    g = magic_digraph(3, 2)
+    primitivity_exponent(g)
+    seen, todo = set(), [digraph_analysis._engine(g)]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, (Digraph, weakref.ref))
+        todo.extend(gc.get_referents(obj))
+
+
+@pytest.mark.parametrize("n", [2, 9, 40])
+def test_each_table_cover_is_computed_once(monkeypatch, n):
+    # Gamma_(1,n,1)+ has two tables, at a_1 (c = 1) and at r_n (c = n + 1),
+    # which the forced walks of its six skeleton vertices share
+    calls = []
+    cover = digraph_analysis._Table.cover
+
+    def counted(table, sk):
+        calls.append(table.u)
+        return cover(table, sk)
+
+    monkeypatch.setattr(digraph_analysis._Table, "cover", counted)
+    g = magic_digraph(n, 1)
+    primitivity_exponent(g)
+    last_avoidance(g, "b_1", "r_1")
+    assert sorted(calls) == [g.index("a_1"), g.index(f"r_{n}")]
+
+
 @st.composite
 def small_acyclic_digraphs(draw):
     """V <= 10 with edges only from lower to higher index, some doubled."""
@@ -518,9 +596,10 @@ def _sets_by_length(g, u):
 def test_residue_tables_match_brute_force(g):
     # every (vertex, length) state reached from u, by stepping vertex sets;
     # past the set sequence's preperiod, (set, length mod c) repeats with
-    # the lcm of its period and c, so the horizon covers every length, the
-    # unreached marker's too
+    # the lcm of its period and c, so the horizon covers every length; the
+    # row route writes the residues that no walk reaches as its own marker
     sk = digraph_analysis._engine(g).skeleton
+    moves = certificate._moves(sk)[1]
     for u in sk.nodes:
         table = digraph_analysis._residue_table(sk, u)
         sets, start = _sets_by_length(g, u)
@@ -536,15 +615,16 @@ def test_residue_tables_match_brute_force(g):
             continue
         assert table.c == returns[0]
         assert len(table.cycle) == table.c + 1
-        expected = [[table.unreached] * table.c for _ in sk.nodes]
+        rows = certificate._rows(table, moves)
+        expected = [[rows.unreached] * table.c for _ in sk.nodes]
         horizon = start + period * table.c // math.gcd(period, table.c)
         for length in range(horizon):
             reached = at(length)
             for x, v in enumerate(sk.nodes):
                 row = expected[x]
-                if v in reached and row[length % table.c] == table.unreached:
+                if v in reached and row[length % table.c] == rows.unreached:
                     row[length % table.c] = length
-        assert certificate._rows(table).rows == expected
+        assert rows.rows == expected
 
 
 _RESIDUE_TABLE = digraph_analysis._residue_table
@@ -767,8 +847,6 @@ BITMAP_CORRUPTIONS = [
     (lambda g, t, x: _unsorted(t, x), lambda: magic_digraph(4, 16)),
     (lambda g, t, x: _overflowing(t, x), lambda: magic_digraph(4, 16)),
     (lambda g, t, x: _empty_mask(t, x), lambda: magic_digraph(4, 16)),
-    (lambda g, t, x: t._replace(unreached=0),
-     lambda: magic_digraph(4, 16)),
     (lambda g, t, x: _negative_round(t, x), lambda: magic_digraph(4, 16)),
     (lambda g, t, x: _unpaired_round(t, x), lambda: magic_digraph(4, 16)),
 ]
@@ -779,7 +857,7 @@ BITMAP_CORRUPTIONS = [
     BITMAP_CORRUPTIONS,
     ids=["raised-by-c", "lowered-by-c", "dropped", "added", "second-bit",
          "wrong-cycle", "emptied", "unsorted", "overflowing", "empty-mask",
-         "low-marker", "negative-round", "unpaired-round"],
+         "negative-round", "unpaired-round"],
 )
 def test_bitmap_route_refuses_each_corruption(corrupt, build):
     g, eng, sk = _certified(build())
@@ -862,9 +940,10 @@ def test_checker_reads_plain_data(g, data):
     certificate._certify_skeleton(g, plain_sk)
     x = data.draw(st.integers(0, len(sk.nodes) - 1))
     for u in sk.nodes:
-        table = eng.table(u)
-        if table is None:
+        found = eng.table(g, u)
+        if found is None:
             continue
+        table = found[0]
         certificate._check_table(g, plain_sk, u, _lists_and_ints(table))
         for corrupt, _ in BITMAP_CORRUPTIONS:
             bad = corrupt(g, table, x)
@@ -929,11 +1008,16 @@ def test_each_check_route_is_taken(monkeypatch, j, k, r, route):
     assert primitivity_exponent(g) == r
     assert route in taken
     if route == "rows":
-        # the table of a_n, whose cycle a_n -> a_1 -> a_n has length n
+        # the table of a_n, whose cycle a_n -> a_1 -> a_n has length n, takes
+        # the row route; those of r_n and b_n, of c = 2n, take the bitmaps
         eng = digraph_analysis._engine(g)
-        table = eng.table(g.index(f"a_{k}"))
-        assert table.c == k and max(map(len, table.rounds)) >= k
-        assert not certificate._bitmaps_cheaper(eng.skeleton, table)
+        tables = {v: eng.table(g, g.index(v))[0] for v in (f"a_{k}", f"r_{j}", f"b_{k}")}
+        assert [table.c for table in tables.values()] == [k, 2 * k, 2 * k]
+        assert max(map(len, tables[f"a_{k}"].rounds)) >= k
+        assert {v: certificate._bitmaps_cheaper(eng.skeleton, table)
+                for v, table in tables.items()} == {
+            f"a_{k}": False, f"r_{j}": True, f"b_{k}": True}
+        assert sorted(taken) == ["bitmaps", "bitmaps", "rows"]
     else:
         assert set(taken) == {"bitmaps"}
 
@@ -1167,8 +1251,8 @@ def _table_of(table_tamper):
     def check():
         g, eng, sk = _certified(magic_digraph(8, 4))
         u = next(x for x, out in zip(sk.nodes, sk.chains) if len(out) > 1)
-        table = table_tamper(g, eng.table(u))
-        certificate._certify_rounds(g, sk, u, table, *certificate._moves(sk))
+        table = table_tamper(g, eng.table(g, u)[0])
+        certificate._certify_rounds(g, sk, u, table, certificate._moves(sk)[0])
 
     return check
 
@@ -1179,7 +1263,7 @@ def _routed_table_of(v, table_tamper):
     def check():
         g, eng, sk = _certified(magic_digraph(8, 4))
         u = g.index(v)
-        certificate._check_table(g, sk, u, table_tamper(g, eng.table(u)))
+        certificate._check_table(g, sk, u, table_tamper(g, eng.table(g, u)[0]))
 
     return check
 
@@ -1197,7 +1281,7 @@ def _cycle_off_the_edges(g, table):
 def _refusal_of(build, v, make_refusal):
     def check():
         g, eng, sk = _certified(build())
-        ref = make_refusal(eng)
+        ref = make_refusal(g, eng)
         certificate._certify_refusal(g, sk, g.index(v), ref)
 
     return check
@@ -1234,7 +1318,7 @@ CHECKER_CLAUSES = [
     # a_2 a_3 a_4 a_1 a_2 through it
     ("its root is not a skeleton vertex",
      _refusal_of(lambda: magic_digraph(8, 4), "a_2",
-                 lambda eng: _Refusal("x", (2,), table=eng.table(4)._replace(
+                 lambda g, eng: _Refusal("x", (2,), table=eng.table(g, 4)[0]._replace(
                      u=2, cycle=(2, 3, 4, 1, 2))))),
     ("the cycle is not a closed walk of length 4 through it",
      _table_of(lambda g, t: t._replace(cycle=t.cycle[:-1]))),
@@ -1243,8 +1327,6 @@ CHECKER_CLAUSES = [
      _table_of(lambda g, t: t._replace(rounds=t.rounds[:-1]))),
     ("the rounds of 'a_1' are not increasing rounds of nonempty sets of 4 "
      "residues", _table_of(lambda g, t: _empty_mask(t, 1))),
-    ("the unreached marker 0 is not above every walk length",
-     _table_of(lambda g, t: t._replace(unreached=0))),
     ("D[u][0] != 0", _table_of(lambda g, t: _emptied(t, 0))),
     # a_4's table (c = 4, one residue a round) takes the row route, and
     # r_8's (c = 12) the bitmap route; the shared clauses refuse both
@@ -1254,22 +1336,22 @@ CHECKER_CLAUSES = [
      _routed_table_of("r_8", lambda g, t: _doubled(t, 1))),
     ("it is not about 'w' among two or more vertices",
      _refusal_of(_closed_set_example, "w",
-                 lambda eng: _Refusal("x", (1,), closed=eng.beyond(1)))),
+                 lambda g, eng: _Refusal("x", (1,), closed=eng.beyond(g, 1)))),
     ("the forced walk passes a vertex of out-degree != 1",
      _refusal_of(_closed_set_example, "w",
-                 lambda eng: _Refusal("x", (0, 1), closed=eng.beyond(1)))),
+                 lambda g, eng: _Refusal("x", (0, 1), closed=eng.beyond(g, 1)))),
     ("the forced walk is not a walk of the digraph",
      _refusal_of(_three_cycle, "u",
-                 lambda eng: _Refusal("x", (0, 2, 1, 0)))),
+                 lambda g, eng: _Refusal("x", (0, 2, 1, 0)))),
     ("the set is not closed under successors",
      _refusal_of(_closed_set_example, "u",
-                 lambda eng: _Refusal("x", (1,), closed=frozenset({2})))),
+                 lambda g, eng: _Refusal("x", (1,), closed=frozenset({2})))),
     ("every residue is reached",
      _refusal_of(lambda: magic_digraph(8, 4), "a_4",
-                 lambda eng: _Refusal("x", (4,), table=eng.table(4)))),
+                 lambda g, eng: _Refusal("x", (4,), table=eng.table(g, 4)[0]))),
     ("some in-degree is zero, so coverage need not be monotone",
      _refusal_of(_period_two_with_a_source, "v0",
-                 lambda eng: _Refusal("x", (0,), table=eng.table(0)))),
+                 lambda g, eng: _Refusal("x", (0,), table=eng.table(g, 0)[0]))),
 ]
 
 
@@ -1538,7 +1620,7 @@ def _tampered(table, x, rho, d):
 def test_table_check_agrees_with_numpy_reference(j, k, data):
     g, eng, sk = _certified(magic_digraph(j, k))
     u = data.draw(st.sampled_from([v for v in sk.nodes if eng.cyclic[sk.index[v]]]))
-    table = certificate._rows(eng.table(u))
+    table = certificate._rows(eng.table(g, u)[0], certificate._moves(sk)[1])
     assert _check_failure(g, sk, u, table) is None
     assert _numpy_bellman_failure(g, sk, u, table) is None
     # one entry other than D[u][0], which an earlier clause checks, moved
@@ -1563,7 +1645,7 @@ def test_table_check_with_a_marker_above_2_62():
     # walks v0 -> v0 have even lengths only, so odd residues stay unreached
     g, eng, sk = _certified(_period_two(6))
     u = g.index("v0")
-    table = certificate._rows(eng.table(u))
+    table = certificate._rows(eng.table(g, u)[0], certificate._moves(sk)[1])
     top = 2**62 + 5
     rows = [[top if d == table.unreached else d for d in row] for row in table.rows]
     assert any(top in row for row in rows)

@@ -142,6 +142,13 @@ def test_analyze_refuses_a_document_with_an_unknown_key(tmp_path, capsys):
     assert err == "error: unknown key 'junk' in the digraph document\n"
 
 
+def test_analyze_refuses_an_empty_digraph(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"labels": [], "adjacency": []}')
+    rc, out, err = _run(capsys, "analyze", "exponent", "--json", str(path))
+    assert (rc, out, err) == (2, "", "error: digraph is empty\n")
+
+
 def test_analyze_requires_one_graph_source(capsys):
     rc, _, err = _run(capsys, "analyze", "exponent")
     assert rc == 2 and "error:" in err
@@ -249,6 +256,20 @@ def test_bounds_class_refuses_general_first_coordinate(capsys):
     assert rc == 2
     assert "error" in doc
     assert doc["norm"] == 7  # invariants still reported
+
+
+@pytest.mark.parametrize(
+    ("plus", "why"),
+    [
+        ("1,1,0", "(1, 2, 1) is outside the open fibered cone"),
+        ("2,2,2", "(4, 6, 2) is not primitive (gcd != 1)"),
+    ],
+    ids=["outside-the-cone", "not-primitive"],
+)
+def test_bounds_class_refuses_a_class_before_the_pipeline(capsys, plus, why):
+    # such a class has no invariants, so no report: one stderr line, exit 2
+    rc, out, err = _run(capsys, "bounds", "class", "--plus", plus)
+    assert (rc, out, err) == (2, "", f"error: {why}\n")
 
 
 def test_sweep_csv_to_stdout(capsys):

@@ -22,6 +22,7 @@ from fibercone import (
     FitVerdict,
     IntegralClass,
     PlusClass,
+    ReportWriter,
     SweepConfig,
     UncoveredRegimeError,
     class_report,
@@ -401,6 +402,13 @@ def test_verify_exponent_law_refuses_a_meaningless_tolerance(tolerance):
     reports = run_sweep(SweepConfig(family="n11", n_start=2, n_stop=6))
     with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
         verify_exponent_law(reports, tolerance=tolerance)
+
+
+def test_report_writer_refuses_an_unknown_format(tmp_path):
+    with open(tmp_path / "out.xml", "w") as fh:
+        with pytest.raises(ValueError, match="^unknown report format 'xml'$"):
+            ReportWriter(fh, "xml")
+    assert (tmp_path / "out.xml").read_text() == ""
 
 
 def test_report_json_parses_back():

@@ -188,6 +188,19 @@ def test_verify_rejects_open_walks():
     assert not ok
 
 
+@pytest.mark.parametrize(
+    ("steps", "why"),
+    [
+        (((1, False),), "step 0: reversed edge 1 starts at 1, not 0"),
+        # edge 1 up to (1, 0), then edge 2 reversed down to (0, -1)
+        (((1, True), (2, False)), "not closed: ends at (0, -1), started at (0, 0)"),
+    ],
+    ids=["reversed-edge-elsewhere", "not-closed"],
+)
+def test_verify_names_the_broken_step_or_the_open_end(steps, why):
+    assert verify_loop(THETA, CoverLoop((0, 0), steps)) == (False, why)
+
+
 def test_verify_rejects_vertex_revisits():
     g = CochainGraph(2, ((0, 0, 0), (0, 1, 0), (1, 1, 0)))
     ok, why = verify_loop(g, CoverLoop((0, 0), ((0, False), (0, False))))
