@@ -29,33 +29,22 @@ mod c is q c + rho, for q = rounds[x][i]; a residue in no mask is
 unreached; cycle is a closed walk of length c through u, as its c + 1
 vertices.  It is checked in two steps:
 
-  * the clauses that both routes rely on, checked once on the rounds: the
-    table is rooted at u; its cycle is a closed walk of length c through u
-    and a walk of the digraph; each vertex's rounds increase, its masks are
-    nonempty sets of residues below c, and no residue is in two of them
-    (their sum equals their OR); and D[u][0] = 0;
+  * the clauses on its rounds: the table is rooted at u; its cycle is a
+    closed walk of length c through u and a walk of the digraph; each
+    vertex's rounds increase, its masks are nonempty sets of residues below
+    c, and no residue is in two of them (their sum equals their OR); and
+    D[u][0] = 0;
   * Bellman's equations, whose only solution with positive weights is the
-    exact table of least walk lengths, by one of two routes:
-      - bitmaps: one int X_x per skeleton vertex, bit L set iff L is the
-        least length of its residue.  X_x << w lies inside the +c closure
-        of X_z (every length at or above the least of its residue, by
-        doubling shifts) for each chain x -> z of weight w (lower bound);
-        and X_z lies inside the OR of the X_x << w over the chains into z,
-        plus bit 0 at u (attained).  That is about E + |skeleton| log R +
-        3 chains operations on R c-bit ints, for E masks over R rounds.
-      - rows: the table written out as D[x][rho], the unreached residues
-        as the marker |skeleton| c max w + 1, above every least walk length;
-        then D[z][(rho + w) mod c] <= D[x][rho] + w for every chain x -> z
-        of weight w and every rho (lower bound), and every other entry equal
-        to D[x][(rho - w) mod c] + w for some chain x -> z, or the marker
-        with only marked predecessors (attained).  That is about
-        (|skeleton| + chains) c list entries, each handled in Python.
-    _bitmaps_cheaper takes the route whose cost estimate is lower, from E,
-    R, c and the chain count: bitmaps for (1,n,n^2)+, the c = n + 1 tables
-    of (1,n,1)+ and, up to n = 400 at least, the c = 2n tables of (1,n,n)+
-    at r_n and b_n; rows for its c = n table at a_n, whose rounds settle
-    one residue each, the c = 1 tables of (1,n,1)+, and, by n = 1000, all
-    three (1,n,n)+ tables.
+    exact table of least walk lengths, on the round masks as the search
+    moves them.  A chain x -> z of weight a c + b sends x's round-q mask N
+    to z as (N << b) & full in round q + a and as N >> (c - b) in round
+    q + a + 1, and u also gets residue 0 in round 0.  Walking z's rounds in
+    order with a running OR of what is sent, the residues first sent in
+    each round must be z's mask of that round: one comparison for both the
+    lower bound (nothing is sent before its round) and the attained clause
+    (something is sent in it).  A failure names the least failing residue
+    of the first failing vertex.  That is O(masks x chains out) operations
+    on c-bit ints, as in the search, plus a sort of each vertex's rounds.
 
 A negative verdict ("not primitive", "never covers") is a certificate that
 no image of a source v is every vertex (V >= 2).  It starts with the forced
@@ -76,6 +65,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import reduce
 from itertools import chain
+from math import inf
 from operator import lt, or_
 from typing import NamedTuple, NoReturn, Sequence
 
@@ -85,15 +75,6 @@ from .traintrack_digraph import Digraph
 # a skeleton and a residue table, laid out as the module docstring says
 Skeleton = Sequence
 Table = Sequence
-
-
-class _Rows(NamedTuple):
-    """A residue table as rows for _certify_table: rows[x][rho] is the least
-    length of a walk u -> nodes[x] congruent to rho mod c, or unreached."""
-
-    c: int
-    rows: list[list[int]]
-    unreached: int
 
 
 class _Refusal(NamedTuple):
@@ -206,56 +187,11 @@ def _moves(sk: Skeleton) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
                    for x, out in enumerate(sk[1]) for path, end in out]
 
 
-def _rows(table: Table, moves: list[tuple[int, int, int]]) -> _Rows:
-    """The table written out as rows, once _certify_rounds has passed it,
-    unreached as |skeleton| c max w + 1 over the (x, z, w) of _moves."""
-    _, c, _, rounds, masks = table
-    top = len(rounds) * c * max(w for _, _, w in moves) + 1
-    rows = []
-    for qs, ms in zip(rounds, masks):
-        row = [top] * c
-        for q, mask in zip(qs, ms):
-            base = q * c
-            while mask:
-                rho = mask.bit_length() - 1
-                row[rho] = base + rho
-                mask ^= 1 << rho
-        rows.append(row)
-    return _Rows(c, rows, top)
-
-
-def _certify_table(
-    g: Digraph, sk: Skeleton, u: int, table: _Rows,
-    where: dict[int, int], moves: list[tuple[int, int, int]],
-) -> None:
-    """Bellman's equations on the rows of a table whose rounds
-    _certify_rounds has passed, with sk's (where, moves) from _moves."""
-    c, rows, top = table
-    # best[z][(rho + w) % c] is the least D[x][rho] + w over the chains
-    # x -> z of weight w, starting from the unreached marker
-    best = [[top] * c for _ in rows]
-    for x, z, w in moves:
-        row, s = rows[x], w % c
-        rotated = row[-s:] + row[:-s]
-        best[z] = [q if q < p + w else p + w for p, q in zip(rotated, best[z])]
-    best[where[u]][0] = 0
-    mismatch = next(((z, rho) for z, (row, low) in enumerate(zip(rows, best))
-                     if row != low for rho, (d, b) in enumerate(zip(row, low))
-                     if d != b), None)
-    if mismatch is not None:
-        z, rho = mismatch
-        clause = "lower bound" if rows[z][rho] > best[z][rho] else "attained"
-        _fail_table(
-            g, u, f"{clause} fails at D[{g.labels[sk[0][z]]!r}][{rho}] = "
-            f"{rows[z][rho]}, its predecessors give {best[z][rho]}"
-        )
-
-
 def _certify_rounds(
     g: Digraph, sk: Skeleton, u: int, table: Table, where: dict[int, int]
 ) -> None:
-    """The clauses that both routes rely on: the root, a skeleton vertex,
-    the cycle, lists of increasing rounds with nonempty masks of distinct
+    """The clauses on a table's rounds: the root, a skeleton vertex, the
+    cycle, lists of increasing rounds with nonempty masks of distinct
     residues below c, and D[u][0] = 0; where comes from _moves."""
     root, c, cycle, rounds, masks = table
     labels, nodes = g.labels, sk[0]
@@ -293,89 +229,58 @@ def _certify_rounds(
         _fail_table(g, u, "D[u][0] != 0")
 
 
-def _certify_bitmaps(
+def _certify_masks(
     g: Digraph, sk: Skeleton, u: int, table: Table,
     where: dict[int, int], moves: list[tuple[int, int, int]],
 ) -> None:
-    """Bellman's equations on one length bitmap per skeleton vertex, for a
-    table that _certify_rounds has passed, with sk's (where, moves)."""
+    """Bellman's equations on the round masks of a table that
+    _certify_rounds has passed, with sk's (where, moves) from _moves."""
     _, c, _, rounds, masks = table
-    labels, nodes = g.labels, sk[0]
-    # bit L of lengths[x] is set iff L is the least length of a walk
-    # u -> nodes[x] in its residue
-    lengths = [0] * len(nodes)
-    for x, (qs, ms) in enumerate(zip(rounds, masks)):
-        # neighbouring rounds are joined pairwise, so each bit moves about
-        # log2(rounds) times rather than once per later round
-        parts = list(zip(qs, ms))
-        while len(parts) > 1:
-            pairs = zip(parts[::2], parts[1::2])
-            joined = [(p, m | n << (r - p) * c) for (p, m), (r, n) in pairs]
-            parts = joined + parts[len(parts) - len(parts) % 2:]
-        if parts:
-            lengths[x] = parts[0][1] << parts[0][0] * c
-    horizon = max(lengths).bit_length() + max(w for _, _, w in moves)
-    cut = (1 << horizon) - 1
-    into: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    full = (1 << c) - 1
+    into: list[list[tuple[int, int, int, int]]] = [[] for _ in rounds]
     for x, z, w in moves:
-        into[z].append((x, w))
-    for z, have in enumerate(lengths):
-        # above: every length at or above the least one of its residue;
-        # given: the lengths that the chains into z give
-        above, s = have, c
-        while s < horizon:
-            above = (above | above << s) & cut
-            s += s
-        given = int(z == where[u])
-        for x, w in into[z]:
-            sent = lengths[x] << w
-            short = sent & ~above
-            if short:
-                d = (short & -short).bit_length() - 1
-                _fail_table(
-                    g, u, f"lower bound fails at D[{labels[nodes[z]]!r}][{d % c}], "
-                    f"which the chain from {labels[nodes[x]]!r} reaches in {d}"
-                )
-            given |= sent
-        extra = have & ~given
-        if extra:
-            d = (extra & -extra).bit_length() - 1
+        a, b = divmod(w, c)
+        into[z].append((x, a, b, c - b))
+    for z, chains_in in enumerate(into):
+        # sent[q]: the residues that the chains into z, and u's empty walk,
+        # reach in round q, for every round that sends or that z claims
+        sent = dict.fromkeys(rounds[z], 0)
+        if z == where[u]:
+            sent[0] = 1
+        get = sent.get
+        for x, a, b, back in chains_in:
+            for q, mask in zip(rounds[x], masks[x]):
+                q += a
+                sent[q] = get(q, 0) | mask << b & full
+                if mask >> back:
+                    sent[q + 1] = get(q + 1, 0) | mask >> back
+        # the residues first sent in each round are z's mask of that round
+        claimed = dict(zip(rounds[z], masks[z]))
+        seen = bad = 0
+        for q in sorted(sent):
+            grown = seen | sent[q]
+            if grown ^ seen != claimed.get(q, 0):
+                bad |= grown ^ seen ^ claimed.get(q, 0)
+            seen = grown
+        if bad:
+            rho = (bad & -bad).bit_length() - 1
+            have, given = (
+                min((q for q, mask in by.items() if mask >> rho & 1), default=inf)
+                for by in (claimed, sent)
+            )
+            clause = "lower bound" if given < have else "attained"
             _fail_table(
-                g, u, f"attained fails at D[{labels[nodes[z]]!r}][{d % c}] = {d}, "
-                "which no chain into it gives"
+                g, u, f"{clause} fails at D[{g.labels[sk[0][z]]!r}][{rho}] = "
+                f"{have * c + rho}, its predecessors give {given * c + rho}"
             )
 
 
-def _bitmaps_cheaper(sk: Skeleton, table: Table) -> bool:
-    """Is the bitmap route's cost estimate below the row route's?
-
-    The estimates are in nanoseconds, fitted on 149 tables (Gamma_(1,j,k)+
-    up to (1,300,90000)+, hub digraphs and random digraphs with long runs)
-    under CPython 3.11 on a 2-CPU x86-64 machine.  The row route builds and
-    checks (vertices + chains) x c row entries in Python.  The bitmap route
-    makes a few big-int operations per mask, per vertex for each of about
-    2 log2(R) joins and doublings, and per chain, over the R c bits of R
-    rounds.
-    """
-    c, rounds, count = table[1], table[3], len(sk[0])
-    chains = sum(map(len, sk[1]))
-    entries = sum(map(len, rounds))
-    spread = 1 + max((qs[-1] for qs in rounds if qs), default=0)
-    steps = 2 * count * spread.bit_length() + count + 3 * chains
-    bitmaps = 450 * (entries + steps) + 2 * spread * c / 64 * steps
-    rows = 100 * (count + chains) * c + 100 * entries + 2000 * (count + chains)
-    return bitmaps < rows
-
-
 def _check_table(g: Digraph, sk: Skeleton, u: int, table: Table) -> None:
-    """Certifies a table: the shared clauses, then Bellman's equations by
-    the route with the lower cost estimate, on one (where, moves) of sk."""
+    """Certifies a table: the clauses on its rounds, then Bellman's
+    equations on its masks, on one (where, moves) of sk."""
     where, moves = _moves(sk)
     _certify_rounds(g, sk, u, table, where)
-    if _bitmaps_cheaper(sk, table):
-        _certify_bitmaps(g, sk, u, table, where, moves)
-    else:
-        _certify_table(g, sk, u, _rows(table, moves), where, moves)
+    _certify_masks(g, sk, u, table, where, moves)
 
 
 def _certify_refusal(g: Digraph, sk: Skeleton, v: int, ref: _Refusal) -> None:

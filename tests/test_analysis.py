@@ -11,7 +11,7 @@ import re
 import sys
 import tokenize
 import weakref
-from unittest import mock
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -59,6 +59,10 @@ EXPONENT_TABLE.update(
     {(n, n * n): n**3 + n**2 + 2 * n - 1 for n in (*range(2, 31), 40, 64, 100)}
 )
 EXPONENT_TABLE.update({(n, 1): 2 * n + 2 for n in range(2, 401)})
+# r(1,n,n)+ = n^2 + 3n - 1, as a per-state search of the residue tables also
+# gives at n = 200, 256, 400, 1000 and 1666; the table of a_n settles one
+# residue a round
+EXPONENT_TABLE[(200, 200)] = 200**2 + 3 * 200 - 1
 
 
 @pytest.mark.parametrize(("j", "k"), sorted(EXPONENT_TABLE))
@@ -597,9 +601,8 @@ def test_residue_tables_match_brute_force(g):
     # every (vertex, length) state reached from u, by stepping vertex sets;
     # past the set sequence's preperiod, (set, length mod c) repeats with
     # the lcm of its period and c, so the horizon covers every length; the
-    # row route writes the residues that no walk reaches as its own marker
+    # residues that no walk reaches are None in both
     sk = digraph_analysis._engine(g).skeleton
-    moves = certificate._moves(sk)[1]
     for u in sk.nodes:
         table = digraph_analysis._residue_table(sk, u)
         sets, start = _sets_by_length(g, u)
@@ -615,16 +618,29 @@ def test_residue_tables_match_brute_force(g):
             continue
         assert table.c == returns[0]
         assert len(table.cycle) == table.c + 1
-        rows = certificate._rows(table, moves)
-        expected = [[rows.unreached] * table.c for _ in sk.nodes]
+        expected = [[None] * table.c for _ in sk.nodes]
         horizon = start + period * table.c // math.gcd(period, table.c)
         for length in range(horizon):
             reached = at(length)
             for x, v in enumerate(sk.nodes):
                 row = expected[x]
-                if v in reached and row[length % table.c] == rows.unreached:
+                if v in reached and row[length % table.c] is None:
                     row[length % table.c] = length
-        assert rows.rows == expected
+        assert _decoded(table, None) == expected
+
+
+def _decoded(table, unreached):
+    """The table's rows: rows[x][rho] is the least length of a walk
+    u -> nodes[x] congruent to rho mod c, or unreached."""
+    c, rows = table.c, []
+    for qs, ms in zip(table.rounds, table.masks):
+        row = [unreached] * c
+        for q, mask in zip(qs, ms):
+            for rho in range(c):
+                if mask >> rho & 1:
+                    row[rho] = q * c + rho
+        rows.append(row)
+    return rows
 
 
 _RESIDUE_TABLE = digraph_analysis._residue_table
@@ -808,23 +824,36 @@ def _period_two(n):
     return Digraph.from_edges([f"v{i}" for i in range(n)], pairs)
 
 
-def _route_verdicts(g, sk, u, table):
-    """[bitmap route passes, row route passes], each checked by _check_table
-    with the route forced; a refusal must name re-verification."""
-    verdicts = []
-    for bitmaps in (True, False):
-        forced = mock.patch.object(
-            certificate, "_bitmaps_cheaper", lambda sk, table: bitmaps
-        )
-        try:
-            with forced:
-                certificate._check_table(g, sk, u, table)
-        except RuntimeError as exc:
-            assert "re-verification" in str(exc)
-            verdicts.append(False)
-        else:
-            verdicts.append(True)
-    return verdicts
+def _check_failure(g, sk, u, table):
+    """The refusal text of the package's table check, or None; a refusal
+    must name re-verification."""
+    text = _refusal_text(certificate._check_table, g, sk, u, table)
+    assert text is None or "re-verification" in text
+    return text
+
+
+def _checked_as_the_reference(g, sk, u, table):
+    """The refusal text of the table check, or None; a table that passes
+    the clauses on its rounds gets the verdict, clause, vertex and residue
+    of the numpy reference."""
+    text = _check_failure(g, sk, u, table)
+    where = certificate._moves(sk)[0]
+    rounds = _refusal_text(certificate._certify_rounds, g, sk, u, table, where)
+    if rounds is not None:
+        assert text == rounds
+    else:
+        reference = _numpy_bellman_failure(g, sk, u, _as_rows(sk, table))
+        assert _failing_entry(text) == _failing_entry(reference)
+    return text
+
+
+def _failing_entry(text):
+    """(clause, vertex, residue) of a refusal of Bellman's equations."""
+    if text is None:
+        return None
+    found = re.search(r"(lower bound|attained) fails at D\[(.+?)\]\[(\d+)\]", text)
+    assert found, text
+    return found.groups()
 
 
 def _wrong_cycle(g, table, x):
@@ -834,8 +863,17 @@ def _wrong_cycle(g, table, x):
     return _cycle_off_the_edges(g, table)
 
 
+def _added_at_round_14(table, x):
+    """Residue 1 of row x, if no walk reaches it, claimed at round 14: on
+    _period_two(10) from v0 that is length 113 = |skeleton| c max w + 1, a
+    marker above every least length for a check that writes out rows."""
+    return _remasked(table, x, lambda pairs, c: (
+        [(14, 1)] + pairs if c > 1 and all(rho != 1 for _, rho in pairs) else None
+    ))
+
+
 # (corruption, a digraph whose branching vertex's table it applies to)
-BITMAP_CORRUPTIONS = [
+MASK_CORRUPTIONS = [
     (lambda g, t, x: _raised(t, x), lambda: magic_digraph(4, 16)),
     (lambda g, t, x: _lowered(t, x), lambda: magic_digraph(4, 16)),
     (lambda g, t, x: _dropped(t, x), lambda: magic_digraph(4, 16)),
@@ -849,34 +887,49 @@ BITMAP_CORRUPTIONS = [
     (lambda g, t, x: _empty_mask(t, x), lambda: magic_digraph(4, 16)),
     (lambda g, t, x: _negative_round(t, x), lambda: magic_digraph(4, 16)),
     (lambda g, t, x: _unpaired_round(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x: _added_at_round_14(t, x), lambda: _period_two(10)),
 ]
 
 
 @pytest.mark.parametrize(
     ("corrupt", "build"),
-    BITMAP_CORRUPTIONS,
+    MASK_CORRUPTIONS,
     ids=["raised-by-c", "lowered-by-c", "dropped", "added", "second-bit",
          "wrong-cycle", "emptied", "unsorted", "overflowing", "empty-mask",
-         "negative-round", "unpaired-round"],
+         "negative-round", "unpaired-round", "added-at-round-14"],
 )
 def test_bitmap_route_refuses_each_corruption(corrupt, build):
+    # the table check runs on the round masks, one residue bitmap a round
     g, eng, sk = _certified(build())
     u = next(v for v, out in zip(sk.nodes, sk.chains) if len(out) > 1)
     table = digraph_analysis._residue_table(sk, u)
-    # the table has few rounds, so the bitmap route certifies it
-    assert certificate._bitmaps_cheaper(sk, table)
-    certificate._check_table(g, sk, u, table)
+    assert _checked_as_the_reference(g, sk, u, table) is None
+    refused = 0
     for x in range(len(sk.nodes)):
         bad = corrupt(g, table, x)
-        if bad is None:
-            continue
-        assert certificate._bitmaps_cheaper(sk, bad)
-        with pytest.raises(RuntimeError, match="re-verification"):
-            certificate._check_table(g, sk, u, bad)
-        assert _route_verdicts(g, sk, u, bad) == [False, False]
+        if bad is not None:
+            assert _checked_as_the_reference(g, sk, u, bad) is not None
+            refused += 1
+    assert refused
 
 
-ROUTE_CORRUPTIONS = [None] + [corrupt for corrupt, _ in BITMAP_CORRUPTIONS]
+def test_a_claim_at_the_row_marker_is_refused():
+    # walks v0 -> v0 of _period_two(10) have lengths 8 and 10, so no walk
+    # reaches v0 in an odd length; written out as rows, with the marker
+    # |skeleton| c max w + 1 = 113 for unreached residues, a claim of
+    # residue 1 at length 113 would read as unreached
+    g, eng, sk = _certified(_period_two(10))
+    u = g.index("v0")
+    table = eng.table(g, u)[0]
+    weights = [len(ch.path) for out in sk.chains for ch in out]
+    assert len(sk.nodes) * table.c * max(weights) + 1 == 14 * table.c + 1 == 113
+    with pytest.raises(RuntimeError, match=re.escape(
+        "re-verification: attained fails at D['v0'][1] = 113"
+    )):
+        certificate._check_table(g, sk, u, _added_at_round_14(table, sk.index[u]))
+
+
+ROUTE_CORRUPTIONS = [None] + [corrupt for corrupt, _ in MASK_CORRUPTIONS]
 
 
 @settings(max_examples=150, deadline=None)
@@ -888,6 +941,8 @@ ROUTE_CORRUPTIONS = [None] + [corrupt for corrupt, _ in BITMAP_CORRUPTIONS]
     data=st.data(),
 )
 def test_both_check_routes_accept_or_refuse_alike(g, data):
+    # the table check and the numpy reference on the decoded rows: a sound
+    # table passes both, and every corruption fails both, at one entry
     g, eng, sk = _certified(g)
     cyclic = [v for v in sk.nodes if eng.cyclic[sk.index[v]]]
     if not cyclic:
@@ -900,8 +955,7 @@ def test_both_check_routes_accept_or_refuse_alike(g, data):
         table = corrupt(g, table, x)
         if table is None:
             return
-    # a sound table passes both routes, and every corruption fails both
-    assert _route_verdicts(g, sk, u, table) == [corrupt is None] * 2
+    assert (_checked_as_the_reference(g, sk, u, table) is None) == (corrupt is None)
 
 
 def _lists_and_ints(data):
@@ -945,7 +999,7 @@ def test_checker_reads_plain_data(g, data):
             continue
         table = found[0]
         certificate._check_table(g, plain_sk, u, _lists_and_ints(table))
-        for corrupt, _ in BITMAP_CORRUPTIONS:
+        for corrupt, _ in MASK_CORRUPTIONS:
             bad = corrupt(g, table, x)
             if bad is None:
                 continue
@@ -979,47 +1033,6 @@ def test_certificate_imports_no_engine_code():
         assert name == "fibercone.traintrack_digraph" or (
             top in sys.stdlib_module_names and top != "importlib"
         ), name
-
-
-@pytest.mark.parametrize(
-    ("j", "k", "r", "route"),
-    [
-        # r(1,n,n)+ = n^2 + 3n - 1, as a per-state search of the residue
-        # tables also gives at n = 200, 256, 400, 1000 and 1666
-        (200, 200, 200**2 + 3 * 200 - 1, "rows"),
-        (10, 100, EXPONENT_TABLE[(10, 100)], "bitmaps"),
-    ],
-    ids=["many-rounds", "few-rounds"],
-)
-def test_each_check_route_is_taken(monkeypatch, j, k, r, route):
-    # (1,n,n)+ from a_n settles one residue a round, so its table takes the
-    # row route; (1,n,n^2)+ tables have about n rounds of n^2 residues
-    taken = []
-    routes = (("_certify_bitmaps", "bitmaps"), ("_certify_table", "rows"))
-    for name, route_name in routes:
-        real = getattr(certificate, name)
-
-        def counted(*args, real=real, route_name=route_name):
-            taken.append(route_name)
-            return real(*args)
-
-        monkeypatch.setattr(certificate, name, counted)
-    g = magic_digraph(j, k)
-    assert primitivity_exponent(g) == r
-    assert route in taken
-    if route == "rows":
-        # the table of a_n, whose cycle a_n -> a_1 -> a_n has length n, takes
-        # the row route; those of r_n and b_n, of c = 2n, take the bitmaps
-        eng = digraph_analysis._engine(g)
-        tables = {v: eng.table(g, g.index(v))[0] for v in (f"a_{k}", f"r_{j}", f"b_{k}")}
-        assert [table.c for table in tables.values()] == [k, 2 * k, 2 * k]
-        assert max(map(len, tables[f"a_{k}"].rounds)) >= k
-        assert {v: certificate._bitmaps_cheaper(eng.skeleton, table)
-                for v, table in tables.items()} == {
-            f"a_{k}": False, f"r_{j}": True, f"b_{k}": True}
-        assert sorted(taken) == ["bitmaps", "bitmaps", "rows"]
-    else:
-        assert set(taken) == {"bitmaps"}
 
 
 def _hub(n):
@@ -1247,7 +1260,7 @@ def _branching_interior():
 
 
 def _table_of(table_tamper):
-    """A check of the clauses that both routes share: a table tampered."""
+    """A check of the clauses on a table's rounds: a table tampered."""
     def check():
         g, eng, sk = _certified(magic_digraph(8, 4))
         u = next(x for x, out in zip(sk.nodes, sk.chains) if len(out) > 1)
@@ -1257,14 +1270,15 @@ def _table_of(table_tamper):
     return check
 
 
-def _routed_table_of(v, table_tamper):
-    """A check of the whole table check: the table of v, tampered, by the
-    route that _check_table takes for it."""
+def _whole_table_of(v, table_tamper):
+    """A check of the whole table check: the table of v, tampered; the
+    check's case is named by its clause and v."""
     def check():
         g, eng, sk = _certified(magic_digraph(8, 4))
         u = g.index(v)
         certificate._check_table(g, sk, u, table_tamper(g, eng.table(g, u)[0]))
 
+    check.table = v
     return check
 
 
@@ -1328,12 +1342,17 @@ CHECKER_CLAUSES = [
     ("the rounds of 'a_1' are not increasing rounds of nonempty sets of 4 "
      "residues", _table_of(lambda g, t: _empty_mask(t, 1))),
     ("D[u][0] != 0", _table_of(lambda g, t: _emptied(t, 0))),
-    # a_4's table (c = 4, one residue a round) takes the row route, and
-    # r_8's (c = 12) the bitmap route; the shared clauses refuse both
+    # a_4's table has c = 4 and one residue a round, r_8's c = 12
     ("D['a_1'] has two lengths in one residue",
-     _routed_table_of("a_4", lambda g, t: _doubled(t, 1))),
+     _whole_table_of("a_4", lambda g, t: _doubled(t, 1))),
     ("D['a_1'] has two lengths in one residue",
-     _routed_table_of("r_8", lambda g, t: _doubled(t, 1))),
+     _whole_table_of("r_8", lambda g, t: _doubled(t, 1))),
+    # a_1's residue 0, its highest least length, claimed a round later or a
+    # round earlier than a chain sends it
+    ("lower bound fails at D['a_1'][0] = 16, its predecessors give 12",
+     _whole_table_of("a_4", lambda g, t: _raised(t, 1))),
+    ("attained fails at D['a_1'][0] = 8, its predecessors give 12",
+     _whole_table_of("a_4", lambda g, t: _lowered(t, 1))),
     ("it is not about 'w' among two or more vertices",
      _refusal_of(_closed_set_example, "w",
                  lambda g, eng: _Refusal("x", (1,), closed=eng.beyond(g, 1)))),
@@ -1355,12 +1374,12 @@ CHECKER_CLAUSES = [
 ]
 
 
-# each case is named by its clause, except that the shared duplicate-residue
-# clause names its row-route case by the tamper, so the two routes differ
-CHECKER_IDS = [c for c, _ in CHECKER_CLAUSES]
-CHECKER_IDS[CHECKER_IDS.index("D['a_1'] has two lengths in one residue")] = (
-    "some row has two lengths in one residue"
-)
+# each case is named by its clause, and a check of a whole table also by
+# the table
+CHECKER_IDS = [
+    f"{clause} (table of {check.table})" if hasattr(check, "table") else clause
+    for clause, check in CHECKER_CLAUSES
+]
 
 
 @pytest.mark.parametrize(("clause", "check"), CHECKER_CLAUSES, ids=CHECKER_IDS)
@@ -1567,10 +1586,31 @@ def test_relabeling_changes_no_answer(g, data):
 # -- the table check against a vectorised numpy reference ----------------------
 
 
+class _Rows(NamedTuple):
+    """A residue table as rows for the numpy reference: rows[x][rho] is the
+    least length of a walk u -> nodes[x] congruent to rho mod c, or the
+    marker unreached."""
+
+    c: int
+    rows: list
+    unreached: int
+
+
+def _as_rows(sk, table, unreached=0):
+    """The table's rows, with a marker of at least unreached above every
+    length that a chain sends from the table, so above every least and
+    every claimed length."""
+    highest = max((qs[-1] for qs in table.rounds if qs), default=0)
+    weight = max(len(ch.path) for out in sk.chains for ch in out)
+    top = max(unreached, (len(sk.nodes) * weight + highest + 1) * table.c + 1)
+    return _Rows(table.c, _decoded(table, top), top)
+
+
 def _numpy_bellman_failure(g, sk, u, table):
-    """The Bellman clauses of the table check, in the numpy formulation the
-    package used before its check became plain Python: the refusal text, or
-    None when the table passes.  It assumes the checks before them passed."""
+    """The Bellman clauses of the table check on the rows of _as_rows, in
+    the numpy formulation the package used before its check became plain
+    Python: the refusal text, or None when the table passes.  It assumes the
+    checks before them passed."""
     rows, c, top = table.rows, table.c, table.unreached
     xs, zs, ws = [], [], []
     for x, out in enumerate(sk.chains):
@@ -1596,19 +1636,12 @@ def _numpy_bellman_failure(g, sk, u, table):
     )
 
 
-def _check_failure(g, sk, u, table):
-    """The refusal text of the package's table check, or None."""
-    try:
-        certificate._certify_table(g, sk, u, table, *certificate._moves(sk))
-    except RuntimeError as exc:
-        return str(exc)
-    return None
-
-
-def _tampered(table, x, rho, d):
-    rows = [list(row) for row in table.rows]
-    rows[x][rho] = d
-    return table._replace(rows=rows)
+def _moved(table, x, rho, q):
+    """The table with residue rho of row x claimed at round q, or unreached
+    for q None."""
+    return _remasked(table, x, lambda pairs, c: [
+        pair for pair in pairs if pair[1] != rho
+    ] + [(q, rho)] * (q is not None))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1620,43 +1653,38 @@ def _tampered(table, x, rho, d):
 def test_table_check_agrees_with_numpy_reference(j, k, data):
     g, eng, sk = _certified(magic_digraph(j, k))
     u = data.draw(st.sampled_from([v for v in sk.nodes if eng.cyclic[sk.index[v]]]))
-    table = certificate._rows(eng.table(g, u)[0], certificate._moves(sk)[1])
+    table = eng.table(g, u)[0]
     assert _check_failure(g, sk, u, table) is None
-    assert _numpy_bellman_failure(g, sk, u, table) is None
-    # one entry other than D[u][0], which an earlier clause checks, moved
+    assert _numpy_bellman_failure(g, sk, u, _as_rows(sk, table)) is None
+    # one residue other than D[u][0], which an earlier clause checks, moved
+    # to another round, unreached, or claimed at the round of the marker
+    # |skeleton| c max w + 1
     x, rho = data.draw(
         st.tuples(st.integers(0, len(sk.nodes) - 1), st.integers(0, table.c - 1))
         .filter(lambda e: e != (sk.index[u], 0))
     )
-    d = data.draw(st.sampled_from((
-        table.rows[x][rho] + 1,
-        table.rows[x][rho] - 1,
-        0,
-        table.unreached,
-        table.unreached - 1,
-    )))
-    bad = _tampered(table, x, rho, d)
-    expected = _numpy_bellman_failure(g, sk, u, bad)
-    assert _check_failure(g, sk, u, bad) == expected
-    assert (expected is None) == (d == table.rows[x][rho])
+    q = next((q for q, mask in zip(table.rounds[x], table.masks[x])
+              if mask >> rho & 1), None)
+    weight = max(len(ch.path) for out in sk.chains for ch in out)
+    near = (q + 1, q - 1) if q is not None else (1,)
+    moved = data.draw(st.sampled_from(
+        [r for r in near if r >= 0] + [0, None, len(sk.nodes) * weight]
+    ))
+    text = _checked_as_the_reference(g, sk, u, _moved(table, x, rho, moved))
+    assert (text is None) == (moved == q)
 
 
 def test_table_check_with_a_marker_above_2_62():
-    # walks v0 -> v0 have even lengths only, so odd residues stay unreached
+    # walks v0 -> v0 have even lengths only, so odd residues stay unreached;
+    # the reference writes them as a marker above 2**62, in object arrays
     g, eng, sk = _certified(_period_two(6))
     u = g.index("v0")
-    table = certificate._rows(eng.table(g, u)[0], certificate._moves(sk)[1])
-    top = 2**62 + 5
-    rows = [[top if d == table.unreached else d for d in row] for row in table.rows]
-    assert any(top in row for row in rows)
-    big = table._replace(rows=rows, unreached=top)
-    assert _check_failure(g, sk, u, big) is None
-    assert _numpy_bellman_failure(g, sk, u, big) is None
-    x, rho = next(
-        (x, rho) for x, row in enumerate(rows) for rho, d in enumerate(row) if d == top
-    )
-    for d in (top - 1, top + 1, 2**64):
-        bad = _tampered(big, x, rho, d)
-        failure = _check_failure(g, sk, u, bad)
-        assert failure is not None and "re-verification" in failure
-        assert failure == _numpy_bellman_failure(g, sk, u, bad)
+    table = eng.table(g, u)[0]
+    assert _check_failure(g, sk, u, table) is None
+    assert _numpy_bellman_failure(g, sk, u, _as_rows(sk, table, 2**62 + 5)) is None
+    # an odd residue of v0 claimed at a length about 2**62 or 2**64
+    for length in (2**62 + 1, 2**62 + 7, 2**64 + 3):
+        q, rho = divmod(length, table.c)
+        text = _checked_as_the_reference(g, sk, u, _moved(table, sk.index[u], rho, q))
+        assert _failing_entry(text) == ("attained", "'v0'", str(rho))
+        assert f" = {length}, " in text
