@@ -38,16 +38,25 @@ def _emit(obj: Any) -> None:
     print(sweep.json_text(obj))
 
 
+def _int_tokens(tokens: list[str], what: str, text: str) -> tuple[int, ...]:
+    """The tokens as ints, else a ValueError naming the whole argument text."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise ValueError(f"expected {what}, got {text!r}") from None
+
+
 def _parse_ints(text: str, expect: int | None = None) -> tuple[int, ...]:
-    parts = tuple(int(tok) for tok in text.replace(",", " ").split())
+    what = "integers" if expect is None else f"{expect} integers"
+    parts = _int_tokens(text.replace(",", " ").split(), what, text)
     if expect is not None and len(parts) != expect:
-        raise ValueError(f"expected {expect} integers, got {len(parts)}: {text!r}")
+        raise ValueError(f"expected {what}, got {len(parts)}: {text!r}")
     return parts
 
 
 def _parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
     rows = tuple(
-        tuple(int(tok) for tok in chunk.split())
+        _int_tokens(chunk.split(), "rows of integers", text)
         for chunk in text.split(";")
         if chunk.strip()
     )

@@ -61,12 +61,15 @@ row . (res - k b) >= 0 on every row form the interval from 0 to the least
 row . res // row . b over the rows with row . b > 0, read off the
 residual's row values.  Those values come from the caller: decompose_interior
 computes the point's row values once, uses them for the interior test, and
-takes each seed's residual values as row . p - row . a from the seed row
-values HilbertData stores, so a seed with a negative value is skipped before
-any search.  The longest linearly independent suffix of Omega is not
-searched: an invertible square minor of it, kept as integer adjugate and
-determinant, gives its unique coefficients by one exact division each, and
-recomposing the residual in integers confirms them.
+compares them with the seed row values HilbertData stores, so a seed with a
+negative residual value row . p - row . a is skipped before its residual is
+built.  The longest linearly independent suffix of Omega is not searched:
+an invertible square minor S of it, kept as the rows of the integer
+adjugate spread over every coordinate (0 off the minor) and det(S), gives
+its unique coefficients by one dot product and exact division each.  Exact
+division fixes the minor's coordinates, since adj(S) r = det(S) k with no
+remainder already means S k = r, and the coordinates off the minor are
+compared.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ def _dot(row: Sequence[int], x: Point) -> int:
 
 def _row_values(rows: Sequence[Sequence[int]], x: Point) -> tuple[int, ...]:
     """(row . x for each row): x lies in the cone iff none is negative."""
-    return tuple([_dot(row, x) for row in rows])
+    return tuple([sum(map(mul, row, x)) for row in rows])
 
 
 def _lattice_point(x: Sequence[int], dim: int, what: str) -> Point:
@@ -138,7 +141,7 @@ def _lattice_point(x: Sequence[int], dim: int, what: str) -> Point:
         point = tuple(x)
     except TypeError:
         point = None
-    if point is None or len(point) != dim or any(type(c) is not int for c in point):
+    if point is None or len(point) != dim or {*map(type, point)} != {int}:
         raise ValueError(f"{what} {x!r} is not a sequence of {dim} integers")
     return point
 
@@ -255,8 +258,10 @@ class _CoefficientPlan(NamedTuple):
 
     pairings[i][r] is rows[r] . omega[i], and columns[c][i] is omega[i][c].
     omega[tail:] is the longest linearly independent suffix, with columns
-    tail_columns; on the coordinates minor_coords it has an invertible
-    square minor S, stored as adj(S) and det(S).
+    tail_columns.  On some of the coordinates it has an invertible square
+    minor S; tail_rows[j] is row j of adj(S) spread over every coordinate,
+    with 0 off the minor, so that tail_rows[j] . x is adj(S) applied to x's
+    coordinates on the minor.  off_minor lists the other coordinates.
     """
 
     omega: tuple[Point, ...]
@@ -265,8 +270,8 @@ class _CoefficientPlan(NamedTuple):
     columns: tuple[tuple[int, ...], ...]
     tail: int
     tail_columns: tuple[tuple[int, ...], ...]
-    minor_coords: tuple[int, ...]
-    adjugate: tuple[tuple[int, ...], ...]
+    tail_rows: tuple[tuple[int, ...], ...]
+    off_minor: tuple[int, ...]
     det: int
 
 
@@ -283,6 +288,7 @@ def _coefficient_plan(omega: Sequence[Point], spec: ConeSpec) -> _CoefficientPla
         if det:
             break
     columns = tuple(tuple(b[c] for b in omega) for c in range(spec.dim))
+    on_minor = [dict(zip(coords, adj_row)) for adj_row in _adjugate(minor)]
     return _CoefficientPlan(
         omega,
         spec.rows,
@@ -290,8 +296,8 @@ def _coefficient_plan(omega: Sequence[Point], spec: ConeSpec) -> _CoefficientPla
         columns,
         tail,
         tuple(col[tail:] for col in columns),
-        coords,
-        _adjugate(minor),
+        tuple(tuple(row.get(c, 0) for c in range(spec.dim)) for row in on_minor),
+        tuple(c for c in range(spec.dim) if c not in coords),
         det,
     )
 
@@ -299,20 +305,21 @@ def _coefficient_plan(omega: Sequence[Point], spec: ConeSpec) -> _CoefficientPla
 def _solve_tail(plan: _CoefficientPlan, res: Point) -> list[int] | None:
     """The k >= 0 with res = sum_j k_j omega[tail + j], or None.
 
-    The suffix is independent, so k is unique: Cramer's rule on the minor
-    gives it, and recomposing res in integers confirms it on every
-    coordinate.
+    The suffix is independent, so k is unique.  Cramer's rule on the minor
+    S gives it: adj(S) r = det(S) k with no remainder, r the residual's
+    coordinates on the minor, already means S k = r, so exact division fixes
+    the minor's coordinates and only the coordinates off the minor are
+    compared.
     """
-    on_minor = [res[c] for c in plan.minor_coords]
     det = plan.det
     ks = []
-    for adj_row in plan.adjugate:
-        q, r = divmod(sum(map(mul, adj_row, on_minor)), det)
+    for row in plan.tail_rows:
+        q, r = divmod(sum(map(mul, row, res)), det)
         if r or q < 0:
             return None
         ks.append(q)
-    for x, col in zip(res, plan.tail_columns):
-        if sum(map(mul, ks, col)) != x:
+    for c in plan.off_minor:
+        if sum(map(mul, ks, plan.tail_columns[c])) != res[c]:
             return None
     return ks
 
@@ -335,40 +342,43 @@ def _solve_coefficients(
     solved exactly.  Failed (residual, depth) pairs are memoized.
     """
     omega, pairings, tail = plan.omega, plan.pairings, plan.tail
-    # stack[d] = (res - k b, its row values, k) for the residual res at
-    # depth d, b = omega[d] and the coefficient k tried there
-    stack: list[tuple[Point, tuple[int, ...], int]] = []
+    # ks[d] is the coefficient tried for omega[d] and res is the residual at
+    # depth len(ks); vals are the row values of the residual at depth
+    # min(len(ks), tail - 1), since the tail solve reads no row values
+    ks: list[int] = []
     res, vals = residual, values
     while True:
-        depth = len(stack)
-        if not any(res):
-            return [k for _, _, k in stack] + [0] * (len(omega) - depth)
-        key = (res, depth)
-        if key not in memo:
+        depth = len(ks)
+        # the memo stays empty until the first failure, so a search that
+        # never fails hashes no key
+        if not (memo and (res, depth) in memo):
             if depth == tail:
-                ks = _solve_tail(plan, res)
-                if ks is not None:
-                    return [k for _, _, k in stack] + ks
+                found = _solve_tail(plan, res)
+                if found is not None:
+                    return ks + found
             else:
                 b, bvals = omega[depth], pairings[depth]
                 k = min([v // p for v, p in zip(vals, bvals) if p > 0], default=0)
                 if k >= 0:
                     if k:
                         res = tuple([r - k * x for r, x in zip(res, b)])
-                        vals = tuple([v - k * p for v, p in zip(vals, bvals)])
-                    stack.append((res, vals, k))
+                        if depth + 1 < tail:
+                            vals = tuple([v - k * p for v, p in zip(vals, bvals)])
+                    ks.append(k)
                     continue
-            memo.add(key)
-        # backtrack to the deepest residual with a smaller k left to try
+            memo.add((res, depth))
+        # backtrack to the deepest generator with a smaller k left to try;
+        # at k = 0 the residual is the one that generator's depth began with
         while True:
-            if not stack:
+            if not ks:
                 return None
-            res, vals, k = stack.pop()
-            depth = len(stack)
+            k = ks.pop()
+            depth = len(ks)
             if k:
                 res = tuple(map(add, res, omega[depth]))
-                vals = tuple(map(add, vals, pairings[depth]))
-                stack.append((res, vals, k - 1))
+                if depth + 1 < tail:
+                    vals = tuple(map(add, vals, pairings[depth]))
+                ks.append(k - 1)
                 break
             memo.add((res, depth))
 
@@ -591,24 +601,35 @@ def decompose_interior(point: Point, h: HilbertData) -> InteriorDecomposition:
     after re-verification.  Failure means the generator set cannot be
     complete.  point must have cone.dim integer entries, else ValueError.
     """
-    point = _lattice_point(point, h.cone.dim, "point")
+    return _decompose(_lattice_point(point, h.cone.dim, "point"), h)
+
+
+def _decompose(point: Point, h: HilbertData) -> InteriorDecomposition:
+    """decompose_interior of a point _lattice_point has already validated.
+
+    A seed is tried only if none of its row values exceeds the point's, and
+    only such a seed gets its residual and the residual's row values built.
+    """
     values = _row_values(h.cone.rows, point)
     if min(values) <= 0:
         raise ValueError(f"{point} is not an interior lattice point of the cone")
     plan = h.plan
     memo: set[tuple[Point, int]] = set()
     for a, seed_values in zip(h.omega0, h.seed_values):
-        residual_values = tuple([v - s for v, s in zip(values, seed_values)])
-        if min(residual_values) < 0:
+        if not all(map(ge, values, seed_values)):
             continue
-        residual = tuple([p - s for p, s in zip(point, a)])
-        coeffs = _solve_coefficients(residual, residual_values, plan, memo)
+        coeffs = _solve_coefficients(
+            tuple([p - s for p, s in zip(point, a)]),
+            tuple([v - s for v, s in zip(values, seed_values)]),
+            plan,
+            memo,
+        )
         if coeffs is None:
             continue
         recomposed = tuple(
             [s + sum(map(mul, coeffs, col)) for s, col in zip(a, plan.columns)]
         )
-        if recomposed != point or any(k < 0 for k in coeffs):
+        if recomposed != point or min(coeffs) < 0:
             raise RuntimeError(f"decomposition of {point} failed re-verification")
         return InteriorDecomposition(a, tuple(coeffs))
     raise NoDecompositionError(
@@ -648,12 +669,11 @@ def arithmetic_split(
     returned n is guaranteed (and re-checked) to satisfy n >= norm(point)/D.
     """
     point = _lattice_point(point, h.cone.dim, "point")
-    decomp = decompose_interior(point, h)
+    decomp = _decompose(point, h)
     coeffs = decomp.coefficients
-    idx = coeffs.index(max(coeffs))
-    n = coeffs[idx]
-    beta = h.omega[idx]
-    alpha = tuple(p - n * b for p, b in zip(point, beta))
+    n = max(coeffs)
+    beta = h.omega[coeffs.index(n)]
+    alpha = tuple([p - n * b for p, b in zip(point, beta)])
     if norm not in h.cone_constants:
         h.cone_constants[norm] = cone_constant(
             [norm(a) for a in h.omega0], [norm(b) for b in h.omega]

@@ -472,8 +472,14 @@ MAGIC_ROWS_ARG = "1 0 0; 0 1 0; 1 0 -1; 0 1 -1"
           "--point", "7,9"), "error: expected 3 integers, got 2: '7,9'\n"),
         (("cone", "split", "--rows", MAGIC_ROWS_ARG, "--bound", "6",
           "--point", "7,9,2,1"), "error: expected 3 integers, got 4: '7,9,2,1'\n"),
+        (("cone", "decompose", "--rows", MAGIC_ROWS_ARG, "--bound", "6",
+          "--point", "7,9,2.5"), "error: expected 3 integers, got '7,9,2.5'\n"),
         (("cone", "hilbert", "--rows", ";", "--bound", "3"),
          "error: no inequality rows in ';'\n"),
+        (("cone", "hilbert", "--rows", "1 0; 0 x", "--bound", "3"),
+         "error: expected rows of integers, got '1 0; 0 x'\n"),
+        (("bounds", "class", "--plus", "1,8,4.0"),
+         "error: expected 3 integers, got '1,8,4.0'\n"),
         (("sweep", "--family", "pq", "--q", "2", "--n-from", "2", "--n-to", "3"),
          "error: the pq family needs --p and --q\n"),
         (("sweep", "--family", "n11", "--p", "2", "--q", "3", "--n-from", "2",
@@ -496,7 +502,8 @@ MAGIC_ROWS_ARG = "1 0 0; 0 1 0; 1 0 -1; 0 1 -1"
          "error: no x has A x > 0 (the sum of the extreme rays is not strictly "
          "positive on every row): the cone has empty interior\n"),
     ],
-    ids=["point-short", "point-long", "rows-empty", "pq-without-p",
+    ids=["point-short", "point-long", "point-not-int", "rows-empty",
+         "rows-not-int", "plus-not-int", "pq-without-p",
          "sweep-n11-with-pq", "verify-n11-with-pq", "sweep-n11-with-p",
          "verify-infinite-tolerance", "verify-nan-tolerance",
          "build-json-and-dot-one-path", "empty-interior"],

@@ -495,6 +495,19 @@ def test_coefficient_search_goes_deeper_than_the_recursion_limit():
     assert found == [0] * 1200 + [1, 1]
 
 
+def test_search_restores_the_row_values_it_backtracks_through():
+    # omega[:3] is searched and omega[3:] is the independent suffix.  k = 1
+    # for (0, 0, -1) fails at every deeper level; k = 0 then reaches
+    # (2, 0, 0) with row values (4, 0, 4, 0), which allow k = 2 there only
+    # if the values moved by the failed k = 1 at (2, 0, 0) were put back
+    omega = ((0, 0, -1), (0, 1, 0), (2, 0, 0), (1, 1, 1), (2, 0, 0))
+    plan = cone_monoid._coefficient_plan(omega, ConeSpec(MAGIC_ROWS))
+    assert plan.tail == 3
+    values = _row_values(MAGIC_ROWS, (4, 1, 0))
+    found = cone_monoid._solve_coefficients((4, 1, 0), values, plan, set())
+    assert found == [0, 1, 2, 0, 0]
+
+
 def test_coefficient_plan_and_tail_solve():
     h = hilbert_data(ConeSpec(MAGIC_ROWS), 6)
     assert h == hilbert_data(ConeSpec(MAGIC_ROWS), 6)
@@ -523,6 +536,18 @@ def test_corrupted_tail_solve_fails_re_verification(monkeypatch):
     monkeypatch.setattr(cone_monoid, "_solve_tail", off_by_one)
     with pytest.raises(RuntimeError, match="re-verification"):
         decompose_interior((7, 9, 2), h)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        arithmetic_split((7, 9, 2), h, thurston_form)
+
+
+def test_decompose_and_split_read_an_iterator_point_once():
+    # the point is validated once: an iterator consumed twice would leave an
+    # empty point for the second reading
+    h = hilbert_data(ConeSpec(MAGIC_ROWS), 6)
+    assert decompose_interior(iter((7, 9, 2)), h) == decompose_interior((7, 9, 2), h)
+    split = arithmetic_split(iter((7, 9, 2)), h, thurston_form)
+    assert split == arithmetic_split((7, 9, 2), h, thurston_form)
+    assert (split.alpha, split.n) == ((1, 3, -4), 6)
 
 
 def test_corrupted_pass_fails_re_verification(monkeypatch):
@@ -771,6 +796,40 @@ def test_decompose_interior_matches_brute_force(h, data):
     else:
         d = decompose_interior(point, hv)
         assert (d.seed, d.coefficients) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=pointed_cones(), data=st.data())
+def test_tail_solve_matches_brute_force(h, data):
+    omega = h.omega
+    if data.draw(st.booleans()):
+        # a parallel generator, which can end the independent suffix before
+        # it spans every coordinate and leave coordinates off the minor
+        omega += (tuple(2 * x for x in data.draw(st.sampled_from(omega))),)
+    plan = cone_monoid._coefficient_plan(omega, h.cone)
+    suffix = omega[plan.tail:]
+    assert len(plan.tail_rows) == len(suffix)
+    assert len(plan.off_minor) == h.cone.dim - len(suffix)
+    level = _level_form(h.cone)
+    levels = [_level(level, b) for b in suffix]
+    for _ in range(data.draw(st.integers(1, 6))):
+        # suffix combinations, some moved off its span or out of the cone
+        res = [0] * h.cone.dim
+        for b in suffix:
+            k = data.draw(st.integers(0, 3))
+            res = [r + k * x for r, x in zip(res, b)]
+        shift = data.draw(st.tuples(*[st.integers(-1, 1)] * h.cone.dim))
+        res = tuple(r + s for r, s in zip(res, shift))
+        found = [
+            list(ks)
+            for ks in _coefficient_vectors(levels, _level(level, res))
+            if all(
+                sum(k * b[i] for k, b in zip(ks, suffix)) == r
+                for i, r in enumerate(res)
+            )
+        ]
+        assert len(found) <= 1  # the suffix is independent
+        assert cone_monoid._solve_tail(plan, res) == (found[0] if found else None)
 
 
 def _recursive_solve_coefficients(residual, plan, memo):
