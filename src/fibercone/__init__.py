@@ -29,7 +29,6 @@ from .digraph_analysis import (
     image_after,
     last_avoidance,
     primitivity_exponent,
-    wielandt_cutoff,
 )
 from .magic_classes import (
     FiberInvariants,
@@ -178,6 +177,5 @@ __all__ = [
     "thurston_norm",
     "verify_exponent_law",
     "verify_loop",
-    "wielandt_cutoff",
     "window_radius",
 ]

@@ -23,18 +23,17 @@ of the curve complex gives ell_C(psi) <= 4/m.  For classes whose monodromy is
 a product with an n-th power of a Dehn twist there is also the arithmetic
 bound ell_C <= 2/(n-1).
 
-The families (1, n^p, n^q)+ admit closed-form covering thresholds
+The families (1, n^p, n^q)+ admit the closed-form covering threshold
 
-    k_pq(p,q,n) = n^q (2 n^q + 1)        if q < p < 2q
-                  n^q (2 n^p + 1)        if p < q <= 2p
-                  n^q (2 n^{q-p} + 1)    if 2p <= q
+    k_pq(p,q,n) = n^q (2 n^e + 1),   e = q if q < p < 2q, p if p < q <= 2p,
+                                     and q - p if 2p <= q
 
-(the two overlapping cases agree at q = 2p); p = q and p >= 2q are outside
-the covered regimes.  The threshold arises because the digraph carries cycles
-of lengths k, k+1 and j+k+1 through the vertex a_k, and from k_pq - n^q
-onwards every step count is a nonnegative combination of those three lengths:
-cycle_cover_coefficients returns the explicit combination.  The exponent
-itself obeys mixing_exponent_cap: r <= k_pq + 2 n^p + 3 n^q.
+(the last two regimes meet at q = 2p, where p = q - p); p = q and p >= 2q
+are outside the covered regimes.  The threshold arises because the digraph
+carries cycles of lengths k, k+1 and j+k+1 through the vertex a_k, and from
+k_pq - n^q onwards every step count is a nonnegative combination of those
+three lengths: cycle_cover_coefficients returns the explicit combination.
+The exponent itself obeys mixing_exponent_cap: r <= k_pq + 2 n^p + 3 n^q.
 
 The cone constant D = max_{a in Omega_0} |a| + sum_{b in Omega} |b| built
 from a Hilbert basis converts the monoid decomposition of a class delta =
@@ -89,21 +88,23 @@ def regime_of(p: int, q: int) -> str:
     return "uncovered"
 
 
-def k_pq(p: int, q: int, n: int) -> int:
-    """Covering threshold of Gamma_(1,n^p,n^q)+ in the covered regimes."""
+def _exponent(p: int, q: int, n: int) -> int:
+    """The exponent e of (p, q)'s regime, refusing n < 2 and uncovered pairs."""
     if n < 2:
         raise ValueError("need n >= 2")
-    regime = regime_of(p, q)
-    if regime == "QltPlt2Q":
-        return n**q * (2 * n**q + 1)
-    if regime == "PltQle2P":
-        return n**q * (2 * n**p + 1)
-    if regime == "TwoPleQ":
-        return n**q * (2 * n ** (q - p) + 1)
-    raise UncoveredRegimeError(
-        f"uncovered regime (p,q)=({p},{q}): need q < p < 2q, p < q <= 2p, "
-        "or 2p <= q"
-    )
+    e = {"QltPlt2Q": q, "PltQle2P": p, "TwoPleQ": q - p}.get(regime_of(p, q))
+    if e is None:
+        raise UncoveredRegimeError(
+            f"uncovered regime (p,q)=({p},{q}): need q < p < 2q, "
+            "p < q <= 2p, or 2p <= q"
+        )
+    return e
+
+
+def k_pq(p: int, q: int, n: int) -> int:
+    """Covering threshold n^q (2 n^e + 1) of Gamma_(1,n^p,n^q)+."""
+    e = _exponent(p, q, n)
+    return n**q * (2 * n**e + 1)
 
 
 def mixing_exponent_cap(p: int, q: int, n: int) -> int:
@@ -117,22 +118,14 @@ def cycle_cover_coefficients(p: int, q: int, n: int, i: int) -> tuple[int, int, 
     Here j = n^p, k = n^q are the cycle data of Gamma_(1,n^p,n^q)+ and i
     ranges over [0, n^q]; the combination shows every walk length from
     k_pq - n^q up is realized by concatenating the three cycles at a_k.
+    It is (c, b) = divmod(i, n^p + 1), a = 2 n^e - b - c, with e the
+    exponent of k_pq; when q < p < 2q, i <= n^q < n^p gives (2 n^q - i, i, 0).
     """
     if not 0 <= i <= n**q:
         raise ValueError(f"i must lie in [0, n^q] = [0, {n**q}], got {i}")
-    regime = regime_of(p, q)
-    if regime == "QltPlt2Q":
-        a, b, c = 2 * n**q - i, i, 0
-    elif regime == "PltQle2P":
-        c, rem = divmod(i, n**p + 1)
-        b = rem
-        a = 2 * n**p - b - c
-    elif regime == "TwoPleQ":
-        c, rem = divmod(i, n**p + 1)
-        b = rem
-        a = 2 * n ** (q - p) - b - c
-    else:
-        raise UncoveredRegimeError(f"uncovered regime (p,q)=({p},{q})")
+    e = _exponent(p, q, n)
+    c, b = divmod(i, n**p + 1)
+    a = 2 * n**e - b - c
     if a < 0 or b < 0 or c < 0:
         raise RuntimeError(
             f"negative cycle coefficients ({a},{b},{c}) for "

@@ -121,16 +121,20 @@ def _cmd_digraph_build(args: argparse.Namespace) -> int:
     if len(written) == 2 and os.path.abspath(json_path) == os.path.abspath(dot_path):
         raise ValueError(f"the JSON and DOT files cannot share the path {json_path}")
     g = ttd.magic_digraph(args.j, args.k)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(ttd.export_json(g))
-    if dot_path:
-        with open(dot_path, "w", encoding="utf-8") as fh:
-            fh.write(ttd.export_dot(g))
-    if written:
-        _emit({"vertices": g.vertex_count, "edges": g.edge_count, "written": written})
-    else:
+    if not written:
         print(ttd.export_json(g))
+        return 0
+    # build every document before opening a file, so a failed export
+    # leaves none of the requested files behind
+    docs = [
+        (path, export(g))
+        for path, export in ((json_path, ttd.export_json), (dot_path, ttd.export_dot))
+        if path
+    ]
+    for path, text in docs:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    _emit({"vertices": g.vertex_count, "edges": g.edge_count, "written": written})
     return 0
 
 

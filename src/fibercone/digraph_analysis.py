@@ -117,7 +117,6 @@ __all__ = [
     "covering_time",
     "last_avoidance",
     "avoidance_at",
-    "wielandt_cutoff",
 ]
 
 
@@ -127,11 +126,6 @@ class NotPrimitiveError(ValueError):
 
 class NeverCoversError(ValueError):
     """No power of the step map sends the source onto all vertices."""
-
-
-def wielandt_cutoff(vertex_count: int) -> int:
-    """(V-1)^2 + 1: every primitive 0/1 matrix is positive by this power."""
-    return (vertex_count - 1) ** 2 + 1
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from fibercone import (
     last_avoidance,
     magic_digraph,
     primitivity_exponent,
-    wielandt_cutoff,
 )
 
 # Least strictly-positive power of the adjacency matrix of magic_digraph(j, k),
@@ -120,11 +119,6 @@ def test_zero_out_degree_is_not_primitive():
     g = Digraph(("u", "v"), ((0, 0), (1, 0)))  # v has no outgoing edge
     with pytest.raises(NotPrimitiveError):
         primitivity_exponent(g)
-
-
-def test_wielandt_cutoff():
-    assert wielandt_cutoff(17) == 257
-    assert wielandt_cutoff(1) == 1
 
 
 def test_image_pins_on_8_4():
@@ -302,19 +296,21 @@ def _brute_image(adj, sources, m):
 
 
 def _brute_cover(adj, source):
-    """Least m <= cutoff whose image of {source} is everything, else None."""
+    """Least m <= bound whose image of {source} is everything, else None."""
     n = len(adj)
-    for m in range(wielandt_cutoff(n) + 1):
+    bound = (n - 1) ** 2 + 1  # Wielandt: a primitive A has A^bound > 0
+    for m in range(bound + 1):
         if len(_brute_image(adj, {source}, m)) == n:
             return m
     return None
 
 
 def _brute_exponent(adj):
-    """Least m in 1..cutoff with every entry of A^m positive, else None."""
+    """Least m in 1..bound with every entry of A^m positive, else None."""
     n = len(adj)
+    bound = (n - 1) ** 2 + 1  # Wielandt: a primitive A has A^bound > 0
     reach = [{t for t in range(n) if adj[t][s]} for s in range(n)]
-    for m in range(1, wielandt_cutoff(n) + 1):
+    for m in range(1, bound + 1):
         if all(len(r) == n for r in reach):
             return m
         reach = [_brute_image(adj, r, 1) for r in reach]
@@ -387,7 +383,7 @@ def test_covering_and_last_avoidance_match_brute_force(g):
 @given(g=small_digraphs(), data=st.data())
 def test_image_routes_match_brute_force(g, data):
     sources = data.draw(st.sets(st.integers(0, g.vertex_count - 1), min_size=1))
-    m = data.draw(st.integers(min_value=0, max_value=3 * wielandt_cutoff(10)))
+    m = data.draw(st.integers(min_value=0, max_value=3 * ((10 - 1) ** 2 + 1)))
     labels = [g.labels[i] for i in sources]
     adj = _matrix(g)
     expected = frozenset(g.labels[i] for i in _brute_image(adj, sources, m))

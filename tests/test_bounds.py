@@ -138,6 +138,58 @@ def test_cycle_cover_validation():
         cycle_cover_coefficients(3, 2, 2, 5)  # i > n^q = 4
     with pytest.raises(UncoveredRegimeError):
         cycle_cover_coefficients(2, 2, 2, 0)
+    # n is checked before the divmod, so n = -1 (divisor n^p + 1 = 0) and
+    # n = -3 (a negative a) are refused like every other n < 2
+    for n in (1, 0, -1, -3):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            cycle_cover_coefficients(1, 2, n, 0)
+
+
+def _three_branch_k_pq(p, q, n):
+    # the per-regime formulas that k_pq once spelled out, kept as the
+    # reference for the one rule n^q (2 n^e + 1)
+    regime = regime_of(p, q)
+    if regime == "QltPlt2Q":
+        return n**q * (2 * n**q + 1)
+    if regime == "PltQle2P":
+        return n**q * (2 * n**p + 1)
+    if regime == "TwoPleQ":
+        return n**q * (2 * n ** (q - p) + 1)
+    return None
+
+
+def _three_branch_cover(p, q, n, i):
+    # the per-regime cycle covers that cycle_cover_coefficients once spelled
+    # out, kept as the reference for the one divmod formula
+    regime = regime_of(p, q)
+    if regime == "QltPlt2Q":
+        return (2 * n**q - i, i, 0)
+    c, b = divmod(i, n**p + 1)
+    if regime == "PltQle2P":
+        return (2 * n**p - b - c, b, c)
+    return (2 * n ** (q - p) - b - c, b, c)
+
+
+def test_one_rule_matches_the_three_branch_reference():
+    # every pair with p, q <= 8, the q = 2p seam included, at n = 2, 3, 4
+    # and every i in [0, n^q]
+    for p in range(1, 9):
+        for q in range(1, 9):
+            for n in (2, 3, 4):
+                k = _three_branch_k_pq(p, q, n)
+                if k is None:
+                    for bounded in (k_pq, mixing_exponent_cap):
+                        with pytest.raises(UncoveredRegimeError):
+                            bounded(p, q, n)
+                    with pytest.raises(UncoveredRegimeError):
+                        cycle_cover_coefficients(p, q, n, 0)
+                    continue
+                assert k_pq(p, q, n) == k
+                assert mixing_exponent_cap(p, q, n) == k + 2 * n**p + 3 * n**q
+                for i in range(n**q + 1):
+                    assert cycle_cover_coefficients(p, q, n, i) == (
+                        _three_branch_cover(p, q, n, i)
+                    )
 
 
 def test_gadre_tsai_lower_pins():

@@ -16,6 +16,7 @@ from fibercone import (
     export_cochain_json,
     import_digraph,
     sweep,
+    traintrack_digraph,
 )
 from fibercone.cli import main
 
@@ -106,6 +107,30 @@ def test_digraph_build_files(tmp_path, capsys):
     g = import_digraph((tmp_path / "reports" / "g.json").read_text())
     assert g.vertex_count == 8
     assert "->" in (tmp_path / "reports" / "g.dot").read_text()
+
+
+@pytest.mark.parametrize(
+    ("flags", "failing"),
+    [
+        (("--json", "g.json"), "export_json"),
+        (("--dot", "g.dot"), "export_dot"),
+        (("--json", "g.json", "--dot", "g.dot"), "export_json"),
+        (("--json", "g.json", "--dot", "g.dot"), "export_dot"),
+    ],
+    ids=["json", "dot", "both-json-fails", "both-dot-fails"],
+)
+def test_digraph_build_leaves_no_file_when_an_export_fails(
+    capsys, tmp_path, monkeypatch, flags, failing
+):
+    # both documents are built before either file is opened
+    def fail(g):
+        raise RuntimeError("export failed")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(traintrack_digraph, failing, fail)
+    argv = ("digraph", "build", "--j", "3", "--k", "2", *flags)
+    assert _run(capsys, *argv) == (2, "", "error: export failed\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_digraph_certify(capsys):

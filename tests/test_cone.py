@@ -871,6 +871,27 @@ def _recursive_solve_coefficients(residual, plan, memo):
     return rec(residual, vals, 0)
 
 
+def _assert_searches_agree(omega, spec, data):
+    """The stack and recursive searches agree on drawn residuals over omega."""
+    plan = cone_monoid._coefficient_plan(omega, spec)
+    # generator combinations, some moved off the monoid or out of the cone
+    residuals = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        point = [0] * spec.dim
+        for b in omega:
+            k = data.draw(st.integers(0, 3))
+            point = [p + k * x for p, x in zip(point, b)]
+        shift = data.draw(st.tuples(*[st.integers(-1, 1)] * spec.dim))
+        residuals.append(tuple(p + s for p, s in zip(point, shift)))
+    # one memo per route, shared across residuals as decompose_interior does
+    memo, reference_memo = set(), set()
+    for residual in residuals:
+        values = _row_values(spec.rows, residual)
+        assert cone_monoid._solve_coefficients(
+            residual, values, plan, memo
+        ) == _recursive_solve_coefficients(residual, plan, reference_memo)
+
+
 @settings(max_examples=150, deadline=None)
 @given(h=pointed_cones(), data=st.data())
 def test_stack_search_matches_the_recursive_search(h, data):
@@ -878,23 +899,34 @@ def test_stack_search_matches_the_recursive_search(h, data):
     if data.draw(st.booleans()):
         # a parallel generator, which can end the independent suffix early
         omega += (tuple(2 * x for x in data.draw(st.sampled_from(omega))),)
-    plan = cone_monoid._coefficient_plan(omega, h.cone)
-    # generator combinations, some moved off the monoid or out of the cone
-    residuals = []
-    for _ in range(data.draw(st.integers(1, 6))):
-        point = [0] * h.cone.dim
-        for b in omega:
-            k = data.draw(st.integers(0, 3))
-            point = [p + k * x for p, x in zip(point, b)]
-        shift = data.draw(st.tuples(*[st.integers(-1, 1)] * h.cone.dim))
-        residuals.append(tuple(p + s for p, s in zip(point, shift)))
-    # one memo per route, shared across residuals as decompose_interior does
-    memo, reference_memo = set(), set()
-    for residual in residuals:
-        values = _row_values(h.cone.rows, residual)
-        assert cone_monoid._solve_coefficients(
-            residual, values, plan, memo
-        ) == _recursive_solve_coefficients(residual, plan, reference_memo)
+    _assert_searches_agree(omega, h.cone, data)
+
+
+MAGIC_OMEGA = ((0, 0, -1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
+
+
+@st.composite
+def magic_generator_lists(draw):
+    """The magic cone's Hilbert basis, each generator scaled by 1, 2 or 3 and
+    at least one by more than 1, plus up to two more multiples, in any order.
+
+    A basis generator replaced by its multiple, such as (2, 0, 0) for
+    (1, 0, 0), leaves points the list cannot reach, so searched levels fail
+    and the search often backtracks through two searched depths.
+    """
+    scales = draw(st.lists(st.integers(1, 3), min_size=4, max_size=4))
+    assume(max(scales) > 1)
+    extra = draw(
+        st.lists(st.tuples(st.sampled_from(MAGIC_OMEGA), st.integers(1, 3)), max_size=2)
+    )
+    pairs = list(zip(MAGIC_OMEGA, scales)) + extra
+    return tuple(draw(st.permutations([tuple(m * x for x in b) for b, m in pairs])))
+
+
+@settings(max_examples=200, deadline=1000)
+@given(omega=magic_generator_lists(), data=st.data())
+def test_stack_search_matches_the_recursive_search_on_magic_multiples(omega, data):
+    _assert_searches_agree(omega, ConeSpec(MAGIC_ROWS), data)
 
 
 def _reference_seeds(omega, facets, dim):
