@@ -21,6 +21,7 @@ JSON with sorted keys; rationals appear as [numerator, denominator].
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import asdict
@@ -124,16 +125,24 @@ def _cmd_digraph_build(args: argparse.Namespace) -> int:
     if not written:
         print(ttd.export_json(g))
         return 0
-    # build every document before opening a file, so a failed export
-    # leaves none of the requested files behind
+    # build every document, then write each to PATH.part and move them
+    # onto their paths only once all are written, so a failed export or
+    # write leaves none of the requested files behind
     docs = [
         (path, export(g))
         for path, export in ((json_path, ttd.export_json), (dot_path, ttd.export_dot))
         if path
     ]
-    for path, text in docs:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    try:
+        for path, text in docs:
+            with open(path + ".part", "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for path, _ in docs:
+            os.replace(path + ".part", path)
+    finally:
+        for path, _ in docs:
+            with contextlib.suppress(OSError):
+                os.remove(path + ".part")
     _emit({"vertices": g.vertex_count, "edges": g.edge_count, "written": written})
     return 0
 
@@ -263,8 +272,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _sweep_config(args)
-    # refused before the sweep runs, so that no report file is written
+    # refused before the sweep runs, so that no report file is written:
+    # the tolerance, and a range too short for the fit's 4 samples
     sweep.check_tolerance(args.tolerance)
+    count = cfg.n_stop - cfg.n_start + 1
+    if count < 4:
+        raise ValueError(f"need at least 4 instances to fit, got {count}")
     reports: list = []
     sweep.report_emit(
         _kept(sweep.iter_sweep(cfg), reports),

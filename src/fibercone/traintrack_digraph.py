@@ -46,13 +46,10 @@ b_1 .. b_k) and seven extra edges.  Its labels are derived on demand from
 found by arithmetic on its letter and number, then accepted only if the
 label at that index is spelled the same.  So building and validating
 Gamma costs O(1) steps, and readers find degrees and successors by
-bisection.  A digraph read from labels (Digraph(...), from_edges,
-import_digraph) keeps their checked tuple and a label -> index dict.
-Neither the sorted edge triples nor a dense matrix is kept: edges derives
-the triples on each access, and export_json builds the JSON document's
-matrix, in the convention adjacency[i][j] = number of directed edges from
-vertex j to vertex i (so matrix powers act on indicator columns), for
-that one call.
+bisection.  A digraph read from labels (Digraph(...), import_digraph) keeps
+their checked tuple and a label -> index dict.  The sorted edge triples are
+not kept: edges derives them on each access.  Digraph(...) reads, and
+the JSON document of export_json and import_digraph holds, the same triples.
 """
 
 from __future__ import annotations
@@ -91,61 +88,46 @@ class Digraph:
     labels is the checked tuple of a digraph read from labels; Gamma's is a
     sequence that builds each label on demand and equals that tuple.
 
-    Digraph(labels, adjacency) reads a dense matrix in which adjacency[i][j]
-    holds the number of directed edges from vertex j to vertex i (column
-    index = source, row index = target); Digraph.from_edges reads the edge
-    multiset directly.  Both normalize into the store in one pass, and
-    neither keeps the matrix.  edges, the sorted triples of both parts, is
-    derived on each access and not kept.
+    Digraph(labels, edges) reads (source, target, multiplicity) triples,
+    the form edges returns, and normalizes them into the store in one pass.
+    edges, the sorted triples of both parts, is derived on each access and
+    not kept.
     """
 
     labels: Sequence[str]
     runs: tuple[tuple[int, int], ...]
     extra: tuple[tuple[int, int, int], ...]
 
-    def __init__(self, labels: Sequence[str], adjacency: Sequence[Sequence[int]]):
+    def __init__(
+        self, labels: Sequence[str], edges: Iterable[tuple[int, int, int]]
+    ):
+        """Refuses, as ValueError, the first edge in input order that is no
+        triple, has an index that is not an int in range or a multiplicity
+        that is not an int >= 1, or repeats the pair of an earlier edge."""
         labels = _checked_labels(labels)
         n = len(labels)
-        if not isinstance(adjacency, Sequence) or len(adjacency) != n:
-            raise ValueError("adjacency matrix must be square of size = #labels")
-        edges = []
-        for target, row in enumerate(adjacency):
-            if not isinstance(row, Sequence):
-                raise ValueError(f"adjacency row {target} is not a sequence")
-            if len(row) != n:
-                raise ValueError("adjacency matrix must be square")
-            for source, mult in enumerate(row):
-                _check_count(mult, "edge multiplicities")
-                if mult:
-                    edges.append((source, target, mult))
-        edges.sort()
-        self._fill(labels, *_runs_and_extra(edges))
-
-    @classmethod
-    def from_edges(
-        cls, labels: Sequence[str], pairs: Iterable[tuple[int, int]]
-    ) -> Digraph:
-        """The digraph with one edge per (source, target) index pair listed.
-
-        A pair listed t times is an edge of multiplicity t.
-        """
-        labels = _checked_labels(labels)
-        n = len(labels)
-        counts: Counter[tuple[int, int]] = Counter()
-        for pair in pairs:
+        mults: dict[tuple[int, int], int] = {}
+        for edge in edges:
             try:
-                source, target = pair
+                source, target, mult = edge
             except (TypeError, ValueError):
                 raise ValueError(
-                    f"edge {pair!r} is not a (source, target) pair of vertex indices"
+                    f"edge {edge!r} is not a (source, target, multiplicity) triple"
                 ) from None
+            # exactly int: True, or any other int subclass, is no index or
+            # multiplicity
             for v in (source, target):
-                _check_count(v, "vertex indices")
+                if type(v) is not int or v < 0:
+                    raise ValueError("vertex indices must be nonnegative integers")
                 if v >= n:
                     raise ValueError(f"vertex index {v} out of range for {n} labels")
-            counts[source, target] += 1
-        edges = sorted((s, t, m) for (s, t), m in counts.items())
-        return cls._from_store(labels, *_runs_and_extra(edges))
+            if type(mult) is not int or mult < 1:
+                raise ValueError("edge multiplicities must be positive integers")
+            if (source, target) in mults:
+                raise ValueError(f"edge {edge!r} repeats the pair of an earlier edge")
+            mults[source, target] = mult
+        triples = sorted((s, t, m) for (s, t), m in mults.items())
+        self._fill(labels, *_runs_and_extra(triples))
 
     @classmethod
     def _from_store(
@@ -346,12 +328,6 @@ def _checked_labels(labels: Sequence[str]) -> tuple[str, ...]:
     return labels
 
 
-def _check_count(value: object, what: str) -> None:
-    # exactly int: True, or any other int subclass, is no count
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{what} must be nonnegative integers")
-
-
 @dataclass(frozen=True)
 class MagicDigraphSpec:
     """Parameters (j, k) of the digraph of the class (1,j,k)+; both >= 1."""
@@ -521,43 +497,38 @@ def certify_canonical_walks(spec: MagicDigraphSpec) -> WalkCertificates:
 
 
 def import_digraph(document: str | dict[str, Any]) -> Digraph:
-    """Read a digraph from a JSON document {"labels": [...], "adjacency": [[...]]}.
+    """Read a digraph from a JSON document
+    {"edges": [[source, target, multiplicity], ...], "labels": [...]}.
 
-    adjacency[i][j] is the multiplicity of the edge from vertex j to vertex i.
     Accepts either the JSON text or the already-parsed dict.  Parsing is
-    strict: the document has exactly the keys "labels" and "adjacency",
-    labels must be a list of unique strings, adjacency a list of lists, and
-    every multiplicity a nonnegative integer (not a boolean).
+    strict: the document has exactly the keys "edges" and "labels", labels
+    must be a list of unique strings, edges a list of lists, and each edge
+    a triple that Digraph accepts: indices in range, every multiplicity an
+    integer >= 1 (not a boolean), and one edge per ordered pair.
     """
     if isinstance(document, str):
         document = json.loads(document)
     if not isinstance(document, dict):
         raise ValueError("digraph document must be a JSON object")
-    unknown = [key for key in document if key not in ("labels", "adjacency")]
+    unknown = [key for key in document if key not in ("labels", "edges")]
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in the digraph document")
     try:
         labels = document["labels"]
-        adjacency = document["adjacency"]
+        edges = document["edges"]
     except KeyError as exc:
         raise ValueError(f"digraph document is missing key {exc}") from None
     if not isinstance(labels, list):
         raise ValueError("labels must be a list of strings")
-    if not isinstance(adjacency, list) or not all(
-        isinstance(row, list) for row in adjacency
-    ):
-        raise ValueError("adjacency must be a list of rows, each a list")
-    return Digraph(labels, adjacency)
+    if not isinstance(edges, list) or not all(isinstance(edge, list) for edge in edges):
+        raise ValueError("edges must be a list of edges, each a list")
+    return Digraph(labels, edges)
 
 
 def export_json(g: Digraph) -> str:
-    """Serialize to the document format accepted by import_digraph; the
-    dense rows are built from the edges for this call only."""
-    n = len(g.labels)
-    rows = [[0] * n for _ in range(n)]
-    for source, target, mult in g.edges:
-        rows[target][source] = mult
-    return json.dumps({"labels": list(g.labels), "adjacency": rows}, sort_keys=True)
+    """Serialize to the document format accepted by import_digraph: the
+    sorted edge triples and the labels."""
+    return json.dumps({"edges": g.edges, "labels": list(g.labels)}, sort_keys=True)
 
 
 def export_dot(g: Digraph) -> str:

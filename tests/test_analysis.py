@@ -11,6 +11,7 @@ import re
 import sys
 import tokenize
 import weakref
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -93,20 +94,20 @@ def test_exponent_definition_on_pinned_instance():
 
 
 def test_three_cycle_is_not_primitive():
-    cyc = Digraph(("u", "v", "w"), ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+    cyc = Digraph(("u", "v", "w"), ((0, 1, 1), (1, 2, 1), (2, 0, 1)))
     with pytest.raises(NotPrimitiveError):
         primitivity_exponent(cyc)
 
 
 def test_three_cycle_with_loop_has_exponent_four():
-    g = Digraph(("u", "v", "w"), ((1, 0, 1), (1, 0, 0), (0, 1, 0)))
+    g = Digraph(("u", "v", "w"), ((0, 0, 1), (0, 1, 1), (1, 2, 1), (2, 0, 1)))
     assert primitivity_exponent(g) == 4
 
 
 def test_single_vertex_cases():
-    assert primitivity_exponent(Digraph(("u",), ((1,),))) == 1
+    assert primitivity_exponent(Digraph(("u",), ((0, 0, 1),))) == 1
     with pytest.raises(NotPrimitiveError):
-        primitivity_exponent(Digraph(("u",), ((0,),)))
+        primitivity_exponent(Digraph(("u",), ()))
 
 
 def test_empty_digraph_is_refused():
@@ -116,7 +117,7 @@ def test_empty_digraph_is_refused():
 
 
 def test_zero_out_degree_is_not_primitive():
-    g = Digraph(("u", "v"), ((0, 0), (1, 0)))  # v has no outgoing edge
+    g = Digraph(("u", "v"), ((0, 1, 1),))  # v has no outgoing edge
     with pytest.raises(NotPrimitiveError):
         primitivity_exponent(g)
 
@@ -143,7 +144,7 @@ def test_image_after_basics():
 
 def test_image_after_huge_step_counts():
     # the tables answer any step count through its residue mod a cycle length
-    cyc = Digraph(("u", "v", "w"), ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+    cyc = Digraph(("u", "v", "w"), ((0, 1, 1), (1, 2, 1), (2, 0, 1)))
     g = magic_digraph(8, 4)
     for m in (10**12, 10**12 + 1, 10**12 + 2):
         assert image_after(cyc, "u", m) == image_after(cyc, "u", m, method="powers")
@@ -155,9 +156,9 @@ def test_image_after_on_a_long_acyclic_digraph():
     # edges i -> i + 1 and i -> i + 2: no vertex lies on a closed walk, and
     # the walks of length m from v0 end exactly at v_m .. v_2m
     n, m = 1200, 500
-    g = Digraph.from_edges(
+    g = Digraph(
         [f"v{i}" for i in range(n)],
-        [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)],
+        [(i, i + 1, 1) for i in range(n - 1)] + [(i, i + 2, 1) for i in range(n - 2)],
     )
     image = frozenset(f"v{i}" for i in range(m, 2 * m + 1))
     assert image_after(g, "v0", m) == image
@@ -231,13 +232,13 @@ def test_covering_time_is_tight():
 
 
 def test_covering_time_requires_positive_in_degrees():
-    g = Digraph(("u", "v"), ((0, 0), (1, 1)))  # u has no incoming edge
+    g = Digraph(("u", "v"), ((0, 1, 1), (1, 1, 1)))  # u has no incoming edge
     with pytest.raises(ValueError):
         covering_time(g, "u")
 
 
 def test_covering_time_never_covers():
-    g = Digraph(("u", "v"), ((1, 0), (0, 1)))  # two disjoint self-loops
+    g = Digraph(("u", "v"), ((0, 0, 1), (1, 1, 1)))  # two disjoint self-loops
     with pytest.raises(NeverCoversError):
         covering_time(g, "u")
 
@@ -286,6 +287,12 @@ def _matrix(g):
     return adj
 
 
+def _from_pairs(labels, pairs):
+    """The digraph with one edge per (source, target) pair listed: a pair
+    listed t times is one edge of multiplicity t."""
+    return Digraph(labels, [(s, t, m) for (s, t), m in Counter(pairs).items()])
+
+
 def _brute_image(adj, sources, m):
     """m-step image of a set of vertex indices, straight from the matrix."""
     n = len(adj)
@@ -332,7 +339,9 @@ def small_digraphs(draw):
                 if layer[t] != (layer[s] + 1) % period:
                     adj[t][s] = 0
     labels = tuple(f"v{i}" for i in range(n))
-    return Digraph(labels, tuple(tuple(row) for row in adj))
+    return Digraph(
+        labels, [(s, t, adj[t][s]) for t in range(n) for s in range(n) if adj[t][s]]
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -430,15 +439,15 @@ def test_acyclic_vertices_get_no_table_search(monkeypatch):
 
     monkeypatch.setattr(digraph_analysis, "_residue_table", counted)
     n, m = 1200, 500
-    g = Digraph.from_edges(
+    g = Digraph(
         [f"v{i}" for i in range(n)],
-        [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)],
+        [(i, i + 1, 1) for i in range(n - 1)] + [(i, i + 2, 1) for i in range(n - 2)],
     )
     assert image_after(g, "v0", m) == frozenset(f"v{i}" for i in range(m, 2 * m + 1))
     assert calls == []
     # with the edge v1 -> v0 added, v0 lies on a closed walk and its one
     # table answers every state of the search
-    g = Digraph.from_edges(g.labels, [(s, t) for s, t, _ in g.edges] + [(1, 0)])
+    g = Digraph(g.labels, g.edges + ((1, 0, 1),))
     assert image_after(g, "v0", m) == image_after(g, "v0", m, method="powers")
     assert calls == [0]
 
@@ -463,7 +472,7 @@ def test_skeleton_components_find_the_vertices_on_closed_walks(g):
     [
         lambda: magic_digraph(3, 2),
         lambda: import_digraph(
-            {"labels": ["x", "y", "z"], "adjacency": [[0, 0, 1], [1, 0, 1], [0, 1, 0]]}
+            {"labels": ["x", "y", "z"], "edges": [[0, 1, 1], [1, 2, 1], [2, 0, 1], [2, 1, 1]]}
         ),
     ],
     ids=["gamma-1-3-2", "imported"],
@@ -535,7 +544,7 @@ def small_acyclic_digraphs(draw):
         .filter(lambda e: e[0] < e[1]),
         max_size=3 * n,
     ))
-    return Digraph.from_edges(tuple(f"v{i}" for i in range(n)), pairs)
+    return _from_pairs(tuple(f"v{i}" for i in range(n)), pairs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -576,7 +585,7 @@ def digraphs_with_runs(draw):
         ring = list(range(total, total + draw(st.integers(1, 5))))
         pairs += zip(ring, ring[1:] + ring[:1])
         total += len(ring)
-    return Digraph.from_edges([f"v{i}" for i in range(total)], pairs)
+    return _from_pairs([f"v{i}" for i in range(total)], pairs)
 
 
 def _sets_by_length(g, u):
@@ -816,8 +825,8 @@ def test_corrupted_skeleton_fails_re_verification(monkeypatch):
 
 def _period_two(n):
     """An n-cycle plus the chord 0 -> 3: closed walks of lengths n and n - 2."""
-    pairs = [(i, (i + 1) % n) for i in range(n)] + [(0, 3)]
-    return Digraph.from_edges([f"v{i}" for i in range(n)], pairs)
+    edges = [(i, (i + 1) % n, 1) for i in range(n)] + [(0, 3, 1)]
+    return Digraph([f"v{i}" for i in range(n)], edges)
 
 
 def _check_failure(g, sk, u, table):
@@ -1034,9 +1043,9 @@ def test_certificate_imports_no_engine_code():
 def _hub(n):
     """An n-cycle v0..v(n-1) plus a hub h with h -> h, h -> vi for every i
     and v0 -> h: every vi but v0 has in-degree 2 and out-degree 1."""
-    pairs = [(i, (i + 1) % n) for i in range(n)] + [(n, n), (0, n)]
-    pairs += [(n, i) for i in range(n)]
-    return Digraph.from_edges([f"v{i}" for i in range(n)] + ["h"], pairs)
+    edges = [(i, (i + 1) % n, 1) for i in range(n)] + [(n, n, 1), (0, n, 1)]
+    edges += [(n, i, 1) for i in range(n)]
+    return Digraph([f"v{i}" for i in range(n)] + ["h"], edges)
 
 
 # every module of the package, by its file name
@@ -1097,17 +1106,18 @@ def _residues_filled(refusal):
 # digraph's negative verdict carries a certificate of that kind
 NEGATIVE_VERDICTS = [
     # a 3-cycle: the forced walk from u closes on itself
-    (lambda: Digraph(("u", "v", "w"), ((0, 0, 1), (1, 0, 0), (0, 1, 0))),
+    (lambda: Digraph(("u", "v", "w"), ((0, 1, 1), (1, 2, 1), (2, 0, 1))),
      "u", "cycle", _cycle_broken),
     # w -> w, w -> u, u -> x, u -> y, x -> x, y -> y: no closed walk through u
-    (lambda: Digraph.from_edges(
-        ("w", "u", "x", "y"), ((0, 0), (0, 1), (1, 2), (1, 3), (2, 2), (3, 3))),
+    (lambda: Digraph(
+        ("w", "u", "x", "y"),
+        ((0, 0, 1), (0, 1, 1), (1, 2, 1), (1, 3, 1), (2, 2, 1), (3, 3, 1))),
      "u", "closed set", _closed_set_holds_u),
     # u -> v only: u has in-degree zero and v out-degree zero
-    (lambda: Digraph(("u", "v"), ((0, 0), (1, 0))), None, "degree zero",
+    (lambda: Digraph(("u", "v"), ((0, 1, 1),)), None, "degree zero",
      _closed_set_holds_u),
     # u -> u, u -> v: v has out-degree zero, so its closed set is empty
-    (lambda: Digraph.from_edges(("u", "v"), ((0, 0), (0, 1))), "v",
+    (lambda: Digraph(("u", "v"), ((0, 0, 1), (0, 1, 1))), "v",
      "degree zero", _closed_set_holds_u),
     # walks 0 -> 0 have even lengths only
     (lambda: _period_two(4), "v0", "unreached residue", _residues_filled),
@@ -1159,14 +1169,14 @@ NEGATIVE_TEXTS = [
     + [
         # v0 -> v0 cycles, but the branching v1 is refused first: walks
         # v1 -> v1 have even lengths only
-        (lambda: Digraph.from_edges(
-            ("v0", "v1", "v2"), ((0, 0), (1, 0), (1, 2), (2, 1))),
+        (lambda: Digraph(
+            ("v0", "v1", "v2"), ((0, 0, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1))),
          "not primitive: some residue mod 2 of walk lengths from 'v1' to some "
          "vertex is unreached"),
         # the forced walk v2 -> v3 -> v3 enters the cycle at v3 from outside
-        (lambda: Digraph.from_edges(
+        (lambda: Digraph(
             ("v0", "v1", "v2", "v3"),
-            ((0, 2), (1, 0), (1, 1), (1, 2), (2, 3), (3, 3))),
+            ((0, 2, 1), (1, 0, 1), (1, 1, 1), (1, 2, 1), (2, 3, 1), (3, 3, 1))),
          "not primitive: the forced walk from 'v2' cycles, so every image of "
          "it is a single vertex"),
     ],
@@ -1250,8 +1260,8 @@ def _branching_interior():
     # a -> y, y -> b, y -> c, b -> a, c -> a, with y's edge to c hidden from
     # the skeleton builder, so y (out-degree 2) is read as a chain interior
     labels = ("a", "y", "b", "c")
-    g = Digraph.from_edges(labels, ((0, 1), (1, 2), (1, 3), (2, 0), (3, 0)))
-    hidden = Digraph.from_edges(labels, ((0, 1), (1, 2), (2, 0), (3, 0)))
+    g = Digraph(labels, ((0, 1, 1), (1, 2, 1), (1, 3, 1), (2, 0, 1), (3, 0, 1)))
+    hidden = Digraph(labels, ((0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 0, 1)))
     certificate._certify_skeleton(g, digraph_analysis._skeleton(hidden))
 
 
@@ -1305,8 +1315,8 @@ def _three_cycle():
 
 def _period_two_with_a_source():
     # _period_two(4) plus s -> v0: s has in-degree zero
-    pairs = [(i, (i + 1) % 4) for i in range(4)] + [(0, 3), (4, 0)]
-    return Digraph.from_edges(("v0", "v1", "v2", "v3", "s"), pairs)
+    edges = [(i, (i + 1) % 4, 1) for i in range(4)] + [(0, 3, 1), (4, 0, 1)]
+    return Digraph(("v0", "v1", "v2", "v3", "s"), edges)
 
 
 _Refusal = certificate._Refusal
@@ -1386,8 +1396,8 @@ def _doubled_step():
     """v0 -> v1 => v2 -> v3 -> v0 with v1 => v2 doubled, and v3 -> v3: the
     chain v3 -> v0 v1 v2 -> v3 crosses the runs (0, 1) and (2, 3) and the
     one-vertex segment of v1, whose single out-edge is an extra edge."""
-    pairs = ((0, 1), (1, 2), (1, 2), (2, 3), (3, 0), (3, 3))
-    return Digraph.from_edges(("v0", "v1", "v2", "v3"), pairs)
+    edges = ((0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 1), (3, 3, 1))
+    return Digraph(("v0", "v1", "v2", "v3"), edges)
 
 
 def _segments_merged(g, sk):
@@ -1400,9 +1410,7 @@ def _segments_merged(g, sk):
 
 def _entered_inside(g, sk):
     # the skeleton of Gamma_(1,8,4)+ against the digraph with a_4 -> a_3 added
-    return Digraph.from_edges(
-        g.labels, [(s, t) for s, t, _ in g.edges] + [(g.index("a_4"), g.index("a_3"))]
-    )
+    return Digraph(g.labels, g.edges + ((g.index("a_4"), g.index("a_3"), 1),))
 
 
 def _offset_moved(g, sk):
@@ -1444,9 +1452,7 @@ def _empty_segment(g, sk):
 
 def _entered_first(g, sk):
     # a_2, the first vertex of the segment a_2 a_3, gets a second edge in
-    return Digraph.from_edges(
-        g.labels, [(s, t) for s, t, _ in g.edges] + [(g.index("a_4"), g.index("a_2"))]
-    )
+    return Digraph(g.labels, g.edges + ((g.index("a_4"), g.index("a_2"), 1),))
 
 
 def _segment_of_another_chain(g, sk):
@@ -1459,7 +1465,9 @@ def _segment_of_another_chain(g, sk):
 def _ring_beside_a_loop():
     """h -> h, h -> x -> h, and the ring y -> z -> y, whose least vertex y
     stands in for a skeleton vertex."""
-    return Digraph.from_edges(("h", "x", "y", "z"), ((0, 0), (0, 1), (1, 0), (2, 3), (3, 2)))
+    return Digraph(
+        ("h", "x", "y", "z"), ((0, 0, 1), (0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, 1))
+    )
 
 
 def _stand_in_dropped(g, sk):
@@ -1533,8 +1541,8 @@ def _relabeled(g, order):
     """g with its vertices stored in the given order of old indices: each
     vertex keeps its label and its edges, and the index runs break up."""
     where = {v: i for i, v in enumerate(order)}
-    pairs = [(where[s], where[t]) for s, t, m in g.edges for _ in range(m)]
-    return Digraph.from_edges([g.labels[v] for v in order], pairs)
+    edges = [(where[s], where[t], m) for s, t, m in g.edges]
+    return Digraph([g.labels[v] for v in order], edges)
 
 
 def _outcome(f, *args):
@@ -1575,6 +1583,29 @@ def test_relabeling_changes_no_answer(g, data):
                 == _outcome(last_avoidance, g, source, avoided))
     source, m = data.draw(vertex), data.draw(st.integers(0, 3 * g.vertex_count))
     assert image_after(h, source, m) == image_after(g, source, m)
+
+
+@settings(max_examples=200, deadline=2000)
+@given(
+    g=st.one_of(
+        small_digraphs(),
+        digraphs_with_runs(),
+        st.builds(magic_digraph, st.integers(1, 39), st.integers(1, 39)),
+    )
+)
+def test_transpose_has_the_same_exponent(g):
+    # A^m > 0 exactly when (A^T)^m > 0, so g and its reverse share r, or
+    # are both refused; the reverse of Gamma has no index runs, so its
+    # skeleton is read off extra edges alone
+    h = Digraph(g.labels, [(t, s, m) for s, t, m in g.edges])
+    if "b_1" in g.labels:
+        assert not h.runs
+    r = _outcome(primitivity_exponent, g)
+    if type(r) is int:
+        assert primitivity_exponent(h) == r
+    else:
+        assert r[0] is NotPrimitiveError
+        assert _outcome(primitivity_exponent, h)[0] is NotPrimitiveError
 
 
 # -- the table check against a vectorised numpy reference ----------------------

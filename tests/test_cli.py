@@ -161,7 +161,7 @@ def test_analyze_exponent_from_json_file(tmp_path, capsys):
 
 def test_analyze_refuses_a_document_with_an_unknown_key(tmp_path, capsys):
     path = tmp_path / "g.json"
-    path.write_text('{"labels": ["a"], "adjacency": [[1]], "junk": 5}')
+    path.write_text('{"labels": ["a"], "edges": [[0, 0, 1]], "junk": 5}')
     rc, out, err = _run(capsys, "analyze", "exponent", "--json", str(path))
     assert (rc, out) == (2, "")
     assert err == "error: unknown key 'junk' in the digraph document\n"
@@ -169,7 +169,7 @@ def test_analyze_refuses_a_document_with_an_unknown_key(tmp_path, capsys):
 
 def test_analyze_refuses_an_empty_digraph(tmp_path, capsys):
     path = tmp_path / "g.json"
-    path.write_text('{"labels": [], "adjacency": []}')
+    path.write_text('{"labels": [], "edges": []}')
     rc, out, err = _run(capsys, "analyze", "exponent", "--json", str(path))
     assert (rc, out, err) == (2, "", "error: digraph is empty\n")
 
@@ -519,9 +519,17 @@ MAGIC_ROWS_ARG = "1 0 0; 0 1 0; 1 0 -1; 0 1 -1"
         (("verify", "--family", "n11", "--n-from", "2", "--n-to", "8",
           "--tolerance", "nan"),
          "error: tolerance must be a finite number >= 0, not nan\n"),
+        (("verify", "--family", "n11", "--n-from", "2", "--n-to", "3",
+          "--csv", "v.csv"),
+         "error: need at least 4 instances to fit, got 2\n"),
         (("digraph", "build", "--j", "8", "--k", "4", "--json", "same.out",
           "--dot", "same.out"),
          "error: the JSON and DOT files cannot share the path same.out\n"),
+        # the JSON document is written to g.json.part, and goes with it
+        # when the DOT file cannot be written
+        (("digraph", "build", "--j", "3", "--k", "2", "--json", "g.json",
+          "--dot", "missing/g.dot"),
+         "error: [Errno 2] No such file or directory: 'missing/g.dot.part'\n"),
         # the same refusal as the console-script smoke step in CI
         (("cone", "hilbert", "--rows", "1 0 0; -1 0 0", "--bound", "3"),
          "error: no x has A x > 0 (the sum of the extreme rays is not strictly "
@@ -530,8 +538,8 @@ MAGIC_ROWS_ARG = "1 0 0; 0 1 0; 1 0 -1; 0 1 -1"
     ids=["point-short", "point-long", "point-not-int", "rows-empty",
          "rows-not-int", "plus-not-int", "pq-without-p",
          "sweep-n11-with-pq", "verify-n11-with-pq", "sweep-n11-with-p",
-         "verify-infinite-tolerance", "verify-nan-tolerance",
-         "build-json-and-dot-one-path", "empty-interior"],
+         "verify-infinite-tolerance", "verify-nan-tolerance", "verify-too-few",
+         "build-json-and-dot-one-path", "build-dot-dir-missing", "empty-interior"],
 )
 def test_malformed_arguments_exit_2(capsys, tmp_path, monkeypatch, argv, err):
     monkeypatch.chdir(tmp_path)

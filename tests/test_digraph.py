@@ -142,46 +142,69 @@ def _matrix(g):
     return adj
 
 
+def _dense(labels, adj):
+    """The digraph of a dense matrix in which adj[t][s] counts the edges
+    s -> t, read as triples."""
+    n = len(adj)
+    return Digraph(labels, [(s, t, adj[t][s]) for t in range(n) for s in range(n) if adj[t][s]])
+
+
+def _from_pairs(labels, pairs):
+    """The digraph with one edge per (source, target) pair listed: a pair
+    listed t times is one edge of multiplicity t."""
+    return Digraph(labels, [(s, t, m) for (s, t), m in Counter(pairs).items()])
+
+
 def test_sparse_and_dense_constructors_agree():
     g = magic_digraph(3, 2)
-    assert Digraph(g.labels, _matrix(g)) == g
+    assert Digraph(g.labels, g.edges) == g
+    assert _dense(g.labels, _matrix(g)) == g
     # a pair listed twice is one edge of multiplicity two
-    h = Digraph.from_edges(("u", "v"), [(0, 1), (1, 0), (0, 1)])
-    assert h == Digraph(("u", "v"), ((0, 1), (2, 0)))
+    h = _from_pairs(("u", "v"), [(0, 1), (1, 0), (0, 1)])
+    assert h == Digraph(("u", "v"), [(1, 0, 1), (0, 1, 2)])
+    assert h == _dense(("u", "v"), ((0, 1), (2, 0)))
     assert h.edges == ((0, 1, 2), (1, 0, 1))
     assert h.multiplicity("u", "v") == 2 and h.edge_count == 3
     assert h.out_labels("v") == ("u",)
     with pytest.raises(ValueError):
-        Digraph.from_edges(("u", "v"), [(0, 2)])
+        Digraph(("u", "v"), [(0, 2, 1)])
     with pytest.raises(ValueError):
-        Digraph.from_edges(("u", "v"), [(False, 1)])
+        Digraph(("u", "v"), [(False, 1, 1)])
 
 
 def test_import_validates_document():
     with pytest.raises(ValueError):
-        import_digraph({"labels": ["a"], "adjacency": [[0, 1]]})
+        import_digraph({"labels": ["a"], "edges": [[1, 0, 1]]})
     with pytest.raises(ValueError):
-        import_digraph({"labels": ["a", "a"], "adjacency": [[0, 0], [0, 0]]})
+        import_digraph({"labels": ["a", "a"], "edges": []})
     # a string is not a list of labels, even when its characters are unique
     with pytest.raises(ValueError):
-        import_digraph({"labels": "ab", "adjacency": [[0, 1], [1, 0]]})
+        import_digraph({"labels": "ab", "edges": [[1, 0, 1], [0, 1, 1]]})
     # a boolean is not a multiplicity, although bool subclasses int
     with pytest.raises(ValueError):
-        import_digraph({"labels": ["a", "b"], "adjacency": [[0, True], [1, 0]]})
+        import_digraph({"labels": ["a", "b"], "edges": [[1, 0, True], [0, 1, 1]]})
     with pytest.raises(ValueError):
-        import_digraph('{"labels": ["a", "b"], "adjacency": [[0, true], [1, 0]]}')
+        import_digraph('{"labels": ["a", "b"], "edges": [[1, 0, true], [0, 1, 1]]}')
     with pytest.raises(ValueError):
-        import_digraph({"labels": ["a", "b"], "adjacency": [[0, 1], "10"]})
+        import_digraph({"labels": ["a", "b"], "edges": [[1, 0, 1], "10"]})
     with pytest.raises(ValueError):
-        import_digraph({"labels": ["a", "b"], "adjacency": [[0, -1], [1, 0]]})
+        import_digraph({"labels": ["a", "b"], "edges": [[1, 0, -1], [0, 1, 1]]})
     with pytest.raises(ValueError):
-        import_digraph({"labels": ["a", "b"], "adjacency": [[0, 1.0], [1, 0]]})
+        import_digraph({"labels": ["a", "b"], "edges": [[1, 0, 1.0], [0, 1, 1]]})
     with pytest.raises(ValueError):
-        import_digraph({"labels": ["a", 2], "adjacency": [[0, 1], [1, 0]]})
-    for junk in ({"labels": ["a"], "adjacency": [[1]], "junk": 5},
-                 '{"labels": ["a"], "adjacency": [[1]], "junk": 5}'):
+        import_digraph({"labels": ["a", 2], "edges": [[1, 0, 1], [0, 1, 1]]})
+    # no zero multiplicity and no second edge for a pair
+    with pytest.raises(ValueError, match="positive integers"):
+        import_digraph({"labels": ["a", "b"], "edges": [[1, 0, 0]]})
+    with pytest.raises(ValueError, match="repeats the pair"):
+        import_digraph({"labels": ["a", "b"], "edges": [[1, 0, 1], [1, 0, 1]]})
+    for junk in ({"labels": ["a"], "edges": [[0, 0, 1]], "junk": 5},
+                 '{"labels": ["a"], "edges": [[0, 0, 1]], "junk": 5}'):
         with pytest.raises(ValueError, match="unknown key 'junk'"):
             import_digraph(junk)
+    # the dense document of earlier releases has no second reader
+    with pytest.raises(ValueError, match="unknown key 'adjacency'"):
+        import_digraph({"labels": ["a"], "adjacency": [[1]]})
 
 
 @pytest.mark.parametrize(
@@ -189,30 +212,25 @@ def test_import_validates_document():
     [
         ("[]", "must be a JSON object"),
         ('"labels"', "must be a JSON object"),
-        ({"labels": ["a"]}, "missing key 'adjacency'"),
-        ('{"adjacency": [[0]]}', "missing key 'labels'"),
+        ({"labels": ["a"]}, "missing key 'edges'"),
+        ('{"edges": [[0, 0, 1]]}', "missing key 'labels'"),
     ],
-    ids=["list", "string", "no-adjacency", "no-labels"],
+    ids=["list", "string", "no-edges", "no-labels"],
 )
 def test_import_refuses_a_document_that_is_not_a_full_object(document, match):
     with pytest.raises(ValueError, match=match):
         import_digraph(document)
 
 
-def test_adjacency_must_have_a_row_per_label():
-    with pytest.raises(ValueError, match="square of size = #labels"):
-        Digraph(("u",), ())
-
-
-def test_adjacency_convention_is_target_row_source_column():
+def test_document_holds_the_sorted_edge_triples():
     g = magic_digraph(1, 2)
-    doc = import_digraph(export_digraph_json(g))
-    s = doc.index("s")
-    a1 = doc.index("a_1")
-    # edge s -> a_1 sits at adjacency[a_1][s]
-    adjacency = json.loads(export_digraph_json(doc))["adjacency"]
-    assert adjacency[a1][s] == 1
-    assert adjacency[s][a1] == 0
+    document = json.loads(export_digraph_json(g))
+    assert sorted(document) == ["edges", "labels"]
+    assert document["labels"] == list(g.labels)
+    assert document["edges"] == [list(edge) for edge in g.edges]
+    # edge s -> a_1 is the triple [index of s, index of a_1, 1]
+    assert [g.index("s"), g.index("a_1"), 1] in document["edges"]
+    assert not any(edge[:2] == [g.index("a_1"), g.index("s")] for edge in document["edges"])
 
 
 def test_export_dot_lists_every_edge():
@@ -226,7 +244,7 @@ def test_export_dot_lists_every_edge():
 
 def _labelled_magic_digraph(j, k):
     """Gamma_(1,j,k)+ from the module docstring's edge list, by label, read
-    through the dense constructor."""
+    through a dense matrix."""
     a = [f"a_{i}" for i in range(1, k + 1)]
     r = [f"r_{i}" for i in range(1, j + 1)]
     b = [f"b_{i}" for i in range(1, k + 1)]
@@ -241,7 +259,7 @@ def _labelled_magic_digraph(j, k):
     adjacency = [[0] * len(labels) for _ in labels]
     for source, target in edges:
         adjacency[index[target]][index[source]] += 1
-    return Digraph(labels, adjacency)
+    return _dense(labels, adjacency)
 
 
 @pytest.mark.parametrize("j", range(1, 13))
@@ -254,38 +272,48 @@ def test_index_built_digraph_matches_label_built_reference(j):
         assert all(type(v) is int for edge in g.edges for v in edge)
 
 
-def _first_pair_error(n, pairs):
-    """The error the per-pair check raises first, as (type, text), or None."""
+def _first_edge_error(n, edges):
+    """The error the per-edge check raises first, as (type, text), or None."""
+    pairs = set()
     try:
-        for pair in pairs:
-            if isinstance(pair, int) or len(pair) != 2:
+        for edge in edges:
+            if isinstance(edge, int) or len(edge) != 3:
                 raise ValueError(
-                    f"edge {pair!r} is not a (source, target) pair of vertex indices"
+                    f"edge {edge!r} is not a (source, target, multiplicity) triple"
                 )
-            for v in pair:
+            for v in edge[:2]:
                 if type(v) is not int or v < 0:
                     raise ValueError("vertex indices must be nonnegative integers")
                 if v >= n:
                     raise ValueError(f"vertex index {v} out of range for {n} labels")
+            if type(edge[2]) is not int or edge[2] < 1:
+                raise ValueError("edge multiplicities must be positive integers")
+            if tuple(edge[:2]) in pairs:
+                raise ValueError(f"edge {edge!r} repeats the pair of an earlier edge")
+            pairs.add(tuple(edge[:2]))
     except ValueError as exc:
         return type(exc), str(exc)
     return None
 
 
-def _pairs_with_bad_ones(n):
+def _edges_with_bad_ones(n):
     good = st.integers(0, n - 1)
     bad = st.one_of(
         st.booleans(), st.integers(-3, -1), st.integers(n, n + 2), st.just("0")
     )
     vertex = st.one_of(good, good, bad)
+    mult = st.one_of(st.integers(1, 3), st.integers(1, 3), st.booleans(),
+                     st.integers(-1, 0), st.just(1.0))
     return st.lists(
         st.one_of(
+            st.tuples(good, good, st.integers(1, 3)),
+            st.tuples(vertex, vertex, mult),
+            st.lists(vertex, min_size=3, max_size=3),
+            st.tuples(good, good, mult).map(list),
             st.tuples(good, good),
-            st.tuples(vertex, vertex),
-            st.lists(vertex, min_size=2, max_size=2),
-            st.lists(good, min_size=2, max_size=2),
-            st.tuples(good, good, good),
+            st.tuples(good, good, good, good),
             st.just("01"),
+            st.just("012"),
             st.just(0),
         ),
         max_size=8,
@@ -296,19 +324,19 @@ def _pairs_with_bad_ones(n):
 @given(data=st.data())
 def test_from_edges_raises_the_first_error_in_input_order(data):
     n = data.draw(st.integers(1, 4))
-    pairs = data.draw(_pairs_with_bad_ones(n))
+    edges = data.draw(_edges_with_bad_ones(n))
     labels = [f"v{i}" for i in range(n)]
-    expected = _first_pair_error(n, pairs)
+    expected = _first_edge_error(n, edges)
     if expected is None:
-        g = Digraph.from_edges(labels, iter(pairs))
+        g = Digraph(labels, iter(edges))
         adjacency = [[0] * n for _ in range(n)]
-        for source, target in pairs:
-            adjacency[target][source] += 1
-        assert g == Digraph(labels, adjacency)
+        for source, target, mult in edges:
+            adjacency[target][source] += mult
+        assert g == _dense(labels, adjacency)
         assert all(type(v) is int for edge in g.edges for v in edge)
     else:
         with pytest.raises(expected[0]) as raised:
-            Digraph.from_edges(labels, iter(pairs))
+            Digraph(labels, iter(edges))
         assert str(raised.value) == expected[1]
 
 
@@ -319,23 +347,25 @@ class _Index(int):
 @pytest.mark.parametrize(
     ("build", "match"),
     [
-        (lambda: Digraph.from_edges(("a", "b"), [5]),
-         "edge 5 is not a (source, target) pair of vertex indices"),
-        (lambda: Digraph.from_edges(("a", "b"), [(0, 1, 1)]),
-         "edge (0, 1, 1) is not a (source, target) pair of vertex indices"),
-        (lambda: Digraph.from_edges(("a", "b"), [(0,)]),
-         "edge (0,) is not a (source, target) pair of vertex indices"),
-        (lambda: Digraph.from_edges(("a", "b"), [(_Index(0), 1)]),
+        (lambda: Digraph(("a", "b"), [5]),
+         "edge 5 is not a (source, target, multiplicity) triple"),
+        (lambda: Digraph(("a", "b"), [(0, 1)]),
+         "edge (0, 1) is not a (source, target, multiplicity) triple"),
+        (lambda: Digraph(("a", "b"), [(0,)]),
+         "edge (0,) is not a (source, target, multiplicity) triple"),
+        (lambda: Digraph(("a", "b"), [(0, 1, 1, 1)]),
+         "edge (0, 1, 1, 1) is not a (source, target, multiplicity) triple"),
+        (lambda: Digraph(("a", "b"), [(_Index(0), 1, 1)]),
          "vertex indices must be nonnegative integers"),
-        (lambda: Digraph(("a", "b"), [[0, 1], 5]),
-         "adjacency row 1 is not a sequence"),
-        (lambda: Digraph(("a", "b"), 5),
-         "adjacency matrix must be square of size = #labels"),
-        (lambda: Digraph(("a", "b"), [[0, _Index(1)], [1, 0]]),
-         "edge multiplicities must be nonnegative integers"),
+        (lambda: Digraph(("a", "b"), [(1, 0, _Index(1)), (0, 1, 1)]),
+         "edge multiplicities must be positive integers"),
+        (lambda: Digraph(("a", "b"), [(1, 0, 0)]),
+         "edge multiplicities must be positive integers"),
+        (lambda: Digraph(("a", "b"), [(1, 0, 1), (0, 1, 1), (1, 0, 2)]),
+         "edge (1, 0, 2) repeats the pair of an earlier edge"),
     ],
-    ids=["non-pair", "triple", "single", "int-subclass-index",
-         "row-not-a-sequence", "matrix-not-a-sequence", "int-subclass-multiplicity"],
+    ids=["non-pair", "pair", "single", "quadruple", "int-subclass-index",
+         "int-subclass-multiplicity", "zero-multiplicity", "repeated-pair"],
 )
 def test_malformed_digraph_input_is_a_value_error(build, match):
     with pytest.raises(ValueError) as raised:
@@ -346,9 +376,12 @@ def test_malformed_digraph_input_is_a_value_error(build, match):
 def test_from_edges_finds_a_bool_behind_an_equal_int():
     # (1, 1) and (True, 1) are one key of a dict, but True is still refused
     with pytest.raises(ValueError, match="nonnegative integers"):
-        Digraph.from_edges(("u", "v"), [(1, 1), (True, 1)])
+        Digraph(("u", "v"), [(1, 1, 1), (True, 1, 1)])
     with pytest.raises(ValueError, match="out of range for 2 labels"):
-        Digraph.from_edges(("u", "v"), [(0, 1), (1, 2), ("x", 0)])
+        Digraph(("u", "v"), [(0, 1, 1), (1, 2, 1), ("x", 0, 1)])
+    # and a True multiplicity is no 1
+    with pytest.raises(ValueError, match="positive integers"):
+        Digraph(("u", "v"), [(0, 1, 1), (1, 0, True)])
 
 
 @st.composite
@@ -381,7 +414,7 @@ def test_store_round_trips_random_pair_lists(first, second):
     digraphs = []
     for n, pairs in (first, second):
         labels = tuple(f"v{i}" for i in range(n))
-        g = Digraph.from_edges(labels, pairs)
+        g = _from_pairs(labels, pairs)
         # the reference: the sorted multiset of pairs, counted
         assert g.edges == tuple(sorted((s, t, m) for (s, t), m in Counter(pairs).items()))
         assert g.edge_count == len(pairs)
@@ -389,11 +422,13 @@ def test_store_round_trips_random_pair_lists(first, second):
         adjacency = [[0] * n for _ in range(n)]
         for s, t in pairs:
             adjacency[t][s] += 1
-        dense = Digraph(labels, adjacency)
+        dense = _dense(labels, adjacency)
         assert dense == g and hash(dense) == hash(g)
+        assert Digraph(labels, reversed(g.edges)) == g
         document = export_digraph_json(g)
         assert import_digraph(document) == g
-        assert json.loads(document)["adjacency"] == _matrix(g) == adjacency
+        assert json.loads(document)["edges"] == [list(edge) for edge in g.edges]
+        assert _matrix(g) == adjacency
         assert (dense.runs, dense.extra) == (g.runs, g.extra)
         assert Digraph._from_store(labels, g.runs, g.extra) == g
         for v in range(n):
@@ -498,3 +533,28 @@ def test_gamma_labels_on_demand_match_the_explicit_tuple(j, k, data):
                 digraph.index(label)
             assert refused.value.args == (f"no vertex labeled {label!r}",)
         assert label not in g.labels
+
+
+@st.composite
+def _digraphs_in_any_order(draw):
+    """Digraphs from random pair lists, and Gamma_(1,j,k)+ with j, k < 40
+    in its built index order, reversed or shuffled."""
+    if draw(st.booleans()):
+        n, pairs = draw(_pair_lists())
+        return _from_pairs(tuple(f"v{i}" for i in range(n)), pairs)
+    g = magic_digraph(draw(st.integers(1, 39)), draw(st.integers(1, 39)))
+    kind = draw(st.sampled_from(["built", "reversed", "shuffled"]))
+    if kind == "built":
+        return g
+    n = g.vertex_count
+    order = range(n)[::-1] if kind == "reversed" else draw(st.permutations(range(n)))
+    where = {v: i for i, v in enumerate(order)}
+    return Digraph([g.labels[v] for v in order],
+                   [(where[s], where[t], m) for s, t, m in g.edges])
+
+
+@settings(max_examples=200, deadline=2000)
+@given(g=_digraphs_in_any_order())
+def test_document_and_triples_round_trip(g):
+    assert import_digraph(export_digraph_json(g)) == g
+    assert Digraph(g.labels, g.edges) == g
