@@ -21,7 +21,6 @@ JSON with sorted keys; rationals appear as [numerator, denominator].
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 from dataclasses import asdict
@@ -66,13 +65,15 @@ def _parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
-def _out_path(args: argparse.Namespace, path: str | None) -> str | None:
-    if path is None:
-        return None
-    if args.out and not os.path.isabs(path):
+def _out_paths(args: argparse.Namespace, *paths: str | None) -> list[str | None]:
+    """The paths, with relative ones joined onto --out.  That directory is
+    made here, once the paths pass the writer's refusals, so a command
+    calls this after its own refusals and leaves no directory when refused."""
+    paths = [os.path.join(args.out, p) if args.out and p else p for p in paths]
+    if args.out and any(paths):
+        sweep._refuse_paths([path for path in paths if path])
         os.makedirs(args.out, exist_ok=True)
-        return os.path.join(args.out, path)
-    return path
+    return paths
 
 
 # ---------------------------------------------------------------- class
@@ -116,33 +117,21 @@ def _cmd_class_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_digraph_build(args: argparse.Namespace) -> int:
-    json_path = _out_path(args, args.json)
-    dot_path = _out_path(args, args.dot)
-    written = [p for p in (json_path, dot_path) if p]
-    if len(written) == 2 and os.path.abspath(json_path) == os.path.abspath(dot_path):
-        raise ValueError(f"the JSON and DOT files cannot share the path {json_path}")
     g = ttd.magic_digraph(args.j, args.k)
-    if not written:
-        print(ttd.export_json(g))
-        return 0
-    # build every document, then write each to PATH.part and move them
-    # onto their paths only once all are written, so a failed export or
-    # write leaves none of the requested files behind
-    docs = [
-        (path, export(g))
-        for path, export in ((json_path, ttd.export_json), (dot_path, ttd.export_dot))
+    exports = [
+        (path, export)
+        for path, export in ((args.json, ttd.export_json), (args.dot, ttd.export_dot))
         if path
     ]
-    try:
-        for path, text in docs:
-            with open(path + ".part", "w", encoding="utf-8") as fh:
-                fh.write(text)
-        for path, _ in docs:
-            os.replace(path + ".part", path)
-    finally:
-        for path, _ in docs:
-            with contextlib.suppress(OSError):
-                os.remove(path + ".part")
+    if not exports:
+        print(ttd.export_json(g))
+        return 0
+    # every document is built before any file is opened
+    texts = [export(g) for _, export in exports]
+    written = _out_paths(args, *(path for path, _ in exports))
+    with sweep._write_parts(written) as files:
+        for path, file, text in zip(written, files, texts):
+            sweep._named(path, file.write, text)
     _emit({"vertices": g.vertex_count, "edges": g.edge_count, "written": written})
     return 0
 
@@ -246,10 +235,9 @@ def _kept(reports: Iterator, kept: list) -> Iterator:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _sweep_config(args)
-    csv_path = _out_path(args, args.csv)
-    json_path = _out_path(args, args.json)
     reports: list = []
     stream = _kept(sweep.iter_sweep(cfg), reports)
+    csv_path, json_path = _out_paths(args, args.csv, args.json)
     written = []
     if csv_path is None and json_path is None:
         writer = sweep.ReportWriter(sys.stdout, "csv")
@@ -279,11 +267,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if count < 4:
         raise ValueError(f"need at least 4 instances to fit, got {count}")
     reports: list = []
-    sweep.report_emit(
-        _kept(sweep.iter_sweep(cfg), reports),
-        _out_path(args, args.csv),
-        _out_path(args, args.json),
-    )
+    stream = _kept(sweep.iter_sweep(cfg), reports)
+    sweep.report_emit(stream, *_out_paths(args, args.csv, args.json))
     verdict = sweep.verify_exponent_law(
         reports, which=args.which, tolerance=args.tolerance
     )

@@ -325,7 +325,7 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[BoundReport]:
     if cfg.largest_vertex_count() > cfg.vertex_cap and not cfg.allow_large:
         raise ValueError(
             f"largest digraph has {cfg.largest_vertex_count()} vertices, over "
-            f"the cap {cfg.vertex_cap}; pass allow_large to run anyway"
+            f"the cap {cfg.vertex_cap}; pass allow_large (--allow-large) to run anyway"
         )
     p, q = cfg.exponents()
     jobs = [(p, q, n) for n in range(cfg.n_start, cfg.n_stop + 1)]
@@ -559,18 +559,47 @@ def report_json(reports: Iterable[BoundReport]) -> str:
     return _document(reports, "json")
 
 
-def _emit_step(parts: list[tuple[str, TextIO]], path: str, step, *args):
-    """step(*args); should it fail, every .part file goes and the error names path."""
+def _named(path: str, step, *args):
+    """step(*args), with an OSError re-raised as one that names path."""
     try:
         return step(*args)
-    except (OSError, RuntimeError) as exc:
-        for part_path, fh in parts:
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _refuse_paths(paths: list[str]) -> None:
+    """Refuse two equal paths, or a path that is a directory; creates nothing."""
+    keys = [os.path.abspath(path) for path in paths]
+    for path, key in zip(paths, keys):
+        if keys.count(key) > 1:
+            raise ValueError(f"two files cannot share the path {path}")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"cannot write {path}: Is a directory")
+
+
+@contextlib.contextmanager
+def _write_parts(paths: list[str]) -> Iterator[list[TextIO]]:
+    """Files open on PATH.part, next to each path, moved onto the paths when
+    the block ends; run each write through _named with its path.  An
+    OSError or RuntimeError removes every .part file, leaving the paths as
+    they were; any other exception (Ctrl-C, say) keeps them, closed."""
+    _refuse_paths(paths)
+    files: list[TextIO] = []
+    try:
+        for path in paths:
+            files.append(_named(path, open, path + ".part", "w", -1, "utf-8"))
+        yield files
+        for path, file in zip(paths, files):
+            _named(path, file.close)
+        for path in paths:
+            _named(path, os.replace, path + ".part", path)
+    except BaseException as exc:
+        for path, file in zip(paths, files):
             with contextlib.suppress(OSError):
-                fh.close()
-            with contextlib.suppress(OSError):
-                os.remove(part_path + ".part")
-        if isinstance(exc, OSError):
-            raise OSError(f"cannot write report to {path}: {exc}") from exc
+                file.close()
+            if isinstance(exc, (OSError, RuntimeError)):
+                with contextlib.suppress(OSError):
+                    os.remove(path + ".part")
         raise
 
 
@@ -585,46 +614,31 @@ def report_emit(
     generator.  Each report is re-checked for the lower <= upper sandwich
     before its row is written, and written to PATH.part (next to PATH) as
     it arrives; after the last report both .part files are moved onto
-    their paths, so a path only ever holds a whole document.  A failed
-    re-check or an I/O failure removes the .part files and leaves the
-    paths as they were; I/O failures are re-raised with the path attached.
-    An error raised by reports itself (or Ctrl-C) keeps the .part files,
-    which then hold every report written before it.  The files are
+    their paths, so a path only ever holds a whole document.  Equal paths,
+    or a path that is a directory, are refused before any file is created.
+    A failed re-check or an OSError, "cannot write PATH: reason", removes
+    the .part files; any other error (Ctrl-C, or one raised by reports)
+    keeps them, holding every report written before it.  The files are
     byte-identical to report_csv and report_json of the same reports, for
-    any worker count.  Equal paths are refused with ValueError.
+    any worker count.
     """
     targets = [
         (path, kind)
         for path, kind in ((csv_path, "csv"), (json_path, "json"))
         if path is not None
     ]
-    if len(targets) == 2 and os.path.abspath(csv_path) == os.path.abspath(json_path):
-        raise ValueError(f"the CSV and JSON reports cannot share the path {csv_path}")
     if not targets:
         for rep in reports:
             _check_sandwich(rep)
         return []
-    parts: list[tuple[str, TextIO]] = []
-    try:
-        for path, _ in targets:
-            parts.append((path, _emit_step(parts, path, _open_part, path)))
+    with _write_parts([path for path, _ in targets]) as files:
         writers = [
-            (path, _emit_step(parts, path, ReportWriter, fh, kind))
-            for (path, fh), (_, kind) in zip(parts, targets)
+            (path, _named(path, ReportWriter, file, kind))
+            for (path, kind), file in zip(targets, files)
         ]
         for rep in reports:
             for path, writer in writers:
-                _emit_step(parts, path, writer.write, rep)
-        for (path, writer), (_, fh) in zip(writers, parts):
-            _emit_step(parts, path, writer.close)
-            _emit_step(parts, path, fh.close)
-        for path, _ in targets:
-            _emit_step(parts, path, os.replace, path + ".part", path)
-    finally:
-        for _, fh in parts:
-            fh.close()
+                _named(path, writer.write, rep)
+        for path, writer in writers:
+            _named(path, writer.close)
     return [path for path, _ in targets]
-
-
-def _open_part(path: str) -> TextIO:
-    return open(path + ".part", "w", encoding="utf-8")

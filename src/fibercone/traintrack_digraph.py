@@ -4,7 +4,7 @@ Train-track digraphs of the fibered classes (1,j,k)+.
 For a fibration class (1,j,k)+ of the magic manifold the monodromy carries an
 invariant train track whose real branches fall into four groups; the induced
 digraph Gamma_(1,j,k)+ records which branches the image of a branch crosses.
-Its vertices, in the fixed order used for all matrices, are
+Its vertices, in the fixed order that gives each one its index, are
 
     s,  a_1 .. a_k,  r_1 .. r_j,  b_1 .. b_k,
 

@@ -133,6 +133,43 @@ def test_digraph_build_leaves_no_file_when_an_export_fails(
     assert not any(tmp_path.iterdir())
 
 
+# each writes the file "kept" and then the path appended to it
+BUILD_ARGV = ("digraph", "build", "--j", "3", "--k", "2", "--json", "kept", "--dot")
+SWEEP_ARGV = ("sweep", "--family", "n11", "--n-from", "2", "--n-to", "5",
+              "--csv", "kept", "--json")
+
+
+@pytest.mark.parametrize("argv", [BUILD_ARGV, SWEEP_ARGV], ids=["build", "sweep"])
+def test_a_directory_target_is_refused_before_any_file_is_written(
+    capsys, tmp_path, monkeypatch, argv
+):
+    # refused before any file is opened, so "kept" keeps its bytes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "kept").write_bytes(b"old\n")
+    assert _run(capsys, *argv, "adir") == (
+        2, "", "error: cannot write adir: Is a directory\n"
+    )
+    assert (tmp_path / "kept").read_bytes() == b"old\n"
+    assert sorted(os.listdir(tmp_path)) == ["adir", "kept"]
+    assert os.listdir(tmp_path / "adir") == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_digraph_build_write_error_removes_the_part_files(
+    capsys, tmp_path, monkeypatch
+):
+    # a .part file that is a link to /dev/full fails when it is closed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kept").write_bytes(b"old\n")
+    os.symlink("/dev/full", tmp_path / "g.dot.part")
+    assert _run(capsys, *BUILD_ARGV, "g.dot") == (
+        2, "", "error: cannot write g.dot: No space left on device\n"
+    )
+    assert (tmp_path / "kept").read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["kept"]
+
+
 def test_digraph_certify(capsys):
     rc, doc, _ = _run_json(capsys, "digraph", "certify", "--j", "8", "--k", "4")
     assert rc == 0
@@ -348,7 +385,7 @@ def test_sweep_refuses_one_path_for_both_reports(tmp_path, capsys, joined):
                         "--n-from", "2", "--n-to", "3", "--csv", csv_arg,
                         "--json", str(tmp_path / "r.txt"))
     assert (rc, out) == (2, "")
-    assert err.startswith("error: the CSV and JSON reports cannot share the path")
+    assert err.startswith("error: two files cannot share the path")
     assert os.listdir(tmp_path) == []
 
 
@@ -524,12 +561,20 @@ MAGIC_ROWS_ARG = "1 0 0; 0 1 0; 1 0 -1; 0 1 -1"
          "error: need at least 4 instances to fit, got 2\n"),
         (("digraph", "build", "--j", "8", "--k", "4", "--json", "same.out",
           "--dot", "same.out"),
-         "error: the JSON and DOT files cannot share the path same.out\n"),
+         "error: two files cannot share the path same.out\n"),
         # the JSON document is written to g.json.part, and goes with it
         # when the DOT file cannot be written
         (("digraph", "build", "--j", "3", "--k", "2", "--json", "g.json",
           "--dot", "missing/g.dot"),
-         "error: [Errno 2] No such file or directory: 'missing/g.dot.part'\n"),
+         "error: cannot write missing/g.dot: No such file or directory\n"),
+        # --out is made only once every refusal has passed
+        (("--out", "d1", "sweep", "--family", "pq", "--p", "1", "--q", "2",
+          "--n-from", "2", "--n-to", "100", "--csv", "a.csv"),
+         "error: largest digraph has 20101 vertices, over the cap 5000; pass "
+         "allow_large (--allow-large) to run anyway\n"),
+        (("--out", "d2", "digraph", "build", "--j", "3", "--k", "2", "--json",
+          "same", "--dot", "same"),
+         "error: two files cannot share the path d2/same\n"),
         # the same refusal as the console-script smoke step in CI
         (("cone", "hilbert", "--rows", "1 0 0; -1 0 0", "--bound", "3"),
          "error: no x has A x > 0 (the sum of the extreme rays is not strictly "
@@ -539,7 +584,8 @@ MAGIC_ROWS_ARG = "1 0 0; 0 1 0; 1 0 -1; 0 1 -1"
          "rows-not-int", "plus-not-int", "pq-without-p",
          "sweep-n11-with-pq", "verify-n11-with-pq", "sweep-n11-with-p",
          "verify-infinite-tolerance", "verify-nan-tolerance", "verify-too-few",
-         "build-json-and-dot-one-path", "build-dot-dir-missing", "empty-interior"],
+         "build-json-and-dot-one-path", "build-dot-dir-missing", "out-sweep-over-cap",
+         "out-build-one-path", "empty-interior"],
 )
 def test_malformed_arguments_exit_2(capsys, tmp_path, monkeypatch, argv, err):
     monkeypatch.chdir(tmp_path)

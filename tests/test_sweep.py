@@ -437,7 +437,7 @@ def test_report_emit_writes_requested_files(tmp_path):
 def test_report_emit_wraps_io_errors(tmp_path):
     reports = run_sweep(SweepConfig(family="n11", n_start=2, n_stop=3))
     missing_dir = tmp_path / "nope" / "out.csv"
-    with pytest.raises(OSError, match="cannot write report"):
+    with pytest.raises(OSError, match=f"^cannot write {missing_dir}: "):
         report_emit(reports, str(missing_dir), None)
 
 
@@ -500,14 +500,14 @@ def test_report_emit_io_error_leaves_both_paths_untouched(tmp_path, missing):
     kept.write_bytes(b"an older report\n")
     lost = tmp_path / "nope" / "out"
     paths = (lost, kept) if missing == "csv" else (kept, lost)
-    with pytest.raises(OSError, match=f"cannot write report to {lost}"):
+    with pytest.raises(OSError, match=f"^cannot write {lost}: "):
         report_emit(reports, *map(str, paths))
     assert kept.read_bytes() == b"an older report\n"
     assert sorted(os.listdir(tmp_path)) == ["kept"]
     # with no file at either path, neither appears
     fresh = tmp_path / "fresh"
     paths = (lost, fresh) if missing == "csv" else (fresh, lost)
-    with pytest.raises(OSError, match="cannot write report"):
+    with pytest.raises(OSError, match=f"^cannot write {lost}: "):
         report_emit(reports, *map(str, paths))
     assert sorted(os.listdir(tmp_path)) == ["kept"]
 
@@ -519,7 +519,7 @@ def test_report_emit_write_error_removes_the_part_files(tmp_path):
     csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
     json_path.write_text("older\n", encoding="utf-8")
     os.symlink("/dev/full", tmp_path / "s.json.part")
-    with pytest.raises(OSError, match=f"cannot write report to {json_path}"):
+    with pytest.raises(OSError, match=f"^cannot write {json_path}: "):
         report_emit(reports, str(csv_path), str(json_path))
     assert sorted(os.listdir(tmp_path)) == ["s.json"]
     assert json_path.read_text(encoding="utf-8") == "older\n"
