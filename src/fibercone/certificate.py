@@ -23,28 +23,31 @@ checked a run at a time: from a run member it must follow the run, which
 one C-level comparison checks, and only the steps from other vertices are
 looked up among the extra edges.
 
-A residue table is (u, c, cycle, rounds, masks): rho is in the c-bit set
-masks[x][i] iff the least length of a walk u -> nodes[x] congruent to rho
-mod c is q c + rho, for q = rounds[x][i]; a residue in no mask is
-unreached; cycle is a closed walk of length c through u, as its c + 1
-vertices.  It is checked in two steps:
+A residue table is (roots, c, cycles, rounds, masks), for L roots that
+share the modulus c: bit rho L + i is in the c L-bit set masks[x][k] iff
+the least length of a walk roots[i] -> nodes[x] congruent to rho mod c is
+q c + rho, for q = rounds[x][k]; a residue in no mask is unreached in its
+root's lane; cycles[i] is a closed walk through roots[i] whose length
+divides c, as its vertices, so repeated it is one of length c.  It is
+checked in two steps, once for all its roots:
 
-  * the clauses on its rounds: the table is rooted at u; its cycle is a
-    closed walk of length c through u and a walk of the digraph; each
-    vertex's rounds increase, its masks are nonempty sets of residues below
-    c, and no residue is in two of them (their sum equals their OR); and
-    D[u][0] = 0;
+  * the clauses on its rounds: each root is a skeleton vertex; there is one
+    cycle for each root, a closed walk through it of a length dividing c
+    and a walk of the digraph; each vertex's rounds increase, its masks are
+    nonempty sets of bits below c L, and no bit is in two of them (their
+    sum equals their OR); and D[roots[i]][0] = 0 in lane i, for every i;
   * Bellman's equations, whose only solution with positive weights is the
     exact table of least walk lengths, on the round masks as the search
-    moves them.  A chain x -> z of weight a c + b sends x's round-q mask N
-    to z as (N << b) & full in round q + a and as N >> (c - b) in round
-    q + a + 1, and u also gets residue 0 in round 0.  Walking z's rounds in
-    order with a running OR of what is sent, the residues first sent in
-    each round must be z's mask of that round: one comparison for both the
-    lower bound (nothing is sent before its round) and the attained clause
-    (something is sent in it).  A failure names the least failing residue
-    of the first failing vertex.  That is O(masks x chains out) operations
-    on c-bit ints, as in the search, plus a sort of each vertex's rounds.
+    moves them, every lane at once.  A chain x -> z of weight a c + b sends
+    x's round-q mask N to z as (N << b L) & full in round q + a and as
+    N >> (c - b) L in round q + a + 1, and roots[i] also gets bit i in
+    round 0.  Walking z's rounds in order with a running OR of what is
+    sent, the bits first sent in each round must be z's mask of that round:
+    one comparison for both the lower bound (nothing is sent before its
+    round) and the attained clause (something is sent in it).  A failure
+    names the root and residue of the least failing bit of the first
+    failing vertex.  That is O(masks x chains out) operations on c L-bit
+    ints, as in the search, plus a sort of each vertex's rounds.
 
 A negative verdict ("not primitive", "never covers") is a certificate that
 no image of a source v is every vertex (V >= 2).  It starts with the forced
@@ -55,9 +58,12 @@ each image along it is a single vertex; then one of:
   * closed set: a set closed under successors holding u's out-neighbours
     but not u, so no later image contains u (the vertices reachable from
     them, when no closed walk passes through u, as at a degree-zero u);
-  * unreached residue: u's table, certified again, with a residue that no
-    walk reaches; with every in-degree >= 1, also checked, coverage is
-    monotone, so infinitely many missing lengths mean that it never happens.
+  * unreached residue: a table with a lane rooted at u, certified again,
+    with a residue of that lane that no walk reaches; with every in-degree
+    >= 1, also checked, coverage is monotone, so infinitely many missing
+    lengths mean that it never happens.  (A residue mod c unreached leaves
+    one unreached mod the length of u's shortest closed walk, which divides
+    c, so the verdict may name that length.)
 """
 
 from __future__ import annotations
@@ -173,10 +179,9 @@ def _extra_steps(g: Digraph, walk: Sequence[int]) -> list[int] | None:
     return taken
 
 
-def _fail_table(g: Digraph, u: int, why: str) -> NoReturn:
-    raise RuntimeError(
-        f"residue table of {g.labels[u]!r} failed re-verification: {why}"
-    )
+def _fail_table(g: Digraph, roots: Sequence[int], why: str) -> NoReturn:
+    named = ", ".join(repr(g.labels[u]) for u in roots)
+    raise RuntimeError(f"residue table of {named} failed re-verification: {why}")
 
 
 def _moves(sk: Skeleton) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
@@ -188,25 +193,29 @@ def _moves(sk: Skeleton) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
 
 
 def _certify_rounds(
-    g: Digraph, sk: Skeleton, u: int, table: Table, where: dict[int, int]
+    g: Digraph, sk: Skeleton, table: Table, where: dict[int, int]
 ) -> None:
-    """The clauses on a table's rounds: the root, a skeleton vertex, the
-    cycle, lists of increasing rounds with nonempty masks of distinct
-    residues below c, and D[u][0] = 0; where comes from _moves."""
-    root, c, cycle, rounds, masks = table
-    labels, nodes = g.labels, sk[0]
-    if root != u:
-        _fail_table(g, u, f"the table is rooted at {labels[root]!r}")
-    # the rows are the skeleton vertices', so the root must be one of them
-    if u not in where:
-        _fail_table(g, u, "its root is not a skeleton vertex")
-    if len(cycle) != c + 1 or cycle[0] != u or cycle[-1] != u:
-        _fail_table(g, u, f"the cycle is not a closed walk of length {c} through it")
-    if _extra_steps(g, cycle) is None:
-        _fail_table(g, u, "the cycle is not a walk of the digraph")
-    full, count = (1 << c) - 1, len(nodes)
+    """The clauses on a table's rounds: roots that are skeleton vertices,
+    one cycle for each, lists of increasing rounds with nonempty masks of
+    distinct residues below c for each root, and D[u][0] = 0 in each
+    root's lane; where comes from _moves."""
+    roots, c, cycles, rounds, masks = table
+    labels, nodes, step = g.labels, sk[0], len(roots)
+    if len(cycles) != step:
+        _fail_table(g, roots, "the table does not hold one cycle for each root")
+    for u, cycle in zip(roots, cycles):
+        # the rows are the skeleton vertices', so each root must be one
+        if u not in where:
+            _fail_table(g, (u,), "its root is not a skeleton vertex")
+        length = len(cycle) - 1
+        if not 0 < length <= c or c % length or cycle[0] != u or cycle[-1] != u:
+            _fail_table(g, (u,), f"the cycle is not a closed walk of length {c} "
+                        "through it, once or repeated")
+        if _extra_steps(g, cycle) is None:
+            _fail_table(g, (u,), "the cycle is not a walk of the digraph")
+    full, count = (1 << c * step) - 1, len(nodes)
     if len(rounds) != count or len(masks) != count:
-        _fail_table(g, u, f"the table is not {count} rows of {c} residues")
+        _fail_table(g, roots, f"the table is not {count} rows of {c} residues")
     for x, (qs, ms) in enumerate(zip(rounds, masks)):
         if (
             len(qs) != len(ms)
@@ -216,37 +225,47 @@ def _certify_rounds(
             or ms and max(ms) > full
         ):
             _fail_table(
-                g, u, f"the rounds of {labels[nodes[x]]!r} are not increasing "
+                g, roots, f"the rounds of {labels[nodes[x]]!r} are not increasing "
                 f"rounds of nonempty sets of {c} residues"
             )
         # the sum of nonnegative ints equals their union iff no two share
         # a bit
         if sum(ms) != reduce(or_, ms, 0):
-            _fail_table(g, u, f"D[{labels[nodes[x]]!r}] has two lengths in one residue")
-    # D[u][0] = 0: u's first round is round 0, and its mask holds residue 0
-    qs = rounds[where[u]]
-    if not (qs and qs[0] == 0 and masks[where[u]][0] & 1):
-        _fail_table(g, u, "D[u][0] != 0")
+            _fail_table(
+                g, roots, f"D[{labels[nodes[x]]!r}] has two lengths in one residue"
+            )
+    # D[u][0] = 0: the first round of roots[i] is round 0, and its mask
+    # holds residue 0 of lane i
+    for i, u in enumerate(roots):
+        qs = rounds[where[u]]
+        if not (qs and qs[0] == 0 and masks[where[u]][0] >> i & 1):
+            _fail_table(g, (u,), "D[u][0] != 0")
 
 
 def _certify_masks(
-    g: Digraph, sk: Skeleton, u: int, table: Table,
+    g: Digraph, sk: Skeleton, table: Table,
     where: dict[int, int], moves: list[tuple[int, int, int]],
 ) -> None:
     """Bellman's equations on the round masks of a table that
     _certify_rounds has passed, with sk's (where, moves) from _moves."""
-    _, c, _, rounds, masks = table
-    full = (1 << c) - 1
+    roots, c, _, rounds, masks = table
+    step = len(roots)
+    full = (1 << c * step) - 1
     into: list[list[tuple[int, int, int, int]]] = [[] for _ in rounds]
     for x, z, w in moves:
         a, b = divmod(w, c)
-        into[z].append((x, a, b, c - b))
+        into[z].append((x, a, b * step, (c - b) * step))
+    # empty[z]: the lanes whose root is nodes[z], which its empty walk
+    # reaches in round 0
+    empty: dict[int, int] = {}
+    for i, u in enumerate(roots):
+        empty[where[u]] = empty.get(where[u], 0) | 1 << i
     for z, chains_in in enumerate(into):
-        # sent[q]: the residues that the chains into z, and u's empty walk,
-        # reach in round q, for every round that sends or that z claims
+        # sent[q]: the residues that the chains into z, and the roots' empty
+        # walks, reach in round q, for every round that sends or that z claims
         sent = dict.fromkeys(rounds[z], 0)
-        if z == where[u]:
-            sent[0] = 1
+        if z in empty:
+            sent[0] = empty[z]
         get = sent.get
         for x, a, b, back in chains_in:
             for q, mask in zip(rounds[x], masks[x]):
@@ -263,24 +282,25 @@ def _certify_masks(
                 bad |= grown ^ seen ^ claimed.get(q, 0)
             seen = grown
         if bad:
-            rho = (bad & -bad).bit_length() - 1
+            bit = (bad & -bad).bit_length() - 1
+            rho, i = divmod(bit, step)
             have, given = (
-                min((q for q, mask in by.items() if mask >> rho & 1), default=inf)
+                min((q for q, mask in by.items() if mask >> bit & 1), default=inf)
                 for by in (claimed, sent)
             )
             clause = "lower bound" if given < have else "attained"
             _fail_table(
-                g, u, f"{clause} fails at D[{g.labels[sk[0][z]]!r}][{rho}] = "
-                f"{have * c + rho}, its predecessors give {given * c + rho}"
+                g, (roots[i],), f"{clause} fails at D[{g.labels[sk[0][z]]!r}]"
+                f"[{rho}] = {have * c + rho}, its predecessors give {given * c + rho}"
             )
 
 
-def _check_table(g: Digraph, sk: Skeleton, u: int, table: Table) -> None:
+def _check_table(g: Digraph, sk: Skeleton, table: Table) -> None:
     """Certifies a table: the clauses on its rounds, then Bellman's
     equations on its masks, on one (where, moves) of sk."""
     where, moves = _moves(sk)
-    _certify_rounds(g, sk, u, table, where)
-    _certify_masks(g, sk, u, table, where, moves)
+    _certify_rounds(g, sk, table, where)
+    _certify_masks(g, sk, table, where, moves)
 
 
 def _certify_refusal(g: Digraph, sk: Skeleton, v: int, ref: _Refusal) -> None:
@@ -305,9 +325,15 @@ def _certify_refusal(g: Digraph, sk: Skeleton, v: int, ref: _Refusal) -> None:
         if any(t not in ref.closed for s in (u, *ref.closed) for t in g.successors(s)):
             fail("the set is not closed under successors")
     elif ref.table is not None:
-        _check_table(g, sk, u, ref.table)
-        full = (1 << ref.table[1]) - 1
-        if all(reduce(or_, masks, 0) == full for masks in ref.table[4]):
+        # the table's lane for u is the one rooted at u
+        roots, c = ref.table[0], ref.table[1]
+        if u not in roots:
+            named = ", ".join(repr(g.labels[r]) for r in roots)
+            fail(f"the table is rooted at {named}")
+        _check_table(g, sk, ref.table)
+        step = len(roots)
+        ones = ((1 << c * step) - 1) // ((1 << step) - 1) << roots.index(u)
+        if all(reduce(or_, masks, 0) & ones == ones for masks in ref.table[4]):
             fail("every residue is reached")
         # the run steps enter first + 1 .. last of each run, and each extra
         # edge its target

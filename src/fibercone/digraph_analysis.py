@@ -31,10 +31,10 @@ branch skeleton instead of by stepping sets:
     is an extra edge, with its chain and offset, found by bisection.
   * Residue tables (the shortest-path view of walk-length semigroups of
     Nijenhuis 1979, Amer. Math. Monthly 86, and Boecker and Liptak 2007,
-    Algorithmica 48).  For a skeleton vertex u let c be the length of a
-    shortest closed walk through u (k or j + k on Gamma), and D[x][rho] the
-    least length of a walk u -> x congruent to rho mod c.  Prefixing the
-    closed walk lengthens any walk from u by c, so
+    Algorithmica 48).  For a skeleton vertex u let c be a multiple of the
+    length of a shortest closed walk through u (k or j + k on Gamma), and
+    D[x][rho] the least length of a walk u -> x congruent to rho mod c.
+    Prefixing that closed walk, repeated, lengthens any walk from u by c, so
 
         W(u, x) = { L : L >= D[x][L mod c] },
 
@@ -42,27 +42,36 @@ branch skeleton instead of by stepping sets:
   * The search by rounds.  Every candidate length for (x, rho) is congruent
     to rho, so its round d // c fixes it: rounds are searched in increasing
     order, each in any order, and a residue that a round reaches first is
-    final.  Each skeleton vertex holds the residues of a round as one c-bit
-    int, so one big-int operation moves all of them (the shift-and
-    parallelism of Baeza-Yates and Gonnet 1992, Comm. ACM 35): a chain of
-    weight a c + b sends a mask N to round q + a as (N << b) & (2^c - 1)
-    and to round q + a + 1 as N >> (c - b), masks sent to one vertex for
-    one round are merged, loops shorter than c close a round by doubling
-    shifts, and a vertex with one chain out passes on what it settles as
-    the search reaches it.  A table keeps each vertex's round masks.  The
-    search makes a few operations on c-bit ints per chain out of each
-    (vertex, round) pair that settles a residue: E such pairs, at most
-    |skeleton| min(R, c) for R rounds.  (1,n,1)+ and (1,n,n^2)+ tables
-    have a few or about n rounds that settle many residues each, so E is
-    small; on (1,n,n)+ each of about n rounds settles one residue a vertex,
-    and E is |skeleton| c, as many as there are states.
+    final.  The roots, the skeleton vertices on closed walks with two or
+    more chains out, are searched in groups of L that share one modulus c,
+    each root's shortest closed walk having length c or c / 2, or dividing
+    c when it is a loop.  Each skeleton vertex holds the residues of a
+    round as one int, residue rho of root i at bit rho L + i, so one
+    big-int operation moves the residues of every root (the shift-and
+    parallelism of Baeza-Yates and Gonnet 1992, Comm. ACM 35, over the
+    sources of a multi-source traversal as in Then et al. 2014, PVLDB 8):
+    a chain of weight a c + b sends a mask N to round q + a as
+    (N << b L) & (2^(c L) - 1) and to round q + a + 1 as N >> (c - b) L,
+    masks sent to one vertex for one round are merged, loops shorter than c
+    close a round by doubling shifts, and a vertex with one chain out passes
+    on what it settles as the search reaches it.  A table keeps each
+    vertex's round masks.  The search makes a few operations on c L-bit
+    ints per chain out of each (vertex, round) pair that settles a residue
+    of some root, E such pairs per group, at most |skeleton| min(R, c) for
+    R rounds.  (1,n,1)+ and (1,n,n^2)+ groups have a few or about n rounds
+    that settle many residues each, so E is small.  On (1,n,n)+ the roots
+    a_n (c = n), r_n and b_n (c = 2 n) form one group of modulus 2 n,
+    searched in about n / 2 rounds that settle a few residues a root at
+    each vertex, where one table a root took about 2 n rounds in all.
   * A vertex v of out-degree 1 has W(v, .) = {0 at v} u (W(succ v, .) + 1),
     so every source first follows its forced walk to a vertex of out-degree
-    != 1 and uses that vertex's table.  The per-digraph engine keeps the
-    certified skeleton and each certified table with its cover, each derived
-    once, so last_avoidance reuses the tables that the exponent computation
-    built.  It holds no reference to the digraph, so a copy or an unpickled
-    digraph keeps an engine that stays valid.
+    != 1 and uses that vertex's lane of its group's table.  The per-digraph
+    engine keeps the certified skeleton, searches and certifies a group's
+    table the first time any of its roots is asked for, and keeps each
+    root's lane with its cover, each derived once, so last_avoidance reuses
+    the tables that the exponent computation built.  It holds no reference
+    to the digraph, so a copy or an unpickled digraph keeps an engine that
+    stays valid.
 
 Every answer is then arithmetic on the tables.  The covering time from v is
 the length of its forced walk plus one more than the largest length missing
@@ -81,7 +90,8 @@ times, (1,100,10000)+, with V = 20101 and r = 1010199, takes well under a
 second.
 
 fibercone.certificate, sharing no code with this engine, checks the skeleton,
-each table and each refusal's certificate before an answer built on them leaves.
+each group table and each refusal's certificate before an answer built on
+them leaves.
 
 Boolean matrix powers by repeated squaring survive only as the reference
 route image_after(..., method="powers"), which tests compare the tables
@@ -239,56 +249,81 @@ def _skeleton(g: Digraph) -> _Skeleton:
     return _Skeleton(order, chains, segments, [seg.start for seg in segments])
 
 
-class _Table(namedtuple("_Table", "u c cycle rounds masks")):
-    """Least walk lengths from u by residue mod c, kept by rounds as
-    fibercone.certificate lays them out, with the queries on them."""
+class _Table(namedtuple("_Table", "roots c cycles rounds masks")):
+    """Least walk lengths from each of the roots by residue mod c, kept by
+    rounds as fibercone.certificate lays them out: residue rho of roots[i]
+    is bit rho L + i of a mask, for L roots."""
+
+    @cached_property
+    def union(self) -> list[int]:
+        """union[x]: the residues of every lane that some round reaches at
+        nodes[x]."""
+        return [reduce(or_, masks, 0) for masks in self.masks]
+
+    @cached_property
+    def _reached(self) -> dict[int, list[int]]:
+        return {}
+
+    def reached(self, x: int) -> list[int]:
+        """reached(x)[k]: the residues of every lane that the rounds up to
+        rounds[x][k] reach at nodes[x]; a row is accumulated the first time
+        it is read, and only then."""
+        found = self._reached.get(x)
+        if found is None:
+            found = self._reached[x] = list(accumulate(self.masks[x], or_))
+        return found
+
+
+class _Lane(namedtuple("_Lane", "table i")):
+    """The lane of roots[i] in a table, with the queries on it."""
 
     @cached_property
     def tops(self) -> list[int | None]:
         """The largest entry of each row; None if it misses a residue."""
-        full, tops = (1 << self.c) - 1, []
-        for qs, masks in zip(self.rounds, self.masks):
-            if reduce(or_, masks, 0) != full:
+        table, i, step = self.table, self.i, len(self.table.roots)
+        ones = ((1 << table.c * step) - 1) // ((1 << step) - 1) << i
+        tops = []
+        for qs, masks, union in zip(table.rounds, table.masks, table.union):
+            if union & ones != ones:
                 tops.append(None)
-            else:
-                tops.append(qs[-1] * self.c + masks[-1].bit_length() - 1)
+                continue
+            k = len(masks) - 1
+            while not masks[k] & ones:
+                k -= 1
+            tops.append(qs[k] * table.c + ((masks[k] & ones).bit_length() - 1) // step)
         return tops
 
     def contains(self, sk: _Skeleton, y: int, m: int) -> bool:
-        """Is m in W(u, y)?"""
+        """Is m in W(roots[i], y)?"""
+        table = self.table
         x, i = sk.row_of(y)
         m -= i
         if m < 0:
             return False
-        q, rho = divmod(m, self.c)
-        k = bisect_right(self.rounds[x], q)
-        return k > 0 and self._reached[x][k - 1] >> rho & 1 == 1
-
-    @cached_property
-    def _reached(self) -> list[list[int]]:
-        """_reached[x][i]: the residues that the rounds up to rounds[x][i]
-        reach at nodes[x]."""
-        return [list(accumulate(masks, or_)) for masks in self.masks]
+        q, rho = divmod(m, table.c)
+        k = bisect_right(table.rounds[x], q)
+        bit = rho * len(table.roots) + self.i
+        return k > 0 and table.reached(x)[k - 1] >> bit & 1 == 1
 
     def gap(self, sk: _Skeleton, y: int) -> int | None:
-        """The largest length missing from W(u, y): -1 if none, None if
-        infinitely many are missing."""
+        """The largest length missing from W(roots[i], y): -1 if none, None
+        if infinitely many are missing."""
         x, i = sk.row_of(y)
         top = self.tops[x]
-        return None if top is None else top - self.c + i
+        return None if top is None else top - self.table.c + i
 
     def cover(self, sk: _Skeleton) -> int | None:
-        """1 + the largest length missing from any W(u, v); None if infinite."""
+        """1 + the largest length missing from any W(roots[i], v); None if
+        infinite."""
         if None in self.tops:
             return None
-        return max(map(add, self.tops, sk.reach)) - self.c + 1
+        return max(map(add, self.tops, sk.reach)) - self.table.c + 1
 
 
-def _residue_table(sk: _Skeleton, u: int) -> _Table | None:
-    """The search by rounds over residue masks from u; None when no closed
-    walk passes through u.  The result is unchecked."""
-    count, out_w, start = len(sk.nodes), sk.out_w, sk.index[u]
-    # a shortest closed walk through u, by Dijkstra on the skeleton itself
+def _shortest_cycle(sk: _Skeleton, u: int) -> list[_Chain] | None:
+    """The chains of a shortest closed walk through skeleton vertex u, in
+    order, by Dijkstra on the skeleton itself; None when none exists."""
+    out_w, start = sk.out_w, sk.index[u]
     dist, via = {start: 0}, {}
     heap = [(0, start)]
     c, last = None, None
@@ -307,18 +342,36 @@ def _residue_table(sk: _Skeleton, u: int) -> _Table | None:
     steps = [last]
     while steps[-1].path[0] != u:
         steps.append(via[sk.index[steps[-1].path[0]]])
-    cycle = sum((chain.path for chain in reversed(steps)), ()) + (u,)
+    return steps[::-1]
 
-    full = (1 << c) - 1
+
+def _residue_table(sk: _Skeleton, roots: tuple[int, ...]) -> _Table | None:
+    """The search by rounds over residue masks from the roots at once, at
+    the modulus c of the longest of their shortest closed walks, which the
+    caller makes a multiple of each; None when no closed walk passes
+    through a root.  The result is unchecked."""
+    walks = [_shortest_cycle(sk, u) for u in roots]
+    if None in walks:
+        return None
+    cycles = tuple(
+        sum((chain.path for chain in steps), ()) + (u,)
+        for u, steps in zip(roots, walks)
+    )
+    c, step = max(map(len, cycles)) - 1, len(roots)
+    count, out_w, width = len(sk.nodes), sk.out_w, c * step
+    full = (1 << width) - 1
     # A chain of weight a c + b sends the residues N that x reaches in round
-    # q to z: (N << b) & full in round q + a and N >> (c - b) in round
-    # q + a + 1.  moves[x] lists (z, a, b, c - b) for the chains out of x,
-    # forced[x] the one chain out of x when there is one and it is no loop,
-    # and loops[x] the weights of the loops at x shorter than c.
-    moves = [[(z, *divmod(w, c), c - w % c) for z, w in out] for out in out_w]
+    # q to z: (N << b L) & full in round q + a and N >> (c - b) L in round
+    # q + a + 1, for L = step lanes.  moves[x] lists (z, a, b L, (c - b) L)
+    # for the chains out of x, forced[x] the one chain out of x when there
+    # is one and it is no loop, and loops[x] the weights of the loops at x
+    # shorter than c, times L.
+    moves = [[(z, w // c, w % c * step, (c - w % c) * step) for z, w in out]
+             for out in out_w]
     forced = [out[0] if len(out) == 1 and out[0][0] != x else None
               for x, out in enumerate(moves)]
-    loops = [[w for z, w in out if z == x and w < c] for x, out in enumerate(out_w)]
+    loops = [[w * step for z, w in out if z == x and w < c]
+             for x, out in enumerate(out_w)]
     # unseen[x]: the residues of x that no round so far has reached
     unseen = [full] * count
     rounds: list[list[int]] = [[] for _ in range(count)]
@@ -339,7 +392,8 @@ def _residue_table(sk: _Skeleton, u: int) -> _Table | None:
         else:
             layer[z] = layer.get(z, 0) | mask
 
-    send(0, start, 1)
+    for i, u in enumerate(roots):
+        send(0, sk.index[u], 1 << i)
     while queue:
         q = heapq.heappop(queue)
         # Every length for (x, rho) sent to round q is q c + rho, so a
@@ -360,7 +414,7 @@ def _residue_table(sk: _Skeleton, u: int) -> _Table | None:
             for b in loops[x]:
                 # close the round under a loop by doubling shifts
                 more, s = mask << b, b
-                while s < c:
+                while s < width:
                     more |= (more << s) & full
                     s += s
                 more &= unseen[x]
@@ -396,22 +450,23 @@ def _residue_table(sk: _Skeleton, u: int) -> _Table | None:
             rounds[x].append(q)
             masks[x].append(got[x])
             got[x] = 0
-    return _Table(u, c, cycle, rounds, masks)
+    return _Table(tuple(roots), c, cycles, rounds, masks)
 
 
 # -- the per-digraph engine ----------------------------------------------------
 
 
 class _Engine:
-    """Per-digraph state, each part derived once: the certified skeleton and
-    tables, each table with its cover.  It holds no reference to the
-    digraph; the methods that read the store take it."""
+    """Per-digraph state, each part derived once: the certified skeleton,
+    the groups of roots, and each root's lane of its group's certified
+    table with the lane's cover.  It holds no reference to the digraph;
+    the methods that read the store take it."""
 
     def __init__(self, g: Digraph):
         sk = _skeleton(g)
         certificate._certify_skeleton(g, sk)
         self.skeleton = sk
-        self._tables: dict[int, tuple[_Table, int | None] | None] = {}
+        self._lanes: dict[int, tuple[_Lane, int | None] | None] = {}
 
     @cached_property
     def cyclic(self) -> list[bool]:
@@ -458,17 +513,52 @@ class _Engine:
                             cyclic[y] |= len(component) > 1
         return cyclic
 
-    def table(self, g: Digraph, u: int) -> tuple[_Table, int | None] | None:
-        """(table, its cover) for skeleton vertex u, the table certified;
-        None, with no search, when no closed walk passes through u."""
-        if u not in self._tables:
+    @cached_property
+    def groups(self) -> dict[int, tuple[int, ...]]:
+        """groups[u]: the roots searched together with root u, in lane order.
+
+        The roots are the skeleton vertices on closed walks with two or more
+        chains out, the only ends of forced walks.  Visited by decreasing
+        length c of their shortest closed walks, a root joins the first
+        group whose modulus is c or 2 c, or any multiple of c when a loop
+        of weight c, which the search closes by doubling, is such a walk;
+        otherwise it opens a group of modulus c.  The cap keeps a short
+        cycle through other skeleton vertices from repeating many times a
+        round.
+        """
+        sk, lengths = self.skeleton, {}
+        for x, v in enumerate(sk.nodes):
+            if self.cyclic[x] and len(sk.chains[x]) > 1:
+                lengths[v] = sum(len(chain.path) for chain in _shortest_cycle(sk, v))
+        opened: list[tuple[int, list[int]]] = []
+        for v in sorted(lengths, key=lengths.get, reverse=True):
+            c, x = lengths[v], sk.index[v]
+            loop = (x, c) in sk.out_w[x]
+            for modulus, roots in opened:
+                if modulus in (c, 2 * c) or loop and modulus % c == 0:
+                    roots.append(v)
+                    break
+            else:
+                opened.append((c, [v]))
+        return {v: tuple(roots) for _, roots in opened for v in roots}
+
+    def table(self, g: Digraph, u: int) -> tuple[_Lane, int | None] | None:
+        """(u's lane of its group's table, the lane's cover), the table
+        certified; None, with no search, when no closed walk passes through
+        u.  The first call for any root of a group searches and certifies
+        the whole group; a skeleton vertex outside every group is a group
+        of its own."""
+        if u not in self._lanes:
             sk = self.skeleton
-            table = _residue_table(sk, u) if self.cyclic[sk.index[u]] else None
-            if table is not None:
-                certificate._check_table(g, sk, u, table)
-                table = table, table.cover(sk)
-            self._tables[u] = table
-        return self._tables[u]
+            if not self.cyclic[sk.index[u]]:
+                self._lanes[u] = None
+            else:
+                table = _residue_table(sk, self.groups.get(u, (u,)))
+                certificate._check_table(g, sk, table)
+                for i, v in enumerate(table.roots):
+                    lane = _Lane(table, i)
+                    self._lanes[v] = lane, lane.cover(sk)
+        return self._lanes[u]
 
     def refuse(
         self, g: Digraph, v: int, refusal: certificate._Refusal
@@ -511,10 +601,10 @@ class _Engine:
                     todo.append(y)
         return frozenset(seen)
 
-    def cover_of(self, g: Digraph, v: int) -> tuple[list[int], _Table, int]:
-        """(forced path, table, the table's cover) for a source v that
-        covers; raises NeverCoversError, with a checked certificate, when it
-        never does."""
+    def cover_of(self, g: Digraph, v: int) -> tuple[list[int], _Lane, int]:
+        """(forced path, the lane of its end, the lane's cover) for a source
+        v that covers; raises NeverCoversError, with a checked certificate,
+        when it never does."""
         labels = g.labels
         path, u, loop = self.forced(v)
         if u is None:
@@ -528,13 +618,16 @@ class _Engine:
                 f"no closed walk passes through {labels[u]!r}, the end of the "
                 f"forced walk from {labels[v]!r}", (*path, u), closed=self.beyond(g, u)
             ))
-        table, cover = found
+        lane, cover = found
         if cover is None:
+            # a residue mod the table's c that no walk reaches leaves one mod
+            # the length of u's own shortest closed walk, which divides c
+            c = len(lane.table.cycles[lane.i]) - 1
             raise self.refuse(g, v, certificate._Refusal(
-                f"some residue mod {table.c} of walk lengths from {labels[v]!r} "
-                "to some vertex is unreached", (*path, u), table=table
+                f"some residue mod {c} of walk lengths from {labels[v]!r} "
+                "to some vertex is unreached", (*path, u), table=lane.table
             ))
-        return path, table, cover
+        return path, lane, cover
 
     def exponent(self, g: Digraph) -> int:
         """max over v of cov(v); needs n >= 2 and every degree >= 1.
@@ -722,8 +815,8 @@ def last_avoidance(g: Digraph, source: str, avoided: str) -> AvoidanceWitness:
     if g.vertex_count == 1:
         best = None
     else:
-        path, table, _ = eng.cover_of(g, v)
-        missing = table.gap(eng.skeleton, y)
+        path, lane, _ = eng.cover_of(g, v)
+        missing = lane.gap(eng.skeleton, y)
         if missing >= 0:
             best = len(path) + missing
         else:

@@ -433,9 +433,9 @@ def test_acyclic_vertices_get_no_table_search(monkeypatch):
     # skeleton components say so and no residue table is searched for
     calls, real = [], digraph_analysis._residue_table
 
-    def counted(sk, u):
-        calls.append(u)
-        return real(sk, u)
+    def counted(sk, roots):
+        calls.append(roots)
+        return real(sk, roots)
 
     monkeypatch.setattr(digraph_analysis, "_residue_table", counted)
     n, m = 1200, 500
@@ -445,11 +445,12 @@ def test_acyclic_vertices_get_no_table_search(monkeypatch):
     )
     assert image_after(g, "v0", m) == frozenset(f"v{i}" for i in range(m, 2 * m + 1))
     assert calls == []
-    # with the edge v1 -> v0 added, v0 lies on a closed walk and its one
-    # table answers every state of the search
+    # with the edge v1 -> v0 added, v0 and v1 lie on the closed walk
+    # v0 v1 v0, so they are one group, and its one table, searched once,
+    # answers every state of the search
     g = Digraph(g.labels, g.edges + ((1, 0, 1),))
     assert image_after(g, "v0", m) == image_after(g, "v0", m, method="powers")
-    assert calls == [0]
+    assert calls == [(0, 1)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -519,20 +520,70 @@ def test_engine_holds_no_digraph():
 
 @pytest.mark.parametrize("n", [2, 9, 40])
 def test_each_table_cover_is_computed_once(monkeypatch, n):
-    # Gamma_(1,n,1)+ has two tables, at a_1 (c = 1) and at r_n (c = n + 1),
-    # which the forced walks of its six skeleton vertices share
-    calls = []
-    cover = digraph_analysis._Table.cover
+    # Gamma_(1,n,1)+ has one group, r_n (c = n + 1) and a_1 (a loop, c = 1)
+    # at modulus n + 1, which the forced walks of its skeleton vertices
+    # share: one search, and one cover for each root's lane
+    searches, covers = [], []
+    search, cover = digraph_analysis._residue_table, digraph_analysis._Lane.cover
 
-    def counted(table, sk):
-        calls.append(table.u)
-        return cover(table, sk)
+    def searched(sk, roots):
+        searches.append(roots)
+        return search(sk, roots)
 
-    monkeypatch.setattr(digraph_analysis._Table, "cover", counted)
+    def counted(lane, sk):
+        covers.append(lane.table.roots[lane.i])
+        return cover(lane, sk)
+
+    monkeypatch.setattr(digraph_analysis, "_residue_table", searched)
+    monkeypatch.setattr(digraph_analysis._Lane, "cover", counted)
     g = magic_digraph(n, 1)
     primitivity_exponent(g)
     last_avoidance(g, "b_1", "r_1")
-    assert sorted(calls) == [g.index("a_1"), g.index(f"r_{n}")]
+    assert searches == [(g.index(f"r_{n}"), g.index("a_1"))]
+    assert sorted(covers) == [g.index("a_1"), g.index(f"r_{n}")]
+
+
+def _groups_of(g):
+    """The engine's groups as (root labels, modulus) pairs, each group's
+    table searched once."""
+    eng = digraph_analysis._engine(g)
+    return {
+        (frozenset(g.labels[v] for v in roots), eng.table(g, roots[0])[0].table.c)
+        for roots in set(eng.groups.values())
+    }
+
+
+def _short_cycle_beside_a_long_one():
+    """x -> y, y -> x, x -> t, t -> y, and apart from them the cycle z -> p1
+    -> .. -> p1999 -> z with z -> u2 -> p1: x's shortest closed walk has
+    length 2 and z's 2000."""
+    labels = ["x", "y", "t", "z", *(f"p{i}" for i in range(1, 2000)), "u2"]
+    at = {label: i for i, label in enumerate(labels)}
+    ring = ["z", *(f"p{i}" for i in range(1, 2000)), "z"]
+    pairs = [("x", "y"), ("y", "x"), ("x", "t"), ("t", "y"), ("z", "u2"), ("u2", "p1")]
+    pairs += zip(ring, ring[1:])
+    return Digraph(labels, [(at[a], at[b], 1) for a, b in pairs])
+
+
+@pytest.mark.parametrize(
+    ("build", "groups"),
+    [(lambda n=n: magic_digraph(n, n), {(frozenset({f"a_{n}", f"r_{n}", f"b_{n}"}), 2 * n)})
+     for n in (2, 5, 40)]
+    + [(lambda n=n: magic_digraph(n, n * n), {
+        (frozenset({f"r_{n}", f"b_{n * n}"}), n * n + n), (frozenset({f"a_{n * n}"}), n * n)
+    }) for n in (2, 3, 6)]
+    + [(lambda n=n: magic_digraph(n, 1), {(frozenset({"a_1", f"r_{n}"}), n + 1)})
+       for n in (2, 9, 40)]
+    + [(_short_cycle_beside_a_long_one, {(frozenset({"z"}), 2000), (frozenset({"x"}), 2)})],
+    ids=["n-n-2", "n-n-5", "n-n-40", "n-n2-2", "n-n2-3", "n-n2-6",
+         "n-1-2", "n-1-9", "n-1-40", "short-beside-long"],
+)
+def test_roots_are_grouped_by_their_shortest_closed_walks(build, groups):
+    # (1,n,n)+: a_n (c = n) joins r_n and b_n (c = 2n) at 2n; (1,n,n^2)+:
+    # a_k (c = n^2) cannot join r_n and b_k at n^2 + n; (1,n,1)+: the loop
+    # at a_1 (c = 1) widens to r_n's n + 1; a 2-cycle through two skeleton
+    # vertices is never widened to a long cycle's modulus
+    assert _groups_of(build()) == groups
 
 
 @st.composite
@@ -558,7 +609,7 @@ def test_acyclic_images_match_powers(g, data):
         for v in sources:
             missed = set(g.labels) - image_after(g, v, m, method="powers")
             assert avoidance_at(g, v, missed, m)
-    assert all(t is None for t in digraph_analysis._engine(g)._tables.values())
+    assert all(t is None for t in digraph_analysis._engine(g)._lanes.values())
 
 
 @st.composite
@@ -600,49 +651,88 @@ def _sets_by_length(g, u):
     return sets, first[current]
 
 
+def _least_lengths(g, sk, u):
+    """(returns, rows): the lengths of the closed walks through u up to the
+    end of the first period of the set sequence, and rows(c), where
+    rows(c)[x][rho] is the least length of a walk u -> nodes[x] congruent
+    to rho mod c, or None, by stepping vertex sets: past the sequence's
+    preperiod, (set, length mod c) repeats with the lcm of its period and
+    c, so the horizon covers every length."""
+    sets, start = _sets_by_length(g, u)
+    period = len(sets) - start
+
+    def at(length):
+        return sets[length if length < start else start + (length - start) % period]
+
+    def rows(c):
+        expected = [[None] * c for _ in sk.nodes]
+        for length in range(start + period * c // math.gcd(period, c)):
+            reached = at(length)
+            for x, v in enumerate(sk.nodes):
+                row = expected[x]
+                if v in reached and row[length % c] is None:
+                    row[length % c] = length
+        return expected
+
+    return [L for L in range(1, start + period + 1) if u in at(L)], rows
+
+
 @settings(max_examples=200, deadline=None)
 @given(g=digraphs_with_runs())
 def test_residue_tables_match_brute_force(g):
-    # every (vertex, length) state reached from u, by stepping vertex sets;
-    # past the set sequence's preperiod, (set, length mod c) repeats with
-    # the lcm of its period and c, so the horizon covers every length; the
-    # residues that no walk reaches are None in both
+    # a table of one root is searched at the length c of the root's
+    # shortest closed walk; the residues that no walk reaches are None in
+    # both
     sk = digraph_analysis._engine(g).skeleton
     for u in sk.nodes:
-        table = digraph_analysis._residue_table(sk, u)
-        sets, start = _sets_by_length(g, u)
-        period = len(sets) - start
-
-        def at(length):
-            return sets[length if length < start else
-                        start + (length - start) % period]
-
-        returns = [L for L in range(1, start + period + 1) if u in at(L)]
+        table = digraph_analysis._residue_table(sk, (u,))
+        returns, rows = _least_lengths(g, sk, u)
         if table is None:
             assert not returns
             continue
         assert table.c == returns[0]
-        assert len(table.cycle) == table.c + 1
-        expected = [[None] * table.c for _ in sk.nodes]
-        horizon = start + period * table.c // math.gcd(period, table.c)
-        for length in range(horizon):
-            reached = at(length)
-            for x, v in enumerate(sk.nodes):
-                row = expected[x]
-                if v in reached and row[length % table.c] is None:
-                    row[length % table.c] = length
-        assert _decoded(table, None) == expected
+        assert len(table.cycles[0]) == table.c + 1
+        assert _decoded(table, None) == rows(table.c)
 
 
-def _decoded(table, unreached):
-    """The table's rows: rows[x][rho] is the least length of a walk
-    u -> nodes[x] congruent to rho mod c, or unreached."""
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.one_of(
+        digraphs_with_runs(),
+        st.builds(magic_digraph, st.integers(1, 39), st.integers(1, 39)),
+    )
+)
+def test_each_lane_matches_brute_force(g):
+    # every lane of every group that the engine searches, decoded, is its
+    # root's table at the group's modulus
+    eng = digraph_analysis._engine(g)
+    sk = eng.skeleton
+    for roots in set(eng.groups.values()):
+        table = eng.table(g, roots[0])[0].table
+        assert table.roots == roots
+        for i, u in enumerate(roots):
+            returns, rows = _least_lengths(g, sk, u)
+            assert table.c % returns[0] == 0
+            assert len(table.cycles[i]) == returns[0] + 1
+            assert _decoded(table, None, i) == rows(table.c)
+
+
+def _lane_of(table, mask, i):
+    """The residues of lane i in a mask of the table, as a c-bit int."""
+    step = len(table.roots)
+    return sum(1 << rho for rho in range(table.c) if mask >> rho * step + i & 1)
+
+
+def _decoded(table, unreached, i=0):
+    """Lane i of the table as rows: rows[x][rho] is the least length of a
+    walk roots[i] -> nodes[x] congruent to rho mod c, or unreached."""
     c, rows = table.c, []
     for qs, ms in zip(table.rounds, table.masks):
         row = [unreached] * c
         for q, mask in zip(qs, ms):
+            lane = _lane_of(table, mask, i)
             for rho in range(c):
-                if mask >> rho & 1:
+                if lane >> rho & 1:
                     row[rho] = q * c + rho
         rows.append(row)
     return rows
@@ -659,64 +749,66 @@ def _corrupted_tables(monkeypatch, corrupt):
     monkeypatch.setattr(digraph_analysis, "_residue_table", corrupted)
 
 
-def _remasked(table, x, edit):
-    """The table with the residues of row x edited, or None when edit
-    returns None: edit maps the (round, residue) pairs of the row's least
-    lengths, highest length first, to the pairs of the new row."""
-    c = table.c
+def _remasked(table, x, edit, i=0):
+    """The table with the residues of lane i of row x edited, or None when
+    edit returns None: edit maps the (round, residue) pairs of the lane's
+    least lengths in the row, highest length first, to its new pairs; the
+    other lanes keep theirs."""
+    c, step = table.c, len(table.roots)
     pairs = sorted(
         ((q, rho) for q, m in zip(table.rounds[x], table.masks[x])
-         for rho in range(c) if m >> rho & 1),
+         for rho in range(c) if m >> rho * step + i & 1),
         key=lambda p: p[0] * c + p[1], reverse=True,
     )
     pairs = edit(pairs, c)
     if pairs is None:
         return None
-    by_round = {}
+    others = ((1 << c * step) - 1) ^ sum(1 << rho * step + i for rho in range(c))
+    by_round = {q: m & others for q, m in zip(table.rounds[x], table.masks[x])}
     for q, rho in pairs:
-        by_round[q] = by_round.get(q, 0) | 1 << rho
+        by_round[q] = by_round.get(q, 0) | 1 << rho * step + i
     rounds = [list(qs) for qs in table.rounds]
     masks = [list(ms) for ms in table.masks]
-    rounds[x] = sorted(by_round)
+    rounds[x] = sorted(q for q, m in by_round.items() if m)
     masks[x] = [by_round[q] for q in rounds[x]]
     return table._replace(rounds=rounds, masks=masks)
 
 
-def _raised(table, x):
+def _raised(table, x, i=0):
     """The least length of residue 0 of row x raised by c."""
     return _remasked(table, x, lambda pairs, c: [
         (q + (rho == 0), rho) for q, rho in pairs
-    ] if any(rho == 0 for _, rho in pairs) else None)
+    ] if any(rho == 0 for _, rho in pairs) else None, i)
 
 
-def _lowered(table, x):
+def _lowered(table, x, i=0):
     """The highest least length of row x lowered by c."""
     return _remasked(table, x, lambda pairs, c: (
         [(pairs[0][0] - 1, pairs[0][1])] + pairs[1:] if pairs and pairs[0][0]
         else None
-    ))
+    ), i)
 
 
-def _dropped(table, x):
+def _dropped(table, x, i=0):
     """The highest least length of row x dropped."""
-    return _remasked(table, x, lambda pairs, c: pairs[1:] if pairs else None)
+    return _remasked(table, x, lambda pairs, c: pairs[1:] if pairs else None, i)
 
 
-def _added(table, x):
+def _added(table, x, i=0):
     """An unreached residue of row x given a length past every other."""
     def edit(pairs, c):
         free = sorted(set(range(c)) - {rho for _, rho in pairs})
         top = pairs[0][0] + 1 if pairs else 0
         return [(top, free[0])] + pairs if free else None
 
-    return _remasked(table, x, edit)
+    return _remasked(table, x, edit, i)
 
 
-def _doubled(table, x):
+def _doubled(table, x, i=0):
     """A second, shorter length for the residue of row x's highest."""
     return _remasked(table, x, lambda pairs, c: (
         [(pairs[0][0] - 1, pairs[0][1])] + pairs if pairs and pairs[0][0] else None
-    ))
+    ), i)
 
 
 def _reshaped(table, x, edit):
@@ -740,11 +832,12 @@ def _unsorted(table, x):
 
 
 def _overflowing(table, x):
-    """Bit c, which is no residue, set in row x's last mask."""
+    """Bit c L, which is no residue of any of the L lanes, set in row x's
+    last mask."""
     def edit(qs, ms, c):
         if not ms:
             return False
-        ms[-1] |= 1 << c
+        ms[-1] |= 1 << c * len(table.roots)
 
     return _reshaped(table, x, edit)
 
@@ -829,26 +922,37 @@ def _period_two(n):
     return Digraph([f"v{i}" for i in range(n)], edges)
 
 
-def _check_failure(g, sk, u, table):
+def _x_and_y():
+    """x on closed walks of lengths 4 and 5, with an edge to y, and y on
+    two closed walks of length 2 that never leave it: x covers, y never
+    does, and one table at modulus 4 holds x's lane, then y's."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 7),
+             (7, 0), (0, 8), (8, 9), (9, 8), (8, 10), (10, 8)]
+    labels = ("x", "a1", "a2", "a3", "b1", "b2", "b3", "b4", "y", "w", "v")
+    return Digraph(labels, [(s, t, 1) for s, t in edges])
+
+
+def _check_failure(g, sk, table):
     """The refusal text of the package's table check, or None; a refusal
     must name re-verification."""
-    text = _refusal_text(certificate._check_table, g, sk, u, table)
+    text = _refusal_text(certificate._check_table, g, sk, table)
     assert text is None or "re-verification" in text
     return text
 
 
-def _checked_as_the_reference(g, sk, u, table):
+def _checked_as_the_reference(g, sk, table):
     """The refusal text of the table check, or None; a table that passes
-    the clauses on its rounds gets the verdict, clause, vertex and residue
-    of the numpy reference."""
-    text = _check_failure(g, sk, u, table)
+    the clauses on its rounds gets the verdict, root, clause, vertex and
+    residue of the numpy reference."""
+    text = _check_failure(g, sk, table)
     where = certificate._moves(sk)[0]
-    rounds = _refusal_text(certificate._certify_rounds, g, sk, u, table, where)
+    rounds = _refusal_text(certificate._certify_rounds, g, sk, table, where)
     if rounds is not None:
         assert text == rounds
     else:
-        reference = _numpy_bellman_failure(g, sk, u, _as_rows(sk, table))
+        reference = _numpy_bellman_failure(g, sk, _as_rows(sk, table))
         assert _failing_entry(text) == _failing_entry(reference)
+        assert (text or "").split(" failed")[0] == (reference or "").split(" failed")[0]
     return text
 
 
@@ -861,38 +965,39 @@ def _failing_entry(text):
     return found.groups()
 
 
-def _wrong_cycle(g, table, x):
-    u = g.labels[table.u]
+def _wrong_cycle(g, table, x, i=0):
+    u = g.labels[table.roots[0]]
     if all(g.has_edge(u, v) for v in g.labels):
         return None
     return _cycle_off_the_edges(g, table)
 
 
-def _added_at_round_14(table, x):
+def _added_at_round_14(table, x, i=0):
     """Residue 1 of row x, if no walk reaches it, claimed at round 14: on
     _period_two(10) from v0 that is length 113 = |skeleton| c max w + 1, a
     marker above every least length for a check that writes out rows."""
     return _remasked(table, x, lambda pairs, c: (
         [(14, 1)] + pairs if c > 1 and all(rho != 1 for _, rho in pairs) else None
-    ))
+    ), i)
 
 
-# (corruption, a digraph whose branching vertex's table it applies to)
+# (corruption of row x in lane i, a digraph whose branching vertex's table
+# it applies to); the row-shape corruptions act on every lane at once
 MASK_CORRUPTIONS = [
-    (lambda g, t, x: _raised(t, x), lambda: magic_digraph(4, 16)),
-    (lambda g, t, x: _lowered(t, x), lambda: magic_digraph(4, 16)),
-    (lambda g, t, x: _dropped(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x, i=0: _raised(t, x, i), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x, i=0: _lowered(t, x, i), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x, i=0: _dropped(t, x, i), lambda: magic_digraph(4, 16)),
     # walks v0 -> v0 have even lengths only, so odd residues are free
-    (lambda g, t, x: _added(t, x), lambda: _period_two(6)),
-    (lambda g, t, x: _doubled(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x, i=0: _added(t, x, i), lambda: _period_two(6)),
+    (lambda g, t, x, i=0: _doubled(t, x, i), lambda: magic_digraph(4, 16)),
     (_wrong_cycle, lambda: magic_digraph(4, 16)),
-    (lambda g, t, x: _emptied(t, x), lambda: magic_digraph(4, 16)),
-    (lambda g, t, x: _unsorted(t, x), lambda: magic_digraph(4, 16)),
-    (lambda g, t, x: _overflowing(t, x), lambda: magic_digraph(4, 16)),
-    (lambda g, t, x: _empty_mask(t, x), lambda: magic_digraph(4, 16)),
-    (lambda g, t, x: _negative_round(t, x), lambda: magic_digraph(4, 16)),
-    (lambda g, t, x: _unpaired_round(t, x), lambda: magic_digraph(4, 16)),
-    (lambda g, t, x: _added_at_round_14(t, x), lambda: _period_two(10)),
+    (lambda g, t, x, i=0: _emptied(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x, i=0: _unsorted(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x, i=0: _overflowing(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x, i=0: _empty_mask(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x, i=0: _negative_round(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x, i=0: _unpaired_round(t, x), lambda: magic_digraph(4, 16)),
+    (lambda g, t, x, i=0: _added_at_round_14(t, x, i), lambda: _period_two(10)),
 ]
 
 
@@ -907,13 +1012,13 @@ def test_bitmap_route_refuses_each_corruption(corrupt, build):
     # the table check runs on the round masks, one residue bitmap a round
     g, eng, sk = _certified(build())
     u = next(v for v, out in zip(sk.nodes, sk.chains) if len(out) > 1)
-    table = digraph_analysis._residue_table(sk, u)
-    assert _checked_as_the_reference(g, sk, u, table) is None
+    table = digraph_analysis._residue_table(sk, (u,))
+    assert _checked_as_the_reference(g, sk, table) is None
     refused = 0
     for x in range(len(sk.nodes)):
         bad = corrupt(g, table, x)
         if bad is not None:
-            assert _checked_as_the_reference(g, sk, u, bad) is not None
+            assert _checked_as_the_reference(g, sk, bad) is not None
             refused += 1
     assert refused
 
@@ -925,13 +1030,13 @@ def test_a_claim_at_the_row_marker_is_refused():
     # residue 1 at length 113 would read as unreached
     g, eng, sk = _certified(_period_two(10))
     u = g.index("v0")
-    table = eng.table(g, u)[0]
+    table = eng.table(g, u)[0].table
     weights = [len(ch.path) for out in sk.chains for ch in out]
     assert len(sk.nodes) * table.c * max(weights) + 1 == 14 * table.c + 1 == 113
     with pytest.raises(RuntimeError, match=re.escape(
         "re-verification: attained fails at D['v0'][1] = 113"
     )):
-        certificate._check_table(g, sk, u, _added_at_round_14(table, sk.index[u]))
+        certificate._check_table(g, sk, _added_at_round_14(table, sk.index[u]))
 
 
 ROUTE_CORRUPTIONS = [None] + [corrupt for corrupt, _ in MASK_CORRUPTIONS]
@@ -953,14 +1058,14 @@ def test_both_check_routes_accept_or_refuse_alike(g, data):
     if not cyclic:
         return
     u = data.draw(st.sampled_from(cyclic))
-    table = digraph_analysis._residue_table(sk, u)
+    table = digraph_analysis._residue_table(sk, (u,))
     corrupt = data.draw(st.sampled_from(ROUTE_CORRUPTIONS))
     if corrupt is not None:
         x = data.draw(st.integers(0, len(sk.nodes) - 1))
         table = corrupt(g, table, x)
         if table is None:
             return
-    assert (_checked_as_the_reference(g, sk, u, table) is None) == (corrupt is None)
+    assert (_checked_as_the_reference(g, sk, table) is None) == (corrupt is None)
 
 
 def _lists_and_ints(data):
@@ -991,27 +1096,26 @@ def _refusal_text(check, *args):
     data=st.data(),
 )
 def test_checker_reads_plain_data(g, data):
-    # the checker reads a skeleton and tables as lists and ints alone, so it
-    # calls nothing of the engine's objects, and it refuses each tamper with
-    # the text that the engine's objects get
+    # the checker reads a skeleton and group tables as lists and ints
+    # alone, so it calls nothing of the engine's objects, and it refuses
+    # each tamper, in any lane, with the text that the engine's objects get
     g, eng, sk = _certified(g)
     plain_sk = _lists_and_ints(sk)
     certificate._certify_skeleton(g, plain_sk)
     x = data.draw(st.integers(0, len(sk.nodes) - 1))
-    for u in sk.nodes:
-        found = eng.table(g, u)
-        if found is None:
-            continue
-        table = found[0]
-        certificate._check_table(g, plain_sk, u, _lists_and_ints(table))
+    tables = {id(found[0].table): found[0].table
+              for found in map(lambda u: eng.table(g, u), sk.nodes) if found}
+    for table in tables.values():
+        certificate._check_table(g, plain_sk, _lists_and_ints(table))
+        i = data.draw(st.integers(0, len(table.roots) - 1))
         for corrupt, _ in MASK_CORRUPTIONS:
-            bad = corrupt(g, table, x)
+            bad = corrupt(g, table, x, i)
             if bad is None:
                 continue
-            text = _refusal_text(certificate._check_table, g, sk, u, bad)
+            text = _refusal_text(certificate._check_table, g, sk, bad)
             assert text is not None and "re-verification" in text
             assert _refusal_text(
-                certificate._check_table, g, plain_sk, u, _lists_and_ints(bad)
+                certificate._check_table, g, plain_sk, _lists_and_ints(bad)
             ) == text
 
 
@@ -1179,9 +1283,14 @@ NEGATIVE_TEXTS = [
             ((0, 2, 1), (1, 0, 1), (1, 1, 1), (1, 2, 1), (2, 3, 1), (3, 3, 1))),
          "not primitive: the forced walk from 'v2' cycles, so every image of "
          "it is a single vertex"),
+        # y's lane of the table at modulus 4 misses residues, and the text
+        # names the length 2 of y's own shortest closed walk
+        (_x_and_y,
+         "not primitive: some residue mod 2 of walk lengths from 'y' to some "
+         "vertex is unreached"),
     ],
     ids=[f"verdict-{i}" for i in range(len(NEGATIVE_TEXTS))]
-    + ["branching-first", "cycle-entered"],
+    + ["branching-first", "cycle-entered", "root-in-a-wider-group"],
 )
 def test_refusal_texts(build, text):
     with pytest.raises(NotPrimitiveError) as refusal:
@@ -1265,35 +1374,52 @@ def _branching_interior():
     certificate._certify_skeleton(g, digraph_analysis._skeleton(hidden))
 
 
-def _table_of(table_tamper):
-    """A check of the clauses on a table's rounds: a table tampered."""
+def _table_of(table_tamper, v="a_4"):
+    """A check of the clauses on a table's rounds: the table of v's group
+    in Gamma_(1,8,4)+, tampered; a_4 is a group of its own, and r_8 and
+    b_4 share one at modulus 12."""
     def check():
         g, eng, sk = _certified(magic_digraph(8, 4))
-        u = next(x for x, out in zip(sk.nodes, sk.chains) if len(out) > 1)
-        table = table_tamper(g, eng.table(g, u)[0])
-        certificate._certify_rounds(g, sk, u, table, certificate._moves(sk)[0])
+        table = table_tamper(g, eng.table(g, g.index(v))[0].table)
+        certificate._certify_rounds(g, sk, table, certificate._moves(sk)[0])
 
     return check
 
 
-def _whole_table_of(v, table_tamper):
-    """A check of the whole table check: the table of v, tampered."""
+def _whole_table_of(v, table_tamper, build=lambda: magic_digraph(8, 4)):
+    """A check of the whole table check: the table of v's group, tampered."""
     def check():
-        g, eng, sk = _certified(magic_digraph(8, 4))
-        u = g.index(v)
-        certificate._check_table(g, sk, u, table_tamper(g, eng.table(g, u)[0]))
+        g, eng, sk = _certified(build())
+        table = eng.table(g, g.index(v))[0].table
+        certificate._check_table(g, sk, table_tamper(g, table))
 
     return check
+
+
+def _into_the_lane_below(table):
+    """Residue 1 of x's lane at x, claimed in round 1, moved one bit down:
+    into y's lane, as residue 0."""
+    masks = [list(ms) for ms in table.masks]
+    assert masks[0][1] & 0b110 == 0b100
+    masks[0][1] ^= 0b110
+    return table._replace(masks=masks)
+
+
+# b_4's closed walk b_4 a_1 .. a_4 r_1 .. r_8 b_1 .. b_3 b_4 in Gamma_(1,8,4)+:
+# of length 16, which does not divide 12
+_B4_WALK = ["b_4", *(f"a_{i}" for i in range(1, 5)), *(f"r_{i}" for i in range(1, 9)),
+            *(f"b_{i}" for i in range(1, 5))]
 
 
 def _cycle_off_the_edges(g, table):
-    # the cycle's second vertex swapped for one that u has no edge to
-    u = table.cycle[0]
+    # the first root's cycle with its second vertex swapped for one that
+    # the root has no edge to
+    u, _, *rest = table.cycles[0]
     stranger = next(
         v for v in range(g.vertex_count)
         if not g.has_edge(g.labels[u], g.labels[v])
     )
-    return table._replace(cycle=(u, stranger) + table.cycle[2:])
+    return table._replace(cycles=((u, stranger, *rest), *table.cycles[1:]))
 
 
 def _refusal_of(build, v, make_refusal):
@@ -1330,25 +1456,40 @@ CHECKER_CLAUSES = [
     ("some chain interior has in- or out-degree != 1", _branching_interior),
     ("some vertex is neither a skeleton vertex nor one chain's interior",
      _skeleton_of(_stray_place)),
+    # a refusal at a_4 that cites a table rooted at b_1 alone
     ("the table is rooted at 'b_1'",
-     _table_of(lambda g, t: t._replace(u=g.index("b_1")))),
+     _refusal_of(lambda: magic_digraph(8, 4), "a_4",
+                 lambda g, eng: _Refusal("x", (4,), table=eng.table(g, 4)[0].table._replace(
+                     roots=(g.index("b_1"),))))),
     # a_4's table moved to a_2, a chain interior, with the closed walk
     # a_2 a_3 a_4 a_1 a_2 through it
     ("its root is not a skeleton vertex",
      _refusal_of(lambda: magic_digraph(8, 4), "a_2",
-                 lambda g, eng: _Refusal("x", (2,), table=eng.table(g, 4)[0]._replace(
-                     u=2, cycle=(2, 3, 4, 1, 2))))),
+                 lambda g, eng: _Refusal("x", (2,), table=eng.table(g, 4)[0].table._replace(
+                     roots=(2,), cycles=((2, 3, 4, 1, 2),))))),
     ("the cycle is not a closed walk of length 4 through it",
-     _table_of(lambda g, t: t._replace(cycle=t.cycle[:-1]))),
+     _table_of(lambda g, t: t._replace(cycles=(t.cycles[0][:-1],)))),
+    # b_4's cycle, in the group of r_8 and b_4, swapped for a closed walk
+    # through b_4 whose length does not divide the modulus
+    ("the cycle is not a closed walk of length 12 through it, once or repeated",
+     _table_of(lambda g, t: t._replace(
+         cycles=(t.cycles[0], tuple(map(g.index, _B4_WALK)))), "r_8")),
+    ("the table does not hold one cycle for each root",
+     _table_of(lambda g, t: t._replace(cycles=t.cycles[:1]), "r_8")),
     ("the cycle is not a walk of the digraph", _table_of(_cycle_off_the_edges)),
     ("the table is not 6 rows of 4 residues",
      _table_of(lambda g, t: t._replace(rounds=t.rounds[:-1]))),
     ("the rounds of 'a_1' are not increasing rounds of nonempty sets of 4 "
      "residues", _table_of(lambda g, t: _empty_mask(t, 1))),
     ("D[u][0] != 0", _table_of(lambda g, t: _emptied(t, 0))),
+    # the lane of b_4, the group's second, without its residue 0 at b_4
+    ("D[u][0] != 0",
+     _table_of(lambda g, t: _moved(t, 5, 0, None, 1), "r_8"),
+     "D[u][0] != 0 in the second lane"),
     # a_4's table has c = 4 and one residue a round, r_8's c = 12
     ("D['a_1'] has two lengths in one residue",
-     _whole_table_of("a_4", lambda g, t: _doubled(t, 1))),
+     _whole_table_of("a_4", lambda g, t: _doubled(t, 1)),
+     "some row has two lengths in one residue"),
     ("D['a_1'] has two lengths in one residue",
      _whole_table_of("r_8", lambda g, t: _doubled(t, 1))),
     # a_1's residue 0, its highest least length, claimed a round later or a
@@ -1371,19 +1512,25 @@ CHECKER_CLAUSES = [
                  lambda g, eng: _Refusal("x", (1,), closed=frozenset({2})))),
     ("every residue is reached",
      _refusal_of(lambda: magic_digraph(8, 4), "a_4",
-                 lambda g, eng: _Refusal("x", (4,), table=eng.table(g, 4)[0]))),
+                 lambda g, eng: _Refusal("x", (4,), table=eng.table(g, 4)[0].table))),
+    # x's lane is full though y's is not
+    ("every residue is reached",
+     _refusal_of(_x_and_y, "x",
+                 lambda g, eng: _Refusal("x", (0,), table=eng.table(g, 0)[0].table)),
+     "every residue of the cited lane is reached"),
     ("some in-degree is zero, so coverage need not be monotone",
      _refusal_of(_period_two_with_a_source, "v0",
-                 lambda g, eng: _Refusal("x", (0,), table=eng.table(g, 0)[0]))),
+                 lambda g, eng: _Refusal("x", (0,), table=eng.table(g, 0)[0].table))),
+    # y never reaches x, and x is claimed to reach x in length 4 in y's lane
+    ("attained fails at D['x'][0] = 4, its predecessors give 8",
+     _whole_table_of("x", lambda g, t: _into_the_lane_below(t), _x_and_y)),
 ]
 
 
-# each case is named by its clause, except that the duplicate-residue clause,
-# checked on two tables, names its case on a_4's table by the tamper
-CHECKER_IDS = [c for c, _ in CHECKER_CLAUSES]
-CHECKER_IDS[CHECKER_IDS.index("D['a_1'] has two lengths in one residue")] = (
-    "some row has two lengths in one residue"
-)
+# each case is named by its clause, or, where two cases share a clause, by a
+# third entry
+CHECKER_IDS = [case[2] if len(case) > 2 else case[0] for case in CHECKER_CLAUSES]
+CHECKER_CLAUSES = [case[:2] for case in CHECKER_CLAUSES]
 
 
 @pytest.mark.parametrize(("clause", "check"), CHECKER_CLAUSES, ids=CHECKER_IDS)
@@ -1612,61 +1759,68 @@ def test_transpose_has_the_same_exponent(g):
 
 
 class _Rows(NamedTuple):
-    """A residue table as rows for the numpy reference: rows[x][rho] is the
-    least length of a walk u -> nodes[x] congruent to rho mod c, or the
-    marker unreached."""
+    """One lane of a residue table as rows for the numpy reference:
+    rows[x][rho] is the least length of a walk root -> nodes[x] congruent
+    to rho mod c, or the marker unreached."""
 
+    root: int
     c: int
     rows: list
     unreached: int
 
 
 def _as_rows(sk, table, unreached=0):
-    """The table's rows, with a marker of at least unreached above every
-    length that a chain sends from the table, so above every least and
-    every claimed length."""
+    """The table's lanes as rows, with a marker of at least unreached above
+    every length that a chain sends from the table, so above every least
+    and every claimed length."""
     highest = max((qs[-1] for qs in table.rounds if qs), default=0)
     weight = max(len(ch.path) for out in sk.chains for ch in out)
     top = max(unreached, (len(sk.nodes) * weight + highest + 1) * table.c + 1)
-    return _Rows(table.c, _decoded(table, top), top)
+    return [_Rows(u, table.c, _decoded(table, top, i), top)
+            for i, u in enumerate(table.roots)]
 
 
-def _numpy_bellman_failure(g, sk, u, table):
-    """The Bellman clauses of the table check on the rows of _as_rows, in
+def _numpy_bellman_failure(g, sk, lanes):
+    """The Bellman clauses of the table check on the lanes of _as_rows, in
     the numpy formulation the package used before its check became plain
-    Python: the refusal text, or None when the table passes.  It assumes the
-    checks before them passed."""
-    rows, c, top = table.rows, table.c, table.unreached
+    Python, one lane at a time: the refusal text at the first failing
+    vertex, least residue and then first lane, or None when every lane
+    passes.  It assumes the checks before them passed."""
     xs, zs, ws = [], [], []
     for x, out in enumerate(sk.chains):
         for chain in out:
             xs.append(x)
             zs.append(sk.index[chain.end])
             ws.append(len(chain.path))
-    table_d = np.array(rows, dtype=np.int64 if top < 2**62 else object)
-    weights = np.array(ws, dtype=table_d.dtype)[:, None]
-    cols = (np.arange(c)[None, :] - weights) % c
-    cand = table_d[np.array(xs)[:, None], cols.astype(np.intp)] + weights
-    best = np.full(table_d.shape, top, dtype=table_d.dtype)
-    np.minimum.at(best, np.array(zs, dtype=np.intp), cand)
-    best[sk.index[u], 0] = 0
-    if np.array_equal(table_d, best):
+    failures = []
+    for i, (u, c, rows, top) in enumerate(lanes):
+        table_d = np.array(rows, dtype=np.int64 if top < 2**62 else object)
+        weights = np.array(ws, dtype=table_d.dtype)[:, None]
+        cols = (np.arange(c)[None, :] - weights) % c
+        cand = table_d[np.array(xs)[:, None], cols.astype(np.intp)] + weights
+        best = np.full(table_d.shape, top, dtype=table_d.dtype)
+        np.minimum.at(best, np.array(zs, dtype=np.intp), cand)
+        best[sk.index[u], 0] = 0
+        if not np.array_equal(table_d, best):
+            z, rho = (int(i[0]) for i in np.nonzero(table_d != best))
+            failures.append((z, rho, i, u, table_d[z, rho], best[z, rho]))
+    if not failures:
         return None
-    z, rho = (int(i[0]) for i in np.nonzero(table_d != best))
-    clause = "lower bound" if table_d[z, rho] > best[z, rho] else "attained"
+    z, rho, _, u, have, given = min(failures, key=lambda f: f[:3])
+    clause = "lower bound" if have > given else "attained"
     return (
         f"residue table of {g.labels[u]!r} failed re-verification: {clause} "
-        f"fails at D[{g.labels[sk.nodes[z]]!r}][{rho}] = {table_d[z, rho]}, "
-        f"its predecessors give {best[z, rho]}"
+        f"fails at D[{g.labels[sk.nodes[z]]!r}][{rho}] = {have}, "
+        f"its predecessors give {given}"
     )
 
 
-def _moved(table, x, rho, q):
-    """The table with residue rho of row x claimed at round q, or unreached
-    for q None."""
+def _moved(table, x, rho, q, i=0):
+    """The table with residue rho of lane i of row x claimed at round q, or
+    unreached for q None."""
     return _remasked(table, x, lambda pairs, c: [
         pair for pair in pairs if pair[1] != rho
-    ] + [(q, rho)] * (q is not None))
+    ] + [(q, rho)] * (q is not None), i)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1676,26 +1830,29 @@ def _moved(table, x, rho, q):
     data=st.data(),
 )
 def test_table_check_agrees_with_numpy_reference(j, k, data):
+    # on the group table of a root, in any of its lanes
     g, eng, sk = _certified(magic_digraph(j, k))
     u = data.draw(st.sampled_from([v for v in sk.nodes if eng.cyclic[sk.index[v]]]))
-    table = eng.table(g, u)[0]
-    assert _check_failure(g, sk, u, table) is None
-    assert _numpy_bellman_failure(g, sk, u, _as_rows(sk, table)) is None
-    # one residue other than D[u][0], which an earlier clause checks, moved
-    # to another round, unreached, or claimed at the round of the marker
-    # |skeleton| c max w + 1
+    table = eng.table(g, u)[0].table
+    assert _check_failure(g, sk, table) is None
+    assert _numpy_bellman_failure(g, sk, _as_rows(sk, table)) is None
+    # one residue other than D[root][0] of its lane, which an earlier
+    # clause checks, moved to another round, unreached, or claimed at the
+    # round of the marker |skeleton| c max w + 1
+    i = data.draw(st.integers(0, len(table.roots) - 1))
     x, rho = data.draw(
         st.tuples(st.integers(0, len(sk.nodes) - 1), st.integers(0, table.c - 1))
-        .filter(lambda e: e != (sk.index[u], 0))
+        .filter(lambda e: e != (sk.index[table.roots[i]], 0))
     )
+    bit = rho * len(table.roots) + i
     q = next((q for q, mask in zip(table.rounds[x], table.masks[x])
-              if mask >> rho & 1), None)
+              if mask >> bit & 1), None)
     weight = max(len(ch.path) for out in sk.chains for ch in out)
     near = (q + 1, q - 1) if q is not None else (1,)
     moved = data.draw(st.sampled_from(
         [r for r in near if r >= 0] + [0, None, len(sk.nodes) * weight]
     ))
-    text = _checked_as_the_reference(g, sk, u, _moved(table, x, rho, moved))
+    text = _checked_as_the_reference(g, sk, _moved(table, x, rho, moved, i))
     assert (text is None) == (moved == q)
 
 
@@ -1704,12 +1861,12 @@ def test_table_check_with_a_marker_above_2_62():
     # the reference writes them as a marker above 2**62, in object arrays
     g, eng, sk = _certified(_period_two(6))
     u = g.index("v0")
-    table = eng.table(g, u)[0]
-    assert _check_failure(g, sk, u, table) is None
-    assert _numpy_bellman_failure(g, sk, u, _as_rows(sk, table, 2**62 + 5)) is None
+    table = eng.table(g, u)[0].table
+    assert _check_failure(g, sk, table) is None
+    assert _numpy_bellman_failure(g, sk, _as_rows(sk, table, 2**62 + 5)) is None
     # an odd residue of v0 claimed at a length about 2**62 or 2**64
     for length in (2**62 + 1, 2**62 + 7, 2**64 + 3):
         q, rho = divmod(length, table.c)
-        text = _checked_as_the_reference(g, sk, u, _moved(table, sk.index[u], rho, q))
+        text = _checked_as_the_reference(g, sk, _moved(table, sk.index[u], rho, q))
         assert _failing_entry(text) == ("attained", "'v0'", str(rho))
         assert f" = {length}, " in text
