@@ -66,12 +66,13 @@ branch skeleton instead of by stepping sets:
   * A vertex v of out-degree 1 has W(v, .) = {0 at v} u (W(succ v, .) + 1),
     so every source first follows its forced walk to a vertex of out-degree
     != 1 and uses that vertex's lane of its group's table.  The per-digraph
-    engine keeps the certified skeleton, searches and certifies a group's
-    table the first time any of its roots is asked for, and keeps each
-    root's lane with its cover, each derived once, so last_avoidance reuses
-    the tables that the exponent computation built.  It holds no reference
-    to the digraph, so a copy or an unpickled digraph keeps an engine that
-    stays valid.
+    engine keeps the certified skeleton and each root's shortest closed
+    walk, which both the grouping and the search read, searches and
+    certifies a group's table the first time any of its roots is asked
+    for, and keeps each root's lane with its cover, each derived once, so
+    last_avoidance reuses the tables that the exponent computation built.
+    It holds no reference to the digraph, so a copy or an unpickled digraph
+    keeps an engine that stays valid.
 
 Every answer is then arithmetic on the tables.  The covering time from v is
 the length of its forced walk plus one more than the largest length missing
@@ -320,9 +321,10 @@ class _Lane(namedtuple("_Lane", "table i")):
         return max(map(add, self.tops, sk.reach)) - self.table.c + 1
 
 
-def _shortest_cycle(sk: _Skeleton, u: int) -> list[_Chain] | None:
-    """The chains of a shortest closed walk through skeleton vertex u, in
-    order, by Dijkstra on the skeleton itself; None when none exists."""
+def _shortest_cycle(sk: _Skeleton, u: int) -> tuple[int, ...] | None:
+    """The vertices of a shortest closed walk through skeleton vertex u,
+    from u back to u, by Dijkstra on the skeleton itself; None when none
+    exists."""
     out_w, start = sk.out_w, sk.index[u]
     dist, via = {start: 0}, {}
     heap = [(0, start)]
@@ -342,21 +344,16 @@ def _shortest_cycle(sk: _Skeleton, u: int) -> list[_Chain] | None:
     steps = [last]
     while steps[-1].path[0] != u:
         steps.append(via[sk.index[steps[-1].path[0]]])
-    return steps[::-1]
+    return sum((chain.path for chain in reversed(steps)), ()) + (u,)
 
 
-def _residue_table(sk: _Skeleton, roots: tuple[int, ...]) -> _Table | None:
+def _residue_table(
+    sk: _Skeleton, roots: tuple[int, ...], cycles: tuple[tuple[int, ...], ...]
+) -> _Table:
     """The search by rounds over residue masks from the roots at once, at
-    the modulus c of the longest of their shortest closed walks, which the
-    caller makes a multiple of each; None when no closed walk passes
-    through a root.  The result is unchecked."""
-    walks = [_shortest_cycle(sk, u) for u in roots]
-    if None in walks:
-        return None
-    cycles = tuple(
-        sum((chain.path for chain in steps), ()) + (u,)
-        for u, steps in zip(roots, walks)
-    )
+    the modulus c of the longest of cycles, the roots' shortest closed
+    walks, which the caller makes a multiple of each.  The result is
+    unchecked."""
     c, step = max(map(len, cycles)) - 1, len(roots)
     count, out_w, width = len(sk.nodes), sk.out_w, c * step
     full = (1 << width) - 1
@@ -450,7 +447,7 @@ def _residue_table(sk: _Skeleton, roots: tuple[int, ...]) -> _Table | None:
             rounds[x].append(q)
             masks[x].append(got[x])
             got[x] = 0
-    return _Table(tuple(roots), c, cycles, rounds, masks)
+    return _Table(tuple(roots), c, tuple(cycles), rounds, masks)
 
 
 # -- the per-digraph engine ----------------------------------------------------
@@ -514,25 +511,29 @@ class _Engine:
         return cyclic
 
     @cached_property
+    def cycles(self) -> dict[int, tuple[int, ...]]:
+        """cycles[u]: a shortest closed walk through root u, searched once.
+        The roots are the skeleton vertices on closed walks with two or more
+        chains out, the only ends of forced walks."""
+        sk = self.skeleton
+        return {v: _shortest_cycle(sk, v) for x, v in enumerate(sk.nodes)
+                if self.cyclic[x] and len(sk.chains[x]) > 1}
+
+    @cached_property
     def groups(self) -> dict[int, tuple[int, ...]]:
         """groups[u]: the roots searched together with root u, in lane order.
 
-        The roots are the skeleton vertices on closed walks with two or more
-        chains out, the only ends of forced walks.  Visited by decreasing
-        length c of their shortest closed walks, a root joins the first
-        group whose modulus is c or 2 c, or any multiple of c when a loop
-        of weight c, which the search closes by doubling, is such a walk;
-        otherwise it opens a group of modulus c.  The cap keeps a short
-        cycle through other skeleton vertices from repeating many times a
-        round.
+        Visited by decreasing length c of their shortest closed walks, a
+        root joins the first group whose modulus is c or 2 c, or any
+        multiple of c when a loop of weight c, which the search closes by
+        doubling, is such a walk; otherwise it opens a group of modulus c.
+        The cap keeps a short cycle through other skeleton vertices from
+        repeating many times a round.
         """
-        sk, lengths = self.skeleton, {}
-        for x, v in enumerate(sk.nodes):
-            if self.cyclic[x] and len(sk.chains[x]) > 1:
-                lengths[v] = sum(len(chain.path) for chain in _shortest_cycle(sk, v))
+        sk, cycles = self.skeleton, self.cycles
         opened: list[tuple[int, list[int]]] = []
-        for v in sorted(lengths, key=lengths.get, reverse=True):
-            c, x = lengths[v], sk.index[v]
+        for v in sorted(cycles, key=lambda v: len(cycles[v]), reverse=True):
+            c, x = len(cycles[v]) - 1, sk.index[v]
             loop = (x, c) in sk.out_w[x]
             for modulus, roots in opened:
                 if modulus in (c, 2 * c) or loop and modulus % c == 0:
@@ -553,7 +554,9 @@ class _Engine:
             if not self.cyclic[sk.index[u]]:
                 self._lanes[u] = None
             else:
-                table = _residue_table(sk, self.groups.get(u, (u,)))
+                roots = self.groups.get(u, (u,))
+                cycles = [self.cycles.get(v) or _shortest_cycle(sk, v) for v in roots]
+                table = _residue_table(sk, roots, cycles)
                 certificate._check_table(g, sk, table)
                 for i, v in enumerate(table.roots):
                     lane = _Lane(table, i)

@@ -433,9 +433,9 @@ def test_acyclic_vertices_get_no_table_search(monkeypatch):
     # skeleton components say so and no residue table is searched for
     calls, real = [], digraph_analysis._residue_table
 
-    def counted(sk, roots):
+    def counted(sk, roots, cycles):
         calls.append(roots)
-        return real(sk, roots)
+        return real(sk, roots, cycles)
 
     monkeypatch.setattr(digraph_analysis, "_residue_table", counted)
     n, m = 1200, 500
@@ -526,9 +526,9 @@ def test_each_table_cover_is_computed_once(monkeypatch, n):
     searches, covers = [], []
     search, cover = digraph_analysis._residue_table, digraph_analysis._Lane.cover
 
-    def searched(sk, roots):
+    def searched(sk, roots, cycles):
         searches.append(roots)
-        return search(sk, roots)
+        return search(sk, roots, cycles)
 
     def counted(lane, sk):
         covers.append(lane.table.roots[lane.i])
@@ -541,6 +541,29 @@ def test_each_table_cover_is_computed_once(monkeypatch, n):
     last_avoidance(g, "b_1", "r_1")
     assert searches == [(g.index(f"r_{n}"), g.index("a_1"))]
     assert sorted(covers) == [g.index("a_1"), g.index(f"r_{n}")]
+
+
+@pytest.mark.parametrize(
+    ("build", "count"),
+    [(lambda: magic_digraph(9, 9), 3), (lambda: _hub(300), 2)],
+    ids=["gamma-1-9-9", "hub-300"],
+)
+def test_each_root_closed_walk_is_searched_once(monkeypatch, build, count):
+    # the roots' shortest closed walks, found once for the groups, are the
+    # ones the table search starts from: r_9, b_9 and a_9 on Gamma_(1,9,9)+,
+    # v0 and h on the hub
+    walks, walk = [], digraph_analysis._shortest_cycle
+
+    def counted(sk, u):
+        walks.append(u)
+        return walk(sk, u)
+
+    monkeypatch.setattr(digraph_analysis, "_shortest_cycle", counted)
+    g = build()
+    primitivity_exponent(g)
+    roots = digraph_analysis._engine(g).groups
+    assert len(roots) == count
+    assert sorted(walks) == sorted(roots)
 
 
 def _groups_of(g):
@@ -677,6 +700,13 @@ def _least_lengths(g, sk, u):
     return [L for L in range(1, start + period + 1) if u in at(L)], rows
 
 
+def _searched(sk, u):
+    """The unchecked table of u alone, searched from u's shortest closed
+    walk; None when no closed walk passes through u."""
+    cycle = digraph_analysis._shortest_cycle(sk, u)
+    return cycle and digraph_analysis._residue_table(sk, (u,), (cycle,))
+
+
 @settings(max_examples=200, deadline=None)
 @given(g=digraphs_with_runs())
 def test_residue_tables_match_brute_force(g):
@@ -685,7 +715,7 @@ def test_residue_tables_match_brute_force(g):
     # both
     sk = digraph_analysis._engine(g).skeleton
     for u in sk.nodes:
-        table = digraph_analysis._residue_table(sk, (u,))
+        table = _searched(sk, u)
         returns, rows = _least_lengths(g, sk, u)
         if table is None:
             assert not returns
@@ -742,9 +772,8 @@ _RESIDUE_TABLE = digraph_analysis._residue_table
 
 
 def _corrupted_tables(monkeypatch, corrupt):
-    def corrupted(sk, u):
-        table = _RESIDUE_TABLE(sk, u)
-        return None if table is None else corrupt(table)
+    def corrupted(sk, roots, cycles):
+        return corrupt(_RESIDUE_TABLE(sk, roots, cycles))
 
     monkeypatch.setattr(digraph_analysis, "_residue_table", corrupted)
 
@@ -1012,7 +1041,7 @@ def test_bitmap_route_refuses_each_corruption(corrupt, build):
     # the table check runs on the round masks, one residue bitmap a round
     g, eng, sk = _certified(build())
     u = next(v for v, out in zip(sk.nodes, sk.chains) if len(out) > 1)
-    table = digraph_analysis._residue_table(sk, (u,))
+    table = _searched(sk, u)
     assert _checked_as_the_reference(g, sk, table) is None
     refused = 0
     for x in range(len(sk.nodes)):
@@ -1058,7 +1087,7 @@ def test_both_check_routes_accept_or_refuse_alike(g, data):
     if not cyclic:
         return
     u = data.draw(st.sampled_from(cyclic))
-    table = digraph_analysis._residue_table(sk, (u,))
+    table = _searched(sk, u)
     corrupt = data.draw(st.sampled_from(ROUTE_CORRUPTIONS))
     if corrupt is not None:
         x = data.draw(st.integers(0, len(sk.nodes) - 1))

@@ -259,17 +259,28 @@ def test_analyze_avoid(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "label"),
     [
-        ("image", "--source", "nope", "--steps", "3"),
-        ("avoid", "--source", "nope", "--avoided", "r_1"),
-        ("avoid", "--source", "b_2", "--avoided", "nope"),
+        (("image", "--j", "3", "--k", "2", "--source", "nope", "--steps", "3"),
+         "nope"),
+        (("avoid", "--j", "3", "--k", "2", "--source", "nope", "--avoided", "r_1"),
+         "nope"),
+        (("avoid", "--j", "3", "--k", "2", "--source", "b_2", "--avoided", "nope"),
+         "nope"),
+        # near misses of Gamma_(1,8,4)+'s labels a_1..a_4 and b_1..b_4
+        (("image", "--j", "8", "--k", "4", "--steps", "1", "--source", "a_04"),
+         "a_04"),
+        (("image", "--j", "8", "--k", "4", "--steps", "1", "--source", "a_+1"),
+         "a_+1"),
+        (("image", "--j", "8", "--k", "4", "--steps", "1", "--source", "b_5"),
+         "b_5"),
     ],
+    ids=["argv0", "argv1", "argv2", "a_04", "a_+1", "b_5"],
 )
-def test_analyze_refuses_unknown_labels(capsys, argv):
-    rc, out, err = _run(capsys, "analyze", argv[0], "--j", "3", "--k", "2", *argv[1:])
+def test_analyze_refuses_unknown_labels(capsys, argv, label):
+    rc, out, err = _run(capsys, "analyze", *argv)
     assert rc == 2 and out == ""
-    assert err == "error: no vertex labeled 'nope'\n"
+    assert err == f"error: no vertex labeled '{label}'\n"
 
 
 def test_bounds_class(capsys):
@@ -575,7 +586,7 @@ MAGIC_ROWS_ARG = "1 0 0; 0 1 0; 1 0 -1; 0 1 -1"
         (("--out", "d2", "digraph", "build", "--j", "3", "--k", "2", "--json",
           "same", "--dot", "same"),
          "error: two files cannot share the path d2/same\n"),
-        # the same refusal as the console-script smoke step in CI
+        # x_1 >= 0 and -x_1 >= 0 leave no x with A x > 0
         (("cone", "hilbert", "--rows", "1 0 0; -1 0 0", "--bound", "3"),
          "error: no x has A x > 0 (the sum of the extreme rays is not strictly "
          "positive on every row): the cone has empty interior\n"),
