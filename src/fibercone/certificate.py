@@ -21,7 +21,7 @@ out-edges; every chain is a walk of the digraph between skeleton vertices,
 and its interior is its segments at their stated offsets.  A walk is
 checked a run at a time: from a run member it must follow the run, which
 one C-level comparison checks, and only the steps from other vertices are
-looked up among the extra edges.
+looked up among the extra edges, by bisection.
 
 A residue table is (roots, c, cycles, rounds, masks), for L roots that
 share the modulus c: bit rho L + i is in the c L-bit set masks[x][k] iff
@@ -68,7 +68,7 @@ each image along it is a single vertex; then one of:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import reduce
 from itertools import chain
 from math import inf
@@ -171,7 +171,12 @@ def _extra_steps(g: Digraph, walk: Sequence[int]) -> list[int] | None:
             if tuple(walk[i:j + 1]) != tuple(range(a, a + j - i + 1)):
                 return None
             i = j
-        elif walk[i + 1] in g.successors(a):
+            continue
+        # a vertex that is no run member has exactly its extra edges out,
+        # so the step is looked up among them by bisection
+        step = (a, walk[i + 1])
+        at = bisect_left(g.extra, step)
+        if g.extra[at:at + 1] and g.extra[at][:2] == step:
             taken.append(a)
             i += 1
         else:

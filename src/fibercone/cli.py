@@ -21,6 +21,7 @@ JSON with sorted keys; rationals appear as [numerator, denominator].
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import asdict
@@ -150,9 +151,24 @@ def _load_digraph(args: argparse.Namespace):
     if (args.json is not None) == given_jk:
         raise ValueError("give either --json FILE or both --j and --k")
     if args.json is not None:
-        with open(args.json, encoding="utf-8") as fh:
-            return ttd.import_digraph(fh.read())
+        return ttd.import_digraph(_read_json(args.json))
     return ttd.magic_digraph(args.j, args.k)
+
+
+def _read_json(path: str) -> Any:
+    """The parsed JSON document at path, for import_digraph or
+    import_cochain_graph; refuses as "cannot read PATH: reason"."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        document = json.loads(text)
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    # the importers read a str as JSON text, so a document that is one JSON
+    # string goes to them as its text, which they refuse as no object
+    return text if isinstance(document, str) else document
 
 
 def _check_labels(g: ttd.Digraph, *labels: str) -> None:
@@ -366,8 +382,7 @@ def _zfold_record(g: zfold_cover.CochainGraph) -> dict[str, Any]:
 def _cmd_zfold_loop(args: argparse.Namespace) -> int:
     from . import zfold_cover
 
-    with open(args.json, encoding="utf-8") as fh:
-        g = zfold_cover.import_cochain_graph(fh.read())
+    g = zfold_cover.import_cochain_graph(_read_json(args.json))
     record = _zfold_record(g)
     _emit(record)
     return 0 if record["verified"] else 1

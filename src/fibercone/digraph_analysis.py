@@ -65,14 +65,18 @@ branch skeleton instead of by stepping sets:
     each vertex, where one table a root took about 2 n rounds in all.
   * A vertex v of out-degree 1 has W(v, .) = {0 at v} u (W(succ v, .) + 1),
     so every source first follows its forced walk to a vertex of out-degree
-    != 1 and uses that vertex's lane of its group's table.  The per-digraph
-    engine keeps the certified skeleton and each root's shortest closed
-    walk, which both the grouping and the search read, searches and
-    certifies a group's table the first time any of its roots is asked
-    for, and keeps each root's lane with its cover, each derived once, so
-    last_avoidance reuses the tables that the exponent computation built.
-    It holds no reference to the digraph, so a copy or an unpickled digraph
-    keeps an engine that stays valid.
+    != 1 and uses that vertex's lane of its group's table.  The exponent
+    asks for the cover of each skeleton vertex of out-degree != 1 only; one
+    of out-degree 1 covers in its chain's weight more steps than the
+    chain's end, read by following chains up to a vertex already covered,
+    so each skeleton vertex is passed once.  The per-digraph engine keeps
+    the certified skeleton and each root's shortest closed walk, which both
+    the grouping and the search read, searches and certifies a group's
+    table the first time any of its roots is asked for, and keeps each
+    root's lane with its cover, each derived once, so last_avoidance
+    reuses the tables that the exponent computation built.  It holds no
+    reference to the digraph, so a copy or an unpickled digraph keeps an
+    engine that stays valid.
 
 Every answer is then arithmetic on the tables.  The covering time from v is
 the length of its forced walk plus one more than the largest length missing
@@ -113,6 +117,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, chain
+from math import inf
 from operator import add, or_
 from typing import Iterable
 
@@ -323,23 +328,27 @@ class _Lane(namedtuple("_Lane", "table i")):
 
 def _shortest_cycle(sk: _Skeleton, u: int) -> tuple[int, ...] | None:
     """The vertices of a shortest closed walk through skeleton vertex u,
-    from u back to u, by Dijkstra on the skeleton itself; None when none
+    from u back to u, by Dijkstra on the skeleton itself, stopped once a
+    popped distance reaches the shortest closing found; None when none
     exists."""
     out_w, start = sk.out_w, sk.index[u]
     dist, via = {start: 0}, {}
     heap = [(0, start)]
-    c, last = None, None
+    c, last = inf, None
     while heap:
         d, x = heapq.heappop(heap)
+        if d >= c:
+            # every later closing is longer than c
+            break
         if d > dist[x]:
             continue
         for chain, (z, w) in zip(sk.chains[x], out_w[x]):
-            if z == start and (c is None or d + w < c):
+            if z == start and d + w < c:
                 c, last = d + w, chain
             if d + w < dist.get(z, d + w + 1):
                 dist[z], via[z] = d + w, chain
                 heapq.heappush(heap, (d + w, z))
-    if c is None:
+    if last is None:
         return None
     steps = [last]
     while steps[-1].path[0] != u:
@@ -463,7 +472,7 @@ class _Engine:
         sk = _skeleton(g)
         certificate._certify_skeleton(g, sk)
         self.skeleton = sk
-        self._lanes: dict[int, tuple[_Lane, int | None] | None] = {}
+        self._lanes: dict[int, tuple[_Lane, int | None]] = {}
 
     @cached_property
     def cyclic(self) -> list[bool]:
@@ -545,22 +554,21 @@ class _Engine:
 
     def table(self, g: Digraph, u: int) -> tuple[_Lane, int | None] | None:
         """(u's lane of its group's table, the lane's cover), the table
-        certified; None, with no search, when no closed walk passes through
-        u.  The first call for any root of a group searches and certifies
-        the whole group; a skeleton vertex outside every group is a group
-        of its own."""
+        certified; None, with no search, when u is no root.  Only ends of
+        forced walks are asked for, and they have no chain or two or more
+        out, so such an end is a root iff a closed walk passes through it.
+        The first call for any root of a group searches and certifies the
+        whole group."""
+        roots = self.groups.get(u)
+        if roots is None:
+            return None
         if u not in self._lanes:
             sk = self.skeleton
-            if not self.cyclic[sk.index[u]]:
-                self._lanes[u] = None
-            else:
-                roots = self.groups.get(u, (u,))
-                cycles = [self.cycles.get(v) or _shortest_cycle(sk, v) for v in roots]
-                table = _residue_table(sk, roots, cycles)
-                certificate._check_table(g, sk, table)
-                for i, v in enumerate(table.roots):
-                    lane = _Lane(table, i)
-                    self._lanes[v] = lane, lane.cover(sk)
+            table = _residue_table(sk, roots, [self.cycles[v] for v in roots])
+            certificate._check_table(g, sk, table)
+            for i, v in enumerate(roots):
+                lane = _Lane(table, i)
+                self._lanes[v] = lane, lane.cover(sk)
         return self._lanes[u]
 
     def refuse(
@@ -635,18 +643,31 @@ class _Engine:
     def exponent(self, g: Digraph) -> int:
         """max over v of cov(v); needs n >= 2 and every degree >= 1.
 
-        A skeleton vertex covers in the length of its forced walk plus the
-        cover of the table at the walk's end, both read from cover_of.
-        Branching vertices go first, so their refusals come before that of
-        an out-degree-1 cycle.  A chain interior i steps before z covers in
-        cov(z) + i steps.
+        A skeleton vertex of out-degree != 1 covers in the cover of its
+        table, read from cover_of; these go first, so their refusals come
+        before that of an out-degree-1 cycle.  A vertex whose one chain of
+        weight w ends at z, like a chain interior i steps before z, covers
+        in cov(z) + w (or + i) steps: each out-degree-1 skeleton vertex
+        follows its chains up to a covered vertex, and only the first
+        vertex of a trail that closes on itself asks cover_of, which refuses
+        its forced walk.
         """
         sk = self.skeleton
+        out_w = sk.out_w
         cov = {}
-        for x in sorted(range(len(sk.nodes)), key=lambda x: len(sk.chains[x]) == 1):
-            path, _, cover = self.cover_of(g, sk.nodes[x])
-            cov[x] = len(path) + cover
-        interior = (w - 1 + cov[z] for out in sk.out_w for z, w in out if w > 1)
+        for x, out in enumerate(out_w):
+            if len(out) != 1:
+                cov[x] = self.cover_of(g, sk.nodes[x])[2]
+        for x in range(len(out_w)):
+            trail, y = {}, x
+            while y not in cov:
+                if y in trail:
+                    self.cover_of(g, sk.nodes[x])  # raises: the walk cycles
+                trail[y] = out_w[y][0]
+                y = trail[y][0]
+            for y, (z, w) in reversed(trail.items()):
+                cov[y] = cov[z] + w
+        interior = (w - 1 + cov[z] for out in out_w for z, w in out if w > 1)
         return max(max(cov.values()), max(interior, default=0))
 
     def hits(

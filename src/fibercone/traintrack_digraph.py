@@ -44,12 +44,14 @@ multiplicity) triple.  Gamma is three runs (s a_1 .. a_k, r_1 .. r_j and
 b_1 .. b_k) and seven extra edges.  Its labels are derived on demand from
 (j, k): each label is built when it is read, and the index of a label is
 found by arithmetic on its letter and number, then accepted only if the
-label at that index is spelled the same.  So building and validating
-Gamma costs O(1) steps, and readers find degrees and successors by
-bisection.  A digraph read from labels (Digraph(...), import_digraph) keeps
-their checked tuple and a label -> index dict.  The sorted edge triples are
-not kept: edges derives them on each access.  Digraph(...) reads, and
-the JSON document of export_json and import_digraph holds, the same triples.
+label at that index is spelled the same.  So building Gamma costs O(1)
+steps, and readers find degrees and successors by bisection.  Data is
+checked where it enters, as labels, edge triples, a document or (j, k);
+the store built from it is not checked again.  A digraph read from labels
+(Digraph(...), import_digraph) keeps their checked tuple and a label ->
+index dict.  The sorted edge triples are not kept: edges derives them on
+each access.  Digraph(...) reads, and the JSON document of export_json and
+import_digraph holds, the same triples.
 """
 
 from __future__ import annotations
@@ -84,7 +86,10 @@ class Digraph:
     one out-edge, v -> v + 1, of multiplicity one.  extra is the sorted
     tuple of the remaining (source, target, multiplicity) triples, one per
     ordered pair, none of them from a run member.  The store is canonical,
-    so equality on (labels, runs, extra) is equality on labels and edges.
+    because its two producers build it so: Digraph(labels, edges)
+    normalizes checked triples, and build_magic_digraph writes Gamma's
+    store from its formula.  So equality on (labels, runs, extra) is
+    equality on labels and edges.
     labels is the checked tuple of a digraph read from labels; Gamma's is a
     sequence that builds each label on demand and equals that tuple.
 
@@ -136,63 +141,19 @@ class Digraph:
         runs: Iterable[tuple[int, int]],
         extra: Iterable[tuple[int, int, int]],
     ) -> Digraph:
-        """The digraph of a store; labels must be checked already."""
+        """The digraph of a canonical store, as _fill takes it; labels must
+        be checked already."""
         g = cls.__new__(cls)
         g._fill(labels, runs, extra)
         return g
 
     def _fill(self, labels: Sequence[str], runs, extra) -> None:
-        """The store constructor: refuses, in O(runs + extra), a store that
-        is out of range, out of order, overlapping, not maximal or has an
-        extra edge from a run member, then sets the three fields."""
-        n = len(labels)
-        runs, extra = tuple(map(tuple, runs)), tuple(map(tuple, extra))
-        end = -1
-        for first, last in runs:
-            if not (type(first) is type(last) is int and 0 <= first < last < n):
-                raise ValueError(
-                    f"run ({first!r}, {last!r}) is not first < last among "
-                    f"vertex indices below {n}"
-                )
-            if first <= end:
-                raise ValueError(
-                    f"run ({first}, {last}) starts at or before the last vertex "
-                    "of the run before it: runs must be sorted, disjoint and "
-                    "maximal"
-                )
-            end = last
-        before = (-1, -1)
-        for i, edge in enumerate(extra):
-            source, target, mult = edge
-            if not (
-                type(source) is type(target) is type(mult) is int
-                and 0 <= source < n and 0 <= target < n and mult >= 1
-            ):
-                raise ValueError(
-                    f"extra edge {edge!r} is not (source, target, multiplicity) "
-                    f"with indices below {n} and multiplicity >= 1"
-                )
-            if (source, target) <= before:
-                raise ValueError("extra edges must be sorted, one per pair")
-            before = (source, target)
-            at = bisect_left(runs, (source + 1,)) - 1
-            if at >= 0 and source < runs[at][1]:
-                raise ValueError(
-                    f"extra edge {edge!r} leaves {source}, a member of run "
-                    f"{runs[at]}"
-                )
-            if (
-                (target, mult) == (source + 1, 1)
-                and (i == 0 or extra[i - 1][0] != source)
-                and (i + 1 == len(extra) or extra[i + 1][0] != source)
-            ):
-                raise ValueError(
-                    f"{source} -> {target} is the one out-edge of {source}, "
-                    "so a run holds it: runs must be maximal"
-                )
+        """Sets the three fields, checking nothing: the store's only two
+        producers, _runs_and_extra and build_magic_digraph, build it
+        canonical."""
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "extra", extra)
+        object.__setattr__(self, "runs", tuple(map(tuple, runs)))
+        object.__setattr__(self, "extra", tuple(extra))
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:

@@ -1208,6 +1208,43 @@ def test_hub_digraph_exponent():
     assert primitivity_exponent(_hub(500)) == 501
 
 
+def test_hub_digraph_work_is_linear_in_the_skeleton(monkeypatch):
+    # the skeleton is all 2001 vertices, 4002 chains; h (out-degree 2001)
+    # and v0 (out-degree 2) are the only skeleton vertices of out-degree
+    # != 1 and the only roots
+    n = 2000
+    g = _hub(n)
+    counts = Counter()
+
+    def counting(name, owner, size=lambda result: 1):
+        step = getattr(owner, name)
+
+        def counted(*args):
+            result = step(*args)
+            counts[name] += size(result)
+            return result
+
+        monkeypatch.setattr(owner, name, counted)
+
+    # successor entries read while the engine is built and checked: the
+    # checker looks each step out of h up by bisection, not by scanning
+    # h's 2001 successors once per chain (4,012,010 entries)
+    counting("successors", Digraph, len)
+    eng = digraph_analysis._engine(g)
+    assert counts["successors"] <= 3 * (g.vertex_count + g.edge_count)
+    # exponent asks for the forced walks of h and v0 only, not of every
+    # skeleton vertex (2001 calls)
+    counting("forced", digraph_analysis._Engine)
+    assert primitivity_exponent(g) == n + 1
+    assert counts["forced"] == 2
+    # each root's closed walk stops once no shorter closing is left: h's
+    # loop and v0 -> h -> v0, not a search of the whole skeleton (4002 pops)
+    counting("heappop", digraph_analysis.heapq)
+    assert [len(digraph_analysis._shortest_cycle(eng.skeleton, u)) - 1
+            for u in sorted(eng.groups)] == [2, 1]
+    assert counts["heappop"] <= 10
+
+
 def test_period_two_cycle_with_chord_is_not_primitive():
     # the unreached odd residues refuse it at once, however long the cycle
     with pytest.raises(NotPrimitiveError, match="unreached"):
@@ -1861,7 +1898,7 @@ def _moved(table, x, rho, q, i=0):
 def test_table_check_agrees_with_numpy_reference(j, k, data):
     # on the group table of a root, in any of its lanes
     g, eng, sk = _certified(magic_digraph(j, k))
-    u = data.draw(st.sampled_from([v for v in sk.nodes if eng.cyclic[sk.index[v]]]))
+    u = data.draw(st.sampled_from(sorted(eng.groups)))
     table = eng.table(g, u)[0].table
     assert _check_failure(g, sk, table) is None
     assert _numpy_bellman_failure(g, sk, _as_rows(sk, table)) is None

@@ -590,18 +590,52 @@ MAGIC_ROWS_ARG = "1 0 0; 0 1 0; 1 0 -1; 0 1 -1"
         (("cone", "hilbert", "--rows", "1 0 0; -1 0 0", "--bound", "3"),
          "error: no x has A x > 0 (the sum of the extreme rays is not strictly "
          "positive on every row): the cone has empty interior\n"),
+        # an input document that cannot be read is named by its path; adir
+        # and the truncated t.json are made before every row
+        (("analyze", "exponent", "--json", "x.json"),
+         "error: cannot read x.json: No such file or directory\n"),
+        (("zfold", "loop", "--json", "adir"),
+         "error: cannot read adir: Is a directory\n"),
+        (("analyze", "exponent", "--json", "t.json"),
+         "error: cannot read t.json: Expecting value: line 1 column 13 (char 12)\n"),
     ],
     ids=["point-short", "point-long", "point-not-int", "rows-empty",
          "rows-not-int", "plus-not-int", "pq-without-p",
          "sweep-n11-with-pq", "verify-n11-with-pq", "sweep-n11-with-p",
          "verify-infinite-tolerance", "verify-nan-tolerance", "verify-too-few",
          "build-json-and-dot-one-path", "build-dot-dir-missing", "out-sweep-over-cap",
-         "out-build-one-path", "empty-interior"],
+         "out-build-one-path", "empty-interior", "read-missing", "read-directory",
+         "read-truncated"],
 )
 def test_malformed_arguments_exit_2(capsys, tmp_path, monkeypatch, argv, err):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "t.json").write_text('{"labels": [')
     assert _run(capsys, *argv) == (2, "", err)
-    assert not any(tmp_path.iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["adir", "t.json"]
+    assert not any((tmp_path / "adir").iterdir())
+
+
+@pytest.mark.parametrize(
+    ("argv", "inner", "err"),
+    [
+        (("analyze", "exponent"), traintrack_digraph.export_json(
+            traintrack_digraph.magic_digraph(3, 2)),
+         "error: digraph document must be a JSON object\n"),
+        (("zfold", "loop"), export_cochain_json(
+            CochainGraph(2, ((0, 1, 0), (0, 1, 1), (0, 1, 2)))),
+         "error: expected a JSON object\n"),
+    ],
+    ids=["digraph", "cochain-graph"],
+)
+def test_a_document_that_is_one_json_string_is_no_object(
+    capsys, tmp_path, monkeypatch, argv, inner, err
+):
+    # the importers read a str as JSON text: a file that holds a whole
+    # document as one JSON string is refused, not read twice
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps(inner))
+    assert _run(capsys, *argv, "--json", "s.json") == (2, "", err)
 
 
 NUMPY_STAYS_OUT = """

@@ -25,6 +25,15 @@ def _reversed(j, k):
     return h
 
 
+def _hub(n):
+    """An n-cycle v0..v(n-1) plus a hub h with h -> h, h -> vi for every i
+    and v0 -> h: a skeleton of n + 1 vertices, all but two of out-degree
+    1."""
+    edges = [(i, (i + 1) % n, 1) for i in range(n)] + [(n, n, 1), (0, n, 1)]
+    edges += [(n, i, 1) for i in range(n)]
+    return Digraph([f"v{i}" for i in range(n)] + ["h"], edges)
+
+
 ROWS = [
     (("bounds", "class", "--plus", "1,100,10000"), None, 0,
      {"mixing_r": 1010199}),
@@ -34,6 +43,9 @@ ROWS = [
     # V = 20101, read as a document of edge triples
     (("analyze", "exponent", "--json", "g.json"), partial(_reversed, 100, 10000),
      0, {"exponent": 1010199}),
+    # linear in the skeleton: each skeleton vertex is passed once
+    (("analyze", "exponent", "--json", "g.json"), partial(_hub, 8000), 0,
+     {"exponent": 8001}),
     # the loop of seed 0 in tests/golden/zfold_loops.json
     (("--seed", "0", "zfold", "random", "--vertices", "12", "--cochain-bound",
       "3", "--count", "1"), None, 0,
@@ -46,7 +58,7 @@ ROWS = [
     ("argv", "document", "code", "fields"),
     ROWS,
     ids=["bounds-1-100-10000", "bounds-1-401-401", "exponent-reversed-100-10000",
-         "zfold-random-12-3"],
+         "exponent-hub-8000", "zfold-random-12-3"],
 )
 def test_console_answers(capsys, tmp_path, monkeypatch, argv, document, code, fields):
     monkeypatch.chdir(tmp_path)
